@@ -26,7 +26,6 @@ from claudette.corpus import corpus_stats, load_corpus  # noqa: E402
 from claudette.evaluation import (  # noqa: E402
     compare_to_paper_stats,
     render_stats,
-    run_category_eval,
     run_detection_eval,
 )
 from claudette.features import FeatureConfig  # noqa: E402
@@ -84,7 +83,7 @@ def main() -> int:
     if not args.skip_category:
         timed(
             "category / one-vs-rest linear",
-            lambda: run_category_eval(corpus, feature_cfg, base_cfg),
+            lambda: run_detection_eval(corpus, feature_cfg, "category-ovr", base_cfg),
         )
     return 0
 

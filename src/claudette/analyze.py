@@ -1,25 +1,20 @@
-"""Shared prediction pipeline behind the predict command and the service.
+"""The one prediction path behind predict, the service and LOO evaluation.
 
-Both front ends call :func:`analyze_text` and serialize the result with
-:func:`result_json`, so their outputs agree byte for byte.
+A :class:`Predictor` is a model bundle compiled once: its payload decoded
+into dense weights and its kernel support trees parsed.  The predict command,
+the service and every LOO fold run it, and the front ends serialize its
+result with :func:`result_json`, so their outputs agree byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from . import svm, treekernel
-from .corpus import CATEGORY_BY_SYMBOL, segment_sentences
+from . import modelio, seqmodel, svm, treekernel
+from .corpus import Sentence, segment_sentences
 from .features import vectorize_all
-from .modelio import (
-    ModelBundle,
-    canonical_json_bytes,
-    category_from_payload,
-    chain_from_payload,
-    kernel_from_payload,
-    linear_from_payload,
-)
-from .seqmodel import viterbi
+from .modelio import ModelBundle, canonical_json_bytes
 from .trees import ParseTree
 
 
@@ -45,115 +40,109 @@ class TreeAlignmentError(ValueError):
     pass
 
 
+class Predictor:
+    """A model bundle compiled for prediction.
+
+    Linear models (one per category for ``category-ovr``, the embedded
+    fallback for ``kernel-sstk``) score a sentence as ``w.x + b`` and flag it
+    at score >= 0; the chain model decodes the whole document with Viterbi;
+    the kernel model scores each tree against the support trees.
+    """
+
+    def __init__(self, bundle: ModelBundle):
+        from .trees import parse_bracketed
+
+        self.kind = bundle.kind
+        self.vocabulary = bundle.vocabulary
+        self.feature_config = bundle.feature_config
+        self.linear: dict[str, svm.LinearModel] = {}
+        self.chain: seqmodel.ChainModel | None = None
+        self.kernel: svm.KernelModel | None = None
+        self.support: list[ParseTree] = []
+        if bundle.kind == "linear-bow":
+            self.linear = {"detection": modelio.linear_from_payload(bundle.payload)}
+        elif bundle.kind == "category-ovr":
+            models = modelio.category_from_payload(bundle.payload)
+            self.linear = {cat.symbol: m for cat, m in models.items()}
+        elif bundle.kind == "chain":
+            self.chain = modelio.chain_from_payload(bundle.payload)
+        else:
+            self.kernel, support = modelio.kernel_from_payload(bundle.payload)
+            self.support = [parse_bracketed(s) for s in support]
+            if bundle.fallback is not None:
+                self.linear = {"detection": modelio.linear_from_payload(bundle.fallback)}
+
+    def predict(
+        self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None
+    ) -> tuple[list[SentenceAnalysis], list[str]]:
+        """Analyses of the sentences of one document, and any warnings.
+
+        ``trees`` must align 1:1 with ``sentences``; it is only consulted by
+        kernel models, which otherwise fall back to their embedded linear
+        model with a warning, and by POS features.
+        """
+        if trees is not None and len(trees) != len(sentences):
+            raise TreeAlignmentError(
+                f"document segments into {len(sentences)} sentences but {len(trees)} trees were supplied"
+            )
+        warnings: list[str] = []
+        categories: list[list[str]] = [[] for _ in sentences]
+        if self.kernel is not None and trees is not None:
+            kernel = self.kernel
+            scores = [
+                svm.predict_kernel(
+                    kernel,
+                    treekernel.kernel_row(t, self.support, lam=kernel.lam, normalize=kernel.normalized),
+                )
+                for t in trees
+            ]
+            flags = [s >= 0.0 for s in scores]
+            score_maps = [{"detection": s} for s in scores]
+        elif self.chain is not None:
+            emissions = self.chain.emissions
+            X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
+            ys = seqmodel.viterbi(self.chain, X)[0] if X else []
+            flags = [y == 1 for y in ys]
+            # informational only: emission-score gap, ignoring transitions
+            score_maps = [
+                {"detection": x.dot_dense(emissions[1]) - x.dot_dense(emissions[0])} for x in X
+            ]
+        else:
+            if self.kernel is not None:
+                if not self.linear:
+                    raise ValueError("kernel model has no linear fallback and no trees were supplied")
+                warnings.append("no parse trees supplied; fell back to the embedded linear model")
+            X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
+            score_maps = [
+                {name: svm.predict_linear(m, x) for name, m in self.linear.items()} for x in X
+            ]
+            flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
+            if self.kind == "category-ovr":
+                categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]
+        analyses = [
+            SentenceAnalysis(
+                text=sent.text,
+                start=sent.start,
+                end=sent.end,
+                detection=flag,
+                scores=sm,
+                categories=cats,
+            )
+            for sent, flag, sm, cats in zip(sentences, flags, score_maps, categories)
+        ]
+        return analyses, warnings
+
+    def analyze(self, text: str, trees: Sequence[ParseTree] | None = None) -> AnalysisResult:
+        """Segment a plain-text document and predict its sentences."""
+        sentences, warnings = self.predict(segment_sentences(text), trees)
+        return AnalysisResult(text=text, model_kind=self.kind, sentences=sentences, warnings=warnings)
+
+
 def analyze_text(
     bundle: ModelBundle, text: str, trees: list[ParseTree] | None = None
 ) -> AnalysisResult:
-    """Run the bundle's model over one plain-text document.
-
-    ``trees`` must align 1:1 with the segmented sentences; it is only
-    consulted by kernel models, which otherwise fall back to their embedded
-    linear model with a warning.
-    """
-    sentences = segment_sentences(text)
-    warnings: list[str] = []
-    cfg = bundle.feature_config
-
-    if trees is not None and len(trees) != len(sentences):
-        raise TreeAlignmentError(
-            f"document segments into {len(sentences)} sentences but {len(trees)} trees were supplied"
-        )
-
-    analyses: list[SentenceAnalysis] = []
-    if bundle.kind == "linear-bow":
-        model = linear_from_payload(bundle.payload)
-        X = vectorize_all(sentences, trees, bundle.vocabulary, cfg)
-        for sent, x in zip(sentences, X):
-            score = svm.predict_linear(model, x)
-            analyses.append(
-                SentenceAnalysis(
-                    text=sent.text,
-                    start=sent.start,
-                    end=sent.end,
-                    detection=score >= 0.0,
-                    scores={"detection": score},
-                )
-            )
-    elif bundle.kind == "chain":
-        model = chain_from_payload(bundle.payload)
-        X = vectorize_all(sentences, trees, bundle.vocabulary, cfg)
-        if X:
-            ys, _ = viterbi(model, X)
-        else:
-            ys = []
-        for sent, x, y in zip(sentences, X, ys):
-            # informational only: emission-score gap, ignoring transitions
-            margin = x.dot_dense(model.emissions[1]) - x.dot_dense(model.emissions[0])
-            analyses.append(
-                SentenceAnalysis(
-                    text=sent.text,
-                    start=sent.start,
-                    end=sent.end,
-                    detection=y == 1,
-                    scores={"detection": margin},
-                )
-            )
-    elif bundle.kind == "category-ovr":
-        models = category_from_payload(bundle.payload)
-        X = vectorize_all(sentences, trees, bundle.vocabulary, cfg)
-        for sent, x in zip(sentences, X):
-            scores = {cat.symbol: svm.predict_linear(m, x) for cat, m in models.items()}
-            flagged = sorted(sym for sym, s in scores.items() if s >= 0.0)
-            analyses.append(
-                SentenceAnalysis(
-                    text=sent.text,
-                    start=sent.start,
-                    end=sent.end,
-                    detection=bool(flagged),
-                    scores=scores,
-                    categories=flagged,
-                )
-            )
-    elif bundle.kind == "kernel-sstk":
-        if trees is None:
-            if bundle.fallback is None:
-                raise ValueError("kernel model has no linear fallback and no trees were supplied")
-            warnings.append("no parse trees supplied; fell back to the embedded linear model")
-            model = linear_from_payload(bundle.fallback)
-            X = vectorize_all(sentences, None, bundle.vocabulary, cfg)
-            for sent, x in zip(sentences, X):
-                score = svm.predict_linear(model, x)
-                analyses.append(
-                    SentenceAnalysis(
-                        text=sent.text,
-                        start=sent.start,
-                        end=sent.end,
-                        detection=score >= 0.0,
-                        scores={"detection": score},
-                    )
-                )
-        else:
-            from .trees import parse_bracketed
-
-            model, support_strs = kernel_from_payload(bundle.payload)
-            support = [parse_bracketed(s) for s in support_strs]
-            for sent, tree in zip(sentences, trees):
-                row = treekernel.kernel_row(tree, support, lam=model.lam, normalize=model.normalized)
-                score = svm.predict_kernel(model, row)
-                analyses.append(
-                    SentenceAnalysis(
-                        text=sent.text,
-                        start=sent.start,
-                        end=sent.end,
-                        detection=score >= 0.0,
-                        scores={"detection": score},
-                    )
-                )
-    else:  # pragma: no cover - ModelBundle validates kinds
-        raise ValueError(f"unknown model kind {bundle.kind!r}")
-
-    return AnalysisResult(
-        text=text, model_kind=bundle.kind, sentences=analyses, warnings=warnings
-    )
+    """Compile ``bundle`` and run it over one plain-text document."""
+    return Predictor(bundle).analyze(text, trees)
 
 
 def result_record(result: AnalysisResult) -> dict:
@@ -178,11 +167,3 @@ def result_record(result: AnalysisResult) -> dict:
 def result_json(result: AnalysisResult) -> bytes:
     return canonical_json_bytes(result_record(result))
 
-
-def category_names(result: AnalysisResult) -> dict[str, str]:
-    """Symbol -> display name map for the categories present in the result."""
-    return {
-        sym: CATEGORY_BY_SYMBOL[sym].display_name
-        for s in result.sentences
-        for sym in s.categories
-    }

@@ -12,28 +12,18 @@ import random
 import sys
 from pathlib import Path
 
-from . import evaluation, seqmodel, svm, treekernel
+from . import evaluation, svm, treekernel
 from .analyze import TreeAlignmentError, analyze_text, result_json
-from .corpus import (
-    ClauseCategory,
-    CorpusError,
-    EmptyCorpus,
-    corpus_fingerprint,
-    corpus_stats,
-    load_corpus,
-)
-from .features import FeatureConfig, MissingTree, build_vocabulary, vectorize_all
+from .corpus import CorpusError, EmptyCorpus, corpus_fingerprint, corpus_stats, load_corpus
+from .features import FeatureConfig, MissingTree
 from .modelio import (
+    MissingTreebank,
     ModelBundle,
     ModelFormatError,
     canonical_json_bytes,
-    category_payload,
-    chain_payload,
-    kernel_payload,
-    linear_payload,
+    fit,
     load_model,
     save_model,
-    train_config_record,
 )
 from .report import render_report
 from .service import DEFAULT_MAX_BYTES, serve
@@ -167,91 +157,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> tuple[ModelBundle, int]:
+def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> ModelBundle:
     corpus = load_corpus(args.corpus, lenient=args.lenient)
-    sentences = corpus.all_sentences()
-    feature_cfg = settings.feature_config
-    train_cfg = settings.train_config
     treebank = load_treebank(args.trees, corpus) if args.trees else None
-    trees = None
-    if feature_cfg.use_pos:
-        if treebank is None:
-            raise TreeBankMismatch("use_pos features require --trees")
-        trees = [t for doc in corpus.documents for t in treebank[doc.name]]
-    vocab = build_vocabulary(sentences, trees, feature_cfg)
-    X = vectorize_all(sentences, trees, vocab, feature_cfg)
-
-    metadata = {
-        "task": args.task,
-        "seed": train_cfg.seed,
-        "train_config": train_config_record(train_cfg),
-        "corpus_fingerprint": corpus_fingerprint(args.corpus),
-        "n_documents": corpus.M,
-        "n_sentences": corpus.N,
-    }
-    exit_code = 0
-
-    if args.task == "category":
-        models = {}
-        for cat in ClauseCategory:
-            y = [1 if cat in ls.positive_categories() else -1 for ls in sentences]
-            models[cat] = svm.train_linear(X, y, train_cfg)
-        bundle = ModelBundle(
-            kind="category-ovr",
-            feature_config=feature_cfg,
-            vocabulary=vocab,
-            payload=category_payload(models),
-            metadata=metadata,
-        )
-        return bundle, exit_code
-
-    y = [1 if ls.detection_label else -1 for ls in sentences]
-    if args.model == "linear-bow":
-        model = svm.train_linear(X, y, train_cfg)
-        bundle = ModelBundle(
-            kind="linear-bow",
-            feature_config=feature_cfg,
-            vocabulary=vocab,
-            payload=linear_payload(model),
-            metadata=metadata,
-        )
-    elif args.model == "chain":
-        examples = []
-        pos = 0
-        for doc in corpus.documents:
-            k = len(doc.sentences)
-            ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
-            examples.append(seqmodel.SeqExample(xs=tuple(X[pos : pos + k]), ys=ys))
-            pos += k
-        model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
-        bundle = ModelBundle(
-            kind="chain",
-            feature_config=feature_cfg,
-            vocabulary=vocab,
-            payload=chain_payload(model),
-            metadata=metadata,
-        )
-    else:  # kernel-sstk
-        kernel_trees = [t for doc in corpus.documents for t in treebank[doc.name]]
-        gram = treekernel.gram_matrix(
-            kernel_trees, lam=settings.lam, normalize=settings.kernel_normalize
-        )
-        model = svm.train_smo(gram, y, train_cfg)
-        if model.warning and "no-convergence" in model.warning:
-            exit_code = NO_CONVERGENCE
-        support_trees = [kernel_trees[i].to_bracketed() for i in model.support_idx]
-        fallback = svm.train_linear(X, y, train_cfg)
-        metadata["lambda"] = settings.lam
-        metadata["kernel_normalize"] = settings.kernel_normalize
-        bundle = ModelBundle(
-            kind="kernel-sstk",
-            feature_config=feature_cfg,
-            vocabulary=vocab,
-            payload=kernel_payload(model, support_trees),
-            metadata=metadata,
-            fallback=linear_payload(fallback),
-        )
-    return bundle, exit_code
+    kind = "category-ovr" if args.task == "category" else args.model
+    fit_args = (
+        corpus.documents,
+        treebank,
+        settings.feature_config,
+        settings.train_config,
+        settings.lam,
+        settings.kernel_normalize,
+    )
+    bundle = fit(kind, *fit_args)
+    if kind == "kernel-sstk":
+        bundle.fallback = fit("linear-bow", *fit_args).payload
+    bundle.metadata["task"] = args.task
+    bundle.metadata["corpus_fingerprint"] = corpus_fingerprint(args.corpus)
+    return bundle
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -266,19 +189,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     if settings.feature_config.use_pos and not args.trees:
         return _fail("use_pos features require --trees", USAGE_ERROR)
     try:
-        bundle, exit_code = _train_bundle(args, settings)
-    except (CorpusError, TreeBankMismatch, TreeParseError, ModelFormatError) as err:
+        bundle = _train_bundle(args, settings)
+    except (CorpusError, TreeBankMismatch, TreeParseError, ModelFormatError, MissingTreebank) as err:
         return _fail(str(err), DATA_ERROR)
     except (svm.EmptyData, svm.SingleClass) as err:
         return _fail(str(err), DATA_ERROR)
     except OSError as err:
         return _fail(str(err), USAGE_ERROR)
     save_model(bundle, args.out)
-    warning = bundle.payload.get("warning")
-    if warning:
-        print(f"warning: {warning}", file=sys.stderr)
+    warnings = bundle.solver_warnings()
+    for sym, warning in warnings:
+        print(f"warning: {sym + ': ' if sym else ''}{warning}", file=sys.stderr)
     print(f"wrote {bundle.kind} model to {args.out}")
-    return exit_code
+    return NO_CONVERGENCE if any("no-convergence" in w for _, w in warnings) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +270,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         except (TreeBankMismatch, TreeParseError, OSError) as err:
             return _fail(str(err), DATA_ERROR)
     try:
-        if args.model_kind == "category-ovr":
-            report = evaluation.run_category_eval(
-                corpus, settings.feature_config, settings.train_config, treebank=treebank
-            )
-        else:
-            report = evaluation.run_detection_eval(
-                corpus,
-                settings.feature_config,
-                args.model_kind,
-                settings.train_config,
-                treebank=treebank,
-                lam=settings.lam,
-            )
+        report = evaluation.run_detection_eval(
+            corpus,
+            settings.feature_config,
+            args.model_kind,
+            settings.train_config,
+            treebank=treebank,
+            lam=settings.lam,
+            normalize=settings.kernel_normalize,
+        )
     except (evaluation.TooFewDocuments, evaluation.MissingTreebank) as err:
         return _fail(str(err), DATA_ERROR)
     except (svm.EmptyData, svm.SingleClass) as err:

@@ -10,23 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import seqmodel, svm, treekernel
-from .corpus import ClauseCategory, Corpus, LabeledSentence, StatsTable
-from .features import FeatureConfig, build_vocabulary, vectorize_all
+from . import svm, treekernel
+from .analyze import Predictor
+from .corpus import CATEGORY_BY_SYMBOL, ClauseCategory, Corpus, LabeledSentence, StatsTable
+from .features import FeatureConfig
+from .modelio import MissingTreebank, ModelBundle, document_trees, fit
+from .svm import LengthMismatch
 from .trees import ParseTree
-
-MODEL_KINDS = ("linear-bow", "kernel-sstk", "chain")
 
 
 class TooFewDocuments(ValueError):
-    pass
-
-
-class MissingTreebank(ValueError):
-    pass
-
-
-class UnknownModelKind(ValueError):
     pass
 
 
@@ -176,10 +169,6 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 def compute_metrics(
     gold: Sequence[SentenceVerdict], pred: Sequence[SentenceVerdict]
 ) -> MetricsReport:
@@ -211,31 +200,6 @@ def compute_metrics(
 # Fold fitting and prediction
 # ---------------------------------------------------------------------------
 
-def _train_documents(corpus: Corpus, fold: FoldSplit):
-    return [corpus.document(name) for name in fold.train]
-
-
-def _flatten(documents) -> list[LabeledSentence]:
-    sentences: list[LabeledSentence] = []
-    for doc in documents:
-        sentences.extend(doc.sentences)
-    return sentences
-
-
-def _trees_for(
-    treebank: dict[str, list[ParseTree]] | None, documents
-) -> list[ParseTree] | None:
-    if treebank is None:
-        return None
-    trees: list[ParseTree] = []
-    for doc in documents:
-        got = treebank.get(doc.name)
-        if got is None or len(got) != len(doc.sentences):
-            raise MissingTreebank(f"treebank missing or misaligned for document {doc.name!r}")
-        trees.extend(got)
-    return trees
-
-
 def fit_detection_fold(
     corpus: Corpus,
     fold: FoldSplit,
@@ -244,100 +208,11 @@ def fit_detection_fold(
     train_cfg: svm.TrainConfig,
     treebank: dict[str, list[ParseTree]] | None = None,
     lam: float = treekernel.DEFAULT_LAMBDA,
-) -> dict:
-    """Fit one fold's detection model on the training documents only.
-
-    Returns a plain JSON-able record of everything fitted from data, so two
-    fits can be compared byte-for-byte.
-    """
-    from .modelio import chain_payload, kernel_payload, linear_payload, vocabulary_record
-
-    if model_kind not in MODEL_KINDS:
-        raise UnknownModelKind(model_kind)
-    train_docs = _train_documents(corpus, fold)
-    sentences = _flatten(train_docs)
-    needs_trees = model_kind == "kernel-sstk" or feature_cfg.use_pos
-    if needs_trees and treebank is None:
-        raise MissingTreebank(f"model kind {model_kind!r} requires a treebank")
-    trees = _trees_for(treebank, train_docs) if needs_trees else None
-
-    record: dict = {"fold": fold.held_out, "kind": model_kind}
-    warnings: list[str] = []
-
-    if model_kind == "kernel-sstk":
-        y = [1 if ls.detection_label else -1 for ls in sentences]
-        gram = treekernel.gram_matrix(trees, lam=lam, normalize=True)
-        model = svm.train_smo(gram, y, train_cfg)
-        if model.warning:
-            warnings.append(f"fold {fold.held_out}: {model.warning}")
-        support_trees = [trees[i].to_bracketed() for i in model.support_idx]
-        record["payload"] = kernel_payload(model, support_trees)
-    else:
-        vocab = build_vocabulary(sentences, trees, feature_cfg)
-        X = vectorize_all(sentences, trees, vocab, feature_cfg)
-        record["vocabulary"] = vocabulary_record(vocab)
-        if model_kind == "linear-bow":
-            y = [1 if ls.detection_label else -1 for ls in sentences]
-            model = svm.train_linear(X, y, train_cfg)
-            if model.warning:
-                warnings.append(f"fold {fold.held_out}: {model.warning}")
-            record["payload"] = linear_payload(model)
-        else:  # chain
-            examples = []
-            pos = 0
-            for doc in train_docs:
-                k = len(doc.sentences)
-                ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
-                examples.append(seqmodel.SeqExample(xs=tuple(X[pos : pos + k]), ys=ys))
-                pos += k
-            model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
-            record["payload"] = chain_payload(model)
-    record["warnings"] = warnings
-    return record
-
-
-def _predict_fold(
-    corpus: Corpus,
-    fold: FoldSplit,
-    feature_cfg: FeatureConfig,
-    model_kind: str,
-    train_cfg: svm.TrainConfig,
-    treebank: dict[str, list[ParseTree]] | None,
-    lam: float,
-    threshold: float,
-) -> tuple[list[SentenceVerdict], list[SentenceVerdict], list[str]]:
-    """Fit on the fold's training documents, predict the held-out document."""
-    from .modelio import chain_from_payload, kernel_from_payload, linear_from_payload, vocabulary_from_record
-    from .trees import parse_bracketed
-
-    record = fit_detection_fold(corpus, fold, feature_cfg, model_kind, train_cfg, treebank, lam)
-    held = corpus.document(fold.held_out)
-    gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
-
-    if model_kind == "kernel-sstk":
-        model, support_trees = kernel_from_payload(record["payload"])
-        held_trees = _trees_for(treebank, [held])
-        support = [parse_bracketed(s) for s in support_trees]
-        pred = []
-        for tree in held_trees:
-            row = treekernel.kernel_row(tree, support, lam=model.lam, normalize=model.normalized)
-            score = svm.predict_kernel(model, row)
-            pred.append(SentenceVerdict(detection=score >= threshold))
-    else:
-        held_trees = _trees_for(treebank, [held]) if feature_cfg.use_pos else None
-        vocab = vocabulary_from_record(record["vocabulary"])
-        X = vectorize_all(held.sentences, held_trees, vocab, feature_cfg)
-        if model_kind == "linear-bow":
-            model = linear_from_payload(record["payload"])
-            pred = [
-                SentenceVerdict(detection=svm.predict_linear(model, x) >= threshold)
-                for x in X
-            ]
-        else:
-            model = chain_from_payload(record["payload"])
-            ys, _ = seqmodel.viterbi(model, X)
-            pred = [SentenceVerdict(detection=y == 1) for y in ys]
-    return gold, pred, record["warnings"]
+    normalize: bool = True,
+) -> ModelBundle:
+    """Fit one fold's model on the fold's training documents only."""
+    train_docs = [corpus.document(name) for name in fold.train]
+    return fit(model_kind, train_docs, treebank, feature_cfg, train_cfg, lam, normalize)
 
 
 def run_detection_eval(
@@ -347,63 +222,43 @@ def run_detection_eval(
     train_cfg: svm.TrainConfig,
     treebank: dict[str, list[ParseTree]] | None = None,
     lam: float = treekernel.DEFAULT_LAMBDA,
-    threshold: float = 0.0,
+    normalize: bool = True,
 ) -> MetricsReport:
-    """Leave-one-document-out detection evaluation with the chosen model."""
-    report = MetricsReport()
-    for fold in make_loo_splits(corpus):
+    """Leave-one-document-out evaluation of the chosen model kind.
+
+    Each fold is fitted by :func:`fit_detection_fold` and its held-out
+    document predicted by a :class:`Predictor`, the code ``train`` and
+    ``predict`` run.  ``category-ovr`` models also score the categories.
+    """
+
+    def fold_report(fold: FoldSplit) -> MetricsReport:
+        # a function, so the fold's model is freed before the next one is fitted
+        held = corpus.document(fold.held_out)
         try:
-            gold, pred, warnings = _predict_fold(
-                corpus, fold, feature_cfg, model_kind, train_cfg, treebank, lam, threshold
+            bundle = fit_detection_fold(
+                corpus, fold, feature_cfg, model_kind, train_cfg, treebank, lam, normalize
             )
+            trees = document_trees(treebank, [held]) if treebank is not None else None
         except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
             raise type(err)(f"fold {fold.held_out}: {err}") from err
-        fold_report = compute_metrics(gold, pred)
-        fold_report.warnings.extend(warnings)
-        report.add(fold_report)
-    return report
-
-
-def run_category_eval(
-    corpus: Corpus,
-    feature_cfg: FeatureConfig,
-    train_cfg: svm.TrainConfig,
-    treebank: dict[str, list[ParseTree]] | None = None,
-    threshold: float = 0.0,
-) -> MetricsReport:
-    """LOO multi-label category classification with one-vs-rest linear models."""
-    if feature_cfg.use_pos and treebank is None:
-        raise MissingTreebank("POS features require a treebank")
-    report = MetricsReport()
-    for fold in make_loo_splits(corpus):
-        train_docs = _train_documents(corpus, fold)
-        sentences = _flatten(train_docs)
-        trees = _trees_for(treebank, train_docs) if feature_cfg.use_pos else None
-        vocab = build_vocabulary(sentences, trees, feature_cfg)
-        X = vectorize_all(sentences, trees, vocab, feature_cfg)
-        held = corpus.document(fold.held_out)
-        held_trees = _trees_for(treebank, [held]) if feature_cfg.use_pos else None
-        X_held = vectorize_all(held.sentences, held_trees, vocab, feature_cfg)
-
-        predicted: list[set[ClauseCategory]] = [set() for _ in held.sentences]
-        warnings: list[str] = []
-        for cat in ClauseCategory:
-            y = [1 if cat in ls.positive_categories() else -1 for ls in sentences]
-            model = svm.train_linear(X, y, train_cfg)
-            if model.warning:
-                warnings.append(f"fold {fold.held_out}, {cat.symbol}: {model.warning}")
-            for i, x in enumerate(X_held):
-                if svm.predict_linear(model, x) >= threshold:
-                    predicted[i].add(cat)
-
+        analyses, _ = Predictor(bundle).predict([ls.sentence for ls in held.sentences], trees)
         gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
         pred = [
-            SentenceVerdict(detection=bool(cats), categories=frozenset(cats))
-            for cats in predicted
+            SentenceVerdict(
+                detection=a.detection,
+                categories=frozenset(CATEGORY_BY_SYMBOL[sym] for sym in a.categories),
+            )
+            for a in analyses
         ]
-        fold_report = compute_metrics(gold, pred)
-        fold_report.warnings.extend(warnings)
-        report.add(fold_report)
+        counts = compute_metrics(gold, pred)
+        for sym, warning in bundle.solver_warnings():
+            where = f"fold {fold.held_out}, {sym}" if sym else f"fold {fold.held_out}"
+            counts.warnings.append(f"{where}: {warning}")
+        return counts
+
+    report = MetricsReport()
+    for fold in make_loo_splits(corpus):
+        report.add(fold_report(fold))
     return report
 
 

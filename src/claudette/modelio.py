@@ -1,9 +1,11 @@
-"""Unified model container with canonical JSON serialization.
+"""Unified model container with canonical JSON serialization, and the one
+fitting path that produces it.
 
 All four model kinds share one versioned file format holding the feature
 config, the vocabulary, the kind-specific payload, and training metadata.
 Serialization is canonical (sorted keys, fixed separators, shortest float
-repr), so loading a file and saving it again is byte-identical.
+repr), so loading a file and saving it again is byte-identical.  :func:`fit`
+builds a bundle from tagged documents; ``train`` and every LOO fold call it.
 """
 
 from __future__ import annotations
@@ -12,19 +14,30 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import ClauseCategory
-from .features import FeatureConfig, Vocabulary
+from . import seqmodel, svm, treekernel
+from .corpus import ClauseCategory, Document
+from .features import FeatureConfig, Vocabulary, build_vocabulary, vectorize_all
 from .seqmodel import ChainModel
 from .svm import KernelModel, LinearModel, TrainConfig
+from .trees import ParseTree
 
 FORMAT_VERSION = 1
 MODEL_KINDS = ("linear-bow", "kernel-sstk", "chain", "category-ovr")
 
 
 class ModelFormatError(ValueError):
+    pass
+
+
+class UnknownModelKind(ValueError):
+    pass
+
+
+class MissingTreebank(ValueError):
     pass
 
 
@@ -247,6 +260,15 @@ class ModelBundle:
             rec["fallback"] = self.fallback
         return rec
 
+    def solver_warnings(self) -> list[tuple[str, str]]:
+        """(category symbol, text) of each solver warning kept in the payload;
+        the symbol is empty for models with a single decision."""
+        if self.kind == "category-ovr":
+            models = self.payload["models"].items()
+        else:
+            models = [("", self.payload)]
+        return [(sym, p["warning"]) for sym, p in models if p.get("warning")]
+
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
     Path(path).write_bytes(canonical_json_bytes(bundle.to_record()))
@@ -272,3 +294,86 @@ def load_model(path: str | Path) -> ModelBundle:
         metadata=rec.get("metadata", {}),
         fallback=rec.get("fallback"),
     )
+
+
+# ---------------------------------------------------------------------------
+# Fitting
+# ---------------------------------------------------------------------------
+
+def document_trees(
+    treebank: dict[str, list[ParseTree]] | None, documents: Sequence[Document]
+) -> list[ParseTree]:
+    """The documents' parse trees, concatenated in sentence order."""
+    if treebank is None:
+        raise MissingTreebank("kernel models and POS features require a treebank")
+    trees: list[ParseTree] = []
+    for doc in documents:
+        got = treebank.get(doc.name)
+        if got is None or len(got) != len(doc.sentences):
+            raise MissingTreebank(f"treebank missing or misaligned for document {doc.name!r}")
+        trees.extend(got)
+    return trees
+
+
+def fit(
+    kind: str,
+    documents: Sequence[Document],
+    treebank: dict[str, list[ParseTree]] | None,
+    feature_cfg: FeatureConfig,
+    train_cfg: TrainConfig,
+    lam: float = treekernel.DEFAULT_LAMBDA,
+    normalize: bool = True,
+) -> ModelBundle:
+    """Fit a ``kind`` model on ``documents``.
+
+    ``treebank`` maps document names to per-sentence trees; only kernel models
+    and POS features read it.  ``lam`` and ``normalize`` configure the tree
+    kernel.  Solver warnings stay in the payload (see
+    :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries no linear
+    fallback; ``train`` attaches one from a second, ``linear-bow`` fit, which
+    is what the kernel bundle's vocabulary serves.
+    """
+    if kind not in MODEL_KINDS:
+        raise UnknownModelKind(kind)
+    sentences = [ls for doc in documents for ls in doc.sentences]
+    uses_trees = kind == "kernel-sstk" or feature_cfg.use_pos
+    trees = document_trees(treebank, documents) if uses_trees else None
+    pos_trees = trees if feature_cfg.use_pos else None
+    vocab = build_vocabulary(sentences, pos_trees, feature_cfg)
+    y = [1 if ls.detection_label else -1 for ls in sentences]
+    metadata = {
+        "seed": train_cfg.seed,
+        "train_config": train_config_record(train_cfg),
+        "n_documents": len(documents),
+        "n_sentences": len(sentences),
+    }
+
+    if kind == "kernel-sstk":
+        gram = treekernel.gram_matrix(trees, lam=lam, normalize=normalize)
+        model = svm.train_smo(gram, y, train_cfg)
+        support_trees = [trees[i].to_bracketed() for i in model.support_idx]
+        payload = kernel_payload(model, support_trees)
+        metadata["lambda"] = lam
+        metadata["kernel_normalize"] = normalize
+    else:
+        X = vectorize_all(sentences, pos_trees, vocab, feature_cfg)
+        if kind == "linear-bow":
+            payload = linear_payload(svm.train_linear(X, y, train_cfg))
+        elif kind == "category-ovr":
+            payload = category_payload({
+                cat: svm.train_linear(
+                    X, [1 if cat in ls.positive_categories() else -1 for ls in sentences], train_cfg
+                )
+                for cat in ClauseCategory
+            })
+        else:  # chain: each document is one sequence
+            examples = []
+            pos = 0
+            for doc in documents:
+                k = len(doc.sentences)
+                ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
+                examples.append(seqmodel.SeqExample(xs=tuple(X[pos : pos + k]), ys=ys))
+                pos += k
+            model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
+            payload = chain_payload(model)
+    return ModelBundle(kind, feature_cfg, vocab, payload, metadata)

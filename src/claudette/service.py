@@ -1,9 +1,9 @@
 """Single-endpoint analysis service.
 
 POST /analyze with a plain-text body returns the analysis as JSON; GET
-/health reports model metadata.  The model is loaded once and shared
-read-only across request threads; identical bodies produce identical
-responses.
+/health reports model metadata.  The model is compiled into a Predictor once,
+before the server accepts connections, and shared read-only across request
+threads; identical bodies produce identical responses.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import logging
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .analyze import analyze_text, result_json
+from .analyze import Predictor, result_json
 from .features import MissingTree
 from .modelio import FORMAT_VERSION, ModelBundle, canonical_json_bytes
 
@@ -33,7 +33,7 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
     server_version = "claudette"
 
     # set by make_server
-    bundle: ModelBundle = None  # type: ignore[assignment]
+    predictor: Predictor = None  # type: ignore[assignment]
     max_bytes: int = DEFAULT_MAX_BYTES
 
     def log_message(self, fmt: str, *args) -> None:  # route to logging, not stderr
@@ -60,7 +60,7 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         body = canonical_json_bytes(
             {
                 "status": "ok",
-                "model_kind": self.bundle.kind,
+                "model_kind": self.predictor.kind,
                 "format_version": FORMAT_VERSION,
             }
         )
@@ -94,7 +94,7 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
             self._send(400, _error_body("body is not valid UTF-8"))
             return
         try:
-            result = analyze_text(self.bundle, text)
+            result = self.predictor.analyze(text)
         except MissingTree:
             self._send(400, _error_body("this model needs parse trees, which the service cannot supply"))
             return
@@ -123,7 +123,9 @@ def make_server(
 ) -> ThreadingHTTPServer:
     """Build (but do not start) the service; port 0 picks a free port."""
     handler = type(
-        "BoundAnalyzeHandler", (AnalyzeHandler,), {"bundle": bundle, "max_bytes": max_bytes}
+        "BoundAnalyzeHandler",
+        (AnalyzeHandler,),
+        {"predictor": Predictor(bundle), "max_bytes": max_bytes},
     )
     return _QuietServer(("127.0.0.1", port), handler)
 

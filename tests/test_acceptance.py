@@ -334,33 +334,42 @@ def test_c9_cli_service_parity(tmp_path, capsysbinary):
     _report("C9 CLI/service parity", "10 documents byte-for-byte")
 
 
-def test_c10_no_leakage_across_folds(tmp_path):
+@pytest.mark.parametrize("kind", ["linear-bow", "chain", "kernel-sstk", "category-ovr"])
+def test_c10_no_leakage_across_folds(tmp_path, kind):
     import shutil
+
+    from claudette.trees import load_treebank, parse_bracketed
 
     work = tmp_path / "corpus"
     shutil.copytree(FIXTURES / "mini", work)
     corpus = load_corpus(work)
+    treebank = load_treebank(FIXTURES / "mini_trees.txt", corpus)
     feature_cfg = FeatureConfig(ngram_orders=(1,))
     train_cfg = TrainConfig(seed=7, C=1.0)
 
+    def fold_bytes(corpus, fold, treebank):
+        bundle = fit_detection_fold(corpus, fold, feature_cfg, kind, train_cfg, treebank)
+        return canonical_json_bytes(bundle.to_record())
+
     folds = make_loo_splits(corpus)
-    before = {
-        fold.held_out: canonical_json_bytes(
-            fit_detection_fold(corpus, fold, feature_cfg, "linear-bow", train_cfg)
-        )
-        for fold in folds
-    }
+    before = {fold.held_out: fold_bytes(corpus, fold, treebank) for fold in folds}
     for fold in folds:
-        path = work / f"{fold.held_out}.txt"
-        original = path.read_text(encoding="utf-8")
-        path.write_text(
-            original + "\n<ltd3>Mutated clause with zzznovel tokens everywhere.</ltd3>\n",
-            encoding="utf-8",
-        )
-        mutated = load_corpus(work)
-        after = canonical_json_bytes(
-            fit_detection_fold(mutated, fold, feature_cfg, "linear-bow", train_cfg)
-        )
+        if kind == "kernel-sstk":
+            # appended text would misalign the treebank: mutate the trees instead
+            mutated_trees = dict(treebank)
+            mutated_trees[fold.held_out] = [
+                parse_bracketed("(S (NP (NN zzznovel)) (VP (VB mutates) (NP (NN everything))))")
+                for _ in treebank[fold.held_out]
+            ]
+            after = fold_bytes(corpus, fold, mutated_trees)
+        else:
+            path = work / f"{fold.held_out}.txt"
+            original = path.read_text(encoding="utf-8")
+            path.write_text(
+                original + "\n<ltd3>Mutated clause with zzznovel tokens everywhere.</ltd3>\n",
+                encoding="utf-8",
+            )
+            after = fold_bytes(load_corpus(work), fold, treebank)
+            path.write_text(original, encoding="utf-8")
         assert after == before[fold.held_out], fold.held_out
-        path.write_text(original, encoding="utf-8")
-    _report("C10 no-leakage audit", f"{len(folds)} folds, fold models byte-stable under held-out mutation")
+    _report("C10 no-leakage audit", f"{kind}: {len(folds)} folds, fold models byte-stable under held-out mutation")

@@ -161,6 +161,10 @@ class TestTrainCommand:
         bundle = load_model(out)
         assert bundle.kind == "category-ovr"
         assert len(bundle.payload["models"]) == 8
+        # mini has no positive cr or law sentence: both one-vs-rest fits warn
+        err = capsys.readouterr().err
+        assert "warning: cr: single-class training set (all -1)" in err
+        assert "warning: law: single-class training set (all -1)" in err
 
     def test_kernel_train_requires_trees(self, tmp_path, capsys):
         code = main(

@@ -8,7 +8,6 @@ from claudette.corpus import (
     load_corpus,
 )
 from claudette.evaluation import (
-    LengthMismatch,
     MissingTreebank,
     SentenceVerdict,
     TargetCounts,
@@ -17,7 +16,6 @@ from claudette.evaluation import (
     compute_metrics,
     fit_detection_fold,
     make_loo_splits,
-    run_category_eval,
     run_detection_eval,
 )
 from claudette.evaluation import (
@@ -26,7 +24,7 @@ from claudette.evaluation import (
 )
 from claudette.features import FeatureConfig
 from claudette.modelio import canonical_json_bytes
-from claudette.svm import TrainConfig
+from claudette.svm import LengthMismatch, TrainConfig
 from claudette.trees import load_treebank
 
 
@@ -176,6 +174,15 @@ class TestRunDetectionEval:
         )
         assert report.detection.f1 >= 0.9
 
+    def test_kernel_normalize_setting_reaches_the_fold_model(self, mini_corpus, fixtures_dir):
+        treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
+        fold = make_loo_splits(mini_corpus)[0]
+        bundle = fit_detection_fold(
+            mini_corpus, fold, FC, "kernel-sstk", TC, treebank=treebank, normalize=False
+        )
+        assert bundle.payload["normalized"] is False
+        assert bundle.metadata["kernel_normalize"] is False
+
     def test_chain_path_runs_on_mini(self, mini_corpus):
         report = run_detection_eval(mini_corpus, FC, "chain", TrainConfig(seed=7, C=10.0))
         assert report.detection.tp + report.detection.fn == 7
@@ -193,10 +200,10 @@ class TestRunDetectionEval:
         with pytest.raises(MissingTreebank):
             run_detection_eval(mini_corpus, cfg, "linear-bow", TC)
         with pytest.raises(MissingTreebank):
-            run_category_eval(mini_corpus, cfg, TC)
+            run_detection_eval(mini_corpus, cfg, "category-ovr", TC)
 
     def test_unknown_kind(self, mini_corpus):
-        from claudette.evaluation import UnknownModelKind
+        from claudette.modelio import UnknownModelKind
 
         with pytest.raises(UnknownModelKind):
             run_detection_eval(mini_corpus, FC, "vibes", TC)
@@ -204,14 +211,16 @@ class TestRunDetectionEval:
 
 class TestRunCategoryEval:
     def test_planted_categories_learned(self, planted_corpus):
-        report = run_category_eval(planted_corpus, FC, TC)
+        report = run_detection_eval(planted_corpus, FC, "category-ovr", TC)
         # every planted tag category carries the same keyword signal
         non_vacuous = [c for c in report.categories.values() if not c.vacuous]
         assert non_vacuous, "planted corpus has category labels"
         assert report.micro.tp > 0
 
     def test_multi_label_sentence_counts_once_per_category(self, mini_corpus):
-        report = run_category_eval(mini_corpus, FeatureConfig(ngram_orders=(1,)), TC)
+        report = run_detection_eval(
+            mini_corpus, FeatureConfig(ngram_orders=(1,)), "category-ovr", TC
+        )
         arb = report.categories[ClauseCategory.ARBITRATION]
         jur = report.categories[ClauseCategory.JURISDICTION]
         # the nested alpha sentence is gold for arbitration (level 3) and
@@ -229,7 +238,7 @@ class TestNoLeakage:
         corpus = load_corpus(work)
         fold = make_loo_splits(corpus)[0]
         before = canonical_json_bytes(
-            fit_detection_fold(corpus, fold, FC, "linear-bow", TC)
+            fit_detection_fold(corpus, fold, FC, "linear-bow", TC).to_record()
         )
 
         held = fold.held_out
@@ -241,7 +250,7 @@ class TestNoLeakage:
         )
         mutated = load_corpus(work)
         after = canonical_json_bytes(
-            fit_detection_fold(mutated, fold, FC, "linear-bow", TC)
+            fit_detection_fold(mutated, fold, FC, "linear-bow", TC).to_record()
         )
         assert before == after
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from claudette.corpus import ClauseCategory
+from claudette.analyze import analyze_text, result_json
+from claudette.corpus import ClauseCategory, load_corpus
 from claudette.features import FeatureConfig, Vocabulary
 from claudette.modelio import (
+    MODEL_KINDS,
     ModelBundle,
     ModelFormatError,
     canonical_json_bytes,
@@ -17,6 +19,7 @@ from claudette.modelio import (
     chain_payload,
     feature_config_from_record,
     feature_config_record,
+    fit,
     kernel_from_payload,
     kernel_payload,
     linear_from_payload,
@@ -30,6 +33,7 @@ from claudette.modelio import (
 )
 from claudette.seqmodel import ChainModel
 from claudette.svm import KernelModel, LinearModel, TrainConfig
+from claudette.trees import load_treebank
 
 
 def small_vocab():
@@ -170,6 +174,23 @@ class TestModelFile:
         path.write_text("not json at all")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
+    corpus = load_corpus(fixtures_dir / "mini")
+    treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
+    fit_args = (corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7))
+    fitted = fit(kind, *fit_args)
+    if kind == "kernel-sstk":
+        fitted.fallback = fit("linear-bow", *fit_args).payload
+    save_model(fitted, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    for doc in corpus.documents:
+        tree_options = [None, treebank[doc.name]] if kind == "kernel-sstk" else [None]
+        for trees in tree_options:
+            expected = result_json(analyze_text(fitted, doc.plain_text, trees))
+            assert result_json(analyze_text(loaded, doc.plain_text, trees)) == expected, doc.name
 
 
 class TestCanonicalJson:
