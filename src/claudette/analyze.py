@@ -1,9 +1,10 @@
 """The one prediction path behind predict, the service and LOO evaluation.
 
 A :class:`Predictor` is a model bundle compiled once: its payload decoded
-into dense weights and its kernel support trees parsed.  The predict command,
-the service and every LOO fold run it, and the front ends serialize its
-result with :func:`result_json`, so their outputs agree byte for byte.
+into dense weights and its kernel support trees parsed and compiled, with
+their self-kernels.  The predict command, the service and every LOO fold run
+it, and the front ends serialize its result with :func:`result_json`, so
+their outputs agree byte for byte.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class Predictor:
         self.linear: dict[str, svm.LinearModel] = {}
         self.chain: seqmodel.ChainModel | None = None
         self.kernel: svm.KernelModel | None = None
-        self.support: list[ParseTree] = []
+        self.support: treekernel.CompiledTrees | None = None
         if bundle.kind == "linear-bow":
             self.linear = {"detection": modelio.linear_from_payload(bundle.payload)}
         elif bundle.kind == "category-ovr":
@@ -68,7 +69,9 @@ class Predictor:
             self.chain = modelio.chain_from_payload(bundle.payload)
         else:
             self.kernel, support = modelio.kernel_from_payload(bundle.payload)
-            self.support = [parse_bracketed(s) for s in support]
+            self.support = treekernel.CompiledTrees(
+                [parse_bracketed(s) for s in support], self.kernel.lam, self.kernel.normalized
+            )
             if bundle.fallback is not None:
                 self.linear = {"detection": modelio.linear_from_payload(bundle.fallback)}
 
@@ -88,14 +91,7 @@ class Predictor:
         warnings: list[str] = []
         categories: list[list[str]] = [[] for _ in sentences]
         if self.kernel is not None and trees is not None:
-            kernel = self.kernel
-            scores = [
-                svm.predict_kernel(
-                    kernel,
-                    treekernel.kernel_row(t, self.support, lam=kernel.lam, normalize=kernel.normalized),
-                )
-                for t in trees
-            ]
+            scores = [svm.predict_kernel(self.kernel, self.support.row(t)) for t in trees]
             flags = [s >= 0.0 for s in scores]
             score_maps = [{"detection": s} for s in scores]
         elif self.chain is not None:

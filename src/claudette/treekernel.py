@@ -10,8 +10,11 @@ non-terminal symbols, with a decay ``lam`` per expanded node:
     delta = lam * prod_i (1 + delta(child_i(n1), child_i(n2)))   otherwise
 
 Productions include the ordered child labels, so preterminals match only on
-identical words.  ``enumerate_fragments_oracle`` provides an independent
-exponential-time route used to verify the recursion.
+identical words.  As in the Fast Tree Kernel (Moschitti 2006, "Making tree
+kernels practical for natural language learning", EACL), each tree is compiled
+once into interned production ids, and only node pairs with equal productions
+are visited, bottom-up and without recursion.  ``enumerate_fragments_oracle``
+provides an independent exponential-time route used to verify the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,54 +49,75 @@ def _check_lambda(lam: float) -> None:
         raise InvalidLambda(f"lambda must be in (0, 1], got {lam}")
 
 
+class _Compiled(NamedTuple):
+    productions: list[int]  # production id per internal node, in preorder
+    children: list[tuple[int, ...]]  # child node indices, -1 for a leaf
+    by_production: dict[int, list[int]]  # node indices per production id, ascending
+
+
+def _compile(tree: ParseTree, table: dict, grow: bool = True) -> _Compiled:
+    """Flatten ``tree``, interning its productions in ``table``.  Preorder puts
+    every child after its parent.  With ``grow=False`` the table is only read:
+    an unknown production gets a negative id private to this tree, so it
+    matches nothing else compiled against ``table``."""
+    nodes = tree.internal_nodes()
+    index = {id(n): i for i, n in enumerate(nodes)}
+    local: dict = {}
+    productions: list[int] = []
+    by_production: dict[int, list[int]] = {}
+    for i, n in enumerate(nodes):
+        prod = n.production()
+        pid = table.get(prod)
+        if pid is None:
+            pid = table.setdefault(prod, len(table)) if grow else local.setdefault(prod, -1 - len(local))
+        productions.append(pid)
+        by_production.setdefault(pid, []).append(i)
+    children = [tuple(index.get(id(c), -1) for c in n.children) for n in nodes]
+    return _Compiled(productions, children, by_production)
+
+
+def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
+    """Raw kernel of two trees compiled against one table.  ``rows[i]`` maps
+    the nodes of ``b`` sharing node ``i``'s production to delta, filled in
+    reverse preorder so child pairs come first.  Skipping a factor ``1 + 0``
+    is exact, and the sum runs in preorder over both trees, so every value
+    is the recursive definition's bit for bit."""
+    b_nodes, b_children = b.by_production, b.children
+    rows: list[dict[int, float] | None] = [None] * len(a.productions)
+    for i in range(len(a.productions) - 1, -1, -1):
+        js = b_nodes.get(a.productions[i])
+        if js is None:
+            continue
+        kids = [(k, rows[c]) for k, c in enumerate(a.children[i]) if c >= 0 and rows[c]]
+        if not kids:
+            rows[i] = dict.fromkeys(js, lam)
+            continue
+        rows[i] = row = {}
+        for j in js:
+            value = lam
+            b_kids = b_children[j]
+            for k, child_row in kids:
+                d = child_row.get(b_kids[k])
+                if d is not None:
+                    value *= 1.0 + d
+            row[j] = value
+    total = 0.0
+    for row in filter(None, rows):
+        for value in row.values():
+            total += value
+    return total
+
+
 def sstk(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
     """Raw SubSet Tree Kernel value between two trees."""
     _check_lambda(lam)
-    nodes1 = t1.internal_nodes()
-    nodes2 = t2.internal_nodes()
-    # productions are compared constantly; build each tuple once
-    prod: dict[int, tuple] = {}
-    for n in nodes1 + nodes2:
-        prod[id(n)] = n.production()
-    # group the second tree's nodes by production so only matching pairs are visited
-    by_prod: dict[tuple, list[ParseTree]] = {}
-    for n in nodes2:
-        by_prod.setdefault(prod[id(n)], []).append(n)
-
-    memo: dict[tuple[int, int], float] = {}
-
-    def delta(a: ParseTree, b: ParseTree) -> float:
-        if not a.children or not b.children:
-            return 0.0
-        if prod[id(a)] != prod[id(b)]:
-            return 0.0
-        key = (id(a), id(b))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if a.is_preterminal and b.is_preterminal:
-            value = lam
-        else:
-            value = lam
-            for ca, cb in zip(a.children, b.children):
-                value *= 1.0 + delta(ca, cb)
-        memo[key] = value
-        return value
-
-    total = 0.0
-    for n1 in nodes1:
-        for n2 in by_prod.get(prod[id(n1)], ()):
-            total += delta(n1, n2)
-    return total
+    table: dict = {}
+    return _kernel(_compile(t1, table), _compile(t2, table), lam)
 
 
 def sstk_normalized(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
     """Cosine-normalized kernel: K(t1,t2) / sqrt(K(t1,t1) * K(t2,t2))."""
-    k11 = sstk(t1, t1, lam)
-    k22 = sstk(t2, t2, lam)
-    if k11 <= 0.0 or k22 <= 0.0:
-        raise DegenerateTree("self-kernel is zero; tree has no internal nodes")
-    return sstk(t1, t2, lam) / float(np.sqrt(k11 * k22))
+    return float(CompiledTrees([t2], lam).row(t1)[0])
 
 
 @dataclass(frozen=True)
@@ -107,22 +131,45 @@ class KernelGram:
         return int(self.matrix.shape[0])
 
 
+class CompiledTrees:
+    """Trees compiled once against one production table, with their
+    self-kernels.  Rows only read the table, so threads may share one."""
+
+    def __init__(self, trees: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True):
+        _check_lambda(lam)
+        self.lam, self.normalize = lam, normalize
+        self.productions: dict = {}
+        self.trees = [_compile(t, self.productions) for t in trees]
+        self.self_kernels = [_kernel(c, c, lam) for c in self.trees]
+        for i, k in enumerate(self.self_kernels):
+            if normalize and k <= 0.0:
+                raise DegenerateTree(f"tree {i} has zero self-kernel; cannot normalize")
+
+    def row(self, tree: ParseTree) -> np.ndarray:
+        """Kernel values of ``tree`` against every compiled tree."""
+        c = _compile(tree, self.productions, grow=False)
+        row = [_kernel(c, other, self.lam) for other in self.trees]
+        if self.normalize:
+            self_k = _kernel(c, c, self.lam)
+            if self_k <= 0.0:
+                raise DegenerateTree("input tree has zero self-kernel; cannot normalize")
+            row = [k / float(np.sqrt(self_k * other_k)) for k, other_k in zip(row, self.self_kernels)]
+        return np.array(row, dtype=np.float64)
+
+
 def gram_matrix(
     trees: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True
 ) -> KernelGram:
-    """Pairwise kernel matrix, each unordered pair computed once."""
-    _check_lambda(lam)
-    n = len(trees)
+    """Pairwise kernel matrix, each tree compiled once and each unordered pair
+    computed once."""
+    compiled = CompiledTrees(trees, lam, normalize)
+    diag = compiled.self_kernels
+    n = len(diag)
     K = np.zeros((n, n), dtype=np.float64)
-    diag = np.empty(n, dtype=np.float64)
-    for i, t in enumerate(trees):
-        diag[i] = sstk(t, t, lam)
-        if normalize and diag[i] <= 0.0:
-            raise DegenerateTree(f"tree {i} has zero self-kernel; cannot normalize")
-    for i in range(n):
+    for i, a in enumerate(compiled.trees):
         K[i, i] = 1.0 if normalize else diag[i]
         for j in range(i + 1, n):
-            value = sstk(trees[i], trees[j], lam)
+            value = _kernel(a, compiled.trees[j], lam)
             if normalize:
                 value /= float(np.sqrt(diag[i] * diag[j]))
             K[i, j] = K[j, i] = value
@@ -133,21 +180,7 @@ def kernel_row(
     tree: ParseTree, others: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True
 ) -> np.ndarray:
     """Kernel values of one tree against a list of trees."""
-    _check_lambda(lam)
-    row = np.empty(len(others), dtype=np.float64)
-    if normalize:
-        self_k = sstk(tree, tree, lam)
-        if self_k <= 0.0:
-            raise DegenerateTree("input tree has zero self-kernel; cannot normalize")
-        for i, other in enumerate(others):
-            other_k = sstk(other, other, lam)
-            if other_k <= 0.0:
-                raise DegenerateTree(f"tree {i} has zero self-kernel; cannot normalize")
-            row[i] = sstk(tree, other, lam) / float(np.sqrt(self_k * other_k))
-    else:
-        for i, other in enumerate(others):
-            row[i] = sstk(tree, other, lam)
-    return row
+    return CompiledTrees(others, lam, normalize).row(tree)
 
 
 # ---------------------------------------------------------------------------

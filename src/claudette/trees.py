@@ -27,6 +27,15 @@ class TrailingInput(TreeParseError):
     pass
 
 
+class TreeTooDeep(TreeParseError):
+    pass
+
+
+#: Deeper than any natural-language parse; keeps the recursive parser,
+#: ``to_bracketed``, ``==`` and ``hash`` inside Python's default recursion limit.
+MAX_DEPTH = 256
+
+
 class TreeBankMismatch(ValueError):
     """Treebank groups do not line up with corpus documents/sentences."""
 
@@ -120,8 +129,10 @@ def parse_bracketed(text: str) -> ParseTree:
         raise UnbalancedParens("empty input")
     pos = 0
 
-    def parse_node() -> ParseTree:
+    def parse_node(depth: int) -> ParseTree:
         nonlocal pos
+        if depth > MAX_DEPTH:
+            raise TreeTooDeep(f"tree is nested deeper than {MAX_DEPTH} levels")
         if tokens[pos] != "(":
             raise UnbalancedParens(f"expected '(' but found {tokens[pos]!r}")
         pos += 1
@@ -140,7 +151,7 @@ def parse_bracketed(text: str) -> ParseTree:
                 pos += 1
                 break
             if tok == "(":
-                children.append(parse_node())
+                children.append(parse_node(depth + 1))
             else:
                 children.append(ParseTree(tok))
                 pos += 1
@@ -148,7 +159,7 @@ def parse_bracketed(text: str) -> ParseTree:
             raise EmptyNode(f"node {label!r} has no children and no token")
         return ParseTree(label, children)
 
-    tree = parse_node()
+    tree = parse_node(1)
     if pos != len(tokens):
         raise TrailingInput(f"unexpected trailing input starting at {tokens[pos]!r}")
     return tree

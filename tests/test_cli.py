@@ -9,6 +9,8 @@ from claudette.cli import ConfigFileError, RunSettings, main, parse_config_file
 from claudette.modelio import load_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# nested far past any parser or recursion limit
+DEEP_TREE = "(A " * 3000 + "x" + ")" * 3000
 
 
 class TestConfigFile:
@@ -507,6 +509,19 @@ class TestPredictCommand:
         )
         assert code == 3
 
+    def test_too_deep_tree_sidecar_exits_3(self, tmp_path, capsys):
+        model = tmp_path / "k.json"
+        train = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+        train += ["--trees", str(FIXTURES / "mini_trees.txt"), "--seed", "3", "--out", str(model)]
+        assert main(train) == 0
+        capsys.readouterr()
+        sidecar = tmp_path / "deep_trees.txt"
+        sidecar.write_text(DEEP_TREE + "\n", encoding="utf-8")
+        doc = plain_copy(FIXTURES / "mini" / "alpha.txt", tmp_path)
+        code = main(["predict", "--model", str(model), "--input", str(doc), "--trees", str(sidecar)])
+        assert code == 3
+        assert "deeper than" in capsys.readouterr().err
+
     def test_empty_input_document(self, planted_model, tmp_path, capsysbinary):
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
@@ -599,6 +614,18 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert "detection" in capsys.readouterr().out
+
+    def test_too_deep_tree_exits_3(self, tmp_path, capsys):
+        lines = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n")
+        lines[0] = DEEP_TREE
+        trees = tmp_path / "deep_trees.txt"
+        trees.write_text("\n".join(lines), encoding="utf-8")
+        code = main(
+            ["evaluate", "--corpus", str(FIXTURES / "mini"), "--model-kind", "kernel-sstk"]
+            + ["--trees", str(trees), "--seed", "7"]
+        )
+        assert code == 3
+        assert "deeper than" in capsys.readouterr().err
 
     def test_kernel_kind_requires_trees(self, capsys):
         code = main(

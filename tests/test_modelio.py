@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from claudette.analyze import analyze_text, result_json
+from claudette.analyze import Predictor, analyze_text, result_json
 from claudette.corpus import ClauseCategory, load_corpus
 from claudette.features import FeatureConfig, Vocabulary
 from claudette.modelio import (
@@ -32,8 +32,9 @@ from claudette.modelio import (
     vocabulary_record,
 )
 from claudette.seqmodel import ChainModel
-from claudette.svm import KernelModel, LinearModel, TrainConfig
-from claudette.trees import load_treebank
+from claudette.svm import KernelModel, LinearModel, TrainConfig, predict_kernel
+from claudette.treekernel import kernel_row
+from claudette.trees import load_treebank, parse_bracketed
 
 
 def small_vocab():
@@ -191,6 +192,27 @@ def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
         for trees in tree_options:
             expected = result_json(analyze_text(fitted, doc.plain_text, trees))
             assert result_json(analyze_text(loaded, doc.plain_text, trees)) == expected, doc.name
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_dir):
+    corpus = load_corpus(fixtures_dir / "mini")
+    treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
+    bundle = fit("kernel-sstk", corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7), 0.4, normalize)
+    predictor = Predictor(bundle)
+    model, support = kernel_from_payload(bundle.payload)
+    support_trees = [parse_bracketed(s) for s in support]
+    table_size = len(predictor.support.productions)
+    unseen = parse_bracketed("(S (NOVEL (UNSEEN word)) (NOVEL (UNSEEN word)))")
+    cases = [(doc.plain_text, treebank[doc.name]) for doc in corpus.documents]
+    cases.append(("One sentence here.", [unseen]))
+    for text, trees in cases:
+        result = predictor.analyze(text, trees)
+        assert len(result.sentences) == len(trees)
+        for sentence, tree in zip(result.sentences, trees):
+            row = kernel_row(tree, support_trees, lam=model.lam, normalize=model.normalized)
+            assert sentence.scores["detection"] == predict_kernel(model, row)
+    assert len(predictor.support.productions) == table_size
 
 
 class TestCanonicalJson:

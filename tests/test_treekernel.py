@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claudette.treekernel import (
+    CompiledTrees,
     DegenerateTree,
     InvalidLambda,
     TooLarge,
@@ -24,6 +27,44 @@ from claudette.trees import ParseTree, parse_bracketed
 T = parse_bracketed("(S (A a) (B b))")
 T_DISJOINT = parse_bracketed("(S (C c) (D d))")
 T_HALF = parse_bracketed("(S (A a) (D d))")
+
+
+def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
+    """The recursive kernel the compiled one replaced: its values are the
+    ones ``sstk`` must reproduce bit for bit."""
+    prod = {id(n): n.production() for n in t1.internal_nodes() + t2.internal_nodes()}
+    by_prod: dict = {}
+    for n in t2.internal_nodes():
+        by_prod.setdefault(prod[id(n)], []).append(n)
+    memo: dict = {}
+
+    def delta(a: ParseTree, b: ParseTree) -> float:
+        if not a.children or not b.children or prod[id(a)] != prod[id(b)]:
+            return 0.0
+        key = (id(a), id(b))
+        if key not in memo:
+            value = lam
+            if not (a.is_preterminal and b.is_preterminal):
+                for ca, cb in zip(a.children, b.children):
+                    value *= 1.0 + delta(ca, cb)
+            memo[key] = value
+        return memo[key]
+
+    total = 0.0
+    for n1 in t1.internal_nodes():
+        for n2 in by_prod.get(prod[id(n1)], ()):
+            total += delta(n1, n2)
+    return total
+
+
+# Labels and words share "x", so a leaf can carry an internal node's label:
+# (A x) and (A (x y)) then have one production but different child kinds.
+LEAVES = st.builds(ParseTree, st.sampled_from(["x", "y"]))
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.builds(ParseTree, st.sampled_from(["A", "B", "x"]), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=14,
+)
 
 
 class TestSstk:
@@ -193,3 +234,99 @@ def test_oracle_equivalence_property(seed):
     t2 = random_tree(rng, max_nodes=10)
     assert sstk(t1, t2, 1.0) == fragment_pair_kernel(t1, t2, 1.0)
     assert sstk(t1, t2, 0.4) == pytest.approx(fragment_pair_kernel(t1, t2, 0.4), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES, TREES, st.sampled_from([0.4, 0.5, 1.0]))
+def test_sstk_equals_recursive_reference_exactly(t1, t2, lam):
+    assert sstk(t1, t2, lam) == reference_sstk(t1, t2, lam)
+    assert sstk(t1, t1, lam) == reference_sstk(t1, t1, lam)
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_gram_and_kernel_row_entries_equal_the_pairwise_formula(normalize):
+    rng = random.Random(31)
+    trees = [random_tree(rng, max_nodes=16) for _ in range(8)]
+    probe = random_tree(random.Random(32), max_nodes=16, labels=("A", "B", "D"))
+    lam = 0.4
+
+    def expected(a: ParseTree, b: ParseTree) -> float:
+        value = sstk(a, b, lam)
+        if normalize:
+            value /= float(np.sqrt(sstk(a, a, lam) * sstk(b, b, lam)))
+        return value
+
+    gram = gram_matrix(trees, lam=lam, normalize=normalize).matrix
+    for i in range(len(trees)):
+        for j in range(len(trees)):
+            if i == j:
+                want = 1.0 if normalize else sstk(trees[i], trees[i], lam)
+            else:
+                want = expected(trees[min(i, j)], trees[max(i, j)])
+            assert gram[i, j] == want, (i, j)
+    for tree in trees[:3] + [probe]:
+        row = kernel_row(tree, trees, lam=lam, normalize=normalize)
+        assert row.tolist() == [expected(tree, other) for other in trees]
+
+
+class TestCompiledTrees:
+    def test_unseen_productions_leave_the_table_unchanged(self):
+        support = CompiledTrees([T, T_HALF], lam=1.0)
+        size = len(support.productions)
+        novel = parse_bracketed("(S (A a) (E (F f) (F f)))")
+        # only (A a) matches a support tree; the unseen productions still count in the
+        # novel tree's self-kernel: S 2*5, (A a) 1, E 2*2, four (F f) pairs 4, total 19
+        assert support.row(novel).tolist() == [1.0 / float(np.sqrt(19.0 * 6.0))] * 2
+        assert CompiledTrees([T, T_HALF], lam=1.0, normalize=False).row(novel).tolist() == [1.0, 1.0]
+        assert len(support.productions) == size
+
+    def test_degenerate_support_tree(self):
+        with pytest.raises(DegenerateTree):
+            CompiledTrees([T, ParseTree("lonely")], lam=0.4)
+        raw = CompiledTrees([T, ParseTree("lonely")], lam=0.4, normalize=False)
+        assert raw.row(T).tolist() == [sstk(T, T, 0.4), 0.0]
+
+
+def test_threads_share_compiled_trees_read_only():
+    rng = random.Random(41)
+    support = CompiledTrees([random_tree(rng, max_nodes=16) for _ in range(12)], lam=0.4)
+    # a fourth label makes unseen productions likely in every probe
+    probes = [random_tree(rng, max_nodes=16, labels=("A", "B", "D")) for _ in range(24)]
+    expected = [support.row(t).tolist() for t in probes]
+    size = len(support.productions)
+    results: dict[int, list] = {}
+
+    def work(k: int) -> None:
+        results[k] = [support.row(t).tolist() for t in probes]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(k) for k in range(6)] == [expected] * 6
+    assert len(support.productions) == size
+
+
+def test_deep_trees_need_no_recursion():
+    depth = 3000
+    tree = ParseTree("W", [ParseTree("w")])
+    for level in range(depth):
+        tree = ParseTree(f"N{level}", [tree])
+    # delta along a unary chain of distinct productions: d_0 = lam, d_k = lam * (1 + d_{k-1})
+    lam = 0.4
+    deltas = [lam]
+    for _ in range(depth):
+        deltas.append(lam * (1.0 + deltas[-1]))
+    self_k = 0.0
+    for d in reversed(deltas):  # preorder: the root first
+        self_k += d
+    assert sstk(tree, tree, lam) == self_k
+    gram = gram_matrix([tree, T], lam=lam, normalize=False)
+    assert gram.matrix.tolist() == [[self_k, 0.0], [0.0, sstk(T, T, lam)]]

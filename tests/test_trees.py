@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from claudette.treekernel import random_tree
 from claudette.trees import (
+    MAX_DEPTH,
     EmptyNode,
     ParseTree,
     TrailingInput,
     TreeBankMismatch,
+    TreeParseError,
+    TreeTooDeep,
     UnbalancedParens,
     align_treebank,
     load_treebank,
@@ -69,6 +72,17 @@ class TestParseBracketed:
             parse_bracketed("(A a) extra")
         with pytest.raises(TrailingInput):
             parse_bracketed("(A a) (B b)")
+
+    def test_depth_limit(self):
+        deepest = "(A " * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        tree = parse_bracketed(deepest)
+        # the recursive tree methods still work at the limit
+        assert tree.to_bracketed() == deepest
+        assert tree == parse_bracketed(deepest) and hash(tree) == hash(parse_bracketed(deepest))
+        for depth in (MAX_DEPTH + 1, 3000):
+            with pytest.raises(TreeTooDeep) as err:
+                parse_bracketed("(A " * depth + "x" + ")" * depth)
+            assert isinstance(err.value, TreeParseError)
 
 
 class TestParseTree:
