@@ -3,18 +3,24 @@
 
 The fixture files are committed; this script exists to document how they were
 produced and to rebuild them after a generator change.  Regenerating rewrites
-corpora, treebanks, and the mini-corpus golden files.
+corpora, treebanks, and the mini-corpus golden files: ``mini_golden.json``
+(the stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout).
+
+    python scripts/make_synthetic_corpus.py [--root DIR]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
+from claudette.cli import main as cli_main  # noqa: E402
 from claudette.corpus import corpus_stats, load_corpus  # noqa: E402
 from claudette.evaluation import stats_record  # noqa: E402
 from claudette.modelio import canonical_json_bytes  # noqa: E402
@@ -32,6 +38,11 @@ def main() -> int:
     mini = load_corpus(root / "mini")
     golden = stats_record(corpus_stats(mini))
     (root / "mini_golden.json").write_bytes(canonical_json_bytes(golden))
+    stats_out = io.StringIO()
+    with contextlib.redirect_stdout(stats_out):
+        if cli_main(["stats", str(root / "mini")]) != 0:
+            raise SystemExit("stats failed on the mini corpus")
+    (root / "mini_stats_golden.txt").write_text(stats_out.getvalue(), encoding="utf-8")
 
     for name in ("mini", "planted", "adjacency"):
         corpus = load_corpus(root / name)

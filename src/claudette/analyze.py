@@ -1,10 +1,10 @@
 """The one prediction path behind predict, the service and LOO evaluation.
 
-A :class:`Predictor` is a model bundle compiled once: its payload decoded
-into dense weights and its kernel support trees parsed and compiled, with
-their self-kernels.  The predict command, the service and every LOO fold run
-it, and the front ends serialize its result with :func:`result_json`, so
-their outputs agree byte for byte.
+A :class:`Predictor` is a model bundle compiled once: it takes the bundle's
+typed models and compiles the kernel support trees, with their self-kernels.
+The predict command, the service and every LOO fold run it, and the front
+ends serialize its result with :func:`result_json`, so their outputs agree
+byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import modelio, seqmodel, svm, treekernel
+from . import seqmodel, svm, treekernel
 from .corpus import Sentence, segment_sentences
 from .features import vectorize_all
 from .modelio import ModelBundle, canonical_json_bytes
@@ -51,8 +51,6 @@ class Predictor:
     """
 
     def __init__(self, bundle: ModelBundle):
-        from .trees import parse_bracketed
-
         self.kind = bundle.kind
         self.vocabulary = bundle.vocabulary
         self.feature_config = bundle.feature_config
@@ -61,19 +59,18 @@ class Predictor:
         self.kernel: svm.KernelModel | None = None
         self.support: treekernel.CompiledTrees | None = None
         if bundle.kind == "linear-bow":
-            self.linear = {"detection": modelio.linear_from_payload(bundle.payload)}
+            self.linear = {"detection": bundle.model}
         elif bundle.kind == "category-ovr":
-            models = modelio.category_from_payload(bundle.payload)
-            self.linear = {cat.symbol: m for cat, m in models.items()}
+            self.linear = {cat.symbol: m for cat, m in bundle.model.items()}
         elif bundle.kind == "chain":
-            self.chain = modelio.chain_from_payload(bundle.payload)
+            self.chain = bundle.model
         else:
-            self.kernel, support = modelio.kernel_from_payload(bundle.payload)
+            self.kernel = bundle.model
             self.support = treekernel.CompiledTrees(
-                [parse_bracketed(s) for s in support], self.kernel.lam, self.kernel.normalized
+                self.kernel.support_trees, self.kernel.lam, self.kernel.normalized
             )
             if bundle.fallback is not None:
-                self.linear = {"detection": modelio.linear_from_payload(bundle.fallback)}
+                self.linear = {"detection": bundle.fallback}
 
     def predict(
         self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None

@@ -171,7 +171,7 @@ def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> ModelBundl
     )
     bundle = fit(kind, *fit_args)
     if kind == "kernel-sstk":
-        bundle.fallback = fit("linear-bow", *fit_args).payload
+        bundle.fallback = fit("linear-bow", *fit_args).model
     bundle.metadata["task"] = args.task
     bundle.metadata["corpus_fingerprint"] = corpus_fingerprint(args.corpus)
     return bundle
@@ -190,13 +190,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         return _fail("use_pos features require --trees", USAGE_ERROR)
     try:
         bundle = _train_bundle(args, settings)
-    except (CorpusError, TreeBankMismatch, TreeParseError, ModelFormatError, MissingTreebank) as err:
-        return _fail(str(err), DATA_ERROR)
-    except (svm.EmptyData, svm.SingleClass) as err:
+        save_model(bundle, args.out)  # a non-finite model raises ModelFormatError here
+    except (CorpusError, TreeBankMismatch, TreeParseError, ModelFormatError, MissingTreebank,
+            svm.EmptyData, svm.SingleClass) as err:
         return _fail(str(err), DATA_ERROR)
     except OSError as err:
         return _fail(str(err), USAGE_ERROR)
-    save_model(bundle, args.out)
     warnings = bundle.solver_warnings()
     for sym, warning in warnings:
         print(f"warning: {sym + ': ' if sym else ''}{warning}", file=sys.stderr)
@@ -279,9 +278,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             lam=settings.lam,
             normalize=settings.kernel_normalize,
         )
-    except (evaluation.TooFewDocuments, evaluation.MissingTreebank) as err:
-        return _fail(str(err), DATA_ERROR)
-    except (svm.EmptyData, svm.SingleClass) as err:
+    except (evaluation.TooFewDocuments, MissingTreebank, svm.EmptyData, svm.SingleClass) as err:
         return _fail(str(err), DATA_ERROR)
     sys.stdout.write(report.render())
     if args.json:

@@ -1,15 +1,19 @@
 """Unified model container with canonical JSON serialization, and the one
 fitting path that produces it.
 
-All four model kinds share one versioned file format holding the feature
-config, the vocabulary, the kind-specific payload, and training metadata.
-Serialization is canonical (sorted keys, fixed separators, shortest float
-repr), so loading a file and saving it again is byte-identical.  :func:`fit`
-builds a bundle from tagged documents; ``train`` and every LOO fold call it.
+A :class:`ModelBundle` holds its fitted models as typed objects.  Only
+:meth:`ModelBundle.to_record` (behind :func:`save_model`) and
+:func:`load_model` know the file format: one versioned JSON file for all
+four model kinds, holding the feature config, the vocabulary, the
+kind-specific payload, and training metadata.  Serialization is canonical
+(sorted keys, fixed separators, shortest float repr), so loading a file and
+saving it again is byte-identical.  :func:`fit` builds a bundle from tagged
+documents; ``train`` and every LOO fold call it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,11 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from . import seqmodel, svm, treekernel
-from .corpus import ClauseCategory, Document
+from .corpus import CATEGORY_BY_SYMBOL, ClauseCategory, Document
 from .features import FeatureConfig, Vocabulary, build_vocabulary, vectorize_all
 from .seqmodel import ChainModel
 from .svm import KernelModel, LinearModel, TrainConfig
-from .trees import ParseTree
+from .trees import ParseTree, parse_bracketed
 
 FORMAT_VERSION = 1
 MODEL_KINDS = ("linear-bow", "kernel-sstk", "chain", "category-ovr")
@@ -60,45 +64,18 @@ def _finite(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def feature_config_record(cfg: FeatureConfig) -> dict:
-    return {
-        "ngram_orders": list(cfg.ngram_orders),
-        "use_pos": cfg.use_pos,
-        "min_df": cfg.min_df,
-        "lowercase": cfg.lowercase,
-        "log_tf": cfg.log_tf,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def feature_config_from_record(rec: dict) -> FeatureConfig:
-    return FeatureConfig(
-        ngram_orders=tuple(rec["ngram_orders"]),
-        use_pos=rec["use_pos"],
-        min_df=rec["min_df"],
-        lowercase=rec["lowercase"],
-        log_tf=rec["log_tf"],
-    )
+    names = {f.name for f in dataclasses.fields(FeatureConfig)}
+    if set(rec) != names:
+        raise ModelFormatError(f"feature_config keys {sorted(rec)} are not {sorted(names)}")
+    return FeatureConfig(**rec)
 
 
 def train_config_record(cfg: TrainConfig) -> dict:
-    return {
-        "C": cfg.C,
-        "positive_weight": cfg.positive_weight,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
-        "seed": cfg.seed,
-        "epochs": cfg.epochs,
-    }
-
-
-def train_config_from_record(rec: dict) -> TrainConfig:
-    return TrainConfig(
-        C=rec["C"],
-        positive_weight=rec["positive_weight"],
-        tol=rec["tol"],
-        max_iter=rec["max_iter"],
-        seed=rec["seed"],
-        epochs=rec["epochs"],
-    )
+    return dataclasses.asdict(cfg)
 
 
 def vocabulary_record(vocab: Vocabulary) -> dict:
@@ -208,20 +185,10 @@ def category_payload(models: dict[ClauseCategory, LinearModel]) -> dict:
 
 
 def category_from_payload(payload: dict) -> dict[ClauseCategory, LinearModel]:
-    from .corpus import CATEGORY_BY_SYMBOL
-
     return {
         CATEGORY_BY_SYMBOL[sym]: linear_from_payload(p)
         for sym, p in payload["models"].items()
     }
-
-
-_PAYLOAD_KIND_FOR = {
-    "linear-bow": "linear",
-    "kernel-sstk": "kernel",
-    "chain": "chain",
-    "category-ovr": "category-ovr",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -233,41 +200,40 @@ class ModelBundle:
     kind: str
     feature_config: FeatureConfig
     vocabulary: Vocabulary
-    payload: dict
+    model: LinearModel | KernelModel | ChainModel | dict[ClauseCategory, LinearModel]
     metadata: dict = field(default_factory=dict)
     # present only for kernel-sstk: a linear fallback used when no tree is available
-    fallback: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ModelFormatError(f"unknown model kind {self.kind!r}")
-        expected = _PAYLOAD_KIND_FOR[self.kind]
-        if self.payload.get("kind") != expected:
-            raise ModelFormatError(
-                f"payload kind {self.payload.get('kind')!r} does not match model kind {self.kind!r}"
-            )
+    fallback: LinearModel | None = None
 
     def to_record(self) -> dict:
+        if self.kind == "kernel-sstk":
+            payload = kernel_payload(self.model, [t.to_bracketed() for t in self.model.support_trees])
+        else:
+            payload = {"linear-bow": linear_payload, "chain": chain_payload,
+                       "category-ovr": category_payload}[self.kind](self.model)
         rec = {
             "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "feature_config": feature_config_record(self.feature_config),
             "vocabulary": vocabulary_record(self.vocabulary),
-            "payload": self.payload,
+            "payload": payload,
             "metadata": self.metadata,
         }
         if self.fallback is not None:
-            rec["fallback"] = self.fallback
+            rec["fallback"] = linear_payload(self.fallback)
         return rec
 
     def solver_warnings(self) -> list[tuple[str, str]]:
-        """(category symbol, text) of each solver warning kept in the payload;
-        the symbol is empty for models with a single decision."""
+        """(category symbol, text) of each solver warning of the fitted models;
+        the symbol is empty for models with a single decision, and "fallback"
+        for a kernel bundle's linear fallback."""
         if self.kind == "category-ovr":
-            models = self.payload["models"].items()
+            models = [(cat.symbol, m) for cat, m in self.model.items()]
         else:
-            models = [("", self.payload)]
-        return [(sym, p["warning"]) for sym, p in models if p.get("warning")]
+            models = [] if self.kind == "chain" else [("", self.model)]
+        if self.fallback is not None:
+            models.append(("fallback", self.fallback))
+        return [(sym, m.warning) for sym, m in models if m.warning]
 
 
 def save_model(bundle: ModelBundle, path: str | Path) -> None:
@@ -275,9 +241,10 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
+    """Read a model file; malformed content raises :class:`ModelFormatError`."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ModelFormatError(f"not a model file: {err}") from None
     if not isinstance(rec, dict) or "format_version" not in rec:
         raise ModelFormatError("not a model file: missing format_version")
@@ -286,14 +253,42 @@ def load_model(path: str | Path) -> ModelBundle:
             f"unsupported model format_version {rec['format_version']} "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    return ModelBundle(
-        kind=rec["kind"],
+    try:
+        return _bundle_from_record(rec)
+    except ModelFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as err:
+        raise ModelFormatError(f"malformed model file: {type(err).__name__}: {err}") from None
+
+
+def _bundle_from_record(rec: dict) -> ModelBundle:
+    kind, payload = rec["kind"], rec["payload"]
+    if kind not in MODEL_KINDS:
+        raise ModelFormatError(f"unknown model kind {kind!r}")
+    if payload["kind"] != {"linear-bow": "linear", "kernel-sstk": "kernel"}.get(kind, kind):
+        raise ModelFormatError(f"payload kind {payload['kind']!r} does not match model kind {kind!r}")
+    if kind == "kernel-sstk":
+        model, support = kernel_from_payload(payload)
+        if not len(model.coef) == len(support) == model.n_support:
+            raise ModelFormatError("support_idx, coef and support_trees lengths disagree")
+        model.support_trees = [parse_bracketed(s) for s in support]
+    else:
+        model = {"linear-bow": linear_from_payload, "chain": chain_from_payload,
+                 "category-ovr": category_from_payload}[kind](payload)
+    fallback = rec.get("fallback")
+    bundle = ModelBundle(
+        kind=kind,
         feature_config=feature_config_from_record(rec["feature_config"]),
         vocabulary=vocabulary_from_record(rec["vocabulary"]),
-        payload=rec["payload"],
+        model=model,
         metadata=rec.get("metadata", {}),
-        fallback=rec.get("fallback"),
+        fallback=None if fallback is None else linear_from_payload(fallback),
     )
+    weighted = list(model.values()) if kind == "category-ovr" else [model, bundle.fallback]
+    weighted = [m for m in weighted if isinstance(m, (LinearModel, ChainModel))]
+    if any(m.dim != bundle.vocabulary.size for m in weighted):
+        raise ModelFormatError("model weights do not match the vocabulary size")
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +323,7 @@ def fit(
 
     ``treebank`` maps document names to per-sentence trees; only kernel models
     and POS features read it.  ``lam`` and ``normalize`` configure the tree
-    kernel.  Solver warnings stay in the payload (see
+    kernel.  Solver warnings stay on the fitted models (see
     :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries no linear
     fallback; ``train`` attaches one from a second, ``linear-bow`` fit, which
     is what the kernel bundle's vocabulary serves.
@@ -351,21 +346,20 @@ def fit(
     if kind == "kernel-sstk":
         gram = treekernel.gram_matrix(trees, lam=lam, normalize=normalize)
         model = svm.train_smo(gram, y, train_cfg)
-        support_trees = [trees[i].to_bracketed() for i in model.support_idx]
-        payload = kernel_payload(model, support_trees)
+        model.support_trees = [trees[i] for i in model.support_idx]
         metadata["lambda"] = lam
         metadata["kernel_normalize"] = normalize
     else:
         X = vectorize_all(sentences, pos_trees, vocab, feature_cfg)
         if kind == "linear-bow":
-            payload = linear_payload(svm.train_linear(X, y, train_cfg))
+            model = svm.train_linear(X, y, train_cfg)
         elif kind == "category-ovr":
-            payload = category_payload({
+            model = {
                 cat: svm.train_linear(
                     X, [1 if cat in ls.positive_categories() else -1 for ls in sentences], train_cfg
                 )
                 for cat in ClauseCategory
-            })
+            }
         else:  # chain: each document is one sequence
             examples = []
             pos = 0
@@ -375,5 +369,4 @@ def fit(
                 examples.append(seqmodel.SeqExample(xs=tuple(X[pos : pos + k]), ys=ys))
                 pos += k
             model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
-            payload = chain_payload(model)
-    return ModelBundle(kind, feature_cfg, vocab, payload, metadata)
+    return ModelBundle(kind, feature_cfg, vocab, model, metadata)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .features import SparseVector
 from .treekernel import KernelGram
+from .trees import ParseTree
 
 
 class EmptyData(ValueError):
@@ -100,6 +101,8 @@ class KernelModel:
     kkt_violation: float
     objective_trace: list[float] = field(default_factory=list, repr=False)
     warning: str | None = None
+    # the training trees at support_idx, attached by modelio.fit
+    support_trees: list[ParseTree] = field(default_factory=list, repr=False)
 
     @property
     def n_support(self) -> int:
@@ -121,7 +124,8 @@ def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
     Minimizes 0.5*||w||^2 + sum_i C_i * max(0, 1 - y_i (w.x_i + b)) with the
     bias folded in as an augmented constant feature.  Updates sweep a seeded
     random permutation each epoch and stop once the largest projected-gradient
-    violation in an epoch drops below ``cfg.tol``.
+    violation in an epoch drops below ``cfg.tol``.  Hitting ``cfg.max_iter``
+    sweeps first is a soft failure, reported in the model's warning.
     """
     if len(X) == 0:
         raise EmptyData("no training examples")
@@ -171,6 +175,9 @@ def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
                     w_b += d
         if max_violation < cfg.tol:
             break
+    else:
+        warning = (f"no-convergence: max projected-gradient violation {max_violation:.3e} "
+                   f"after {cfg.max_iter} sweeps")
 
     return LinearModel(w=w, b=float(w_b), warning=warning)
 

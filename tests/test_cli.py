@@ -162,7 +162,7 @@ class TestTrainCommand:
         assert code == 0
         bundle = load_model(out)
         assert bundle.kind == "category-ovr"
-        assert len(bundle.payload["models"]) == 8
+        assert len(bundle.model) == 8
         # mini has no positive cr or law sentence: both one-vs-rest fits warn
         err = capsys.readouterr().err
         assert "warning: cr: single-class training set (all -1)" in err
@@ -209,7 +209,7 @@ class TestTrainCommand:
         bundle = load_model(out)
         assert bundle.kind == "kernel-sstk"
         assert bundle.fallback is not None
-        assert bundle.payload["support_trees"]
+        assert bundle.model.support_trees
 
     def test_category_task_rejects_other_models(self, tmp_path, capsys):
         code = main(
@@ -287,6 +287,31 @@ class TestTrainCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("task", ["detect", "category"])
+    def test_linear_sweep_cap_exits_4_and_still_writes(self, task, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\n", encoding="utf-8")
+        out = tmp_path / "m.json"
+        train = ["train", "--task", task, "--model", "linear-bow", "--corpus", str(FIXTURES / "planted")]
+        train += ["--config", str(cfg), "--seed", "7", "--out", str(out)]
+        assert main(train) == 4
+        assert "no-convergence: max projected-gradient violation" in capsys.readouterr().err
+        assert load_model(out).metadata["train_config"]["max_iter"] == 1
+
+    def test_non_finite_model_exits_3_without_a_file(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from claudette.svm import LinearModel
+
+        monkeypatch.setattr(
+            "claudette.svm.train_linear", lambda X, y, cfg: LinearModel(w=np.full(X[0].dim, np.inf), b=0.0)
+        )
+        out = tmp_path / "m.json"
+        train = ["train", "--task", "detect", "--corpus", str(FIXTURES / "mini"), "--seed", "7", "--out", str(out)]
+        assert main(train) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "corpus"
@@ -559,6 +584,73 @@ class TestPredictCommand:
         captured = capsysbinary.readouterr()
         record = json.loads(captured.out)
         assert record["warnings"], "fallback warning recorded in the result"
+
+
+@pytest.fixture(scope="module")
+def mini_kernel_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("kernel") / "k.json"
+    train = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+    train += ["--trees", str(FIXTURES / "mini_trees.txt"), "--seed", "3", "--out", str(out)]
+    assert main(train) == 0
+    return out
+
+
+def corrupt_model(rec: dict, corruption: str) -> None:
+    payload = rec["payload"]
+    if corruption == "truncated-support-tree":
+        payload["support_trees"][0] = payload["support_trees"][0][:-2]
+    elif corruption == "missing-coef":
+        del payload["coef"]
+    elif corruption == "missing-kind":
+        del rec["kind"]
+    elif corruption == "vocabulary-entries-not-a-list":
+        rec["vocabulary"]["entries"] = 5
+    elif corruption == "short-coef":
+        payload["coef"].pop()
+    elif corruption == "short-support-trees":
+        payload["support_trees"].pop()
+    elif corruption == "fallback-wider-than-vocabulary":
+        rec["fallback"]["dim"] += 1
+
+
+MODEL_CORRUPTIONS = [
+    "truncated-support-tree",
+    "missing-coef",
+    "missing-kind",
+    "vocabulary-entries-not-a-list",
+    "short-coef",
+    "short-support-trees",
+    "fallback-wider-than-vocabulary",
+]
+
+
+@pytest.mark.parametrize("corruption", MODEL_CORRUPTIONS)
+class TestMalformedModelFile:
+    def corrupted(self, model: Path, corruption: str, tmp_path: Path) -> Path:
+        rec = json.loads(model.read_text(encoding="utf-8"))
+        corrupt_model(rec, corruption)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(rec), encoding="utf-8")
+        return bad
+
+    def test_predict_exits_3(self, corruption, mini_kernel_model, tmp_path, capsys):
+        bad = self.corrupted(mini_kernel_model, corruption, tmp_path)
+        alpha_group = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n\n")[0]
+        sidecar = tmp_path / "alpha_trees.txt"
+        sidecar.write_text(alpha_group + "\n", encoding="utf-8")
+        doc = plain_copy(FIXTURES / "mini" / "alpha.txt", tmp_path)
+        code = main(["predict", "--model", str(bad), "--input", str(doc), "--trees", str(sidecar)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_serve_exits_3_before_binding(self, corruption, mini_kernel_model, tmp_path, monkeypatch, capsys):
+        def bind(*args, **kwargs):
+            raise AssertionError("the service bound a port for a malformed model")
+
+        monkeypatch.setattr("claudette.service._QuietServer", bind)
+        bad = self.corrupted(mini_kernel_model, corruption, tmp_path)
+        assert main(["serve", "--model", str(bad), "--port", "0"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEvaluateCommand:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from claudette.corpus import (
@@ -23,9 +25,9 @@ from claudette.evaluation import (
     REFERENCE_TOTAL_SENTENCES,
 )
 from claudette.features import FeatureConfig
-from claudette.modelio import canonical_json_bytes
+from claudette.modelio import MODEL_KINDS, canonical_json_bytes
 from claudette.svm import LengthMismatch, TrainConfig
-from claudette.trees import load_treebank
+from claudette.trees import ParseTree, load_treebank
 
 
 class TestLooSplits:
@@ -180,7 +182,7 @@ class TestRunDetectionEval:
         bundle = fit_detection_fold(
             mini_corpus, fold, FC, "kernel-sstk", TC, treebank=treebank, normalize=False
         )
-        assert bundle.payload["normalized"] is False
+        assert bundle.model.normalized is False
         assert bundle.metadata["kernel_normalize"] is False
 
     def test_chain_path_runs_on_mini(self, mini_corpus):
@@ -323,3 +325,35 @@ class TestCompareToPaperStats:
         record = diff.to_record()
         assert record["comparable"] is False
         assert len(record["entries"]) == len(diff.entries)
+
+
+class TestLooKeepsModelsInMemory:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_loo_never_serializes(self, kind, mini_corpus, fixtures_dir, monkeypatch):
+        treebank = None
+        if kind == "kernel-sstk":
+            treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
+        expected = run_detection_eval(mini_corpus, FC, kind, TC, treebank=treebank).to_record()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LOO went through the model-file format")
+
+        codecs = ("linear_payload", "kernel_payload", "chain_payload", "category_payload")
+        for name in codecs + ("parse_bracketed",):
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("claudette") and hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(ParseTree, "to_bracketed", refuse)
+        report = run_detection_eval(mini_corpus, FC, kind, TC, treebank=treebank)
+        assert report.to_record() == expected
+
+    def test_kernel_loo_with_a_deep_tree_built_in_code(self, planted_corpus, fixtures_dir):
+        treebank = load_treebank(fixtures_dir / "planted_trees.txt", planted_corpus)
+        deep = ParseTree("x")
+        for depth in range(3000):  # far deeper than to_bracketed can recurse
+            deep = ParseTree(f"D{depth}", [deep])
+        name = planted_corpus.documents[0].name
+        treebank[name] = [deep] + treebank[name][1:]
+        report = run_detection_eval(planted_corpus, FC, "kernel-sstk", TC, treebank=treebank)
+        positives = sum(ls.detection_label for ls in planted_corpus.all_sentences())
+        assert report.detection.tp + report.detection.fn == positives

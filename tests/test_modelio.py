@@ -26,7 +26,6 @@ from claudette.modelio import (
     linear_payload,
     load_model,
     save_model,
-    train_config_from_record,
     train_config_record,
     vocabulary_from_record,
     vocabulary_record,
@@ -52,7 +51,7 @@ class TestComponentRecords:
 
     def test_train_config_round_trip(self):
         cfg = TrainConfig(C=2.5, positive_weight=1.5, tol=1e-4, max_iter=50, seed=9, epochs=7)
-        assert train_config_from_record(train_config_record(cfg)) == cfg
+        assert TrainConfig(**train_config_record(cfg)) == cfg
 
     def test_vocabulary_round_trip(self):
         vocab = small_vocab()
@@ -127,8 +126,9 @@ class TestModelFile:
         return ModelBundle(
             kind="linear-bow",
             feature_config=FeatureConfig(),
-            vocabulary=small_vocab(),
-            payload=linear_payload(small_linear()),
+            # one term per weight of small_linear()
+            vocabulary=Vocabulary(terms=("w1:a", "w1:b", "w1:c"), df=(1, 2, 1), n_fit=2),
+            model=small_linear(),
             metadata={"seed": 7, "corpus_fingerprint": "abc"},
         )
 
@@ -149,23 +149,45 @@ class TestModelFile:
             load_model(path)
         assert "format_version" in str(err.value)
 
-    def test_payload_kind_must_match_header(self):
-        with pytest.raises(ModelFormatError):
-            ModelBundle(
-                kind="chain",
-                feature_config=FeatureConfig(),
-                vocabulary=small_vocab(),
-                payload=linear_payload(small_linear()),
-            )
+    def test_payload_kind_must_match_header(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(self.make_bundle(), path)
+        rec = json.loads(path.read_text())
+        rec["kind"] = "chain"
+        path.write_bytes(canonical_json_bytes(rec))
+        with pytest.raises(ModelFormatError, match="payload kind 'linear'"):
+            load_model(path)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ModelFormatError):
-            ModelBundle(
-                kind="mystery",
-                feature_config=FeatureConfig(),
-                vocabulary=small_vocab(),
-                payload={"kind": "mystery"},
-            )
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_feature_config_keys_must_match_the_dataclass(self, edit, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(self.make_bundle(), path)
+        rec = json.loads(path.read_text())
+        if edit == "unknown":
+            rec["feature_config"]["stemming"] = True
+        else:
+            del rec["feature_config"]["log_tf"]
+        path.write_bytes(canonical_json_bytes(rec))
+        with pytest.raises(ModelFormatError, match="feature_config keys"):
+            load_model(path)
+
+    def test_solver_warnings_name_the_kernel_fallback(self):
+        kernel = KernelModel(
+            support_idx=np.array([0]), coef=np.array([1.0]), b=0.0, lam=0.4,
+            normalized=True, n_train=2, kkt_violation=0.0, warning="no-convergence: smo",
+        )
+        fallback = LinearModel(w=np.zeros(2), b=0.0, warning="no-convergence: dcd")
+        bundle = ModelBundle("kernel-sstk", FeatureConfig(), small_vocab(), kernel, fallback=fallback)
+        assert bundle.solver_warnings() == [("", "no-convergence: smo"), ("fallback", "no-convergence: dcd")]
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(self.make_bundle(), path)
+        rec = json.loads(path.read_text())
+        rec["kind"] = "mystery"
+        path.write_bytes(canonical_json_bytes(rec))
+        with pytest.raises(ModelFormatError, match="unknown model kind 'mystery'"):
+            load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.json"
@@ -184,7 +206,7 @@ def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
     fit_args = (corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7))
     fitted = fit(kind, *fit_args)
     if kind == "kernel-sstk":
-        fitted.fallback = fit("linear-bow", *fit_args).payload
+        fitted.fallback = fit("linear-bow", *fit_args).model
     save_model(fitted, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
     for doc in corpus.documents:
@@ -200,8 +222,8 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
     treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
     bundle = fit("kernel-sstk", corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7), 0.4, normalize)
     predictor = Predictor(bundle)
-    model, support = kernel_from_payload(bundle.payload)
-    support_trees = [parse_bracketed(s) for s in support]
+    model = bundle.model
+    support_trees = model.support_trees
     table_size = len(predictor.support.productions)
     unseen = parse_bracketed("(S (NOVEL (UNSEEN word)) (NOVEL (UNSEEN word)))")
     cases = [(doc.plain_text, treebank[doc.name]) for doc in corpus.documents]

@@ -86,6 +86,16 @@ class TestTrainLinear:
         assert model.warning is not None and "single-class" in model.warning
         assert predict_linear(model, TWO_POINTS[0]) >= 0
 
+    def test_sweep_cap_reports_no_convergence(self):
+        X, y = separable_blobs(n=60)
+        model = train_linear(X, y, TrainConfig(C=1.0, max_iter=1))
+        assert model.warning.startswith("no-convergence: max projected-gradient violation ")
+        assert model.warning.endswith(" after 1 sweeps")
+
+    def test_converged_fit_has_no_warning(self):
+        X, y = separable_blobs(n=60)
+        assert train_linear(X, y, TrainConfig(C=1.0)).warning is None
+
     def test_balanced_weighting_sums_match_exactly(self):
         y = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
         C_arr = box_constraints(TrainConfig(C=2.0), y)
