@@ -3,8 +3,10 @@
 
 The fixture files are committed; this script exists to document how they were
 produced and to rebuild them after a generator change.  Regenerating rewrites
-corpora, treebanks, and the mini-corpus golden files: ``mini_golden.json``
-(the stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout).
+corpora, treebanks, the mini-corpus golden files ``mini_golden.json`` (the
+stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout), and the
+LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
+--json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -26,6 +28,10 @@ from claudette.evaluation import stats_record  # noqa: E402
 from claudette.modelio import canonical_json_bytes  # noqa: E402
 from claudette.synthetic import generate_fixture_set  # noqa: E402
 
+CORPORA = ("mini", "planted", "adjacency")
+LOO_GOLDEN_KINDS = ("linear-bow", "chain", "category-ovr")
+LOO_GOLDEN_SEED = 7
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -44,7 +50,15 @@ def main() -> int:
             raise SystemExit("stats failed on the mini corpus")
     (root / "mini_stats_golden.txt").write_text(stats_out.getvalue(), encoding="utf-8")
 
-    for name in ("mini", "planted", "adjacency"):
+    for name in CORPORA:
+        for kind in LOO_GOLDEN_KINDS:
+            argv = ["evaluate", "--corpus", str(root / name), "--model-kind", kind]
+            argv += ["--seed", str(LOO_GOLDEN_SEED), "--json", str(root / f"{name}_loo_{kind}_golden.json")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli_main(argv) != 0:
+                    raise SystemExit(f"evaluate failed: {kind} on {name}")
+
+    for name in CORPORA:
         corpus = load_corpus(root / name)
         positives = sum(1 for ls in corpus.all_sentences() if ls.detection_label)
         print(f"{name}: {corpus.M} documents, {corpus.N} sentences, {positives} positive")

@@ -289,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "metrics": report.to_record(),
         }
         Path(args.json).write_bytes(canonical_json_bytes(record))
-    return 0
+    return NO_CONVERGENCE if any("no-convergence" in w for w in report.warnings) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +54,14 @@ class SparseVector:
         self.indices = idx
         self.values = vals
         self.dim = dim
+
+    @classmethod
+    def trusted(cls, indices: np.ndarray, values: np.ndarray, dim: int) -> "SparseVector":
+        """A vector over int64 ``indices``, strictly increasing in [0, dim), and
+        float64 ``values`` that the caller has already checked."""
+        vec = cls.__new__(cls)
+        vec.indices, vec.values, vec.dim = indices, values, dim
+        return vec
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]], dim: int) -> "SparseVector":
@@ -119,12 +128,12 @@ class Vocabulary:
         if list(terms) != sorted(terms):
             raise ValueError("terms must be lexicographically sorted")
         self.terms = tuple(terms)
-        self.df = tuple(int(d) for d in df)
+        self.df = tuple(map(int, df))
         self.n_fit = int(n_fit)
-        self._index = {t: i for i, t in enumerate(self.terms)}
-        self._idf = np.array(
-            [math.log((1.0 + self.n_fit) / (1.0 + d)) + 1.0 for d in self.df], dtype=np.float64
-        )
+        self._index = dict(zip(self.terms, range(len(self.terms))))
+        # one math.log per distinct df: many terms share a df
+        idf_of = {d: math.log((1.0 + self.n_fit) / (1.0 + d)) + 1.0 for d in set(self.df)}
+        self._idf = np.fromiter(map(idf_of.__getitem__, self.df), dtype=np.float64, count=len(self.df))
 
     @property
     def size(self) -> int:
@@ -156,7 +165,7 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     if n < 1:
         raise ValueError("n must be >= 1")
     prefix = f"w{n}:"
-    return [prefix + "_".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    return [prefix + "_".join(gram) for gram in zip(*(tokens[i:] for i in range(n)))]
 
 
 def pos_bag(tree: ParseTree) -> list[str]:
@@ -187,20 +196,103 @@ def extract_terms(sentence, tree: ParseTree | None, config: FeatureConfig) -> li
     return terms
 
 
+class TermTable:
+    """Each sentence's term counts under one feature config, extracted once.
+
+    Every distinct term gets an id in lexicographic order, so the terms a
+    vocabulary keeps from any subset of rows are indexed in id order, and a
+    row's entries, sorted by id, stay sorted under any vocabulary.  Rows are
+    stored in CSR form: the entries of row ``r`` are the term ids
+    ``indices[indptr[r]:indptr[r + 1]]`` (increasing) with their term
+    frequencies in ``tf`` (the raw count, or ``1 + ln(count)`` under
+    ``log_tf``).  LOO builds one table for the corpus, and each fold computes
+    only its df, IDF, vocabulary and weights from its training rows.
+
+    ``documents`` optionally names consecutive runs of rows as
+    ``(name, n_rows)`` pairs, so a fold can select its rows by document name.
+    """
+
+    def __init__(
+        self,
+        sentences: Sequence,
+        trees: Sequence[ParseTree | None] | None,
+        config: FeatureConfig,
+        documents: Sequence[tuple[str, int]] = (),
+    ):
+        if config.use_pos and trees is None:
+            raise MissingTree("POS features enabled but no trees supplied")
+        counts = [
+            Counter(extract_terms(s, trees[i] if trees is not None else None, config))
+            for i, s in enumerate(sentences)
+        ]
+        self.config = config
+        self.n_rows = len(counts)
+        self.terms = tuple(sorted(set().union(*counts)))
+        term_id = dict(zip(self.terms, range(len(self.terms))))
+        lengths = [len(c) for c in counts]
+        self.indptr = np.array(list(accumulate(lengths, initial=0)), dtype=np.int64)
+        ids = np.array([term_id[t] for c in counts for t in c], dtype=np.int64)
+        raw = [n for c in counts for n in c.values()]
+        # math.log, not np.log, which may round differently
+        tf = np.array([1.0 + math.log(n) for n in raw] if config.log_tf else raw, dtype=np.float64)
+        order = np.lexsort((ids, np.repeat(np.arange(self.n_rows), lengths)))  # by row, then id
+        self.indices, self.tf = ids[order], tf[order]
+        self._document_rows: dict[str, tuple[int, int]] = {}
+        start = 0
+        for name, n in documents:
+            self._document_rows[name] = (start, start + n)
+            start += n
+        if documents and start != self.n_rows:
+            raise ValueError(f"documents cover {start} rows but the table has {self.n_rows}")
+
+    def document_rows(self, names: Sequence[str]) -> np.ndarray:
+        """Row numbers of the named documents, in the order given."""
+        spans = [self._document_rows[name] for name in names]
+        return np.concatenate([np.arange(a, b) for a, b in spans] or [np.zeros(0, np.int64)])
+
+    def vocabulary(self, rows: np.ndarray | None = None) -> Vocabulary:
+        """Every term with document frequency >= min_df over ``rows`` (all
+        rows by default); terms that occur only in other rows stay out."""
+        if rows is None:
+            ids, n_fit = self.indices, self.n_rows
+        else:
+            selected = np.zeros(self.n_rows, dtype=bool)
+            selected[rows] = True
+            ids, n_fit = self.indices[np.repeat(selected, np.diff(self.indptr))], len(rows)
+        df = np.bincount(ids, minlength=len(self.terms))
+        kept = np.flatnonzero(df >= self.config.min_df)
+        return Vocabulary([self.terms[i] for i in kept], df[kept].tolist(), n_fit=n_fit)
+
+    def vectorize(self, vocab: Vocabulary, rows: np.ndarray | None = None) -> list[SparseVector]:
+        """L2-normalized TF-IDF vectors of ``rows`` (all rows by default).
+
+        weight(t) = tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1).  Terms
+        outside the vocabulary are ignored; an all-zero vector stays all-zero.
+        """
+        column = np.fromiter(
+            map(vocab._index.get, self.terms, repeat(-1)), np.int64, len(self.terms)
+        )
+        cols = column[self.indices]
+        known = cols >= 0
+        bounds = np.concatenate(([0], np.cumsum(known)))[self.indptr].tolist()
+        cols = cols[known]
+        weights = self.tf[known] * vocab._idf[cols]
+        dim, out = vocab.size, []
+        for r in range(self.n_rows) if rows is None else np.asarray(rows).tolist():
+            a, b = bounds[r], bounds[r + 1]
+            v = weights[a:b]
+            nrm = math.sqrt(v.dot(v))
+            out.append(SparseVector.trusted(cols[a:b], v / nrm if nrm > 0.0 else v, dim))
+        return out
+
+
 def build_vocabulary(
     sentences: Sequence,
     trees: Sequence[ParseTree | None] | None,
     config: FeatureConfig,
 ) -> Vocabulary:
     """Collect every term with sentence-level document frequency >= min_df."""
-    if config.use_pos and trees is None:
-        raise MissingTree("POS features enabled but no trees supplied")
-    df: Counter[str] = Counter()
-    for i, sentence in enumerate(sentences):
-        tree = trees[i] if trees is not None else None
-        df.update(set(extract_terms(sentence, tree, config)))
-    kept = sorted(t for t, d in df.items() if d >= config.min_df)
-    return Vocabulary(kept, [df[t] for t in kept], n_fit=len(sentences))
+    return TermTable(sentences, trees, config).vocabulary()
 
 
 def vectorize(
@@ -209,25 +301,9 @@ def vectorize(
     vocab: Vocabulary,
     config: FeatureConfig,
 ) -> SparseVector:
-    """L2-normalized TF-IDF vector of one sentence.
-
-    weight(t) = tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1), with raw-count tf
-    by default or 1 + ln(count) when ``config.log_tf`` is set.  Terms outside
-    the vocabulary are ignored; an all-zero vector stays all-zero.
-    """
-    counts = Counter(extract_terms(sentence, tree, config))
-    pairs: list[tuple[int, float]] = []
-    for term, count in counts.items():
-        idx = vocab.index(term)
-        if idx is None:
-            continue
-        tf = 1.0 + math.log(count) if config.log_tf else float(count)
-        pairs.append((idx, tf * float(vocab._idf[idx])))
-    vec = SparseVector.from_pairs(pairs, dim=vocab.size)
-    nrm = vec.norm()
-    if nrm > 0.0:
-        vec = SparseVector(vec.indices, vec.values / nrm, vec.dim)
-    return vec
+    """L2-normalized TF-IDF vector of one sentence (see :meth:`TermTable.vectorize`);
+    tf is the raw count by default, or 1 + ln(count) when ``config.log_tf`` is set."""
+    return TermTable([sentence], [tree], config).vectorize(vocab)[0]
 
 
 def vectorize_all(
@@ -236,10 +312,4 @@ def vectorize_all(
     vocab: Vocabulary,
     config: FeatureConfig,
 ) -> list[SparseVector]:
-    if config.use_pos and trees is None:
-        raise MissingTree("POS features enabled but no trees supplied")
-    out = []
-    for i, sentence in enumerate(sentences):
-        tree = trees[i] if trees is not None else None
-        out.append(vectorize(sentence, tree, vocab, config))
-    return out
+    return TermTable(sentences, trees, config).vectorize(vocab)

@@ -24,10 +24,10 @@ import numpy as np
 
 from . import seqmodel, svm, treekernel
 from .corpus import CATEGORY_BY_SYMBOL, ClauseCategory, Document
-from .features import FeatureConfig, Vocabulary, build_vocabulary, vectorize_all
+from .features import FeatureConfig, TermTable, Vocabulary
 from .seqmodel import ChainModel
 from .svm import KernelModel, LinearModel, TrainConfig
-from .trees import ParseTree, parse_bracketed
+from .trees import MAX_DEPTH, ParseTree, parse_bracketed
 
 FORMAT_VERSION = 1
 MODEL_KINDS = ("linear-bow", "kernel-sstk", "chain", "category-ovr")
@@ -207,6 +207,11 @@ class ModelBundle:
 
     def to_record(self) -> dict:
         if self.kind == "kernel-sstk":
+            if any(t.depth() > MAX_DEPTH for t in self.model.support_trees):
+                raise ModelFormatError(
+                    f"a support tree is nested deeper than {MAX_DEPTH} levels, "
+                    "so the model file could not be read back"
+                )
             payload = kernel_payload(self.model, [t.to_bracketed() for t in self.model.support_trees])
         else:
             payload = {"linear-bow": linear_payload, "chain": chain_payload,
@@ -310,6 +315,19 @@ def document_trees(
     return trees
 
 
+def term_table(
+    documents: Sequence[Document],
+    treebank: dict[str, list[ParseTree]] | None,
+    feature_cfg: FeatureConfig,
+) -> TermTable:
+    """The term counts of every sentence of ``documents``, rows named by document."""
+    sentences = [ls for doc in documents for ls in doc.sentences]
+    trees = document_trees(treebank, documents) if feature_cfg.use_pos else None
+    return TermTable(
+        sentences, trees, feature_cfg, [(doc.name, len(doc.sentences)) for doc in documents]
+    )
+
+
 def fit(
     kind: str,
     documents: Sequence[Document],
@@ -318,23 +336,29 @@ def fit(
     train_cfg: TrainConfig,
     lam: float = treekernel.DEFAULT_LAMBDA,
     normalize: bool = True,
+    terms: TermTable | None = None,
 ) -> ModelBundle:
     """Fit a ``kind`` model on ``documents``.
 
     ``treebank`` maps document names to per-sentence trees; only kernel models
     and POS features read it.  ``lam`` and ``normalize`` configure the tree
-    kernel.  Solver warnings stay on the fitted models (see
+    kernel.  ``terms`` is a :func:`term_table` over ``documents`` or more
+    (LOO passes one built for the whole corpus to every fold); only the rows
+    of ``documents`` enter the vocabulary, and without it ``fit`` builds its
+    own.  Solver warnings stay on the fitted models (see
     :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries no linear
     fallback; ``train`` attaches one from a second, ``linear-bow`` fit, which
     is what the kernel bundle's vocabulary serves.
     """
     if kind not in MODEL_KINDS:
         raise UnknownModelKind(kind)
+    if terms is None:
+        terms = term_table(documents, treebank, feature_cfg)
+    elif terms.config != feature_cfg:
+        raise ValueError("the term table was built under another feature config")
     sentences = [ls for doc in documents for ls in doc.sentences]
-    uses_trees = kind == "kernel-sstk" or feature_cfg.use_pos
-    trees = document_trees(treebank, documents) if uses_trees else None
-    pos_trees = trees if feature_cfg.use_pos else None
-    vocab = build_vocabulary(sentences, pos_trees, feature_cfg)
+    rows = terms.document_rows([doc.name for doc in documents])
+    vocab = terms.vocabulary(rows)
     y = [1 if ls.detection_label else -1 for ls in sentences]
     metadata = {
         "seed": train_cfg.seed,
@@ -344,13 +368,14 @@ def fit(
     }
 
     if kind == "kernel-sstk":
+        trees = document_trees(treebank, documents)
         gram = treekernel.gram_matrix(trees, lam=lam, normalize=normalize)
         model = svm.train_smo(gram, y, train_cfg)
         model.support_trees = [trees[i] for i in model.support_idx]
         metadata["lambda"] = lam
         metadata["kernel_normalize"] = normalize
     else:
-        X = vectorize_all(sentences, pos_trees, vocab, feature_cfg)
+        X = terms.vectorize(vocab, rows)
         if kind == "linear-bow":
             model = svm.train_linear(X, y, train_cfg)
         elif kind == "category-ovr":

@@ -31,8 +31,9 @@ class TreeTooDeep(TreeParseError):
     pass
 
 
-#: Deeper than any natural-language parse; keeps the recursive parser,
-#: ``to_bracketed``, ``==`` and ``hash`` inside Python's default recursion limit.
+#: Deeper than any natural-language parse; keeps the recursive parser inside
+#: Python's default recursion limit.  ``save_model`` refuses support trees
+#: deeper than this, since ``load_model`` could not read them back.
 MAX_DEPTH = 256
 
 
@@ -81,22 +82,55 @@ class ParseTree:
     def n_nodes(self) -> int:
         return sum(1 for _ in self.nodes())
 
+    def depth(self) -> int:
+        """Bracket nesting depth: the internal nodes on the longest root path
+        (0 for a bare leaf), the depth :func:`parse_bracketed` limits."""
+        deepest = 0
+        stack = [(self, 1)]
+        while stack:
+            node, d = stack.pop()
+            if node.children:
+                deepest = max(deepest, d)
+                stack.extend((c, d + 1) for c in node.children)
+        return deepest
+
     def to_bracketed(self) -> str:
         """Canonical single-space bracketed form."""
-        if self.is_leaf:
-            return self.label
-        inner = " ".join(c.to_bracketed() for c in self.children)
-        return f"({self.label} {inner})"
+        parts: list[str] = []
+        stack: list[ParseTree | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif not item.children:
+                parts.append(item.label)
+            else:
+                parts.append(f"({item.label}")
+                stack.append(")")
+                for child in reversed(item.children):
+                    stack += (child, " ")
+        return "".join(parts)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ParseTree)
-            and self.label == other.label
-            and self.children == other.children
-        )
+        if not isinstance(other, ParseTree):
+            return False
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self) -> int:
-        return hash((self.label, self.children))
+        # bottom-up over the preorder list, so deep trees do not recurse
+        order = list(self.nodes())
+        hashes: dict[int, int] = {}
+        for node in reversed(order):
+            hashes[id(node)] = hash((node.label, tuple(hashes[id(c)] for c in node.children)))
+        return hashes[id(self)]
 
     def __repr__(self) -> str:
         return f"ParseTree({self.to_bracketed()!r})"

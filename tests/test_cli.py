@@ -719,6 +719,31 @@ class TestEvaluateCommand:
         assert code == 3
         assert "deeper than" in capsys.readouterr().err
 
+    def test_fold_sweep_cap_exits_4_and_still_writes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_iter = 1\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = main(
+            ["evaluate", "--corpus", str(FIXTURES / "planted"), "--model-kind", "linear-bow"]
+            + ["--config", str(cfg), "--seed", "7", "--json", str(out)]
+        )
+        assert code == 4
+        report = capsys.readouterr().out
+        assert "warning: fold doc00: no-convergence" in report
+        warnings = json.loads(out.read_text())["metrics"]["warnings"]
+        assert warnings and all("no-convergence" in w for w in warnings)
+
+    @pytest.mark.parametrize("kind", ["linear-bow", "chain", "category-ovr"])
+    @pytest.mark.parametrize("corpus", ["mini", "planted", "adjacency"])
+    def test_json_matches_the_pinned_golden(self, corpus, kind, tmp_path, capsys):
+        # written by scripts/make_synthetic_corpus.py; any change to features,
+        # solvers or fold wiring that moves a LOO number shows here
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--corpus", str(FIXTURES / corpus), "--model-kind", kind]
+        assert main(argv + ["--seed", "7", "--json", str(out)]) == 0
+        golden = FIXTURES / f"{corpus}_loo_{kind}_golden.json"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_kernel_kind_requires_trees(self, capsys):
         code = main(
             [

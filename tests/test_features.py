@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from claudette.features import (
     FeatureConfig,
     MissingTree,
     SparseVector,
+    TermTable,
     Vocabulary,
     build_vocabulary,
     extract_ngrams,
+    extract_terms,
     pos_bag,
     vectorize,
+    vectorize_all,
 )
-from claudette.trees import parse_bracketed
+from claudette.trees import ParseTree, parse_bracketed
 
 
 def sent(text: str) -> LabeledSentence:
@@ -207,3 +211,123 @@ class TestSparseVector:
         assert vec.dot_dense(np.array([2.0, 5.0, 1.0])) == pytest.approx(5.0)
         with pytest.raises(ValueError):
             vec.dot_dense(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# The term table against the per-sentence loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_vocabulary(sentences, trees, config) -> Vocabulary:
+    df: Counter[str] = Counter()
+    for i, sentence in enumerate(sentences):
+        df.update(set(extract_terms(sentence, trees[i] if trees else None, config)))
+    kept = sorted(t for t, d in df.items() if d >= config.min_df)
+    return Vocabulary(kept, [df[t] for t in kept], n_fit=len(sentences))
+
+
+def reference_vectors(sentences, trees, vocab, config) -> list[SparseVector]:
+    out = []
+    for i, sentence in enumerate(sentences):
+        counts = Counter(extract_terms(sentence, trees[i] if trees else None, config))
+        pairs = []
+        for term, count in counts.items():
+            idx = vocab.index(term)
+            if idx is not None:
+                tf = 1.0 + math.log(count) if config.log_tf else float(count)
+                pairs.append((idx, tf * vocab.idf(term)))
+        vec = SparseVector.from_pairs(pairs, dim=vocab.size)
+        nrm = vec.norm()
+        out.append(SparseVector(vec.indices, vec.values / nrm, vec.dim) if nrm > 0.0 else vec)
+    return out
+
+
+def same_bytes(got: list[SparseVector], want: list[SparseVector]) -> bool:
+    return len(got) == len(want) and all(
+        g.dim == w.dim
+        and g.indices.dtype == w.indices.dtype
+        and g.values.dtype == w.values.dtype
+        and g.indices.tobytes() == w.indices.tobytes()
+        and g.values.tobytes() == w.values.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+TAG_OF = {"a": "DT", "b": "NN", "c": "NN", "d": "VB", "e": "JJ", "heldout": "UH", "only": "RB"}
+mixed_case = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "d", "D", "e"]), max_size=7)
+
+
+def tagged(tokens: tuple[str, ...]) -> ParseTree:
+    if not tokens:
+        return ParseTree("S")  # a bare leaf has no preterminals
+    return ParseTree("S", [ParseTree(TAG_OF[t.lower()], [ParseTree(t)]) for t in tokens])
+
+
+class TestTermTable:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(st.lists(mixed_case.map(tuple), min_size=1, max_size=5), min_size=2, max_size=5),
+        st.data(),
+        st.sets(st.integers(1, 3), min_size=1),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_fold_features_are_bit_identical_to_the_loop(
+        self, docs, data, orders, min_df, log_tf, lowercase, use_pos
+    ):
+        cfg = FeatureConfig(
+            ngram_orders=tuple(orders), min_df=min_df, log_tf=log_tf,
+            lowercase=lowercase, use_pos=use_pos,
+        )
+        held = data.draw(st.integers(0, len(docs) - 1))
+        docs = [list(d) for d in docs]
+        docs[held].append(("Heldout", "only", "Heldout"))  # terms no training row has
+        docs[(held + 1) % len(docs)].append(())  # a training sentence with no terms
+        sentences = [s for d in docs for s in d]
+        trees = [tagged(s) for s in sentences] if use_pos else None
+        table = TermTable(sentences, trees, cfg, [(f"d{i}", len(d)) for i, d in enumerate(docs)])
+
+        rows = table.document_rows([f"d{i}" for i in range(len(docs)) if i != held])
+        train = [sentences[r] for r in rows]
+        train_trees = [trees[r] for r in rows] if use_pos else None
+        vocab = table.vocabulary(rows)
+        assert vocab == reference_vocabulary(train, train_trees, cfg)
+        assert vocab == build_vocabulary(train, train_trees, cfg)
+        seen = {
+            t for i, s in enumerate(train)
+            for t in extract_terms(s, train_trees[i] if use_pos else None, cfg)
+        }
+        held_only = set(table.terms) - seen
+        assert held_only and held_only.isdisjoint(vocab.terms)  # c10's leakage rule
+        X = table.vectorize(vocab, rows)
+        assert same_bytes(X, reference_vectors(train, train_trees, vocab, cfg))
+        assert same_bytes(X, vectorize_all(train, train_trees, vocab, cfg))
+
+        # the held-out rows, through the table and through a fresh one
+        held_rows = table.document_rows([f"d{held}"])
+        held_sents = docs[held]
+        held_trees = [trees[r] for r in held_rows] if use_pos else None
+        want = reference_vectors(held_sents, held_trees, vocab, cfg)
+        assert same_bytes(table.vectorize(vocab, held_rows), want)
+        assert same_bytes(vectorize_all(held_sents, held_trees, vocab, cfg), want)
+
+    def test_rows_are_sorted_term_ids_with_counts(self):
+        table = TermTable([("b", "a", "b"), (), ("c",)], None, FeatureConfig(ngram_orders=(1,)))
+        assert table.terms == ("w1:a", "w1:b", "w1:c")
+        assert table.indptr.tolist() == [0, 2, 2, 3]
+        assert table.indices.tolist() == [0, 1, 2]
+        assert table.tf.tolist() == [1.0, 2.0, 1.0]
+        vecs = table.vectorize(table.vocabulary())
+        assert [v.nnz for v in vecs] == [2, 0, 1]
+
+    def test_missing_trees_rejected(self):
+        cfg = FeatureConfig(ngram_orders=(1,), use_pos=True)
+        with pytest.raises(MissingTree):
+            TermTable([("a",)], None, cfg)
+        with pytest.raises(MissingTree):
+            TermTable([("a",)], [None], cfg)
+
+    def test_document_rows_must_cover_the_table(self):
+        with pytest.raises(ValueError):
+            TermTable([("a",), ("b",)], None, FeatureConfig(), [("d0", 1)])

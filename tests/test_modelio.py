@@ -33,7 +33,7 @@ from claudette.modelio import (
 from claudette.seqmodel import ChainModel
 from claudette.svm import KernelModel, LinearModel, TrainConfig, predict_kernel
 from claudette.treekernel import kernel_row
-from claudette.trees import load_treebank, parse_bracketed
+from claudette.trees import MAX_DEPTH, ParseTree, load_treebank, parse_bracketed
 
 
 def small_vocab():
@@ -131,6 +131,24 @@ class TestModelFile:
             model=small_linear(),
             metadata={"seed": 7, "corpus_fingerprint": "abc"},
         )
+
+    def test_too_deep_support_tree_is_refused_without_a_file(self, tmp_path):
+        deep = ParseTree("x")
+        for _ in range(MAX_DEPTH + 1):
+            deep = ParseTree("A", [deep])
+        model = KernelModel(
+            support_idx=np.array([0]), coef=np.array([1.0]), b=0.0, lam=0.4,
+            normalized=True, n_train=2, kkt_violation=0.0,
+        )
+        model.support_trees = [deep]
+        bundle = ModelBundle("kernel-sstk", FeatureConfig(), small_vocab(), model)
+        path = tmp_path / "m.json"
+        with pytest.raises(ModelFormatError, match="deeper than"):
+            save_model(bundle, path)
+        assert not path.exists()
+        model.support_trees = [deep.children[0]]  # at the limit: round-trips
+        save_model(bundle, path)
+        assert load_model(path).model.support_trees == [deep.children[0]]
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         path1 = tmp_path / "m1.json"

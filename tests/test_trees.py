@@ -76,7 +76,7 @@ class TestParseBracketed:
     def test_depth_limit(self):
         deepest = "(A " * MAX_DEPTH + "x" + ")" * MAX_DEPTH
         tree = parse_bracketed(deepest)
-        # the recursive tree methods still work at the limit
+        assert tree.depth() == MAX_DEPTH
         assert tree.to_bracketed() == deepest
         assert tree == parse_bracketed(deepest) and hash(tree) == hash(parse_bracketed(deepest))
         for depth in (MAX_DEPTH + 1, 3000):
@@ -107,6 +107,27 @@ class TestParseTree:
     def test_preorder_nodes(self):
         tree = parse_bracketed("(S (A a) (B b))")
         assert [n.label for n in tree.nodes()] == ["S", "A", "a", "B", "b"]
+
+    def test_depth_counts_bracket_levels(self):
+        assert ParseTree("x").depth() == 0
+        assert parse_bracketed("(A a)").depth() == 1
+        assert parse_bracketed("(S (A a) (B (C c)))").depth() == 3
+
+    def test_deep_tree_built_in_code(self):
+        # built, not parsed, so MAX_DEPTH does not apply: nothing may recurse
+        def chain(depth):
+            tree = ParseTree("x")
+            for _ in range(depth):
+                tree = ParseTree("A", [tree, ParseTree("y")])
+            return tree
+
+        tree = chain(3000)
+        text = tree.to_bracketed()
+        assert text == "(A " * 3000 + "x" + " y)" * 3000
+        assert tree.depth() == 3000
+        assert tree == chain(3000) and hash(tree) == hash(chain(3000))
+        assert tree != chain(2999)
+        assert tree != ParseTree("A", [chain(2999), ParseTree("z")])
 
 
 class TestTreebank:
