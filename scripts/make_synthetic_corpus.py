@@ -6,7 +6,9 @@ produced and to rebuild them after a generator change.  Regenerating rewrites
 corpora, treebanks, the mini-corpus golden files ``mini_golden.json`` (the
 stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout), and the
 LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
---json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus.
+--json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus, and
+``planted_chain_model_golden.json``, the model file of ``train --task detect
+--model chain --seed 7`` on ``planted``, which pins the chain trainer's weights.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -57,6 +59,12 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit(f"evaluate failed: {kind} on {name}")
+
+    argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(root / "planted")]
+    argv += ["--seed", str(LOO_GOLDEN_SEED), "--out", str(root / "planted_chain_model_golden.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli_main(argv) != 0:
+            raise SystemExit("train failed: chain on planted")
 
     for name in CORPORA:
         corpus = load_corpus(root / name)

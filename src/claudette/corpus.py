@@ -246,12 +246,11 @@ def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpa
             pos = lt + 1
             continue
         closing, sym, lvl, after = scanned
-        line, col = _line_col(raw, lt)
         category = CATEGORY_BY_SYMBOL.get(sym)
         if category is None:
-            raise UnknownTag(f"unknown tag symbol {sym!r}", line, col)
+            raise UnknownTag(f"unknown tag symbol {sym!r}", *_line_col(raw, lt))
         if len(lvl) != 1 or int(lvl) not in FAIRNESS_LEVELS:
-            raise UnknownTag(f"bad fairness level {lvl!r} on tag <{sym}{lvl}>", line, col)
+            raise UnknownTag(f"bad fairness level {lvl!r} on tag <{sym}{lvl}>", *_line_col(raw, lt))
         level = int(lvl)
 
         if not closing and lenient and stack and stack[-1][0] is category and stack[-1][1] == level:
@@ -262,24 +261,24 @@ def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpa
             spans.append(None)
         else:
             if not stack:
-                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", line, col)
+                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", *_line_col(raw, lt))
             top_cat, top_lvl, start, slot, _ = stack[-1]
             if top_cat is not category or top_lvl != level:
                 if any(c is category and l == level for c, l, *_ in stack):
                     raise CrossedNesting(
-                        f"closing </{sym}{lvl}> crosses inner <{top_cat.symbol}{top_lvl}>", line, col
+                        f"closing </{sym}{lvl}> crosses inner <{top_cat.symbol}{top_lvl}>",
+                        *_line_col(raw, lt),
                     )
-                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", line, col)
+                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", *_line_col(raw, lt))
             stack.pop()
             if plain_len == start:
-                raise EmptyTagSpan(f"tag <{sym}{lvl}> encloses no text", line, col)
+                raise EmptyTagSpan(f"tag <{sym}{lvl}> encloses no text", *_line_col(raw, lt))
             spans[slot] = TagSpan(category=category, level=level, start=start, end=plain_len)
         pos = after
 
     if stack:
         cat, lvl_open, _, _, raw_off = stack[-1]
-        line, col = _line_col(raw, raw_off)
-        raise UnbalancedTag(f"tag <{cat.symbol}{lvl_open}> never closed", line, col)
+        raise UnbalancedTag(f"tag <{cat.symbol}{lvl_open}> never closed", *_line_col(raw, raw_off))
 
     assert all(s is not None for s in spans)
     return "".join(plain_parts), [s for s in spans if s is not None]

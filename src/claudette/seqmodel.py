@@ -14,7 +14,7 @@ lexicographically smallest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ class ChainModel:
     emissions: np.ndarray  # (L, V)
     transitions: np.ndarray  # (L, L)
     start: np.ndarray  # (L,)
-    objective_trace: list[float] = field(default_factory=list, repr=False)
 
     @property
     def n_labels(self) -> int:
@@ -74,16 +73,25 @@ def _check_sequence(model: ChainModel, xs: Sequence[SparseVector]) -> None:
             raise DimensionMismatch(f"vector dim {x.dim} != model dim {model.dim}")
 
 
+def _lattice(model: ChainModel, xs: Sequence[SparseVector]) -> np.ndarray:
+    """Emission scores (k, L) from one gather of the document's columns.  Each
+    row is its slice of the gather times its values, the same product as
+    ``emissions[:, x.indices] @ x.values`` and so bit-identical to it."""
+    gathered = model.emissions[:, np.concatenate([x.indices for x in xs])]
+    E = np.zeros((len(xs), model.n_labels), dtype=np.float64)
+    a = 0
+    for t, x in enumerate(xs):
+        b = a + x.indices.size
+        if b > a:
+            E[t] = gathered[:, a:b] @ x.values
+        a = b
+    return E
+
+
 def emission_matrix(model: ChainModel, xs: Sequence[SparseVector]) -> np.ndarray:
     """Per-position emission scores, shape (k, L)."""
     _check_sequence(model, xs)
-    E = np.empty((len(xs), model.n_labels), dtype=np.float64)
-    for t, x in enumerate(xs):
-        if x.indices.size:
-            E[t] = model.emissions[:, x.indices] @ x.values
-        else:
-            E[t] = 0.0
-    return E
+    return _lattice(model, xs)
 
 
 def joint_score(model: ChainModel, xs: Sequence[SparseVector], ys: Sequence[int]) -> float:
@@ -101,29 +109,51 @@ def joint_score(model: ChainModel, xs: Sequence[SparseVector], ys: Sequence[int]
 def score_path(model: ChainModel, E: np.ndarray, ys: Sequence[int]) -> float:
     """Path score over a precomputed emission lattice, accumulated left to
     right exactly as the Viterbi recursion accumulates it."""
-    s = model.start[ys[0]] + E[0, ys[0]]
+    lattice = E.tolist()
+    transitions = model.transitions.tolist()
+    s = model.start.tolist()[ys[0]] + lattice[0][ys[0]]
     for t in range(1, len(ys)):
-        s = s + model.transitions[ys[t - 1], ys[t]]
-        s = s + E[t, ys[t]]
-    return float(s)
+        s = s + transitions[ys[t - 1]][ys[t]]
+        s = s + lattice[t][ys[t]]
+    return s
 
 
 def _decode(model: ChainModel, E: np.ndarray) -> tuple[list[int], float]:
-    k, L = E.shape
-    dp = model.start + E[0]
-    ptr = np.zeros((k, L), dtype=np.int64)
-    for t in range(1, k):
-        cand = dp[:, None] + model.transitions  # (prev, cur)
-        best_prev = np.argmax(cand, axis=0)  # first (lowest) index wins ties
-        dp = cand[best_prev, np.arange(L)] + E[t]
-        ptr[t] = best_prev
-    last = int(np.argmax(dp))
-    score = float(dp[last])
-    ys = [0] * k
-    ys[-1] = last
-    for t in range(k - 1, 0, -1):
-        ys[t - 1] = int(ptr[t, ys[t]])
-    return ys, score
+    """Viterbi over the lattice ``E`` (k, L), in Python floats.
+
+    Each step adds ``dp[prev] + transitions[prev][cur]`` and then
+    ``E[t][cur]``, and a strict ``>`` keeps the lowest maximizing index, so
+    paths and scores are bit-identical to the numpy ``argmax`` recursion
+    that ``tests/test_seqmodel.py`` keeps as the reference.
+    """
+    lattice = E.tolist()
+    into = model.transitions.T.tolist()  # into[cur][prev]
+    labels = range(len(into))
+    dp = [s + e for s, e in zip(model.start.tolist(), lattice[0])]
+    back = []
+    for row in lattice[1:]:
+        ptr = []
+        nxt = []
+        for cur in labels:
+            weights = into[cur]
+            arg, best = 0, dp[0] + weights[0]
+            for prev in labels[1:]:
+                cand = dp[prev] + weights[prev]
+                if cand > best:
+                    arg, best = prev, cand
+            ptr.append(arg)
+            nxt.append(best + row[cur])
+        back.append(ptr)
+        dp = nxt
+    last = 0
+    for cur in labels[1:]:
+        if dp[cur] > dp[last]:
+            last = cur
+    ys = [last]
+    for ptr in reversed(back):
+        ys.append(ptr[ys[-1]])
+    ys.reverse()
+    return ys, dp[last]
 
 
 def viterbi(model: ChainModel, xs: Sequence[SparseVector]) -> tuple[list[int], float]:
@@ -162,8 +192,8 @@ def train_chain(
     epoch, and a fixed epoch budget (cfg.epochs).  The returned weights are
     the average of the iterates over the second half of training: the first
     steps take sizes up to C*n, and folding those iterates into the average
-    would drown the converged ones.  The raw (non-averaged) objective is
-    recorded per epoch in ``objective_trace``.
+    would drown the converged ones.  ``structured_objective`` evaluates the
+    objective of a model on a set of examples.
 
     Note the effective regularization: small C means strong shrinking, which
     on noisy imbalanced data can collapse the model toward the majority
@@ -193,7 +223,6 @@ def train_chain(
     n = len(examples)
     lam_reg = 1.0 / (cfg.C * n)
     rng = np.random.default_rng(cfg.seed)
-    trace: list[float] = []
     total_steps = cfg.epochs * n
     tail_start = total_steps // 2 + 1
     averaged_steps = 0
@@ -219,14 +248,12 @@ def train_chain(
                 avg_tr += model.transitions
                 avg_st += model.start
                 averaged_steps += 1
-        trace.append(structured_objective(model, examples, cfg.C))
 
     averaged = ChainModel(
         labels=labels,
         emissions=avg_em / averaged_steps,
         transitions=avg_tr / averaged_steps,
         start=avg_st / averaged_steps,
-        objective_trace=trace,
     )
     return averaged
 

@@ -144,6 +144,14 @@ class TestTrainCommand:
         assert code == 0
         assert load_model(out).kind == "chain"
 
+    def test_chain_model_matches_the_pinned_golden(self, tmp_path, capsys):
+        # written by scripts/make_synthetic_corpus.py; the LOO goldens pin only
+        # counts, this pins the chain trainer's weights
+        out = tmp_path / "chain.json"
+        argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(FIXTURES / "planted")]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "planted_chain_model_golden.json").read_bytes()
+
     def test_category_train(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
         code = main(

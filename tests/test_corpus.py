@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +127,36 @@ class TestParseTaggedText:
         plain, spans = parse_tagged_text("<a2>x<a2>y</a2>z</a2>")
         assert plain == "xyz"
         assert len(spans) == 2
+
+
+class TestTagErrorsInLongDocuments:
+    LINE = "words <a2>clause text.</a2> more"
+    N_LINES = 2_000
+
+    @pytest.mark.parametrize("where", [0, N_LINES // 2, N_LINES - 1])
+    @pytest.mark.parametrize(
+        "error, edit, tag",
+        [
+            (UnknownTag, ("<a2>", "<zz2>"), "<zz2>"),  # unknown symbol at the opener
+            (UnbalancedTag, ("<a2>", ""), "</a2>"),  # closer without an opener
+            (UnbalancedTag, ("</a2>", ""), "<a2>"),  # opener never closed
+        ],
+    )
+    def test_error_position_at_first_middle_and_last_tag(self, where, error, edit, tag):
+        lines = [self.LINE] * self.N_LINES
+        lines[where] = lines[where].replace(*edit)
+        with pytest.raises(error) as err:
+            parse_tagged_text("\n".join(lines))
+        assert (err.value.line, err.value.column) == (where + 1, lines[where].index(tag) + 1)
+
+    def test_many_tags_parse_in_bounded_time(self):
+        raw = "\n".join([self.LINE] * 40_000)  # 80k tags
+        t0 = time.perf_counter()
+        plain, spans = parse_tagged_text(raw)
+        elapsed = time.perf_counter() - t0
+        assert len(spans) == 40_000
+        assert plain.count("clause text.") == 40_000
+        assert elapsed < 10.0  # linear: well under a second; quadratic took about a minute
 
 
 # Recursive strategy for properly tagged text whose spans are all non-empty.

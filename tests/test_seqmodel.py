@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claudette.features import SparseVector
 from claudette.modelio import canonical_json_bytes, chain_payload
@@ -13,8 +15,11 @@ from claudette.seqmodel import (
     SeqExample,
     UnknownLabel,
     augmented_emissions,
+    emission_matrix,
     joint_score,
     loss_augmented_viterbi,
+    score_path,
+    structured_objective,
     train_chain,
     viterbi,
 )
@@ -36,6 +41,35 @@ def lattice_path_score(model, E, ys):
         s = s + model.transitions[ys[t - 1], ys[t]]
         s = s + E[t, ys[t]]
     return float(s)
+
+
+def numpy_decode(model, E):
+    """Viterbi as a numpy ``argmax`` recursion: the reference that
+    ``seqmodel._decode`` must match bit for bit."""
+    k, L = E.shape
+    dp = model.start + E[0]
+    ptr = np.zeros((k, L), dtype=np.int64)
+    for t in range(1, k):
+        cand = dp[:, None] + model.transitions  # (prev, cur)
+        best_prev = np.argmax(cand, axis=0)  # first (lowest) index wins ties
+        dp = cand[best_prev, np.arange(L)] + E[t]
+        ptr[t] = best_prev
+    last = int(np.argmax(dp))
+    score = float(dp[last])
+    ys = [0] * k
+    ys[-1] = last
+    for t in range(k - 1, 0, -1):
+        ys[t - 1] = int(ptr[t, ys[t]])
+    return ys, score
+
+
+def per_row_emissions(model, xs):
+    """Each emission row as the product of its own gather: the reference
+    for the one-gather lattice."""
+    E = np.empty((len(xs), model.n_labels), dtype=np.float64)
+    for t, x in enumerate(xs):
+        E[t] = model.emissions[:, x.indices] @ x.values if x.indices.size else 0.0
+    return E
 
 
 def brute_force_best(model, E):
@@ -125,8 +159,6 @@ class TestViterbi:
         rng = random.Random(2024)
         for _ in range(100):
             model, xs = random_model_and_sequence(rng)
-            from claudette.seqmodel import emission_matrix
-
             E = emission_matrix(model, xs)
             expected_ys, expected_score = brute_force_best(model, E)
             ys, score = viterbi(model, xs)
@@ -146,6 +178,73 @@ class TestViterbi:
         ys, score = viterbi(model, xs)
         assert ys == [0, 0, 0]
         assert score == 0.0
+
+
+# half-integer weights make equal path scores, and so ties, frequent
+HALF_STEPS = st.integers(-4, 4).map(lambda i: i / 2)
+
+
+@st.composite
+def grid_chains(draw):
+    """A model over k unit-vector sentences, so that emission row t is the
+    model's column t, with every weight and gold label drawn from a grid."""
+    L = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 12))
+    weights = st.lists(HALF_STEPS, min_size=L * k + L * L + L, max_size=L * k + L * L + L)
+    w = draw(weights)
+    model = ChainModel.zeros([str(i) for i in range(L)], k)
+    model.emissions = np.array(w[: L * k], dtype=np.float64).reshape(L, k)
+    model.transitions = np.array(w[L * k : L * k + L * L], dtype=np.float64).reshape(L, L)
+    model.start = np.array(w[L * k + L * L :], dtype=np.float64)
+    gold = draw(st.lists(st.integers(0, L - 1), min_size=k, max_size=k))
+    return model, [unit(t, k) for t in range(k)], gold
+
+
+class TestDecodeMatchesNumpyReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_chains())
+    def test_paths_and_scores_are_identical(self, chain):
+        model, xs, gold = chain
+        E = model.emissions.T.copy()
+        assert viterbi(model, xs) == numpy_decode(model, E)
+        loss = np.ones_like(E)
+        loss[np.arange(len(gold)), gold] = 0.0
+        E_aug = E + loss
+        assert loss_augmented_viterbi(model, xs, gold) == numpy_decode(model, E_aug)
+        for lattice in (E, E_aug):
+            ys, _ = numpy_decode(model, lattice)
+            for path in (ys, gold):
+                assert score_path(model, lattice, path) == lattice_path_score(model, lattice, path)
+
+
+class TestEmissions:
+    def test_one_gather_matches_per_row_products(self):
+        rng = np.random.default_rng(8)
+        dim = 50
+        model = ChainModel.zeros(["a", "b", "c"], dim)
+        model.emissions = rng.normal(size=(3, dim))
+        xs = []
+        for n in (7, 0, 1, 12, 0, 3):  # includes empty rows
+            idx = np.sort(rng.choice(dim, n, replace=False))
+            xs.append(SparseVector(idx, rng.normal(size=n), dim))
+        E = emission_matrix(model, xs)
+        assert (E == per_row_emissions(model, xs)).all()
+        assert (E[[1, 4]] == 0.0).all()
+        gold = [0, 1, 2, 0, 1, 2]
+        loss = np.ones((6, 3))
+        loss[np.arange(6), gold] = 0.0
+        assert (augmented_emissions(model, xs, gold) == per_row_emissions(model, xs) + loss).all()
+
+    def test_public_entry_points_check_the_sequence(self):
+        model = ChainModel.zeros(["n", "p"], 2)
+        with_gold = [
+            lambda m, xs, f=f: f(m, xs, [0] * len(xs)) for f in (augmented_emissions, loss_augmented_viterbi)
+        ]
+        for call in [emission_matrix, viterbi] + with_gold:
+            with pytest.raises(DimensionMismatch):
+                call(model, [unit(0, 3)])
+            with pytest.raises(EmptyData):
+                call(model, [])
 
 
 class TestLossAugmented:
@@ -318,10 +417,10 @@ class TestTrainChain:
     def test_objective_decreases_on_separable_data(self):
         examples = separable_sequences()
         model = train_chain(examples, TrainConfig(seed=3, C=10.0))
-        trace = model.objective_trace
-        assert len(trace) == 20
-        assert all(np.isfinite(v) for v in trace)
-        assert trace[-1] < trace[0]
+        trained = structured_objective(model, examples, 10.0)
+        untrained = structured_objective(ChainModel.zeros(model.labels, model.dim), examples, 10.0)
+        assert np.isfinite(trained)
+        assert trained < untrained
 
     def test_single_length_one_example(self):
         example = SeqExample((unit(0, 2),), (1,))
