@@ -7,8 +7,12 @@ corpora, treebanks, the mini-corpus golden files ``mini_golden.json`` (the
 stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout), and the
 LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
 --json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus, and
-``planted_chain_model_golden.json``, the model file of ``train --task detect
---model chain --seed 7`` on ``planted``, which pins the chain trainer's weights.
+``planted_<model>_model_golden.json``, the model files of ``train --task
+detect --model <model> --seed 7`` on ``planted`` for ``linear`` (linear-bow)
+and ``chain``, which pin the trainers' weights, and
+``planted_predict_<kind>_golden.json``, the ``predict`` stdout of those two
+models on the first ``planted`` document's plain text, which pins the
+emitted score bytes.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -19,6 +23,7 @@ import argparse
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -33,6 +38,9 @@ from claudette.synthetic import generate_fixture_set  # noqa: E402
 CORPORA = ("mini", "planted", "adjacency")
 LOO_GOLDEN_KINDS = ("linear-bow", "chain", "category-ovr")
 LOO_GOLDEN_SEED = 7
+# model kind -> its pinned model file on planted
+MODEL_GOLDENS = {"linear-bow": "planted_linear_model_golden.json",
+                 "chain": "planted_chain_model_golden.json"}
 
 
 def main() -> int:
@@ -60,11 +68,24 @@ def main() -> int:
                 if cli_main(argv) != 0:
                     raise SystemExit(f"evaluate failed: {kind} on {name}")
 
-    argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(root / "planted")]
-    argv += ["--seed", str(LOO_GOLDEN_SEED), "--out", str(root / "planted_chain_model_golden.json")]
-    with contextlib.redirect_stdout(io.StringIO()):
-        if cli_main(argv) != 0:
-            raise SystemExit("train failed: chain on planted")
+    first = load_corpus(root / "planted").documents[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        text = Path(tmp) / "planted_first.txt"
+        text.write_text(first.plain_text, encoding="utf-8")
+        for kind, model_name in MODEL_GOLDENS.items():
+            model = root / model_name
+            argv = ["train", "--task", "detect", "--model", kind, "--corpus", str(root / "planted")]
+            argv += ["--seed", str(LOO_GOLDEN_SEED), "--out", str(model)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli_main(argv) != 0:
+                    raise SystemExit(f"train failed: {kind} on planted")
+            # predict writes its JSON to stdout's byte buffer
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with contextlib.redirect_stdout(out):
+                if cli_main(["predict", "--model", str(model), "--input", str(text)]) != 0:
+                    raise SystemExit(f"predict failed: {kind} on {first.name}")
+            out.flush()
+            (root / f"planted_predict_{kind}_golden.json").write_bytes(out.buffer.getvalue())
 
     for name in CORPORA:
         corpus = load_corpus(root / name)

@@ -94,11 +94,11 @@ class Predictor:
         elif self.chain is not None:
             emissions = self.chain.emissions
             X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
-            ys = seqmodel.viterbi(self.chain, X)[0] if X else []
+            ys = seqmodel.viterbi(self.chain, X)[0] if len(X) else []
             flags = [y == 1 for y in ys]
             # informational only: emission-score gap, ignoring transitions
             score_maps = [
-                {"detection": x.dot_dense(emissions[1]) - x.dot_dense(emissions[0])} for x in X
+                {"detection": s1 - s0} for s1, s0 in zip(X.dot(emissions[1]), X.dot(emissions[0]))
             ]
         else:
             if self.kernel is not None:
@@ -106,9 +106,8 @@ class Predictor:
                     raise ValueError("kernel model has no linear fallback and no trees were supplied")
                 warnings.append("no parse trees supplied; fell back to the embedded linear model")
             X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
-            score_maps = [
-                {name: svm.predict_linear(m, x) for name, m in self.linear.items()} for x in X
-            ]
+            scores = {name: svm.predict_linear(m, X) for name, m in self.linear.items()}
+            score_maps = [{name: s[i] for name, s in scores.items()} for i in range(len(X))]
             flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
             if self.kind == "category-ovr":
                 categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,80 +39,46 @@ class FeatureConfig:
             raise ValueError("min_df must be >= 1")
 
 
-class SparseVector:
-    """Sorted (index, weight) pairs with an explicit dimension."""
+class DimensionMismatch(ValueError):
+    pass
 
-    __slots__ = ("indices", "values", "dim")
 
-    def __init__(self, indices: Sequence[int], values: Sequence[float], dim: int):
-        idx = np.asarray(indices, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
-        if idx.shape != vals.shape:
-            raise ValueError("indices and values must have equal length")
-        if idx.size and (np.any(idx[:-1] >= idx[1:]) or idx[0] < 0 or idx[-1] >= dim):
-            raise ValueError("indices must be strictly increasing and within [0, dim)")
-        self.indices = idx
-        self.values = vals
-        self.dim = dim
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """A batch of sparse rows in CSR form with one dimension.
 
-    @classmethod
-    def trusted(cls, indices: np.ndarray, values: np.ndarray, dim: int) -> "SparseVector":
-        """A vector over int64 ``indices``, strictly increasing in [0, dim), and
-        float64 ``values`` that the caller has already checked."""
-        vec = cls.__new__(cls)
-        vec.indices, vec.values, vec.dim = indices, values, dim
-        return vec
+    Row ``r`` holds the columns ``indices[indptr[r]:indptr[r + 1]]``, strictly
+    increasing in [0, dim), with the weights at the same positions of
+    ``data``.  ``X[a:b]`` is the batch of rows a..b-1: it shares ``indices``
+    and ``data`` and rebases ``indptr``.
+    """
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], dim: int) -> "SparseVector":
-        items = sorted((i, w) for i, w in pairs if w != 0.0)
-        return cls([i for i, _ in items], [w for _, w in items], dim)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
 
-    def items(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.indices, self.values)]
+    def __getitem__(self, rows: slice) -> "Rows":
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("Rows slices must be contiguous")
+        indptr = self.indptr[start : max(start, stop) + 1]
+        a, b = int(indptr[0]), int(indptr[-1])
+        return Rows(indptr - a, self.indices[a:b], self.data[a:b], self.dim)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def dot_dense(self, w: np.ndarray) -> float:
+    def dot(self, w: np.ndarray) -> list[float]:
+        """``w . x`` of every row: one ``np.dot`` per row, 0.0 for an empty row."""
         if w.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: vector dim {self.dim}, weights {w.shape[0]}")
-        if not self.indices.size:
-            return 0.0
-        return float(np.dot(w[self.indices], self.values))
-
-    def dot(self, other: "SparseVector") -> float:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        i = j = 0
-        total = 0.0
-        a_idx, a_val, b_idx, b_val = self.indices, self.values, other.indices, other.values
-        while i < a_idx.size and j < b_idx.size:
-            ai, bj = a_idx[i], b_idx[j]
-            if ai == bj:
-                total += a_val[i] * b_val[j]
-                i += 1
-                j += 1
-            elif ai < bj:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SparseVector)
-            and self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseVector(nnz={self.nnz}, dim={self.dim})"
+            raise DimensionMismatch(f"input dim {self.dim} != weights dim {w.shape[0]}")
+        gathered = w[self.indices]
+        bounds = self.indptr.tolist()
+        return [
+            float(np.dot(gathered[a:b], self.data[a:b])) if b > a else 0.0
+            for a, b in zip(bounds, bounds[1:])
+        ]
 
 
 class Vocabulary:
@@ -263,27 +229,33 @@ class TermTable:
         kept = np.flatnonzero(df >= self.config.min_df)
         return Vocabulary([self.terms[i] for i in kept], df[kept].tolist(), n_fit=n_fit)
 
-    def vectorize(self, vocab: Vocabulary, rows: np.ndarray | None = None) -> list[SparseVector]:
-        """L2-normalized TF-IDF vectors of ``rows`` (all rows by default).
+    def vectorize(self, vocab: Vocabulary, rows: np.ndarray | None = None) -> Rows:
+        """L2-normalized TF-IDF rows of ``rows`` (all rows by default), in order.
 
         weight(t) = tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1).  Terms
-        outside the vocabulary are ignored; an all-zero vector stays all-zero.
+        outside the vocabulary are ignored; an all-zero row stays all-zero.
         """
         column = np.fromiter(
             map(vocab._index.get, self.terms, repeat(-1)), np.int64, len(self.terms)
         )
         cols = column[self.indices]
         known = cols >= 0
-        bounds = np.concatenate(([0], np.cumsum(known)))[self.indptr].tolist()
+        bounds = np.concatenate(([0], np.cumsum(known)))[self.indptr]
         cols = cols[known]
         weights = self.tf[known] * vocab._idf[cols]
-        dim, out = vocab.size, []
-        for r in range(self.n_rows) if rows is None else np.asarray(rows).tolist():
-            a, b = bounds[r], bounds[r + 1]
+        if rows is not None:
+            starts = bounds[:-1][rows]
+            lengths = bounds[1:][rows] - starts
+            bounds = np.concatenate(([0], np.cumsum(lengths)))
+            picked = np.repeat(starts - bounds[:-1], lengths) + np.arange(bounds[-1])
+            cols, weights = cols[picked], weights[picked]
+        ends = bounds.tolist()
+        for a, b in zip(ends, ends[1:]):
             v = weights[a:b]
             nrm = math.sqrt(v.dot(v))
-            out.append(SparseVector.trusted(cols[a:b], v / nrm if nrm > 0.0 else v, dim))
-        return out
+            if nrm > 0.0:
+                v /= nrm
+        return Rows(bounds, cols, weights, vocab.size)
 
 
 def build_vocabulary(
@@ -295,21 +267,11 @@ def build_vocabulary(
     return TermTable(sentences, trees, config).vocabulary()
 
 
-def vectorize(
-    sentence,
-    tree: ParseTree | None,
-    vocab: Vocabulary,
-    config: FeatureConfig,
-) -> SparseVector:
-    """L2-normalized TF-IDF vector of one sentence (see :meth:`TermTable.vectorize`);
-    tf is the raw count by default, or 1 + ln(count) when ``config.log_tf`` is set."""
-    return TermTable([sentence], [tree], config).vectorize(vocab)[0]
-
-
 def vectorize_all(
     sentences: Sequence,
     trees: Sequence[ParseTree | None] | None,
     vocab: Vocabulary,
     config: FeatureConfig,
-) -> list[SparseVector]:
+) -> Rows:
+    """L2-normalized TF-IDF rows of ``sentences`` (see :meth:`TermTable.vectorize`)."""
     return TermTable(sentences, trees, config).vectorize(vocab)

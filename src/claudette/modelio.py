@@ -110,10 +110,18 @@ def linear_payload(model: LinearModel) -> dict:
     }
 
 
-def linear_from_payload(payload: dict) -> LinearModel:
-    w = np.zeros(payload["dim"], dtype=np.float64)
-    for i, v in payload["w"]:
+def _dense(pairs: list, dim: int) -> np.ndarray:
+    """A weight vector from its ``[[index, value], ...]`` record."""
+    w = np.zeros(dim, dtype=np.float64)
+    for i, v in pairs:
+        if not 0 <= i < dim:
+            raise ModelFormatError(f"weight index {i} outside [0, {dim})")
         w[i] = v
+    return w
+
+
+def linear_from_payload(payload: dict) -> LinearModel:
+    w = _dense(payload["w"], payload["dim"])
     return LinearModel(w=w, b=float(payload["b"]), warning=payload.get("warning"))
 
 
@@ -164,16 +172,14 @@ def chain_payload(model: ChainModel) -> dict:
 
 
 def chain_from_payload(payload: dict) -> ChainModel:
-    L = len(payload["labels"])
-    emissions = np.zeros((L, payload["dim"]), dtype=np.float64)
-    for row_idx, row in enumerate(payload["emissions"]):
-        for i, v in row:
-            emissions[row_idx, i] = v
+    L, dim = len(payload["labels"]), payload["dim"]
+    transitions = np.asarray(payload["transitions"], dtype=np.float64)
+    start = np.asarray(payload["start"], dtype=np.float64)
+    if L < 2 or len(payload["emissions"]) != L or transitions.shape != (L, L) or start.shape != (L,):
+        raise ModelFormatError(f"chain emissions, transitions and start do not fit its {L} labels")
+    emissions = np.array([_dense(row, dim) for row in payload["emissions"]])
     return ChainModel(
-        labels=tuple(payload["labels"]),
-        emissions=emissions,
-        transitions=np.asarray(payload["transitions"], dtype=np.float64),
-        start=np.asarray(payload["start"], dtype=np.float64),
+        labels=tuple(payload["labels"]), emissions=emissions, transitions=transitions, start=start
     )
 
 
@@ -391,7 +397,7 @@ def fit(
             for doc in documents:
                 k = len(doc.sentences)
                 ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
-                examples.append(seqmodel.SeqExample(xs=tuple(X[pos : pos + k]), ys=ys))
+                examples.append(seqmodel.SeqExample(xs=X[pos : pos + k], ys=ys))
                 pos += k
             model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
     return ModelBundle(kind, feature_cfg, vocab, model, metadata)

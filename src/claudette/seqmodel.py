@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import SparseVector
+from .features import Rows
 from .svm import DimensionMismatch, EmptyData, LengthMismatch, TrainConfig
 
 
@@ -29,11 +29,11 @@ class UnknownLabel(ValueError):
 
 @dataclass(frozen=True)
 class SeqExample:
-    xs: tuple[SparseVector, ...]
+    xs: Rows  # one row per sentence, usually a slice of the corpus batch
     ys: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.xs:
+        if not len(self.xs):
             raise ValueError("sequence must have at least one sentence")
         if len(self.xs) != len(self.ys):
             raise LengthMismatch(f"{len(self.xs)} vectors but {len(self.ys)} labels")
@@ -65,36 +65,33 @@ class ChainModel:
         )
 
 
-def _check_sequence(model: ChainModel, xs: Sequence[SparseVector]) -> None:
-    if not xs:
+def _check_sequence(model: ChainModel, xs: Rows) -> None:
+    if not len(xs):
         raise EmptyData("empty sequence")
-    for x in xs:
-        if x.dim != model.dim:
-            raise DimensionMismatch(f"vector dim {x.dim} != model dim {model.dim}")
+    if xs.dim != model.dim:
+        raise DimensionMismatch(f"vector dim {xs.dim} != model dim {model.dim}")
 
 
-def _lattice(model: ChainModel, xs: Sequence[SparseVector]) -> np.ndarray:
+def _lattice(model: ChainModel, xs: Rows) -> np.ndarray:
     """Emission scores (k, L) from one gather of the document's columns.  Each
     row is its slice of the gather times its values, the same product as
-    ``emissions[:, x.indices] @ x.values`` and so bit-identical to it."""
-    gathered = model.emissions[:, np.concatenate([x.indices for x in xs])]
+    ``emissions[:, row_indices] @ row_values`` and so bit-identical to it."""
+    gathered = model.emissions[:, xs.indices]
     E = np.zeros((len(xs), model.n_labels), dtype=np.float64)
-    a = 0
-    for t, x in enumerate(xs):
-        b = a + x.indices.size
+    bounds = xs.indptr.tolist()
+    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if b > a:
-            E[t] = gathered[:, a:b] @ x.values
-        a = b
+            E[t] = gathered[:, a:b] @ xs.data[a:b]
     return E
 
 
-def emission_matrix(model: ChainModel, xs: Sequence[SparseVector]) -> np.ndarray:
+def emission_matrix(model: ChainModel, xs: Rows) -> np.ndarray:
     """Per-position emission scores, shape (k, L)."""
     _check_sequence(model, xs)
     return _lattice(model, xs)
 
 
-def joint_score(model: ChainModel, xs: Sequence[SparseVector], ys: Sequence[int]) -> float:
+def joint_score(model: ChainModel, xs: Rows, ys: Sequence[int]) -> float:
     """Score of one labeling of the sequence."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} vectors but {len(ys)} labels")
@@ -156,13 +153,13 @@ def _decode(model: ChainModel, E: np.ndarray) -> tuple[list[int], float]:
     return ys, dp[last]
 
 
-def viterbi(model: ChainModel, xs: Sequence[SparseVector]) -> tuple[list[int], float]:
+def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
     """Highest-scoring label sequence and its score."""
     E = emission_matrix(model, xs)
     return _decode(model, E)
 
 
-def augmented_emissions(model: ChainModel, xs: Sequence[SparseVector], y_gold: Sequence[int]) -> np.ndarray:
+def augmented_emissions(model: ChainModel, xs: Rows, y_gold: Sequence[int]) -> np.ndarray:
     """Emission lattice with +1 margin-rescaling loss on every non-gold label."""
     if len(xs) != len(y_gold):
         raise LengthMismatch(f"{len(xs)} vectors but {len(y_gold)} gold labels")
@@ -173,7 +170,7 @@ def augmented_emissions(model: ChainModel, xs: Sequence[SparseVector], y_gold: S
 
 
 def loss_augmented_viterbi(
-    model: ChainModel, xs: Sequence[SparseVector], y_gold: Sequence[int]
+    model: ChainModel, xs: Rows, y_gold: Sequence[int]
 ) -> tuple[list[int], float]:
     """argmax of joint_score(xs, ys) + Hamming(ys, y_gold), same tie rule."""
     return _decode(model, augmented_emissions(model, xs, y_gold))
@@ -201,13 +198,10 @@ def train_chain(
     """
     if not examples:
         raise EmptyData("no training sequences")
-    dim = examples[0].xs[0].dim
-    max_label = 0
-    for ex in examples:
-        for x in ex.xs:
-            if x.dim != dim:
-                raise DimensionMismatch("sequences disagree on feature dimension")
-        max_label = max(max_label, max(ex.ys))
+    dim = examples[0].xs.dim
+    if any(ex.xs.dim != dim for ex in examples):
+        raise DimensionMismatch("sequences disagree on feature dimension")
+    max_label = max(0, max(max(ex.ys) for ex in examples))
     if labels is None:
         labels = tuple(str(i) for i in range(max(max_label + 1, 2)))
     else:
@@ -264,10 +258,12 @@ def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: 
     if gold[0] != y_hat[0]:
         model.start[gold[0]] += eta
         model.start[y_hat[0]] -= eta
-    for tpos, x in enumerate(ex.xs):
-        if gold[tpos] != y_hat[tpos] and x.indices.size:
-            model.emissions[gold[tpos], x.indices] += eta * x.values
-            model.emissions[y_hat[tpos], x.indices] -= eta * x.values
+    bounds = ex.xs.indptr.tolist()
+    for tpos, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if gold[tpos] != y_hat[tpos] and b > a:
+            idx, vals = ex.xs.indices[a:b], ex.xs.data[a:b]
+            model.emissions[gold[tpos], idx] += eta * vals
+            model.emissions[y_hat[tpos], idx] -= eta * vals
         if tpos >= 1:
             gpair = (gold[tpos - 1], gold[tpos])
             hpair = (y_hat[tpos - 1], y_hat[tpos])

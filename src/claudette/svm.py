@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import SparseVector
+from .features import DimensionMismatch, Rows
 from .treekernel import KernelGram
 from .trees import ParseTree
 
@@ -33,10 +33,6 @@ class SingleClass(ValueError):
 
 
 class NotSquare(ValueError):
-    pass
-
-
-class DimensionMismatch(ValueError):
     pass
 
 
@@ -118,7 +114,7 @@ def _validate_labels(y: Sequence[int]) -> np.ndarray:
     return arr
 
 
-def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> LinearModel:
+def train_linear(X: Rows, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     """L1-hinge linear SVM by dual coordinate descent.
 
     Minimizes 0.5*||w||^2 + sum_i C_i * max(0, 1 - y_i (w.x_i + b)) with the
@@ -132,9 +128,6 @@ def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
     if len(X) != len(y):
         raise LengthMismatch(f"{len(X)} vectors but {len(y)} labels")
     y_arr = _validate_labels(y)
-    dim = X[0].dim
-    if any(x.dim != dim for x in X):
-        raise DimensionMismatch("training vectors disagree on dimension")
 
     warning = None
     if np.all(y_arr > 0) or np.all(y_arr < 0):
@@ -142,12 +135,13 @@ def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
 
     C_arr = box_constraints(cfg, y_arr)
     n = len(X)
-    idx_list = [x.indices for x in X]
-    val_list = [x.values for x in X]
+    bounds = X.indptr.tolist()
+    idx_list = [X.indices[a:b] for a, b in zip(bounds, bounds[1:])]
+    val_list = [X.data[a:b] for a, b in zip(bounds, bounds[1:])]
     # Q_ii with the augmented bias feature (constant 1)
     q_diag = np.array([float(np.dot(v, v)) + 1.0 for v in val_list])
 
-    w = np.zeros(dim, dtype=np.float64)
+    w = np.zeros(X.dim, dtype=np.float64)
     w_b = 0.0
     alpha = np.zeros(n, dtype=np.float64)
     rng = np.random.default_rng(cfg.seed)
@@ -182,20 +176,19 @@ def train_linear(X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) 
     return LinearModel(w=w, b=float(w_b), warning=warning)
 
 
-def predict_linear(model: LinearModel, x: SparseVector) -> float:
-    """Decision score w.x + b; the predicted label is +1 iff score >= 0."""
-    if x.dim != model.dim:
-        raise DimensionMismatch(f"input dim {x.dim} != model dim {model.dim}")
-    return x.dot_dense(model.w) + model.b
+def predict_linear(model: LinearModel, X: Rows) -> list[float]:
+    """Decision score w.x + b of every row; the predicted label is +1 iff
+    score >= 0."""
+    return [s + model.b for s in X.dot(model.w)]
 
 
-def linear_objective(model: LinearModel, X: Sequence[SparseVector], y: Sequence[int], cfg: TrainConfig) -> float:
+def linear_objective(model: LinearModel, X: Rows, y: Sequence[int], cfg: TrainConfig) -> float:
     """Primal objective 0.5*||w||^2 + sum_i C_i * hinge_i of a fitted model."""
     y_arr = _validate_labels(y)
     C_arr = box_constraints(cfg, y_arr)
     total = 0.5 * float(np.dot(model.w, model.w))
-    for x, yi, ci in zip(X, y_arr, C_arr):
-        total += ci * max(0.0, 1.0 - yi * predict_linear(model, x))
+    for score, yi, ci in zip(predict_linear(model, X), y_arr, C_arr):
+        total += ci * max(0.0, 1.0 - yi * score)
     return total
 
 

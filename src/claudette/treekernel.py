@@ -176,13 +176,6 @@ def gram_matrix(
     return KernelGram(matrix=K, lam=lam, normalized=normalize)
 
 
-def kernel_row(
-    tree: ParseTree, others: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True
-) -> np.ndarray:
-    """Kernel values of one tree against a list of trees."""
-    return CompiledTrees(others, lam, normalize).row(tree)
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive fragment oracle
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import rows_from_pairs
 
 from claudette.cli import main
 from claudette.corpus import corpus_stats, load_corpus
@@ -32,7 +33,7 @@ from claudette.evaluation import (
     make_loo_splits,
     run_detection_eval,
 )
-from claudette.features import FeatureConfig, SparseVector
+from claudette.features import FeatureConfig
 from claudette.modelio import canonical_json_bytes, load_model
 from claudette.seqmodel import (
     ChainModel,
@@ -161,7 +162,8 @@ def test_c4_viterbi_matches_exhaustive_enumeration():
         xs = []
         for _ in range(k):
             idx = sorted(rng.sample(range(dim), rng.randint(0, dim)))
-            xs.append(SparseVector([i for i in idx], [rng.uniform(-1, 1) for _ in idx], dim))
+            xs.append(list(zip(idx, [rng.uniform(-1, 1) for _ in idx])))
+        xs = rows_from_pairs(xs, dim)
         gold = [rng.randrange(L) for _ in range(k)]
 
         E = emission_matrix(model, xs)
@@ -209,19 +211,20 @@ def test_c5_smo_correctness():
 
 def test_c6_linear_svm_correctness():
     rng = np.random.default_rng(42)
-    X, y = [], []
+    rows, y = [], []
     for i in range(200):
         label = 1 if i % 2 == 0 else -1
         pairs = [(0, label * (0.5 + rng.uniform(0.0, 1.0)))]
         for j in rng.choice(np.arange(1, 20), size=4, replace=False):
             pairs.append((int(j), rng.uniform(-0.3, 0.3)))
-        X.append(SparseVector.from_pairs(pairs, 20))
+        rows.append(sorted(pairs))
         y.append(label)
+    X = rows_from_pairs(rows, 20)
     model = train_linear(X, y, TrainConfig(C=10.0, tol=1e-4))
-    errors = sum(1 for xi, yi in zip(X, y) if (predict_linear(model, xi) >= 0) != (yi > 0))
+    errors = sum(1 for s, yi in zip(predict_linear(model, X), y) if (s >= 0) != (yi > 0))
     assert errors == 0
 
-    two = [SparseVector([0], [1.0], 1), SparseVector([0], [-1.0], 1)]
+    two = rows_from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
     cfg = TrainConfig(C=10.0, tol=1e-8)
     model2 = train_linear(two, [1, -1], cfg)
     objective = linear_objective(model2, two, [1, -1], cfg)

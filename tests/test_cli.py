@@ -152,6 +152,23 @@ class TestTrainCommand:
         assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / "planted_chain_model_golden.json").read_bytes()
 
+    def test_linear_model_matches_the_pinned_golden(self, tmp_path, capsys):
+        # written by scripts/make_synthetic_corpus.py; pins the DCD weights
+        out = tmp_path / "linear.json"
+        argv = ["train", "--task", "detect", "--model", "linear-bow", "--corpus", str(FIXTURES / "planted")]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "planted_linear_model_golden.json").read_bytes()
+
+    @pytest.mark.parametrize("kind,model", [("linear-bow", "linear"), ("chain", "chain")])
+    def test_predict_matches_the_pinned_golden(self, kind, model, planted_corpus, tmp_path, capsysbinary):
+        # written by scripts/make_synthetic_corpus.py; pins the emitted score bytes
+        text = tmp_path / "first.txt"
+        text.write_text(planted_corpus.documents[0].plain_text, encoding="utf-8")
+        model_file = FIXTURES / f"planted_{model}_model_golden.json"
+        assert main(["predict", "--model", str(model_file), "--input", str(text)]) == 0
+        golden = FIXTURES / f"planted_predict_{kind}_golden.json"
+        assert capsysbinary.readouterr().out == golden.read_bytes()
+
     def test_category_train(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
         code = main(
@@ -313,7 +330,7 @@ class TestTrainCommand:
         from claudette.svm import LinearModel
 
         monkeypatch.setattr(
-            "claudette.svm.train_linear", lambda X, y, cfg: LinearModel(w=np.full(X[0].dim, np.inf), b=0.0)
+            "claudette.svm.train_linear", lambda X, y, cfg: LinearModel(w=np.full(X.dim, np.inf), b=0.0)
         )
         out = tmp_path / "m.json"
         train = ["train", "--task", "detect", "--corpus", str(FIXTURES / "mini"), "--seed", "7", "--out", str(out)]
@@ -659,6 +676,16 @@ class TestMalformedModelFile:
         bad = self.corrupted(mini_kernel_model, corruption, tmp_path)
         assert main(["serve", "--model", str(bad), "--port", "0"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_predict_with_chain_shapes_unlike_its_labels_exits_3(tmp_path, capsys):
+    rec = json.loads((FIXTURES / "planted_chain_model_golden.json").read_text(encoding="utf-8"))
+    rec["payload"].update(transitions=[[0.0, 1.0]], start=[0.0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec), encoding="utf-8")
+    doc = plain_copy(FIXTURES / "planted" / "doc00.txt", tmp_path)
+    assert main(["predict", "--model", str(bad), "--input", str(doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEvaluateCommand:

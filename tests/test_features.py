@@ -6,20 +6,20 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import rows_from_pairs
 from hypothesis import strategies as st
 
 from claudette.corpus import LabeledSentence, Sentence, tokenize
 from claudette.features import (
+    DimensionMismatch,
     FeatureConfig,
     MissingTree,
-    SparseVector,
     TermTable,
     Vocabulary,
     build_vocabulary,
     extract_ngrams,
     extract_terms,
     pos_bag,
-    vectorize,
     vectorize_all,
 )
 from claudette.trees import ParseTree, parse_bracketed
@@ -28,6 +28,17 @@ from claudette.trees import ParseTree, parse_bracketed
 def sent(text: str) -> LabeledSentence:
     s = Sentence(start=0, end=len(text), text=text, tokens=tuple(tokenize(text)))
     return LabeledSentence.from_labels(s, [])
+
+
+def weights_of(text: str, vocab: Vocabulary, config: FeatureConfig) -> dict[str, float]:
+    """The TF-IDF row of one sentence as {term: weight}."""
+    X = vectorize_all([sent(text)], None, vocab, config)
+    assert len(X) == 1 and X.dim == vocab.size
+    return {vocab.terms[i]: w for i, w in zip(X.indices.tolist(), X.data.tolist())}
+
+
+def l2_norm(weights: dict[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in weights.values()))
 
 
 class TestExtractNgrams:
@@ -113,7 +124,7 @@ class TestVectorize:
 
     def test_tfidf_example_against_hand_oracle(self):
         vocab = self.fit()
-        vec = vectorize(sent("arbitration binding arbitration"), None, vocab, self.CFG)
+        got = weights_of("arbitration binding arbitration", vocab, self.CFG)
 
         # hand evaluation of tf * (ln((1+N)/(1+df)) + 1), then L2 normalization
         idf_arb = math.log((1 + 2) / (1 + 1)) + 1
@@ -122,29 +133,24 @@ class TestVectorize:
         norm = math.sqrt(sum(w * w for w in raw.values()))
         expected = {t: w / norm for t, w in raw.items()}
 
-        got = {vocab.terms[i]: w for i, w in vec.items()}
         assert got == pytest.approx(expected, abs=1e-12)
         assert got["w1:arbitration"] == pytest.approx(0.9422, abs=1e-4)
         assert got["w1:binding"] == pytest.approx(0.3352, abs=1e-4)
 
     def test_out_of_vocabulary_gives_zero_vector(self):
         vocab = self.fit()
-        vec = vectorize(sent("totally unseen words"), None, vocab, self.CFG)
-        assert vec.nnz == 0
-        assert vec.norm() == 0.0
+        assert weights_of("totally unseen words", vocab, self.CFG) == {}
 
     def test_nonzero_output_is_unit_norm(self):
         vocab = self.fit()
-        vec = vectorize(sent("binding contract contract"), None, vocab, self.CFG)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        assert l2_norm(weights_of("binding contract contract", vocab, self.CFG)) == pytest.approx(1.0, abs=1e-9)
 
     def test_log_tf_variant(self):
         cfg = FeatureConfig(ngram_orders=(1,), log_tf=True)
         vocab = build_vocabulary(
             [sent("arbitration binding arbitration"), sent("binding contract")], None, cfg
         )
-        vec = vectorize(sent("arbitration binding arbitration"), None, vocab, cfg)
-        got = {vocab.terms[i]: w for i, w in vec.items()}
+        got = weights_of("arbitration binding arbitration", vocab, cfg)
         idf_arb = math.log(3 / 2) + 1
         raw_arb = (1 + math.log(2)) * idf_arb
         raw_bind = 1.0
@@ -153,15 +159,15 @@ class TestVectorize:
 
     def test_sparsity_bound(self):
         vocab = self.fit()
-        vec = vectorize(sent("arbitration binding arbitration"), None, vocab, self.CFG)
-        assert vec.nnz <= 3  # number of extracted terms
+        assert len(weights_of("arbitration binding arbitration", vocab, self.CFG)) <= 3  # extracted terms
 
     def test_determinism(self):
         vocab1, vocab2 = self.fit(), self.fit()
         assert vocab1 == vocab2
-        v1 = vectorize(sent("binding arbitration"), None, vocab1, self.CFG)
-        v2 = vectorize(sent("binding arbitration"), None, vocab2, self.CFG)
-        assert v1 == v2
+        v1 = vectorize_all([sent("binding arbitration")], None, vocab1, self.CFG)
+        v2 = vectorize_all([sent("binding arbitration")], None, vocab2, self.CFG)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(v1, name).tobytes() == getattr(v2, name).tobytes()
 
 
 words = st.lists(st.sampled_from("alpha beta gamma delta epsilon zeta".split()), min_size=0, max_size=8)
@@ -174,17 +180,17 @@ class TestProperties:
         cfg = FeatureConfig(ngram_orders=(1, 2))
         corpus = [sent(" ".join(ws)) for ws in fit_docs]
         vocab = build_vocabulary(corpus, None, cfg)
-        vec = vectorize(sent(" ".join(query)), None, vocab, cfg)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9) or vec.nnz == 0
+        weights = weights_of(" ".join(query), vocab, cfg)
+        assert l2_norm(weights) == pytest.approx(1.0, abs=1e-9) or not weights
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(words, min_size=2, max_size=6), words, words)
     def test_dot_product_bound(self, fit_docs, q1, q2):
         cfg = FeatureConfig(ngram_orders=(1,))
         vocab = build_vocabulary([sent(" ".join(ws)) for ws in fit_docs], None, cfg)
-        a = vectorize(sent(" ".join(q1)), None, vocab, cfg)
-        b = vectorize(sent(" ".join(q2)), None, vocab, cfg)
-        assert -1e-9 <= a.dot(b) <= 1.0 + 1e-9
+        a = weights_of(" ".join(q1), vocab, cfg)
+        b = weights_of(" ".join(q2), vocab, cfg)
+        assert -1e-9 <= sum(w * b.get(t, 0.0) for t, w in a.items()) <= 1.0 + 1e-9
 
     def test_idf_monotone_nonincreasing_in_df(self):
         vocab = Vocabulary(terms=("t1", "t2", "t3"), df=(1, 2, 3), n_fit=3)
@@ -193,24 +199,38 @@ class TestProperties:
         assert idfs[0] > idfs[1] > idfs[2]  # strict below n_fit
 
 
-class TestSparseVector:
-    def test_requires_sorted_unique_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector([2, 1], [1.0, 1.0], 4)
-        with pytest.raises(ValueError):
-            SparseVector([1, 1], [1.0, 1.0], 4)
-        with pytest.raises(ValueError):
-            SparseVector([0, 9], [1.0, 1.0], 4)
+class TestRows:
+    X = rows_from_pairs([[(0, 1.0), (2, 3.0)], [], [(1, 2.0)], [(0, -1.0), (1, 0.5), (3, 4.0)]], 4)
 
-    def test_from_pairs_drops_zeros_and_sorts(self):
-        vec = SparseVector.from_pairs([(3, 0.5), (1, 0.0), (0, 2.0)], dim=4)
-        assert vec.items() == [(0, 2.0), (3, 0.5)]
+    def test_slice_shares_the_arrays_and_rebases_indptr(self):
+        part = self.X[2:4]
+        assert len(part) == 2 and part.dim == 4
+        assert part.indptr.tolist() == [0, 1, 4]
+        assert part.indices.tolist() == [1, 0, 1, 3]
+        assert part.data.tolist() == [2.0, -1.0, 0.5, 4.0]
+        assert np.shares_memory(part.indices, self.X.indices)
+        assert np.shares_memory(part.data, self.X.data)
 
-    def test_dot_dense(self):
-        vec = SparseVector([0, 2], [1.0, 3.0], 3)
-        assert vec.dot_dense(np.array([2.0, 5.0, 1.0])) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            vec.dot_dense(np.zeros(2))
+    def test_empty_slice_and_empty_row(self):
+        for empty in (self.X[1:1], self.X[3:1], self.X[9:]):
+            assert len(empty) == 0 and empty.indptr.tolist() == [0]
+            assert empty.dot(np.ones(4)) == []
+        assert self.X[1:2].indptr.tolist() == [0, 0]
+        assert self.X[1:2].dot(np.ones(4)) == [0.0]
+
+    def test_dot_is_one_per_row(self):
+        w = np.array([2.0, 5.0, 1.0, 0.5])
+        assert self.X.dot(w) == [5.0, 0.0, 10.0, 2.5]
+        assert self.X[2:].dot(w) == [10.0, 2.5]
+
+    def test_dot_raises_on_a_dim_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            self.X.dot(np.zeros(3))
+
+    def test_helper_rejects_unsorted_repeated_and_out_of_range_indices(self):
+        for row in ([(2, 1.0), (1, 1.0)], [(1, 1.0), (1, 1.0)], [(0, 1.0), (9, 1.0)], [(-1, 1.0)]):
+            with pytest.raises(ValueError):
+                rows_from_pairs([row], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +245,8 @@ def reference_vocabulary(sentences, trees, config) -> Vocabulary:
     return Vocabulary(kept, [df[t] for t in kept], n_fit=len(sentences))
 
 
-def reference_vectors(sentences, trees, vocab, config) -> list[SparseVector]:
+def reference_vectors(sentences, trees, vocab, config) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each sentence's (indices, weights), vectorized on its own."""
     out = []
     for i, sentence in enumerate(sentences):
         counts = Counter(extract_terms(sentence, trees[i] if trees else None, config))
@@ -235,20 +256,22 @@ def reference_vectors(sentences, trees, vocab, config) -> list[SparseVector]:
             if idx is not None:
                 tf = 1.0 + math.log(count) if config.log_tf else float(count)
                 pairs.append((idx, tf * vocab.idf(term)))
-        vec = SparseVector.from_pairs(pairs, dim=vocab.size)
-        nrm = vec.norm()
-        out.append(SparseVector(vec.indices, vec.values / nrm, vec.dim) if nrm > 0.0 else vec)
+        pairs.sort()
+        indices = np.array([i for i, _ in pairs], dtype=np.int64)
+        values = np.array([w for _, w in pairs], dtype=np.float64)
+        nrm = float(np.sqrt(np.dot(values, values)))
+        out.append((indices, values / nrm if nrm > 0.0 else values))
     return out
 
 
-def same_bytes(got: list[SparseVector], want: list[SparseVector]) -> bool:
-    return len(got) == len(want) and all(
-        g.dim == w.dim
-        and g.indices.dtype == w.indices.dtype
-        and g.values.dtype == w.values.dtype
-        and g.indices.tobytes() == w.indices.tobytes()
-        and g.values.tobytes() == w.values.tobytes()
-        for g, w in zip(got, want)
+def same_bytes(got, want: list[tuple[np.ndarray, np.ndarray]], dim: int) -> bool:
+    """Whether the ``Rows`` batch ``got`` holds the rows ``want``, byte for byte."""
+    indptr = np.array([0] + [len(i) for i, _ in want], dtype=np.int64).cumsum()
+    indices = np.concatenate([i for i, _ in want] + [np.zeros(0, np.int64)])
+    data = np.concatenate([v for _, v in want] + [np.zeros(0, np.float64)])
+    return got.dim == dim and all(
+        g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in ((got.indptr, indptr), (got.indices, indices), (got.data, data))
     )
 
 
@@ -301,16 +324,17 @@ class TestTermTable:
         held_only = set(table.terms) - seen
         assert held_only and held_only.isdisjoint(vocab.terms)  # c10's leakage rule
         X = table.vectorize(vocab, rows)
-        assert same_bytes(X, reference_vectors(train, train_trees, vocab, cfg))
-        assert same_bytes(X, vectorize_all(train, train_trees, vocab, cfg))
+        want = reference_vectors(train, train_trees, vocab, cfg)
+        assert same_bytes(X, want, vocab.size)
+        assert same_bytes(vectorize_all(train, train_trees, vocab, cfg), want, vocab.size)
 
         # the held-out rows, through the table and through a fresh one
         held_rows = table.document_rows([f"d{held}"])
         held_sents = docs[held]
         held_trees = [trees[r] for r in held_rows] if use_pos else None
         want = reference_vectors(held_sents, held_trees, vocab, cfg)
-        assert same_bytes(table.vectorize(vocab, held_rows), want)
-        assert same_bytes(vectorize_all(held_sents, held_trees, vocab, cfg), want)
+        assert same_bytes(table.vectorize(vocab, held_rows), want, vocab.size)
+        assert same_bytes(vectorize_all(held_sents, held_trees, vocab, cfg), want, vocab.size)
 
     def test_rows_are_sorted_term_ids_with_counts(self):
         table = TermTable([("b", "a", "b"), (), ("c",)], None, FeatureConfig(ngram_orders=(1,)))
@@ -318,8 +342,8 @@ class TestTermTable:
         assert table.indptr.tolist() == [0, 2, 2, 3]
         assert table.indices.tolist() == [0, 1, 2]
         assert table.tf.tolist() == [1.0, 2.0, 1.0]
-        vecs = table.vectorize(table.vocabulary())
-        assert [v.nnz for v in vecs] == [2, 0, 1]
+        X = table.vectorize(table.vocabulary())
+        assert X.indptr.tolist() == [0, 2, 2, 3]
 
     def test_missing_trees_rejected(self):
         cfg = FeatureConfig(ngram_orders=(1,), use_pos=True)

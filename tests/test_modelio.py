@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from claudette.modelio import (
 )
 from claudette.seqmodel import ChainModel
 from claudette.svm import KernelModel, LinearModel, TrainConfig, predict_kernel
-from claudette.treekernel import kernel_row
+from claudette.treekernel import CompiledTrees
 from claudette.trees import MAX_DEPTH, ParseTree, load_treebank, parse_bracketed
 
 
@@ -207,6 +208,60 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="unknown model kind 'mystery'"):
             load_model(path)
 
+    def edited(self, bundle: ModelBundle, edit, tmp_path) -> Path:
+        path = tmp_path / "m.json"
+        save_model(bundle, path)
+        rec = json.loads(path.read_text())
+        edit(rec)
+        path.write_bytes(canonical_json_bytes(rec))
+        return path
+
+    def make_chain_bundle(self):
+        model = ChainModel.zeros(("negative", "positive"), 3)
+        model.emissions[1, 2] = 1.5
+        vocab = Vocabulary(terms=("w1:a", "w1:b", "w1:c"), df=(1, 2, 1), n_fit=2)
+        return ModelBundle("chain", FeatureConfig(), vocab, model)
+
+    CHAIN_SHAPE_EDITS = {
+        "transitions-1x2-and-start-1": lambda p: p.update(transitions=[[0.0, 1.0]], start=[0.0]),
+        "transitions-2x3": lambda p: p.update(transitions=[[0.0, 0.0, 0.0]] * 2),
+        "start-3": lambda p: p.update(start=[0.0, 0.0, 0.0]),
+        "emissions-1-row": lambda p: p.update(emissions=p["emissions"][:1]),
+        "emissions-3-rows": lambda p: p.update(emissions=p["emissions"] + [[]]),
+        "one-label": lambda p: p.update(labels=["negative"], emissions=p["emissions"][:1],
+                                        transitions=[[0.0]], start=[0.0]),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(CHAIN_SHAPE_EDITS))
+    def test_chain_shapes_must_match_the_labels(self, edit, tmp_path):
+        path = self.edited(
+            self.make_chain_bundle(), lambda rec: self.CHAIN_SHAPE_EDITS[edit](rec["payload"]), tmp_path
+        )
+        with pytest.raises(ModelFormatError, match="chain emissions, transitions and start"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("kind", ["linear-bow", "chain", "fallback"])
+    def test_weight_index_must_be_within_the_dimension(self, kind, index, tmp_path):
+        if kind == "chain":
+            bundle = self.make_chain_bundle()
+
+            def edit(rec):
+                rec["payload"]["emissions"][1][0][0] = index
+        else:
+            bundle = self.make_bundle()
+            if kind == "fallback":
+                bundle.kind, bundle.fallback = "kernel-sstk", small_linear()
+                bundle.model = KernelModel(
+                    support_idx=np.array([0]), coef=np.array([1.0]), b=0.0, lam=0.4,
+                    normalized=True, n_train=2, kkt_violation=0.0, support_trees=[parse_bracketed("(S (A a))")],
+                )
+
+            def edit(rec):
+                (rec["fallback"] if kind == "fallback" else rec["payload"])["w"][0][0] = index
+        with pytest.raises(ModelFormatError, match=f"weight index {index} outside \\[0, 3\\)"):
+            load_model(self.edited(bundle, edit, tmp_path))
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("[1, 2, 3]")
@@ -250,7 +305,7 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
         result = predictor.analyze(text, trees)
         assert len(result.sentences) == len(trees)
         for sentence, tree in zip(result.sentences, trees):
-            row = kernel_row(tree, support_trees, lam=model.lam, normalize=model.normalized)
+            row = CompiledTrees(support_trees, model.lam, model.normalized).row(tree)
             assert sentence.scores["detection"] == predict_kernel(model, row)
     assert len(predictor.support.productions) == table_size
 

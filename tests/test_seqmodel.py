@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claudette.features import SparseVector
+from conftest import rows_from_pairs
+
 from claudette.modelio import canonical_json_bytes, chain_payload
 from claudette.seqmodel import (
     ChainModel,
@@ -26,12 +27,9 @@ from claudette.seqmodel import (
 from claudette.svm import DimensionMismatch, EmptyData, LengthMismatch, TrainConfig
 
 
-def sv(pairs, dim):
-    return SparseVector.from_pairs(pairs, dim)
-
-
-def unit(i, dim):
-    return sv([(i, 1.0)], dim)
+def unit(i):
+    """The (index, value) pairs of a one-hot sentence row."""
+    return [(i, 1.0)]
 
 
 def lattice_path_score(model, E, ys):
@@ -67,8 +65,9 @@ def per_row_emissions(model, xs):
     """Each emission row as the product of its own gather: the reference
     for the one-gather lattice."""
     E = np.empty((len(xs), model.n_labels), dtype=np.float64)
-    for t, x in enumerate(xs):
-        E[t] = model.emissions[:, x.indices] @ x.values if x.indices.size else 0.0
+    for t in range(len(xs)):
+        a, b = xs.indptr[t], xs.indptr[t + 1]
+        E[t] = model.emissions[:, xs.indices[a:b]] @ xs.data[a:b] if b > a else 0.0
     return E
 
 
@@ -100,8 +99,8 @@ def random_model_and_sequence(rng, max_len=8, max_labels=3, dim=5):
     xs = []
     for _ in range(k):
         idx = sorted(rng.sample(range(dim), rng.randint(0, dim - 1)))
-        xs.append(sv([(i, rng.uniform(-1, 1)) for i in idx], dim))
-    return model, xs
+        xs.append([(i, rng.uniform(-1, 1)) for i in idx])
+    return model, rows_from_pairs(xs, dim)
 
 
 class TestJointScore:
@@ -110,11 +109,11 @@ class TestJointScore:
         model.start[:] = [0.5, -0.5]
         model.emissions[1, 0] = 2.0
         model.transitions[:] = 99.0  # must not contribute
-        assert joint_score(model, [unit(0, 2)], [1]) == pytest.approx(-0.5 + 2.0)
+        assert joint_score(model, rows_from_pairs([unit(0)], 2), [1]) == pytest.approx(-0.5 + 2.0)
 
     def test_zero_model_scores_zero(self):
         model = ChainModel.zeros(["n", "p"], 3)
-        xs = [unit(0, 3), unit(2, 3)]
+        xs = rows_from_pairs([unit(0), unit(2)], 3)
         for ys in product(range(2), repeat=2):
             assert joint_score(model, xs, list(ys)) == 0.0
 
@@ -123,7 +122,7 @@ class TestJointScore:
         model.start[:] = [0.1, 0.2]
         model.emissions[:] = [[1.0, -1.0], [0.5, 2.0]]
         model.transitions[:] = [[0.0, -0.3], [0.7, 0.0]]
-        xs = [sv([(0, 2.0)], 2), sv([(1, 3.0)], 2)]
+        xs = rows_from_pairs([[(0, 2.0)], [(1, 3.0)]], 2)
         # start[1] + em[1].x1 + trans[1,0] + em[0].x2
         expected = 0.2 + (0.5 * 2.0) + 0.7 + (-1.0 * 3.0)
         assert joint_score(model, xs, [1, 0]) == pytest.approx(expected)
@@ -131,16 +130,16 @@ class TestJointScore:
     def test_errors(self):
         model = ChainModel.zeros(["n", "p"], 2)
         with pytest.raises(LengthMismatch):
-            joint_score(model, [unit(0, 2)], [0, 1])
+            joint_score(model, rows_from_pairs([unit(0)], 2), [0, 1])
         with pytest.raises(UnknownLabel):
-            joint_score(model, [unit(0, 2)], [5])
+            joint_score(model, rows_from_pairs([unit(0)], 2), [5])
 
 
 class TestViterbi:
     def test_zero_transitions_is_per_position_argmax(self):
         model = ChainModel.zeros(["n", "p"], 2)
         model.emissions[:] = np.eye(2)
-        xs = [unit(0, 2), unit(1, 2)]
+        xs = rows_from_pairs([unit(0), unit(1)], 2)
         ys, score = viterbi(model, xs)
         assert ys == [0, 1]
         assert score == pytest.approx(2.0)
@@ -150,7 +149,7 @@ class TestViterbi:
         model.emissions[0, 0] = 1.0
         model.emissions[1, 1] = 1.0
         model.transitions[0, 1] = -5.0
-        xs = [unit(0, 2), sv([(1, 2.0)], 2)]
+        xs = rows_from_pairs([unit(0), [(1, 2.0)]], 2)
         ys, score = viterbi(model, xs)
         assert ys == [1, 1]
         assert score == pytest.approx(2.0)
@@ -174,7 +173,7 @@ class TestViterbi:
 
     def test_tie_rule_prefers_low_labels(self):
         model = ChainModel.zeros(["a", "b", "c"], 2)
-        xs = [unit(0, 2), unit(1, 2), unit(0, 2)]
+        xs = rows_from_pairs([unit(0), unit(1), unit(0)], 2)
         ys, score = viterbi(model, xs)
         assert ys == [0, 0, 0]
         assert score == 0.0
@@ -197,7 +196,7 @@ def grid_chains(draw):
     model.transitions = np.array(w[L * k : L * k + L * L], dtype=np.float64).reshape(L, L)
     model.start = np.array(w[L * k + L * L :], dtype=np.float64)
     gold = draw(st.lists(st.integers(0, L - 1), min_size=k, max_size=k))
-    return model, [unit(t, k) for t in range(k)], gold
+    return model, rows_from_pairs([unit(t) for t in range(k)], k), gold
 
 
 class TestDecodeMatchesNumpyReference:
@@ -226,7 +225,8 @@ class TestEmissions:
         xs = []
         for n in (7, 0, 1, 12, 0, 3):  # includes empty rows
             idx = np.sort(rng.choice(dim, n, replace=False))
-            xs.append(SparseVector(idx, rng.normal(size=n), dim))
+            xs.append(list(zip(idx.tolist(), rng.normal(size=n))))
+        xs = rows_from_pairs(xs, dim)
         E = emission_matrix(model, xs)
         assert (E == per_row_emissions(model, xs)).all()
         assert (E[[1, 4]] == 0.0).all()
@@ -242,15 +242,15 @@ class TestEmissions:
         ]
         for call in [emission_matrix, viterbi] + with_gold:
             with pytest.raises(DimensionMismatch):
-                call(model, [unit(0, 3)])
+                call(model, rows_from_pairs([unit(0)], 3))
             with pytest.raises(EmptyData):
-                call(model, [])
+                call(model, rows_from_pairs([], 2))
 
 
 class TestLossAugmented:
     def test_zero_model_maximizes_hamming(self):
         model = ChainModel.zeros(["n", "p"], 2)
-        xs = [unit(0, 2)] * 4
+        xs = rows_from_pairs([unit(0)] * 4, 2)
         gold = [0, 0, 0, 0]
         ys, score = loss_augmented_viterbi(model, xs, gold)
         assert ys == [1, 1, 1, 1]  # lowest non-gold label everywhere
@@ -258,7 +258,7 @@ class TestLossAugmented:
 
     def test_zero_model_three_labels_ties(self):
         model = ChainModel.zeros(["a", "b", "c"], 2)
-        ys, score = loss_augmented_viterbi(model, [unit(0, 2)] * 2, [0, 1])
+        ys, score = loss_augmented_viterbi(model, rows_from_pairs([unit(0)] * 2, 2), [0, 1])
         assert ys == [1, 0]  # lowest non-gold label at each position
         assert score == pytest.approx(2.0)
 
@@ -266,7 +266,7 @@ class TestLossAugmented:
         model = ChainModel.zeros(["n", "p"], 2)
         model.emissions[0, 0] = 5.0
         model.emissions[1, 1] = 5.0
-        xs = [unit(0, 2), unit(1, 2)]
+        xs = rows_from_pairs([unit(0), unit(1)], 2)
         gold = [0, 1]
         ys, score = loss_augmented_viterbi(model, xs, gold)
         # per position: gold emission 5 vs competitor 0 + 1 loss; gold wins
@@ -277,7 +277,7 @@ class TestLossAugmented:
         rng = random.Random(31)
         for _ in range(30):
             model, xs = random_model_and_sequence(rng)
-            gold = [rng.randrange(model.n_labels) for _ in xs]
+            gold = [rng.randrange(model.n_labels) for _ in range(len(xs))]
             _, aug = loss_augmented_viterbi(model, xs, gold)
             assert aug >= joint_score(model, xs, gold) - 1e-9
 
@@ -285,7 +285,7 @@ class TestLossAugmented:
         rng = random.Random(404)
         for _ in range(100):
             model, xs = random_model_and_sequence(rng)
-            gold = [rng.randrange(model.n_labels) for _ in xs]
+            gold = [rng.randrange(model.n_labels) for _ in range(len(xs))]
             E_aug = augmented_emissions(model, xs, gold)
             expected_ys, expected_score = brute_force_best(model, E_aug)
             ys, score = loss_augmented_viterbi(model, xs, gold)
@@ -295,7 +295,7 @@ class TestLossAugmented:
     def test_length_mismatch(self):
         model = ChainModel.zeros(["n", "p"], 2)
         with pytest.raises(LengthMismatch):
-            loss_augmented_viterbi(model, [unit(0, 2)], [0, 1])
+            loss_augmented_viterbi(model, rows_from_pairs([unit(0)], 2), [0, 1])
 
 
 def separable_sequences(n_seq=10, seed=0):
@@ -306,9 +306,9 @@ def separable_sequences(n_seq=10, seed=0):
         xs, ys = [], []
         for _ in range(k):
             y = rng.randint(0, 1)
-            xs.append(unit(0 if y == 1 else 1, 2))
+            xs.append(unit(0 if y == 1 else 1))
             ys.append(y)
-        examples.append(SeqExample(tuple(xs), tuple(ys)))
+        examples.append(SeqExample(rows_from_pairs(xs, 2), tuple(ys)))
     return examples
 
 
@@ -360,9 +360,9 @@ def run_sequences(
             idx.add(4 + rng.randrange(7))
             if bias_dim:
                 idx.add(dims - 1)
-            xs.append(sv([(i, 1.0) for i in sorted(idx)], dims))
+            xs.append([(i, 1.0) for i in sorted(idx)])
             ys.append(1 if pos[t] else 0)
-        examples.append(SeqExample(tuple(xs), tuple(ys)))
+        examples.append(SeqExample(rows_from_pairs(xs, dims), tuple(ys)))
     return examples
 
 
@@ -398,9 +398,9 @@ def paired_cue_sequences(n_seq=40, k=16, dims=10, seed=5, n_pairs=2, n_traps=3):
             idx = {0} if (pos[t] or t in traps) else set()
             idx.add(1 + rng.randrange(7))
             idx.add(dims - 1)  # constant bias feature
-            xs.append(sv([(i, 1.0) for i in sorted(idx)], dims))
+            xs.append([(i, 1.0) for i in sorted(idx)])
             ys.append(1 if pos[t] else 0)
-        examples.append(SeqExample(tuple(xs), tuple(ys)))
+        examples.append(SeqExample(rows_from_pairs(xs, dims), tuple(ys)))
     return examples
 
 
@@ -423,7 +423,7 @@ class TestTrainChain:
         assert trained < untrained
 
     def test_single_length_one_example(self):
-        example = SeqExample((unit(0, 2),), (1,))
+        example = SeqExample(rows_from_pairs([unit(0)], 2), (1,))
         model = train_chain([example], TrainConfig(seed=0, C=10.0))
         pred, _ = viterbi(model, example.xs)
         assert pred == [1]
@@ -468,12 +468,12 @@ class TestTrainChain:
 
     def test_dimension_mismatch(self):
         examples = [
-            SeqExample((unit(0, 2),), (0,)),
-            SeqExample((unit(0, 3),), (0,)),
+            SeqExample(rows_from_pairs([unit(0)], 2), (0,)),
+            SeqExample(rows_from_pairs([unit(0)], 3), (0,)),
         ]
         with pytest.raises(DimensionMismatch):
             train_chain(examples, TrainConfig())
 
     def test_label_set_too_small(self):
         with pytest.raises(UnknownLabel):
-            train_chain([SeqExample((unit(0, 2),), (3,))], TrainConfig(), labels=("n", "p"))
+            train_chain([SeqExample(rows_from_pairs([unit(0)], 2), (3,))], TrainConfig(), labels=("n", "p"))

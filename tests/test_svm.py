@@ -3,12 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from claudette.features import SparseVector
+from conftest import rows_from_pairs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from claudette.modelio import canonical_json_bytes, linear_payload
 from claudette.svm import (
     DimensionMismatch,
     EmptyData,
     KernelModel,
+    LinearModel,
     LengthMismatch,
     NotSquare,
     SingleClass,
@@ -24,11 +28,7 @@ from claudette.svm import (
 from claudette.treekernel import KernelGram
 
 
-def sv(pairs, dim):
-    return SparseVector.from_pairs(pairs, dim)
-
-
-TWO_POINTS = [sv([(0, 1.0)], 1), sv([(0, -1.0)], 1)]
+TWO_POINTS = rows_from_pairs([[(0, 1.0)], [(0, -1.0)]], 1)
 TWO_LABELS = [1, -1]
 
 
@@ -36,16 +36,16 @@ def separable_blobs(n=200, dim=20, margin=0.5, seed=3):
     """Points with |first coordinate| >= margin deciding the label; noise in
     the remaining coordinates is too small to interfere."""
     rng = np.random.default_rng(seed)
-    X, y = [], []
+    rows, y = [], []
     for i in range(n):
         label = 1 if i % 2 == 0 else -1
         first = label * (margin + rng.uniform(0.0, 1.0))
         pairs = [(0, first)]
         for j in rng.choice(np.arange(1, dim), size=4, replace=False):
             pairs.append((int(j), rng.uniform(-0.3, 0.3)))
-        X.append(sv(pairs, dim))
+        rows.append(sorted(pairs))
         y.append(label)
-    return X, y
+    return rows_from_pairs(rows, dim), y
 
 
 class TestTrainLinear:
@@ -53,8 +53,9 @@ class TestTrainLinear:
         cfg = TrainConfig(C=10.0, tol=1e-6)
         model = train_linear(TWO_POINTS, TWO_LABELS, cfg)
         assert model.w[0] > 0
-        assert predict_linear(model, TWO_POINTS[0]) > 0
-        assert predict_linear(model, TWO_POINTS[1]) < 0
+        positive, negative = predict_linear(model, TWO_POINTS)
+        assert positive > 0
+        assert negative < 0
 
     def test_two_point_objective_matches_analytic_optimum(self):
         # Minimizing 0.5*w^2 + 10*[hinge(w+b) + hinge(w-b)] over (w, b) gives
@@ -69,13 +70,13 @@ class TestTrainLinear:
         X, y = separable_blobs()
         model = train_linear(X, y, TrainConfig(C=10.0, tol=1e-4))
         errors = sum(
-            1 for xi, yi in zip(X, y) if (predict_linear(model, xi) >= 0) != (yi > 0)
+            1 for score, yi in zip(predict_linear(model, X), y) if (score >= 0) != (yi > 0)
         )
         assert errors == 0
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            train_linear([], [], TrainConfig())
+            train_linear(rows_from_pairs([], 1), [], TrainConfig())
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -84,7 +85,7 @@ class TestTrainLinear:
     def test_single_class_allowed_with_warning(self):
         model = train_linear(TWO_POINTS, [1, 1], TrainConfig())
         assert model.warning is not None and "single-class" in model.warning
-        assert predict_linear(model, TWO_POINTS[0]) >= 0
+        assert predict_linear(model, TWO_POINTS)[0] >= 0
 
     def test_sweep_cap_reports_no_convergence(self):
         X, y = separable_blobs(n=60)
@@ -116,26 +117,40 @@ class TestTrainLinear:
         )
 
 
+# a batch of up to 8 rows over dim 12: each row a sorted set of columns with
+# weights, empty rows included
+ROW_BATCHES = st.lists(
+    st.dictionaries(st.integers(0, 11), st.floats(-10, 10, allow_nan=False), max_size=12),
+    max_size=8,
+).map(lambda rows: rows_from_pairs([sorted(r.items()) for r in rows], 12))
+
+
 class TestPredictLinear:
     def test_zero_model_returns_bias(self):
-        from claudette.svm import LinearModel
-
         model = LinearModel(w=np.zeros(4), b=0.25)
-        assert predict_linear(model, sv([(1, 5.0)], 4)) == 0.25
+        assert predict_linear(model, rows_from_pairs([[(1, 5.0)], []], 4)) == [0.25, 0.25]
 
     def test_unit_self_dot(self):
-        from claudette.svm import LinearModel
-
-        x = sv([(0, 0.6), (1, 0.8)], 2)
+        x = rows_from_pairs([[(0, 0.6), (1, 0.8)]], 2)
         model = LinearModel(w=np.array([0.6, 0.8]), b=0.0)
-        assert predict_linear(model, x) == pytest.approx(1.0)
+        assert predict_linear(model, x) == [pytest.approx(1.0)]
 
     def test_dimension_mismatch(self):
-        from claudette.svm import LinearModel
-
         model = LinearModel(w=np.zeros(4), b=0.0)
         with pytest.raises(DimensionMismatch):
-            predict_linear(model, sv([(0, 1.0)], 3))
+            predict_linear(model, rows_from_pairs([[(0, 1.0)]], 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=ROW_BATCHES, seed=st.integers(0, 2**32 - 1))
+    def test_scores_equal_the_per_row_dot(self, X, seed):
+        rng = np.random.default_rng(seed)
+        model = LinearModel(w=rng.normal(size=12), b=float(rng.normal()))
+        want = []
+        for r in range(len(X)):
+            a, b = X.indptr[r], X.indptr[r + 1]
+            idx, vals = X.indices[a:b], X.data[a:b]
+            want.append((float(np.dot(model.w[idx], vals)) if b > a else 0.0) + model.b)
+        assert predict_linear(model, X) == want
 
 
 def identity_gram(n=2):

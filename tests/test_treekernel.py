@@ -17,7 +17,6 @@ from claudette.treekernel import (
     enumerate_fragments_oracle,
     fragment_pair_kernel,
     gram_matrix,
-    kernel_row,
     random_tree,
     sstk,
     sstk_normalized,
@@ -222,7 +221,7 @@ class TestGramMatrix:
         rng = random.Random(21)
         trees = [random_tree(rng, max_nodes=10) for _ in range(6)]
         gram = gram_matrix(trees, lam=0.4, normalize=True)
-        row = kernel_row(trees[2], trees, lam=0.4, normalize=True)
+        row = CompiledTrees(trees, 0.4, True).row(trees[2])
         assert np.allclose(row, gram.matrix[2], atol=1e-12)
 
 
@@ -265,7 +264,7 @@ def test_gram_and_kernel_row_entries_equal_the_pairwise_formula(normalize):
                 want = expected(trees[min(i, j)], trees[max(i, j)])
             assert gram[i, j] == want, (i, j)
     for tree in trees[:3] + [probe]:
-        row = kernel_row(tree, trees, lam=lam, normalize=normalize)
+        row = CompiledTrees(trees, lam, normalize).row(tree)
         assert row.tolist() == [expected(tree, other) for other in trees]
 
 
