@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import seqmodel, svm, treekernel
 from .corpus import Sentence, segment_sentences
-from .features import vectorize_all
+from .features import MissingTree, vectorize_all
 from .modelio import ModelBundle, canonical_json_bytes
 from .trees import ParseTree
 
@@ -103,7 +103,7 @@ class Predictor:
         else:
             if self.kernel is not None:
                 if not self.linear:
-                    raise ValueError("kernel model has no linear fallback and no trees were supplied")
+                    raise MissingTree("kernel model has no linear fallback and no trees were supplied")
                 warnings.append("no parse trees supplied; fell back to the embedded linear model")
             X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
             scores = {name: svm.predict_linear(m, X) for name, m in self.linear.items()}

@@ -70,15 +70,14 @@ class Rows:
         return Rows(indptr - a, self.indices[a:b], self.data[a:b], self.dim)
 
     def dot(self, w: np.ndarray) -> list[float]:
-        """``w . x`` of every row: one ``np.dot`` per row, 0.0 for an empty row."""
+        """``w . x`` of every row: one dot product per row out of one gather,
+        0.0 for an empty row."""
         if w.shape[0] != self.dim:
             raise DimensionMismatch(f"input dim {self.dim} != weights dim {w.shape[0]}")
         gathered = w[self.indices]
+        data = self.data
         bounds = self.indptr.tolist()
-        return [
-            float(np.dot(gathered[a:b], self.data[a:b])) if b > a else 0.0
-            for a, b in zip(bounds, bounds[1:])
-        ]
+        return [float(gathered[a:b].dot(data[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 class Vocabulary:

@@ -133,39 +133,53 @@ def train_linear(X: Rows, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     if np.all(y_arr > 0) or np.all(y_arr < 0):
         warning = f"single-class training set (all {int(y_arr[0]):+d})"
 
-    C_arr = box_constraints(cfg, y_arr)
     n = len(X)
     bounds = X.indptr.tolist()
-    idx_list = [X.indices[a:b] for a, b in zip(bounds, bounds[1:])]
-    val_list = [X.data[a:b] for a, b in zip(bounds, bounds[1:])]
-    # Q_ii with the augmented bias feature (constant 1)
-    q_diag = np.array([float(np.dot(v, v)) + 1.0 for v in val_list])
+    y_list = y_arr.tolist()
+    C_list = box_constraints(cfg, y_arr).tolist()
+    # per row: (columns, values, y_i, C_i, Q_ii), with Q_ii including the
+    # augmented bias feature (constant 1).  The step below works on Python
+    # floats: numpy scalar arithmetic and call dispatch would cost more than
+    # the product over the row's few nonzeros itself.
+    rows = []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        vals = X.data[a:b]
+        rows.append((X.indices[a:b], vals, y_list[i], C_list[i], float(vals.dot(vals)) + 1.0))
 
     w = np.zeros(X.dim, dtype=np.float64)
     w_b = 0.0
-    alpha = np.zeros(n, dtype=np.float64)
+    alpha = [0.0] * n
     rng = np.random.default_rng(cfg.seed)
 
     for _ in range(cfg.max_iter):
         max_violation = 0.0
-        for i in rng.permutation(n):
-            idx, vals, yi, ci = idx_list[i], val_list[i], y_arr[i], C_arr[i]
-            score = (float(np.dot(w[idx], vals)) if idx.size else 0.0) + w_b
-            g = yi * score - 1.0
+        for i in rng.permutation(n).tolist():
+            idx, vals, yi, ci, qi = rows[i]
+            wi = w[idx]
+            g = yi * (float(wi.dot(vals)) + w_b) - 1.0
             a = alpha[i]
+            # the projected gradient, and then the new alpha clipped to
+            # [0, C_i]; the comparisons pick the same operand as min/max would
             if a <= 0.0:
-                pg = min(g, 0.0)
+                pg = 0.0 if g > 0.0 else g
             elif a >= ci:
-                pg = max(g, 0.0)
+                pg = 0.0 if g < 0.0 else g
             else:
                 pg = g
             if pg != 0.0:
-                max_violation = max(max_violation, abs(pg))
-                new_a = min(max(a - g / q_diag[i], 0.0), ci)
+                if abs(pg) > max_violation:
+                    max_violation = abs(pg)
+                new_a = a - g / qi
+                if new_a < 0.0:
+                    new_a = 0.0
+                elif new_a > ci:
+                    new_a = ci
                 d = (new_a - a) * yi
                 if d != 0.0:
                     alpha[i] = new_a
-                    w[idx] += d * vals
+                    # columns within a row are distinct, so this equals w[idx] += d * vals
+                    wi += d * vals
+                    w[idx] = wi
                     w_b += d
         if max_violation < cfg.tol:
             break

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from claudette.cli import main
 from claudette.corpus import load_corpus
 from claudette.features import Rows
 
@@ -63,3 +65,22 @@ def planted_corpus():
 @pytest.fixture(scope="session")
 def adjacency_corpus():
     return load_corpus(FIXTURES / "adjacency")
+
+
+@pytest.fixture(scope="session")
+def mini_kernel_model(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("kernel") / "k.json"
+    train = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+    train += ["--trees", str(FIXTURES / "mini_trees.txt"), "--seed", "3", "--out", str(out)]
+    assert main(train) == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def mini_kernel_model_without_fallback(mini_kernel_model, tmp_path_factory) -> Path:
+    """The mini kernel model file with its linear fallback deleted."""
+    rec = json.loads(mini_kernel_model.read_text(encoding="utf-8"))
+    del rec["fallback"]
+    out = tmp_path_factory.mktemp("kernel") / "no_fallback.json"
+    out.write_text(json.dumps(rec), encoding="utf-8")
+    return out

@@ -610,14 +610,13 @@ class TestPredictCommand:
         record = json.loads(captured.out)
         assert record["warnings"], "fallback warning recorded in the result"
 
-
-@pytest.fixture(scope="module")
-def mini_kernel_model(tmp_path_factory):
-    out = tmp_path_factory.mktemp("kernel") / "k.json"
-    train = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
-    train += ["--trees", str(FIXTURES / "mini_trees.txt"), "--seed", "3", "--out", str(out)]
-    assert main(train) == 0
-    return out
+    def test_kernel_model_without_fallback_or_trees_exits_3(self, mini_kernel_model_without_fallback, capsys):
+        model = str(mini_kernel_model_without_fallback)
+        code = main(["predict", "--model", model, "--input", str(FIXTURES / "mini" / "alpha.txt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no linear fallback" in err
+        assert "Traceback" not in err
 
 
 def corrupt_model(rec: dict, corruption: str) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import urllib.error
@@ -37,15 +38,22 @@ def served_model(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def server(served_model):
-    bundle = load_model(served_model)
-    srv = make_server(bundle, port=0, max_bytes=4096)
+@contextlib.contextmanager
+def serving(model_path: Path):
+    srv = make_server(load_model(model_path), port=0, max_bytes=4096)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    srv.server_close()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+@pytest.fixture(scope="module")
+def server(served_model):
+    with serving(served_model) as srv:
+        yield srv
 
 
 def _url(server, path):
@@ -144,3 +152,13 @@ class TestAnalyze:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda b: _post(server, b).read(), bodies))
         assert results == expected
+
+
+def test_kernel_model_without_fallback_answers_400(mini_kernel_model_without_fallback):
+    with serving(mini_kernel_model_without_fallback) as srv:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(srv, b"The provider may terminate the account at any time.")
+    assert err.value.code == 400
+    assert json.loads(err.value.read()) == {
+        "error": "this model needs parse trees, which the service cannot supply"
+    }

@@ -48,6 +48,68 @@ def separable_blobs(n=200, dim=20, margin=0.5, seed=3):
     return rows_from_pairs(rows, dim), y
 
 
+def reference_train_linear(X, y, cfg: TrainConfig) -> LinearModel:
+    """DCD with numpy scalars, ``min``/``max`` clipping and a second gather
+    per update: the reference that ``train_linear`` must match bit for bit."""
+    y_arr = np.asarray(y, dtype=np.float64)
+    warning = None
+    if np.all(y_arr > 0) or np.all(y_arr < 0):
+        warning = f"single-class training set (all {int(y_arr[0]):+d})"
+    C_arr = box_constraints(cfg, y_arr)
+    n = len(X)
+    bounds = X.indptr.tolist()
+    idx_list = [X.indices[a:b] for a, b in zip(bounds, bounds[1:])]
+    val_list = [X.data[a:b] for a, b in zip(bounds, bounds[1:])]
+    q_diag = np.array([float(np.dot(v, v)) + 1.0 for v in val_list])
+    w = np.zeros(X.dim, dtype=np.float64)
+    w_b = 0.0
+    alpha = np.zeros(n, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.max_iter):
+        max_violation = 0.0
+        for i in rng.permutation(n):
+            idx, vals, yi, ci = idx_list[i], val_list[i], y_arr[i], C_arr[i]
+            score = (float(np.dot(w[idx], vals)) if idx.size else 0.0) + w_b
+            g = yi * score - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= ci:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                max_violation = max(max_violation, abs(pg))
+                new_a = min(max(a - g / q_diag[i], 0.0), ci)
+                d = (new_a - a) * yi
+                if d != 0.0:
+                    alpha[i] = new_a
+                    w[idx] += d * vals
+                    w_b += d
+        if max_violation < cfg.tol:
+            break
+    else:
+        warning = (f"no-convergence: max projected-gradient violation {max_violation:.3e} "
+                   f"after {cfg.max_iter} sweeps")
+    return LinearModel(w=w, b=float(w_b), warning=warning)
+
+
+def random_rows(n, dim, seed, empty_share=0.1):
+    """n rows over dim columns with 0-8 nonzeros each, some rows empty, and
+    labels that a sparse hidden direction mostly decides."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=dim)
+    rows, y = [], []
+    for _ in range(n):
+        k = 0 if rng.random() < empty_share else int(rng.integers(1, 9))
+        cols = np.sort(rng.choice(dim, size=k, replace=False))
+        vals = rng.uniform(0.05, 1.0, size=k)
+        rows.append(list(zip(cols.tolist(), vals.tolist())))
+        margin = float(direction[cols] @ vals) + rng.normal(scale=0.3)
+        y.append(1 if margin > 0.4 else -1)
+    return rows_from_pairs(rows, dim), y
+
+
 class TestTrainLinear:
     def test_two_point_separable(self):
         cfg = TrainConfig(C=10.0, tol=1e-6)
@@ -115,6 +177,46 @@ class TestTrainLinear:
         assert canonical_json_bytes(linear_payload(m1)) == canonical_json_bytes(
             linear_payload(m2)
         )
+
+
+class TestReferenceSolver:
+    """``train_linear`` against ``reference_train_linear``: the same weights,
+    bias and warning, to the last bit."""
+
+    @staticmethod
+    def assert_identical(X, y, cfg):
+        got, want = train_linear(X, y, cfg), reference_train_linear(X, y, cfg)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert np.array_equal(got.w, want.w)
+        assert got.b == want.b
+        assert got.warning == want.warning
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_batches(self, seed):
+        X, y = random_rows(120, 40, seed)
+        assert len(set(y)) == 2
+        assert any(X.indptr[r] == X.indptr[r + 1] for r in range(len(X)))
+        self.assert_identical(X, y, TrainConfig(C=[0.1, 1.0, 10.0][seed % 3], seed=seed))
+
+    def test_all_rows_empty(self):
+        X = rows_from_pairs([[], [], [], []], 5)
+        self.assert_identical(X, [1, -1, -1, 1], TrainConfig(seed=2))
+
+    def test_single_class(self):
+        X, _ = random_rows(40, 20, seed=7)
+        for label in (1, -1):
+            model = self.assert_identical(X, [label] * len(X), TrainConfig(seed=4))
+            assert model.warning.startswith("single-class")
+
+    def test_explicit_positive_weight(self):
+        X, y = random_rows(80, 30, seed=9)
+        self.assert_identical(X, y, TrainConfig(C=2.0, positive_weight=3.5, seed=1))
+
+    def test_sweep_cap(self):
+        X, y = random_rows(80, 30, seed=11)
+        model = self.assert_identical(X, y, TrainConfig(C=5.0, max_iter=1, seed=5))
+        assert model.warning.startswith("no-convergence: ")
 
 
 # a batch of up to 8 rows over dim 12: each row a sorted set of columns with
