@@ -6,13 +6,14 @@ produced and to rebuild them after a generator change.  Regenerating rewrites
 corpora, treebanks, the mini-corpus golden files ``mini_golden.json`` (the
 stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout), and the
 LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
---json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus, and
-``planted_<model>_model_golden.json``, the model files of ``train --task
-detect --model <model> --seed 7`` on ``planted`` for ``linear`` (linear-bow)
-and ``chain``, which pin the trainers' weights, and
-``planted_predict_<kind>_golden.json``, the ``predict`` stdout of those two
-models on the first ``planted`` document's plain text, which pins the
-emitted score bytes.
+--json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus and
+of ``kernel-sstk`` (with the corpus's ``--trees``) on each of
+``KERNEL_LOO_CORPORA``, and ``planted_<model>_model_golden.json``, the
+model files of ``train --task detect --model <model> --seed 7`` on
+``planted`` for ``linear`` (linear-bow) and ``chain``, which pin the
+trainers' weights, and ``planted_predict_<kind>_golden.json``, the
+``predict`` stdout of those two models on the first ``planted`` document's
+plain text, which pins the emitted score bytes.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -37,6 +38,7 @@ from claudette.synthetic import generate_fixture_set  # noqa: E402
 
 CORPORA = ("mini", "planted", "adjacency")
 LOO_GOLDEN_KINDS = ("linear-bow", "chain", "category-ovr")
+KERNEL_LOO_CORPORA = ("planted", "adjacency")
 LOO_GOLDEN_SEED = 7
 # model kind -> its pinned model file on planted
 MODEL_GOLDENS = {"linear-bow": "planted_linear_model_golden.json",
@@ -67,6 +69,13 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit(f"evaluate failed: {kind} on {name}")
+    for name in KERNEL_LOO_CORPORA:
+        argv = ["evaluate", "--corpus", str(root / name), "--model-kind", "kernel-sstk"]
+        argv += ["--trees", str(root / f"{name}_trees.txt"), "--seed", str(LOO_GOLDEN_SEED)]
+        argv += ["--json", str(root / f"{name}_loo_kernel-sstk_golden.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise SystemExit(f"evaluate failed: kernel-sstk on {name}")
 
     first = load_corpus(root / "planted").documents[0]
     with tempfile.TemporaryDirectory() as tmp:

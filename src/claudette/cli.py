@@ -17,6 +17,7 @@ from .analyze import TreeAlignmentError, analyze_text, result_json
 from .corpus import CorpusError, EmptyCorpus, corpus_fingerprint, corpus_stats, load_corpus
 from .features import FeatureConfig, MissingTree
 from .modelio import (
+    CorpusTable,
     MissingTreebank,
     ModelBundle,
     ModelFormatError,
@@ -161,17 +162,12 @@ def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> ModelBundl
     corpus = load_corpus(args.corpus, lenient=args.lenient)
     treebank = load_treebank(args.trees, corpus) if args.trees else None
     kind = "category-ovr" if args.task == "category" else args.model
-    fit_args = (
-        corpus.documents,
-        treebank,
-        settings.feature_config,
-        settings.train_config,
-        settings.lam,
-        settings.kernel_normalize,
+    table = CorpusTable(
+        corpus.documents, treebank, settings.feature_config, settings.lam, settings.kernel_normalize
     )
-    bundle = fit(kind, *fit_args)
+    bundle = fit(kind, table, settings.train_config)
     if kind == "kernel-sstk":
-        bundle.fallback = fit("linear-bow", *fit_args).model
+        bundle.fallback = fit("linear-bow", table, settings.train_config).model
     bundle.metadata["task"] = args.task
     bundle.metadata["corpus_fingerprint"] = corpus_fingerprint(args.corpus)
     return bundle
@@ -216,6 +212,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as err:
         return _fail(str(err), DATA_ERROR)
+    except UnicodeDecodeError as err:
+        return _fail(f"{args.input}: not valid UTF-8: {err}", DATA_ERROR)
     trees = None
     if args.trees:
         try:
@@ -261,6 +259,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return _fail(str(err), USAGE_ERROR)
     except CorpusError as err:
         return _fail(str(err), DATA_ERROR)
+    except OSError as err:
+        return _fail(str(err), USAGE_ERROR)
 
     treebank = None
     if args.trees:

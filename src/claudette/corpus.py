@@ -468,7 +468,10 @@ def load_corpus(directory: str | Path, lenient: bool = False) -> Corpus:
         if name in seen:
             raise CorpusError(f"duplicate document name {name!r}")
         seen.add(name)
-        raw = path.read_text(encoding="utf-8")
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise CorpusError(f"{path}: not valid UTF-8: {err}") from None
         documents.append(parse_document(name, raw, lenient=lenient))
     return Corpus(documents=tuple(documents))
 

@@ -2,8 +2,9 @@
 
 Holding out whole documents prevents within-document leakage: per fold the
 vocabulary, IDF statistics, and kernel rows are computed from the training
-documents only.  Term extraction does not depend on the fold, so it runs once
-per evaluation.  Counts are pooled across folds before computing metrics.
+documents only.  Term extraction and kernel values do not depend on the fold,
+so they are computed once per evaluation.  Counts are pooled across folds
+before computing metrics.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Sequence
 from . import svm, treekernel
 from .analyze import Predictor
 from .corpus import CATEGORY_BY_SYMBOL, ClauseCategory, Corpus, LabeledSentence, StatsTable
-from .features import FeatureConfig, TermTable
-from .modelio import MissingTreebank, ModelBundle, document_trees, fit, term_table
+from .features import FeatureConfig
+from .modelio import CorpusTable, MissingTreebank, ModelBundle, document_trees, fit
 from .svm import LengthMismatch
 from .trees import ParseTree
 
@@ -202,20 +203,10 @@ def compute_metrics(
 # ---------------------------------------------------------------------------
 
 def fit_detection_fold(
-    corpus: Corpus,
-    fold: FoldSplit,
-    feature_cfg: FeatureConfig,
-    model_kind: str,
-    train_cfg: svm.TrainConfig,
-    treebank: dict[str, list[ParseTree]] | None = None,
-    lam: float = treekernel.DEFAULT_LAMBDA,
-    normalize: bool = True,
-    terms: TermTable | None = None,
+    table: CorpusTable, fold: FoldSplit, model_kind: str, train_cfg: svm.TrainConfig
 ) -> ModelBundle:
-    """Fit one fold's model on the fold's training documents only; ``terms``
-    may cover the whole corpus, since only training rows enter the fit."""
-    train_docs = [corpus.document(name) for name in fold.train]
-    return fit(model_kind, train_docs, treebank, feature_cfg, train_cfg, lam, normalize, terms)
+    """Fit one fold's model on the fold's training documents only."""
+    return fit(model_kind, table, train_cfg, fold.train)
 
 
 def run_detection_eval(
@@ -232,17 +223,17 @@ def run_detection_eval(
     Each fold is fitted by :func:`fit_detection_fold` and its held-out
     document predicted by a :class:`Predictor`, the code ``train`` and
     ``predict`` run.  ``category-ovr`` models also score the categories.
-    Every sentence's terms are extracted once, into one table the folds share.
+    The work that does not depend on the fold (every sentence's terms and,
+    for kernel models, the corpus Gram) is done once, in one
+    :class:`CorpusTable` the folds share.
     """
-    terms = term_table(corpus.documents, treebank, feature_cfg)
+    table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
 
     def fold_report(fold: FoldSplit) -> MetricsReport:
         # a function, so the fold's model is freed before the next one is fitted
         held = corpus.document(fold.held_out)
         try:
-            bundle = fit_detection_fold(
-                corpus, fold, feature_cfg, model_kind, train_cfg, treebank, lam, normalize, terms
-            )
+            bundle = fit_detection_fold(table, fold, model_kind, train_cfg)
             trees = document_trees(treebank, [held]) if treebank is not None else None
         except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
             raise type(err)(f"fold {fold.held_out}: {err}") from err

@@ -7,13 +7,14 @@ A :class:`ModelBundle` holds its fitted models as typed objects.  Only
 four model kinds, holding the feature config, the vocabulary, the
 kind-specific payload, and training metadata.  Serialization is canonical
 (sorted keys, fixed separators, shortest float repr), so loading a file and
-saving it again is byte-identical.  :func:`fit` builds a bundle from tagged
-documents; ``train`` and every LOO fold call it.
+saving it again is byte-identical.  :func:`fit` builds a bundle from the
+documents of a :class:`CorpusTable`; ``train`` and every LOO fold call it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -321,50 +322,57 @@ def document_trees(
     return trees
 
 
-def term_table(
-    documents: Sequence[Document],
-    treebank: dict[str, list[ParseTree]] | None,
-    feature_cfg: FeatureConfig,
-) -> TermTable:
-    """The term counts of every sentence of ``documents``, rows named by document."""
-    sentences = [ls for doc in documents for ls in doc.sentences]
-    trees = document_trees(treebank, documents) if feature_cfg.use_pos else None
-    return TermTable(
-        sentences, trees, feature_cfg, [(doc.name, len(doc.sentences)) for doc in documents]
-    )
+class CorpusTable:
+    """The work over a corpus that no fold changes, done once per run: the
+    documents by name, every sentence's terms (a :class:`TermTable` with rows
+    named by document), the trees in corpus order, the tree kernel's ``lam``
+    and ``normalize``, and the corpus Gram, built on first use."""
+
+    def __init__(
+        self,
+        documents: Sequence[Document],
+        treebank: dict[str, list[ParseTree]] | None,
+        feature_cfg: FeatureConfig,
+        lam: float = treekernel.DEFAULT_LAMBDA,
+        normalize: bool = True,
+    ):
+        self.documents = {doc.name: doc for doc in documents}
+        self.lam, self.normalize = lam, normalize
+        self._treebank = treebank
+        sentences = [ls for doc in documents for ls in doc.sentences]
+        spans = [(doc.name, len(doc.sentences)) for doc in documents]
+        self.terms = TermTable(sentences, self.trees if feature_cfg.use_pos else None, feature_cfg, spans)
+
+    @functools.cached_property
+    def trees(self) -> list[ParseTree]:
+        """Every sentence's parse tree, in corpus order."""
+        return document_trees(self._treebank, self.documents.values())
+
+    @functools.cached_property
+    def gram(self) -> treekernel.KernelGram:
+        """Every pair's kernel value; a fold's Gram is its training block."""
+        return treekernel.gram_matrix(self.trees, lam=self.lam, normalize=self.normalize)
 
 
 def fit(
-    kind: str,
-    documents: Sequence[Document],
-    treebank: dict[str, list[ParseTree]] | None,
-    feature_cfg: FeatureConfig,
-    train_cfg: TrainConfig,
-    lam: float = treekernel.DEFAULT_LAMBDA,
-    normalize: bool = True,
-    terms: TermTable | None = None,
+    kind: str, table: CorpusTable, train_cfg: TrainConfig, names: Sequence[str] | None = None
 ) -> ModelBundle:
-    """Fit a ``kind`` model on ``documents``.
-
-    ``treebank`` maps document names to per-sentence trees; only kernel models
-    and POS features read it.  ``lam`` and ``normalize`` configure the tree
-    kernel.  ``terms`` is a :func:`term_table` over ``documents`` or more
-    (LOO passes one built for the whole corpus to every fold); only the rows
-    of ``documents`` enter the vocabulary, and without it ``fit`` builds its
-    own.  Solver warnings stay on the fitted models (see
-    :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries no linear
-    fallback; ``train`` attaches one from a second, ``linear-bow`` fit, which
-    is what the kernel bundle's vocabulary serves.
+    """Fit a ``kind`` model on the documents of ``table`` named by ``names``
+    (all by default).  Only their rows enter the vocabulary and the solver,
+    so a fold fitted from a table over the whole corpus equals one fitted from
+    a table over its training documents.  Solver warnings stay on the fitted
+    models (see :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries
+    no linear fallback; ``train`` attaches one from a second, ``linear-bow``
+    fit, which is what the kernel bundle's vocabulary serves.
     """
     if kind not in MODEL_KINDS:
         raise UnknownModelKind(kind)
-    if terms is None:
-        terms = term_table(documents, treebank, feature_cfg)
-    elif terms.config != feature_cfg:
-        raise ValueError("the term table was built under another feature config")
+    if names is None:
+        names = list(table.documents)
+    documents = [table.documents[name] for name in names]
     sentences = [ls for doc in documents for ls in doc.sentences]
-    rows = terms.document_rows([doc.name for doc in documents])
-    vocab = terms.vocabulary(rows)
+    rows = table.terms.document_rows(names)
+    vocab = table.terms.vocabulary(rows)
     y = [1 if ls.detection_label else -1 for ls in sentences]
     metadata = {
         "seed": train_cfg.seed,
@@ -374,14 +382,14 @@ def fit(
     }
 
     if kind == "kernel-sstk":
-        trees = document_trees(treebank, documents)
-        gram = treekernel.gram_matrix(trees, lam=lam, normalize=normalize)
-        model = svm.train_smo(gram, y, train_cfg)
-        model.support_trees = [trees[i] for i in model.support_idx]
-        metadata["lambda"] = lam
-        metadata["kernel_normalize"] = normalize
+        gram = table.gram
+        block = dataclasses.replace(gram, matrix=gram.matrix[np.ix_(rows, rows)])
+        model = svm.train_smo(block, y, train_cfg)
+        model.support_trees = [table.trees[rows[i]] for i in model.support_idx]
+        metadata["lambda"] = table.lam
+        metadata["kernel_normalize"] = table.normalize
     else:
-        X = terms.vectorize(vocab, rows)
+        X = table.terms.vectorize(vocab, rows)
         if kind == "linear-bow":
             model = svm.train_linear(X, y, train_cfg)
         elif kind == "category-ovr":
@@ -391,13 +399,14 @@ def fit(
                 )
                 for cat in ClauseCategory
             }
-        else:  # chain: each document is one sequence
+        else:  # chain: each document with sentences is one sequence
             examples = []
             pos = 0
             for doc in documents:
                 k = len(doc.sentences)
-                ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
-                examples.append(seqmodel.SeqExample(xs=X[pos : pos + k], ys=ys))
+                if k:
+                    ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
+                    examples.append(seqmodel.SeqExample(xs=X[pos : pos + k], ys=ys))
                 pos += k
             model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
-    return ModelBundle(kind, feature_cfg, vocab, model, metadata)
+    return ModelBundle(kind, table.terms.config, vocab, model, metadata)

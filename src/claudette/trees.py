@@ -207,7 +207,11 @@ def read_treebank_groups(path: str | Path) -> list[list[ParseTree]]:
     """Blank-line-separated groups of one-tree-per-line."""
     groups: list[list[ParseTree]] = []
     current: list[ParseTree] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise TreeParseError(f"{path}: not valid UTF-8: {err}") from None
+    for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
             if current:

@@ -34,7 +34,7 @@ from claudette.evaluation import (
     run_detection_eval,
 )
 from claudette.features import FeatureConfig
-from claudette.modelio import canonical_json_bytes, load_model
+from claudette.modelio import CorpusTable, canonical_json_bytes, load_model
 from claudette.seqmodel import (
     ChainModel,
     augmented_emissions,
@@ -351,7 +351,10 @@ def test_c10_no_leakage_across_folds(tmp_path, kind):
     train_cfg = TrainConfig(seed=7, C=1.0)
 
     def fold_bytes(corpus, fold, treebank):
-        bundle = fit_detection_fold(corpus, fold, feature_cfg, kind, train_cfg, treebank)
+        # as in run_detection_eval: one table over the whole (mutated) corpus,
+        # the held-out document's terms and trees included
+        table = CorpusTable(corpus.documents, treebank, feature_cfg)
+        bundle = fit_detection_fold(table, fold, kind, train_cfg)
         return canonical_json_bytes(bundle.to_record())
 
     folds = make_loo_splits(corpus)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,12 @@ from claudette.modelio import load_model
 FIXTURES = Path(__file__).parent / "fixtures"
 # nested far past any parser or recursion limit
 DEEP_TREE = "(A " * 3000 + "x" + ")" * 3000
+# (corpus, model kind) of each pinned evaluate --json golden
+LOO_GOLDENS = [
+    (corpus, kind)
+    for corpus in ("mini", "planted", "adjacency")
+    for kind in ("linear-bow", "chain", "category-ovr")
+] + [("planted", "kernel-sstk"), ("adjacency", "kernel-sstk")]
 
 
 class TestConfigFile:
@@ -80,6 +87,11 @@ class TestStatsCommand:
         (tmp_path / "bad.txt").write_text("<a2>unclosed", encoding="utf-8")
         assert main(["stats", str(tmp_path)]) == 3
         assert "never closed" in capsys.readouterr().err
+
+    def test_non_utf8_document_exits_3(self, tmp_path, capsys):
+        corpus = corpus_with_undecodable_document(tmp_path)
+        assert main(["stats", str(corpus)]) == 3
+        assert "zz.txt: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -357,6 +369,44 @@ class TestTrainCommand:
         )
         assert code == 3
 
+    def test_non_utf8_document_exits_3(self, tmp_path, capsys):
+        corpus = corpus_with_undecodable_document(tmp_path)
+        argv = ["train", "--task", "detect", "--corpus", str(corpus), "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "m.json")]) == 3
+        assert "zz.txt: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_chain_skips_empty_documents(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(FIXTURES / "mini", corpus)
+        (corpus / "blank.txt").write_text("", encoding="utf-8")
+        records = []
+        for directory in (corpus, FIXTURES / "mini"):
+            out = tmp_path / f"{directory.name}.json"
+            argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(directory)]
+            assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text(encoding="utf-8")))
+        # the blank document adds no sequence: same vocabulary and weights
+        assert records[0]["payload"] == records[1]["payload"]
+        assert records[0]["vocabulary"] == records[1]["vocabulary"]
+        assert records[0]["metadata"]["n_documents"] == 4
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for name in ("a.txt", "b.txt"):
+            (empty / name).write_text("", encoding="utf-8")
+        argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(empty)]
+        assert main(argv + ["--seed", "3", "--out", str(tmp_path / "e.json")]) == 3
+        assert "no training sequences" in capsys.readouterr().err
+
+
+def corpus_with_undecodable_document(tmp_path: Path) -> Path:
+    """A copy of the mini corpus plus ``zz.txt``, whose bytes are not UTF-8."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(FIXTURES / "mini", corpus)
+    (corpus / "zz.txt").write_bytes(b"Terms of \xff\xfe service.\n")
+    return corpus
+
 
 @pytest.fixture(scope="module")
 def planted_model(tmp_path_factory):
@@ -579,6 +629,15 @@ class TestPredictCommand:
         record = json.loads(capsysbinary.readouterr().out)
         assert record["sentences"] == []
 
+    @pytest.mark.parametrize("flag", ["--input", "--trees"])
+    def test_non_utf8_file_exits_3(self, flag, planted_model, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"Terms of \xff\xfe service.\n")
+        files = {"--input": str(FIXTURES / "planted" / "doc00.txt"), flag: str(bad)}
+        argv = ["predict", "--model", str(planted_model)]
+        assert main(argv + [arg for pair in files.items() for arg in pair]) == 3
+        assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+
     def test_kernel_model_without_trees_falls_back(self, tmp_path, capsysbinary):
         model = tmp_path / "k.json"
         assert (
@@ -753,6 +812,31 @@ class TestEvaluateCommand:
         assert code == 3
         assert "deeper than" in capsys.readouterr().err
 
+    def test_non_utf8_trees_exit_3(self, tmp_path, capsys):
+        trees = tmp_path / "trees.txt"
+        trees.write_bytes(b"(S (NN \xff\xfe))\n")
+        argv = ["evaluate", "--corpus", str(FIXTURES / "mini"), "--model-kind", "kernel-sstk"]
+        assert main(argv + ["--trees", str(trees), "--seed", "7"]) == 3
+        assert f"{trees}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_unreadable_corpus_entry_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(FIXTURES / "mini", corpus)
+        (corpus / "folder.txt").mkdir()
+        argv = ["evaluate", "--corpus", str(corpus), "--model-kind", "linear-bow", "--seed", "7"]
+        assert main(argv) == 2
+        assert "folder.txt" in capsys.readouterr().err
+
+    def test_chain_with_an_empty_document(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(FIXTURES / "mini", corpus)
+        (corpus / "blank.txt").write_text("", encoding="utf-8")
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--corpus", str(corpus), "--model-kind", "chain", "--seed", "7"]
+        assert main(argv + ["--json", str(out)]) == 0
+        detection = json.loads(out.read_text(encoding="utf-8"))["metrics"]["detection"]
+        assert detection["tp"] + detection["fn"] == 7
+
     def test_fold_sweep_cap_exits_4_and_still_writes(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_iter = 1\n", encoding="utf-8")
@@ -767,13 +851,14 @@ class TestEvaluateCommand:
         warnings = json.loads(out.read_text())["metrics"]["warnings"]
         assert warnings and all("no-convergence" in w for w in warnings)
 
-    @pytest.mark.parametrize("kind", ["linear-bow", "chain", "category-ovr"])
-    @pytest.mark.parametrize("corpus", ["mini", "planted", "adjacency"])
+    @pytest.mark.parametrize("corpus, kind", LOO_GOLDENS)
     def test_json_matches_the_pinned_golden(self, corpus, kind, tmp_path, capsys):
         # written by scripts/make_synthetic_corpus.py; any change to features,
-        # solvers or fold wiring that moves a LOO number shows here
+        # solvers, the tree kernel or fold wiring that moves a LOO number shows here
         out = tmp_path / "r.json"
         argv = ["evaluate", "--corpus", str(FIXTURES / corpus), "--model-kind", kind]
+        if kind == "kernel-sstk":
+            argv += ["--trees", str(FIXTURES / f"{corpus}_trees.txt")]
         assert main(argv + ["--seed", "7", "--json", str(out)]) == 0
         golden = FIXTURES / f"{corpus}_loo_{kind}_golden.json"
         assert out.read_bytes() == golden.read_bytes()

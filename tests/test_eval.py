@@ -25,7 +25,7 @@ from claudette.evaluation import (
     REFERENCE_TOTAL_SENTENCES,
 )
 from claudette.features import FeatureConfig
-from claudette.modelio import MODEL_KINDS, canonical_json_bytes
+from claudette.modelio import MODEL_KINDS, CorpusTable, canonical_json_bytes, fit
 from claudette.svm import LengthMismatch, TrainConfig
 from claudette.trees import ParseTree, load_treebank
 
@@ -179,9 +179,8 @@ class TestRunDetectionEval:
     def test_kernel_normalize_setting_reaches_the_fold_model(self, mini_corpus, fixtures_dir):
         treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
         fold = make_loo_splits(mini_corpus)[0]
-        bundle = fit_detection_fold(
-            mini_corpus, fold, FC, "kernel-sstk", TC, treebank=treebank, normalize=False
-        )
+        table = CorpusTable(mini_corpus.documents, treebank, FC, normalize=False)
+        bundle = fit_detection_fold(table, fold, "kernel-sstk", TC)
         assert bundle.model.normalized is False
         assert bundle.metadata["kernel_normalize"] is False
 
@@ -235,13 +234,15 @@ class TestNoLeakage:
     def test_mutating_held_out_does_not_change_fold_model(self, tmp_path, planted_dir):
         import shutil
 
+        def fold_bytes(corpus, fold):
+            table = CorpusTable(corpus.documents, None, FC)
+            return canonical_json_bytes(fit_detection_fold(table, fold, "linear-bow", TC).to_record())
+
         work = tmp_path / "corpus"
         shutil.copytree(planted_dir, work)
         corpus = load_corpus(work)
         fold = make_loo_splits(corpus)[0]
-        before = canonical_json_bytes(
-            fit_detection_fold(corpus, fold, FC, "linear-bow", TC).to_record()
-        )
+        before = fold_bytes(corpus, fold)
 
         held = fold.held_out
         path = work / f"{held}.txt"
@@ -250,11 +251,24 @@ class TestNoLeakage:
             + "\nUnrelated mutation zzzunseen tokens appended here.\n",
             encoding="utf-8",
         )
-        mutated = load_corpus(work)
-        after = canonical_json_bytes(
-            fit_detection_fold(mutated, fold, FC, "linear-bow", TC).to_record()
-        )
-        assert before == after
+        assert fold_bytes(load_corpus(work), fold) == before
+
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_fold_from_the_corpus_table_equals_a_fit_on_its_own_table(
+        self, kind, normalize, mini_corpus, fixtures_dir
+    ):
+        # LOO shares one table, whose terms, trees and Gram include the
+        # held-out document; a fold fitted from it must not see them
+        treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
+        shared = CorpusTable(mini_corpus.documents, treebank, FC, normalize=normalize)
+        for fold in make_loo_splits(mini_corpus):
+            train_docs = [mini_corpus.document(name) for name in fold.train]
+            own = CorpusTable(train_docs, treebank, FC, normalize=normalize)
+            expected = canonical_json_bytes(fit(kind, own, TC).to_record())
+            got = canonical_json_bytes(fit_detection_fold(shared, fold, kind, TC).to_record())
+            assert got == expected, fold.held_out
 
 
 class TestCompareToPaperStats:

@@ -11,6 +11,7 @@ from claudette.corpus import ClauseCategory, load_corpus
 from claudette.features import FeatureConfig, Vocabulary
 from claudette.modelio import (
     MODEL_KINDS,
+    CorpusTable,
     ModelBundle,
     ModelFormatError,
     canonical_json_bytes,
@@ -276,10 +277,10 @@ class TestModelFile:
 def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
     corpus = load_corpus(fixtures_dir / "mini")
     treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
-    fit_args = (corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7))
-    fitted = fit(kind, *fit_args)
+    table = CorpusTable(corpus.documents, treebank, FeatureConfig())
+    fitted = fit(kind, table, TrainConfig(seed=7))
     if kind == "kernel-sstk":
-        fitted.fallback = fit("linear-bow", *fit_args).model
+        fitted.fallback = fit("linear-bow", table, TrainConfig(seed=7)).model
     save_model(fitted, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
     for doc in corpus.documents:
@@ -293,7 +294,8 @@ def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
 def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_dir):
     corpus = load_corpus(fixtures_dir / "mini")
     treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
-    bundle = fit("kernel-sstk", corpus.documents, treebank, FeatureConfig(), TrainConfig(seed=7), 0.4, normalize)
+    table = CorpusTable(corpus.documents, treebank, FeatureConfig(), 0.4, normalize)
+    bundle = fit("kernel-sstk", table, TrainConfig(seed=7))
     predictor = Predictor(bundle)
     model = bundle.model
     support_trees = model.support_trees
