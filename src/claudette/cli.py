@@ -41,8 +41,12 @@ class ConfigFileError(ValueError):
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigFileError(f"{path}: not valid UTF-8: {err}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -383,8 +383,9 @@ def fit(
 
     if kind == "kernel-sstk":
         gram = table.gram
-        block = dataclasses.replace(gram, matrix=gram.matrix[np.ix_(rows, rows)])
-        model = svm.train_smo(block, y, train_cfg)
+        if not np.array_equal(rows, np.arange(gram.n)):  # SMO only reads the corpus Gram itself
+            gram = dataclasses.replace(gram, matrix=gram.matrix[np.ix_(rows, rows)])
+        model = svm.train_smo(gram, y, train_cfg)
         model.support_trees = [table.trees[rows[i]] for i in model.support_idx]
         metadata["lambda"] = table.lam
         metadata["kernel_normalize"] = table.normalize

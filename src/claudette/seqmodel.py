@@ -72,23 +72,25 @@ def _check_sequence(model: ChainModel, xs: Rows) -> None:
         raise DimensionMismatch(f"vector dim {xs.dim} != model dim {model.dim}")
 
 
-def _lattice(model: ChainModel, xs: Rows) -> np.ndarray:
-    """Emission scores (k, L) from one gather of the document's columns.  Each
-    row is its slice of the gather times its values, the same product as
-    ``emissions[:, row_indices] @ row_values`` and so bit-identical to it."""
+def _lattice(model: ChainModel, xs: Rows) -> list[list[float]]:
+    """Emission scores, one list of L floats per position, from one gather of
+    the document's columns.  Each row is its slice of the gather times its
+    values, one BLAS product per row: the same product as
+    ``emissions[:, row_indices] @ row_values`` and so bit-identical to it (a
+    batched product over all rows sums in another order)."""
+    _check_sequence(model, xs)
     gathered = model.emissions[:, xs.indices]
-    E = np.zeros((len(xs), model.n_labels), dtype=np.float64)
+    data = xs.data
+    empty = [0.0] * model.n_labels
     bounds = xs.indptr.tolist()
-    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if b > a:
-            E[t] = gathered[:, a:b] @ xs.data[a:b]
-    return E
+    return [
+        gathered[:, a:b].dot(data[a:b]).tolist() if b > a else empty for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def emission_matrix(model: ChainModel, xs: Rows) -> np.ndarray:
     """Per-position emission scores, shape (k, L)."""
-    _check_sequence(model, xs)
-    return _lattice(model, xs)
+    return np.array(_lattice(model, xs), dtype=np.float64)
 
 
 def joint_score(model: ChainModel, xs: Rows, ys: Sequence[int]) -> float:
@@ -115,48 +117,65 @@ def score_path(model: ChainModel, E: np.ndarray, ys: Sequence[int]) -> float:
     return s
 
 
-def _decode(model: ChainModel, E: np.ndarray) -> tuple[list[int], float]:
-    """Viterbi over the lattice ``E`` (k, L), in Python floats.
+def _decode(
+    model: ChainModel, lattice: list[list[float]], gold: Sequence[int] | None = None
+) -> tuple[list[int], float, float | None]:
+    """Viterbi over ``lattice`` (one list of L emission floats per position)
+    in Python floats: the best path, its score and, with ``gold``, the gold
+    path's score.
 
-    Each step adds ``dp[prev] + transitions[prev][cur]`` and then
-    ``E[t][cur]``, and a strict ``>`` keeps the lowest maximizing index, so
-    paths and scores are bit-identical to the numpy ``argmax`` recursion
-    that ``tests/test_seqmodel.py`` keeps as the reference.
+    With ``gold`` each emission gets the margin loss as ``augmented_emissions``
+    adds it (``+ 1.0`` off gold, ``+ 0.0`` on gold) and the gold path is
+    scored in ``score_path``'s order, in the same pass.  Without it the loss
+    is ``-0.0``, which leaves every float unchanged (``-0.0 + -0.0`` is
+    ``-0.0``).  Each step adds ``dp[prev] + transitions[prev][cur]`` and then
+    the emission, and a strict ``>`` keeps the lowest maximizing index, so
+    paths and scores are bit-identical to the numpy ``argmax`` recursion that
+    ``tests/test_seqmodel.py`` keeps as the reference.
     """
-    lattice = E.tolist()
+    start = model.start.tolist()
+    trans = model.transitions.tolist()
     into = model.transitions.T.tolist()  # into[cur][prev]
-    labels = range(len(into))
-    dp = [s + e for s, e in zip(model.start.tolist(), lattice[0])]
+    labels = range(len(start))
+    rest = labels[1:]
+    if gold is None:
+        losses, path = [[-0.0] * len(start)], [0] * len(lattice)
+    else:
+        losses, path = [[0.0 if cur == g else 1.0 for cur in labels] for g in labels], gold
+    g = path[0]
+    row = [e + loss for e, loss in zip(lattice[0], losses[g])]
+    path_score = start[g] + row[g]
+    dp = [s + e for s, e in zip(start, row)]
     back = []
-    for row in lattice[1:]:
+    for row, g, h in zip(lattice[1:], path[1:], path):
+        path_score = path_score + trans[h][g]
+        path_score = path_score + (row[g] + losses[g][g])
         ptr = []
         nxt = []
-        for cur in labels:
-            weights = into[cur]
+        for weights, e, loss in zip(into, row, losses[g]):
             arg, best = 0, dp[0] + weights[0]
-            for prev in labels[1:]:
+            for prev in rest:
                 cand = dp[prev] + weights[prev]
                 if cand > best:
                     arg, best = prev, cand
             ptr.append(arg)
-            nxt.append(best + row[cur])
+            nxt.append(best + (e + loss))
         back.append(ptr)
         dp = nxt
     last = 0
-    for cur in labels[1:]:
+    for cur in rest:
         if dp[cur] > dp[last]:
             last = cur
     ys = [last]
     for ptr in reversed(back):
         ys.append(ptr[ys[-1]])
     ys.reverse()
-    return ys, dp[last]
+    return ys, dp[last], None if gold is None else path_score
 
 
 def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
     """Highest-scoring label sequence and its score."""
-    E = emission_matrix(model, xs)
-    return _decode(model, E)
+    return _decode(model, _lattice(model, xs))[:2]
 
 
 def augmented_emissions(model: ChainModel, xs: Rows, y_gold: Sequence[int]) -> np.ndarray:
@@ -173,7 +192,9 @@ def loss_augmented_viterbi(
     model: ChainModel, xs: Rows, y_gold: Sequence[int]
 ) -> tuple[list[int], float]:
     """argmax of joint_score(xs, ys) + Hamming(ys, y_gold), same tie rule."""
-    return _decode(model, augmented_emissions(model, xs, y_gold))
+    if len(xs) != len(y_gold):
+        raise LengthMismatch(f"{len(xs)} vectors but {len(y_gold)} gold labels")
+    return _decode(model, _lattice(model, xs), y_gold)[:2]
 
 
 def train_chain(
@@ -191,6 +212,11 @@ def train_chain(
     steps take sizes up to C*n, and folding those iterates into the average
     would drown the converged ones.  ``structured_objective`` evaluates the
     objective of a model on a set of examples.
+
+    A step is the ``1 - 1/t`` shrink, the lattice rows (``_lattice``), one
+    loss-augmented Viterbi pass that also scores the gold path (``_decode``)
+    and, on a margin violation, one scatter (``_apply_update``); the weights
+    are bit-identical to those of separate ndarray passes.
 
     Note the effective regularization: small C means strong shrinking, which
     on noisy imbalanced data can collapse the model toward the majority
@@ -231,9 +257,7 @@ def train_chain(
             model.start *= shrink
 
             ex = examples[j]
-            E_aug = augmented_emissions(model, ex.xs, ex.ys)
-            y_hat, aug_score = _decode(model, E_aug)
-            gold_score = score_path(model, E_aug, ex.ys)  # loss term is 0 on gold
+            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs), ex.ys)
             if aug_score > gold_score:
                 _apply_update(model, ex, y_hat, eta)
 
@@ -253,23 +277,41 @@ def train_chain(
 
 
 def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float) -> None:
-    """w += eta * (Phi(x, gold) - Phi(x, y_hat)) on the violated positions."""
+    """w += eta * (Phi(x, gold) - Phi(x, y_hat)) on the violated positions.
+
+    The emissions get one ``np.add.at`` into the flat (C-contiguous) matrix
+    at ``label * V + column`` of ``x * +-eta``, concatenated row by row (gold
+    part, then y_hat part): a weight that several violated rows move gets
+    its updates in row order, bit-identical to a ``+=``/``-=`` pair per row.
+    """
     gold = ex.ys
     if gold[0] != y_hat[0]:
         model.start[gold[0]] += eta
         model.start[y_hat[0]] -= eta
-    bounds = ex.xs.indptr.tolist()
+    xs = ex.xs
+    dim = model.dim
+    columns: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
+    bounds = xs.indptr.tolist()
     for tpos, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if gold[tpos] != y_hat[tpos] and b > a:
-            idx, vals = ex.xs.indices[a:b], ex.xs.data[a:b]
-            model.emissions[gold[tpos], idx] += eta * vals
-            model.emissions[y_hat[tpos], idx] -= eta * vals
+            idx, vals = xs.indices[a:b], xs.data[a:b]
+            columns += (idx, idx)
+            values += (vals, vals)
+            offsets += (gold[tpos] * dim, y_hat[tpos] * dim)
+            lengths += (b - a, b - a)
         if tpos >= 1:
             gpair = (gold[tpos - 1], gold[tpos])
             hpair = (y_hat[tpos - 1], y_hat[tpos])
             if gpair != hpair:
                 model.transitions[gpair] += eta
                 model.transitions[hpair] -= eta
+    if columns:
+        where = np.concatenate(columns) + np.repeat(offsets, lengths)
+        steps = np.concatenate(values) * np.repeat([eta, -eta] * (len(lengths) // 2), lengths)
+        np.add.at(model.emissions.reshape(-1), where, steps)
 
 
 def structured_objective(model: ChainModel, examples: Sequence[SeqExample], C: float) -> float:
@@ -281,8 +323,6 @@ def structured_objective(model: ChainModel, examples: Sequence[SeqExample], C: f
     )
     hinge = 0.0
     for ex in examples:
-        E_aug = augmented_emissions(model, ex.xs, ex.ys)
-        _, aug = _decode(model, E_aug)
-        gold = score_path(model, E_aug, ex.ys)
+        _, aug, gold = _decode(model, _lattice(model, ex.xs), ex.ys)
         hinge += max(0.0, aug - gold)
     return reg + C * hinge

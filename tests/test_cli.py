@@ -376,6 +376,14 @@ class TestTrainCommand:
         assert "zz.txt: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"C = 1\xff\n")
+        argv = ["train", "--task", "detect", "--corpus", str(FIXTURES / "mini"), "--config", str(cfg)]
+        assert main(argv + ["--seed", "1", "--out", str(tmp_path / "m.json")]) == 2
+        assert f"error: {cfg}: not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_chain_skips_empty_documents(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(FIXTURES / "mini", corpus)
@@ -818,6 +826,13 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--corpus", str(FIXTURES / "mini"), "--model-kind", "kernel-sstk"]
         assert main(argv + ["--trees", str(trees), "--seed", "7"]) == 3
         assert f"{trees}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"C = 1\xff\n")
+        argv = ["evaluate", "--corpus", str(FIXTURES / "mini"), "--model-kind", "linear-bow"]
+        assert main(argv + ["--config", str(cfg), "--seed", "7"]) == 2
+        assert f"error: {cfg}: not valid UTF-8" in capsys.readouterr().err
 
     def test_unreadable_corpus_entry_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

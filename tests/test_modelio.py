@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from claudette import svm
 from claudette.analyze import Predictor, analyze_text, result_json
 from claudette.corpus import ClauseCategory, load_corpus
 from claudette.features import FeatureConfig, Vocabulary
@@ -310,6 +312,34 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
             row = CompiledTrees(support_trees, model.lam, model.normalized).row(tree)
             assert sentence.scores["detection"] == predict_kernel(model, row)
     assert len(predictor.support.productions) == table_size
+
+
+def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch, tmp_path):
+    corpus = load_corpus(fixtures_dir / "mini")
+    treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
+    table = CorpusTable(corpus.documents, treebank, FeatureConfig())
+    cfg = TrainConfig(seed=7)
+    train_smo = svm.train_smo
+    seen = []
+
+    def recording(gram, y, c):
+        seen.append(gram)
+        return train_smo(gram, y, c)
+
+    def on_a_copy(gram, y, c):
+        return train_smo(dataclasses.replace(gram, matrix=gram.matrix.copy()), y, c)
+
+    monkeypatch.setattr(svm, "train_smo", recording)
+    save_model(fit("kernel-sstk", table, cfg), tmp_path / "shared.json")
+    assert np.shares_memory(seen[0].matrix, table.gram.matrix)
+    names = list(table.documents)[1:]
+    fit("kernel-sstk", table, cfg, names)
+    rows = table.terms.document_rows(names)
+    assert not np.shares_memory(seen[1].matrix, table.gram.matrix)
+    assert np.array_equal(seen[1].matrix, table.gram.matrix[np.ix_(rows, rows)])
+    monkeypatch.setattr(svm, "train_smo", on_a_copy)
+    save_model(fit("kernel-sstk", table, cfg), tmp_path / "copied.json")
+    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
 
 
 class TestCanonicalJson:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from itertools import product
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import rows_from_pairs
 
-from claudette.modelio import canonical_json_bytes, chain_payload
+from claudette import seqmodel
+from claudette.features import FeatureConfig
+from claudette.modelio import CorpusTable, canonical_json_bytes, chain_payload
 from claudette.seqmodel import (
     ChainModel,
     SeqExample,
@@ -69,6 +72,81 @@ def per_row_emissions(model, xs):
         a, b = xs.indptr[t], xs.indptr[t + 1]
         E[t] = model.emissions[:, xs.indices[a:b]] @ xs.data[a:b] if b > a else 0.0
     return E
+
+
+def reference_apply_update(model, ex, y_hat, eta):
+    """One fancy-index ``+=``/``-=`` pair per violated row: the reference for
+    the one-scatter update."""
+    gold = ex.ys
+    if gold[0] != y_hat[0]:
+        model.start[gold[0]] += eta
+        model.start[y_hat[0]] -= eta
+    bounds = ex.xs.indptr.tolist()
+    for tpos, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if gold[tpos] != y_hat[tpos] and b > a:
+            idx, vals = ex.xs.indices[a:b], ex.xs.data[a:b]
+            model.emissions[gold[tpos], idx] += eta * vals
+            model.emissions[y_hat[tpos], idx] -= eta * vals
+        if tpos >= 1:
+            gpair = (gold[tpos - 1], gold[tpos])
+            hpair = (y_hat[tpos - 1], y_hat[tpos])
+            if gpair != hpair:
+                model.transitions[gpair] += eta
+                model.transitions[hpair] -= eta
+
+
+def loss_lattice(E, gold):
+    """``E`` plus the margin loss: +1 off gold, +0 on gold."""
+    loss = np.ones_like(E)
+    loss[np.arange(len(gold)), gold] = 0.0
+    return E + loss
+
+
+def reference_train_chain(examples, cfg, labels):
+    """The chain trainer over ndarray lattices: per-row emission products,
+    ``E + loss``, the numpy decode, a separate gold path score and one
+    scatter pair per violated row.  ``train_chain`` must match it bit for
+    bit."""
+    model = ChainModel.zeros(labels, examples[0].xs.dim)
+    avg_em = np.zeros_like(model.emissions)
+    avg_tr = np.zeros_like(model.transitions)
+    avg_st = np.zeros_like(model.start)
+    n = len(examples)
+    lam_reg = 1.0 / (cfg.C * n)
+    rng = np.random.default_rng(cfg.seed)
+    tail_start = cfg.epochs * n // 2 + 1
+    averaged_steps = 0
+    t = 0
+    for _ in range(cfg.epochs):
+        for j in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam_reg * t)
+            shrink = 1.0 - eta * lam_reg
+            model.emissions *= shrink
+            model.transitions *= shrink
+            model.start *= shrink
+            ex = examples[j]
+            E_aug = loss_lattice(per_row_emissions(model, ex.xs), list(ex.ys))
+            y_hat, aug_score = numpy_decode(model, E_aug)
+            gold_score = lattice_path_score(model, E_aug, ex.ys)
+            if aug_score > gold_score:
+                reference_apply_update(model, ex, y_hat, eta)
+            if t >= tail_start:
+                avg_em += model.emissions
+                avg_tr += model.transitions
+                avg_st += model.start
+                averaged_steps += 1
+    return ChainModel(
+        labels=tuple(labels),
+        emissions=avg_em / averaged_steps,
+        transitions=avg_tr / averaged_steps,
+        start=avg_st / averaged_steps,
+    )
+
+
+def bits(x):
+    """A float's IEEE bytes, so that 0.0 and -0.0 differ."""
+    return struct.pack("<d", x)
 
 
 def brute_force_best(model, E):
@@ -477,3 +555,136 @@ class TestTrainChain:
     def test_label_set_too_small(self):
         with pytest.raises(UnknownLabel):
             train_chain([SeqExample(rows_from_pairs([unit(0)], 2), (3,))], TrainConfig(), labels=("n", "p"))
+
+
+def corpus_sequences(corpus):
+    """Each document of ``corpus`` as one sequence over the corpus
+    vocabulary, as ``modelio.fit`` builds a chain's training set."""
+    table = CorpusTable(corpus.documents, None, FeatureConfig())
+    rows = table.terms.document_rows(list(table.documents))
+    X = table.terms.vectorize(table.terms.vocabulary(rows), rows)
+    examples, pos = [], 0
+    for doc in corpus.documents:
+        k = len(doc.sentences)
+        ys = tuple(1 if ls.detection_label else 0 for ls in doc.sentences)
+        examples.append(SeqExample(X[pos : pos + k], ys))
+        pos += k
+    return examples
+
+
+def shared_term_sequences(seed, n_seq=6, dim=6, n_labels=3):
+    """Short sequences over a few columns with random labels, so that the
+    margin is violated at many rows and violated rows share terms; about one
+    row in seven is empty."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for _ in range(n_seq):
+        k = int(rng.integers(1, 9))
+        rows = []
+        for _ in range(k):
+            n = 0 if rng.random() < 0.15 else int(rng.integers(1, dim))
+            cols = np.sort(rng.choice(dim, n, replace=False))
+            rows.append(list(zip(cols.tolist(), rng.uniform(0.05, 2.0, n).tolist())))
+        ys = tuple(int(y) for y in rng.integers(0, n_labels, k))
+        examples.append(SeqExample(rows_from_pairs(rows, dim), ys))
+    return examples
+
+
+def model_bytes(model):
+    return [a.tobytes() for a in (model.emissions, model.transitions, model.start)]
+
+
+class TestReferenceTrainer:
+    """``train_chain`` against ``reference_train_chain``: the same emissions,
+    transitions and start, to the last bit."""
+
+    @staticmethod
+    def assert_identical(examples, cfg, labels):
+        got = train_chain(examples, cfg, labels=labels)
+        assert model_bytes(got) == model_bytes(reference_train_chain(examples, cfg, labels))
+
+    @pytest.mark.parametrize("corpus", ["planted_corpus", "adjacency_corpus"])
+    def test_fixture_sequences(self, corpus, request):
+        examples = corpus_sequences(request.getfixturevalue(corpus))
+        self.assert_identical(examples, TrainConfig(seed=7, C=30.0, epochs=6), ("negative", "positive"))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_three_labels_with_shared_terms(self, seed):
+        examples = shared_term_sequences(seed)
+        self.assert_identical(examples, TrainConfig(seed=seed, C=[0.5, 5.0][seed % 2], epochs=10), ("a", "b", "c"))
+
+    def test_sequence_with_an_empty_row(self):
+        xs = rows_from_pairs([[(0, 1.0), (2, 0.5)], [], [(1, 2.0)], [(0, 0.25), (1, 0.75)]], 3)
+        examples = [SeqExample(xs, (1, 0, 1, 0)), SeqExample(xs[1:3], (1, 0))]
+        self.assert_identical(examples, TrainConfig(seed=1, C=3.0, epochs=8), ("n", "p"))
+
+    def test_one_scatter_keeps_the_row_order_of_a_shared_term(self):
+        # rows 0 and 2 are violated, share column 1 and move it in opposite
+        # label directions: label 0 gets +then-, label 1 gets -then+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            v = rng.uniform(0.05, 3.0, size=4)
+            xs = rows_from_pairs([[(0, v[0]), (1, v[1])], [], [(1, v[2]), (2, v[3])]], 3)
+            ex = SeqExample(xs, (0, 2, 1))
+            base = ChainModel.zeros(["a", "b", "c"], 3)
+            base.emissions = rng.normal(size=(3, 3))
+            base.transitions = rng.normal(size=(3, 3))
+            base.start = rng.normal(size=3)
+            got, want = (
+                ChainModel(base.labels, base.emissions.copy(), base.transitions.copy(), base.start.copy())
+                for _ in range(2)
+            )
+            eta = float(rng.uniform(0.1, 10.0))
+            seqmodel._apply_update(got, ex, [1, 2, 0], eta)
+            reference_apply_update(want, ex, [1, 2, 0], eta)
+            assert model_bytes(got) == model_bytes(want)
+
+
+# grid weights with both signed zeros make ties and -0.0 + 0.0 sums
+# frequent; arbitrary floats make sums whose rounding depends on their order
+SIGNED_WEIGHTS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, 1.5, -2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def signed_grid_chains(draw):
+    """Like ``grid_chains``, with signed zeros and arbitrary floats among the
+    weights."""
+    L = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 10))
+
+    def grid(n):
+        return np.array(draw(st.lists(SIGNED_WEIGHTS, min_size=n, max_size=n)), dtype=np.float64)
+
+    model = ChainModel.zeros([str(i) for i in range(L)], k)
+    model.emissions = grid(L * k).reshape(L, k)
+    model.transitions = grid(L * L).reshape(L, L)
+    model.start = grid(L)
+    gold = draw(st.lists(st.integers(0, L - 1), min_size=k, max_size=k))
+    return model, rows_from_pairs([unit(t) for t in range(k)], k), gold
+
+
+class TestTrainingDecode:
+    """The one-pass training decode against the separate passes it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_grid_chains())
+    def test_fused_pass_equals_the_separate_ones(self, chain):
+        model, xs, gold = chain
+        # a drawn lattice keeps its signed zeros (a BLAS row product does not)
+        E = model.emissions.T.copy()
+        ys, aug, gold_score = seqmodel._decode(model, E.tolist(), gold)
+        E_aug = loss_lattice(E, gold)
+        want_ys, want_aug = numpy_decode(model, E_aug)
+        assert (ys, bits(aug)) == (want_ys, bits(want_aug))
+        assert bits(gold_score) == bits(score_path(model, E_aug, gold))
+        plain_ys, plain, no_gold = seqmodel._decode(model, E.tolist())
+        want_ys, want_plain = numpy_decode(model, E)
+        assert (plain_ys, bits(plain), no_gold) == (want_ys, bits(want_plain), None)
+        # the public entry points, on the lattice the trainer computes
+        ys, aug, gold_score = seqmodel._decode(model, seqmodel._lattice(model, xs), gold)
+        want_ys, want_aug = loss_augmented_viterbi(model, xs, gold)
+        assert (ys, bits(aug)) == (want_ys, bits(want_aug))
+        assert bits(gold_score) == bits(score_path(model, augmented_emissions(model, xs, gold), gold))
