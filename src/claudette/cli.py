@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors, 4 training
-non-convergence (diagnostics are still written).
+non-convergence (diagnostics are still written).  A path that cannot be read
+or written is a usage error; readable content that is wrong is a data error.
+``main`` maps every typed fault to its code through ``USAGE_FAULTS`` and
+``DATA_FAULTS``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from pathlib import Path
 
 from . import evaluation, svm, treekernel
 from .analyze import TreeAlignmentError, analyze_text, result_json
-from .corpus import CorpusError, EmptyCorpus, corpus_fingerprint, corpus_stats, load_corpus
+from .corpus import FAIRNESS_LEVELS, CorpusError, EmptyCorpus, corpus_fingerprint, corpus_stats, load_corpus
 from .features import FeatureConfig, MissingTree
 from .modelio import (
+    MODEL_KINDS,
     CorpusTable,
     MissingTreebank,
     ModelBundle,
@@ -37,6 +41,14 @@ NO_CONVERGENCE = 4
 
 class ConfigFileError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    """Flags that cannot be used together."""
+
+
+class InputError(ValueError):
+    """A ``predict`` input file that was read but cannot be used."""
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -105,8 +117,12 @@ class RunSettings:
         self.train_config = svm.TrainConfig(**train_kwargs)
 
         self.lam = float(values.pop("lambda", treekernel.DEFAULT_LAMBDA))
+        treekernel._check_lambda(self.lam)
         self.kernel_normalize = _parse_bool(values.pop("kernel_normalize", "true"), "kernel_normalize")
         self.positive_levels = _parse_int_list(values.pop("positive_levels", "2,3"), "positive_levels")
+        if not self.positive_levels or not set(self.positive_levels) <= set(FAIRNESS_LEVELS):
+            levels = ", ".join(map(str, FAIRNESS_LEVELS))
+            raise ConfigFileError(f"config key 'positive_levels': expected a non-empty subset of {levels}")
         if values:
             unknown = ", ".join(sorted(values))
             raise ConfigFileError(f"unknown config keys: {unknown}")
@@ -119,7 +135,19 @@ class RunSettings:
 
 def _load_settings(config_path: str | None, seed: int | None) -> RunSettings:
     values = parse_config_file(config_path) if config_path else {}
-    return RunSettings(values).with_seed(seed)
+    try:
+        return RunSettings(values).with_seed(seed)
+    except ValueError as err:  # a field that does not parse or is out of range
+        raise ConfigFileError(str(err)) from None
+
+
+def _needs_trees(args: argparse.Namespace, flag: str, kind: str, settings: RunSettings) -> None:
+    if args.trees:
+        return
+    if kind == "kernel-sstk":
+        raise UsageError(f"{flag} kernel-sstk requires --trees")
+    if settings.feature_config.use_pos:
+        raise UsageError("use_pos features require --trees")
 
 
 def _fail(message: str, code: int) -> int:
@@ -127,23 +155,20 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+# matched in this order: EmptyCorpus is also a CorpusError
+USAGE_FAULTS = (UsageError, ConfigFileError, EmptyCorpus, OSError)
+DATA_FAULTS = (CorpusError, TreeParseError, TreeBankMismatch, ModelFormatError, MissingTreebank,
+               TreeAlignmentError, MissingTree, evaluation.TooFewDocuments, svm.EmptyData,
+               svm.SingleClass, InputError)
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        settings = _load_settings(args.config, None)
-    except (ConfigFileError, ValueError, OSError) as err:
-        return _fail(str(err), USAGE_ERROR)
-    try:
-        corpus = load_corpus(args.corpus_dir, lenient=args.lenient)
-    except EmptyCorpus as err:
-        return _fail(str(err), USAGE_ERROR)
-    except CorpusError as err:
-        return _fail(str(err), DATA_ERROR)
-    except OSError as err:
-        return _fail(str(err), USAGE_ERROR)
+    settings = _load_settings(args.config, None)
+    corpus = load_corpus(args.corpus_dir, lenient=args.lenient)
     stats = corpus_stats(corpus, positive_levels=settings.positive_levels)
     diff = evaluation.compare_to_paper_stats(stats)
     sys.stdout.write(evaluation.render_stats(stats))
@@ -179,23 +204,11 @@ def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> ModelBundl
 
 def cmd_train(args: argparse.Namespace) -> int:
     if args.task == "category" and args.model != "linear-bow":
-        return _fail("--task category supports only --model linear-bow", USAGE_ERROR)
-    if args.model == "kernel-sstk" and not args.trees:
-        return _fail("--model kernel-sstk requires --trees", USAGE_ERROR)
-    try:
-        settings = _load_settings(args.config, args.seed)
-    except (ConfigFileError, ValueError, OSError) as err:
-        return _fail(str(err), USAGE_ERROR)
-    if settings.feature_config.use_pos and not args.trees:
-        return _fail("use_pos features require --trees", USAGE_ERROR)
-    try:
-        bundle = _train_bundle(args, settings)
-        save_model(bundle, args.out)  # a non-finite model raises ModelFormatError here
-    except (CorpusError, TreeBankMismatch, TreeParseError, ModelFormatError, MissingTreebank,
-            svm.EmptyData, svm.SingleClass) as err:
-        return _fail(str(err), DATA_ERROR)
-    except OSError as err:
-        return _fail(str(err), USAGE_ERROR)
+        raise UsageError("--task category supports only --model linear-bow")
+    settings = _load_settings(args.config, args.seed)
+    _needs_trees(args, "--model", args.model, settings)
+    bundle = _train_bundle(args, settings)
+    save_model(bundle, args.out)  # a non-finite model raises ModelFormatError here
     warnings = bundle.solver_warnings()
     for sym, warning in warnings:
         print(f"warning: {sym + ': ' if sym else ''}{warning}", file=sys.stderr)
@@ -208,32 +221,20 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    try:
-        bundle = load_model(args.model)
-    except (ModelFormatError, OSError) as err:
-        return _fail(str(err), DATA_ERROR)
+    bundle = load_model(args.model)
     try:
         text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as err:
-        return _fail(str(err), DATA_ERROR)
     except UnicodeDecodeError as err:
-        return _fail(f"{args.input}: not valid UTF-8: {err}", DATA_ERROR)
+        raise InputError(f"{args.input}: not valid UTF-8: {err}") from None
     trees = None
     if args.trees:
-        try:
-            groups = read_treebank_groups(args.trees)
-        except (TreeParseError, OSError) as err:
-            return _fail(str(err), DATA_ERROR)
+        groups = read_treebank_groups(args.trees)
         if len(groups) != 1:
-            return _fail(
-                f"sidecar tree file must contain exactly one document group, found {len(groups)}",
-                DATA_ERROR,
+            raise InputError(
+                f"sidecar tree file must contain exactly one document group, found {len(groups)}"
             )
         trees = groups[0]
-    try:
-        result = analyze_text(bundle, text, trees=trees)
-    except (TreeAlignmentError, MissingTree) as err:
-        return _fail(str(err), DATA_ERROR)
+    result = analyze_text(bundle, text, trees=trees)
     payload = result_json(result)
     sys.stdout.buffer.write(payload)
     sys.stdout.buffer.flush()
@@ -249,41 +250,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        settings = _load_settings(args.config, args.seed)
-    except (ConfigFileError, ValueError, OSError) as err:
-        return _fail(str(err), USAGE_ERROR)
-    if args.model_kind == "kernel-sstk" and not args.trees:
-        return _fail("--model-kind kernel-sstk requires --trees", USAGE_ERROR)
-    if settings.feature_config.use_pos and not args.trees:
-        return _fail("use_pos features require --trees", USAGE_ERROR)
-    try:
-        corpus = load_corpus(args.corpus, lenient=args.lenient)
-    except EmptyCorpus as err:
-        return _fail(str(err), USAGE_ERROR)
-    except CorpusError as err:
-        return _fail(str(err), DATA_ERROR)
-    except OSError as err:
-        return _fail(str(err), USAGE_ERROR)
-
-    treebank = None
-    if args.trees:
-        try:
-            treebank = load_treebank(args.trees, corpus)
-        except (TreeBankMismatch, TreeParseError, OSError) as err:
-            return _fail(str(err), DATA_ERROR)
-    try:
-        report = evaluation.run_detection_eval(
-            corpus,
-            settings.feature_config,
-            args.model_kind,
-            settings.train_config,
-            treebank=treebank,
-            lam=settings.lam,
-            normalize=settings.kernel_normalize,
-        )
-    except (evaluation.TooFewDocuments, MissingTreebank, svm.EmptyData, svm.SingleClass) as err:
-        return _fail(str(err), DATA_ERROR)
+    settings = _load_settings(args.config, args.seed)
+    _needs_trees(args, "--model-kind", args.model_kind, settings)
+    corpus = load_corpus(args.corpus, lenient=args.lenient)
+    treebank = load_treebank(args.trees, corpus) if args.trees else None
+    report = evaluation.run_detection_eval(
+        corpus,
+        settings.feature_config,
+        args.model_kind,
+        settings.train_config,
+        treebank=treebank,
+        lam=settings.lam,
+        normalize=settings.kernel_normalize,
+    )
     sys.stdout.write(report.render())
     if args.json:
         record = {
@@ -301,10 +280,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        bundle = load_model(args.model)
-    except (ModelFormatError, OSError) as err:
-        return _fail(str(err), DATA_ERROR)
+    bundle = load_model(args.model)
     try:
         serve(bundle, args.port, max_bytes=args.max_bytes)
     except OSError as err:
@@ -382,11 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="leave-one-document-out evaluation")
     p.add_argument("--corpus", required=True)
-    p.add_argument(
-        "--model-kind",
-        choices=("linear-bow", "kernel-sstk", "chain", "category-ovr"),
-        required=True,
-    )
+    p.add_argument("--model-kind", choices=MODEL_KINDS, required=True)
     p.add_argument("--trees")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, required=True)
@@ -410,7 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except USAGE_FAULTS as err:
+        return _fail(str(err), USAGE_ERROR)
+    except DATA_FAULTS as err:
+        return _fail(str(err), DATA_ERROR)
 
 
 if __name__ == "__main__":

@@ -85,6 +85,12 @@ class SentenceVerdict:
         return cls(detection=ls.detection_label, categories=ls.positive_categories())
 
 
+def _aligned(rows: Sequence[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, without trailing blanks."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
 @dataclass
 class MetricsReport:
     detection: TargetCounts = field(default_factory=TargetCounts)
@@ -160,11 +166,7 @@ class MetricsReport:
         for cat in ClauseCategory:
             rows.append(fmt(cat.display_name, self.categories[cat]))
         rows.append(fmt("micro (categories)", self.micro))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
+        lines = _aligned(rows)
         lines.append(f"macro-F1 (non-vacuous categories): {self.macro_f1:.3f}")
         for w in sorted(self.warnings):
             lines.append(f"warning: {w}")
@@ -324,12 +326,7 @@ class DiffReport:
         rows = [("check", "expected", "actual", "delta", "status")]
         for e in self.entries:
             rows.append((e.name, e.expected, e.actual, e.delta, e.status))
-        widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(_aligned(rows)) + "\n"
 
 
 def compare_to_paper_stats(stats: StatsTable) -> DiffReport:
@@ -402,11 +399,7 @@ def render_stats(stats: StatsTable) -> str:
     rows = [("category", "clauses", "documents")]
     for cs in stats.per_category:
         rows.append((cs.category.display_name, str(cs.clause_count), str(cs.document_count)))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
+    lines = _aligned(rows)
     lines.append("")
     lines.append(f"documents:          {stats.n_documents}")
     lines.append(f"sentences:          {stats.total_sentences}")

@@ -62,6 +62,12 @@ class TestConfigFile:
         settings = RunSettings({"positive_weight": "balanced"})
         assert settings.train_config.positive_weight is None
 
+    @pytest.mark.parametrize("levels", ["7", "", "0,2", "2,4"])
+    def test_positive_levels_outside_fairness_levels_rejected(self, levels):
+        # stats would otherwise count no positive sentence without a word
+        with pytest.raises(ConfigFileError, match="positive_levels"):
+            RunSettings({"positive_levels": levels})
+
 
 class TestStatsCommand:
     def test_golden_stdout(self, capsys):
@@ -898,3 +904,104 @@ class TestKernelSelftest:
         assert main(["kernel-selftest", "--pairs", "25"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+
+# One row per (command, fault): the same fault exits with the same code in
+# every command, with one ``error:`` line and no traceback.  Placeholders:
+# {fx} fixtures, {tmp} the test's directory (it holds no ``missing*`` file and
+# no ``no-dir``), {model} a planted linear model, {doc} a planted document.
+KERNEL_MINI = ["--corpus", "{fx}/mini", "--trees", "{fx}/mini_trees.txt"]
+EVALUATE_MINI = ["evaluate", "--corpus", "{fx}/mini", "--model-kind", "linear-bow", "--seed", "7"]
+FAULT_TABLE = [
+    # an output path in a missing directory
+    pytest.param(["stats", "{fx}/mini", "--json", "{tmp}/no-dir/s.json"], 2, id="stats-json-no-dir"),
+    pytest.param(EVALUATE_MINI + ["--json", "{tmp}/no-dir/r.json"], 2, id="evaluate-json-no-dir"),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{doc}", "--report", "{tmp}/no-dir/r.html"],
+        2,
+        id="predict-report-no-dir",
+    ),
+    # a config value out of range
+    pytest.param(
+        ["train", "--task", "detect", "--model", "kernel-sstk"] + KERNEL_MINI
+        + ["--config", "{tmp}/lambda.cfg", "--seed", "3", "--out", "{tmp}/k.json"],
+        2,
+        id="train-lambda-2",
+    ),
+    pytest.param(
+        ["evaluate", "--model-kind", "kernel-sstk"] + KERNEL_MINI
+        + ["--config", "{tmp}/lambda.cfg", "--seed", "7"],
+        2,
+        id="evaluate-lambda-2",
+    ),
+    pytest.param(["stats", "{fx}/mini", "--config", "{tmp}/levels.cfg"], 2, id="stats-positive-levels-7"),
+    # an empty corpus directory
+    pytest.param(["stats", "{tmp}/empty"], 2, id="stats-empty-corpus"),
+    pytest.param(
+        ["train", "--task", "detect", "--corpus", "{tmp}/empty", "--seed", "1", "--out", "{tmp}/m.json"],
+        2,
+        id="train-empty-corpus",
+    ),
+    pytest.param(
+        ["evaluate", "--corpus", "{tmp}/empty", "--model-kind", "linear-bow", "--seed", "7"],
+        2,
+        id="evaluate-empty-corpus",
+    ),
+    # a missing input file
+    pytest.param(
+        ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", "{fx}/mini"]
+        + ["--trees", "{tmp}/missing_trees.txt", "--seed", "3", "--out", "{tmp}/k.json"],
+        2,
+        id="train-missing-trees",
+    ),
+    pytest.param(
+        ["evaluate", "--corpus", "{fx}/mini", "--model-kind", "kernel-sstk"]
+        + ["--trees", "{tmp}/missing_trees.txt", "--seed", "7"],
+        2,
+        id="evaluate-missing-trees",
+    ),
+    pytest.param(
+        ["predict", "--model", "{tmp}/missing.json", "--input", "{doc}"], 2, id="predict-missing-model"
+    ),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{tmp}/missing.txt"], 2, id="predict-missing-input"
+    ),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{doc}", "--trees", "{tmp}/missing_trees.txt"],
+        2,
+        id="predict-missing-trees",
+    ),
+    pytest.param(["serve", "--model", "{tmp}/missing.json", "--port", "0"], 2, id="serve-missing-model"),
+    # readable content that is wrong
+    pytest.param(["stats", "{tmp}/unclosed"], 3, id="stats-unclosed-tag"),
+    pytest.param(
+        ["predict", "--model", "{model}", "--input", "{doc}", "--trees", "{tmp}/two_groups.txt"],
+        3,
+        id="predict-two-sidecar-groups",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FAULT_TABLE)
+def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypatch, capsysbinary):
+    def bind(*args, **kwargs):
+        raise AssertionError("the service bound a port for a missing model")
+
+    monkeypatch.setattr("claudette.service._QuietServer", bind)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "unclosed").mkdir()
+    (tmp_path / "unclosed" / "bad.txt").write_text("<a2>unclosed", encoding="utf-8")
+    (tmp_path / "lambda.cfg").write_text("lambda = 2\n", encoding="utf-8")
+    (tmp_path / "levels.cfg").write_text("positive_levels = 7\n", encoding="utf-8")
+    (tmp_path / "two_groups.txt").write_text("(S (W a))\n\n(S (W b))\n", encoding="utf-8")
+    places = {
+        "fx": str(FIXTURES),
+        "tmp": str(tmp_path),
+        "model": str(planted_model),
+        "doc": str(FIXTURES / "planted" / "doc00.txt"),
+    }
+    code = main([arg.format(**places) for arg in argv])
+    err = capsysbinary.readouterr().err.decode("utf-8")
+    assert code == expected
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
