@@ -4,7 +4,8 @@ A :class:`Predictor` is a model bundle compiled once: it takes the bundle's
 typed models and compiles the kernel support trees, with their self-kernels.
 The predict command, the service and every LOO fold run it, and the front
 ends serialize its result with :func:`result_json`, so their outputs agree
-byte for byte.
+byte for byte.  A kernel LOO fold hands :meth:`Predictor.predict` its kernel
+rows, read from the corpus Gram, and so compiles no support trees.
 """
 
 from __future__ import annotations
@@ -48,9 +49,12 @@ class Predictor:
     fallback for ``kernel-sstk``) score a sentence as ``w.x + b`` and flag it
     at score >= 0; the chain model decodes the whole document with Viterbi;
     the kernel model scores each tree against the support trees.
+
+    With ``compile_support=False`` a kernel model's support trees are not
+    compiled, and :meth:`predict` must be given the kernel rows.
     """
 
-    def __init__(self, bundle: ModelBundle):
+    def __init__(self, bundle: ModelBundle, compile_support: bool = True):
         self.kind = bundle.kind
         self.vocabulary = bundle.vocabulary
         self.feature_config = bundle.feature_config
@@ -66,20 +70,26 @@ class Predictor:
             self.chain = bundle.model
         else:
             self.kernel = bundle.model
-            self.support = treekernel.CompiledTrees(
-                self.kernel.support_trees, self.kernel.lam, self.kernel.normalized
-            )
+            if compile_support:
+                self.support = treekernel.CompiledTrees(
+                    self.kernel.support_trees, self.kernel.lam, self.kernel.normalized
+                )
             if bundle.fallback is not None:
                 self.linear = {"detection": bundle.fallback}
 
     def predict(
-        self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None
+        self,
+        sentences: Sequence[Sentence],
+        trees: Sequence[ParseTree] | None = None,
+        kernel_rows: Sequence[Sequence[float]] | None = None,
     ) -> tuple[list[SentenceAnalysis], list[str]]:
         """Analyses of the sentences of one document, and any warnings.
 
         ``trees`` must align 1:1 with ``sentences``; it is only consulted by
         kernel models, which otherwise fall back to their embedded linear
-        model with a warning, and by POS features.
+        model with a warning, and by POS features.  ``kernel_rows``, one per
+        tree, are the trees' kernel values against the support set, in
+        support order; a kernel model given them skips computing them.
         """
         if trees is not None and len(trees) != len(sentences):
             raise TreeAlignmentError(
@@ -88,7 +98,9 @@ class Predictor:
         warnings: list[str] = []
         categories: list[list[str]] = [[] for _ in sentences]
         if self.kernel is not None and trees is not None:
-            scores = [svm.predict_kernel(self.kernel, self.support.row(t)) for t in trees]
+            if kernel_rows is None:
+                kernel_rows = [self.support.row(t) for t in trees]
+            scores = [svm.predict_kernel(self.kernel, row) for row in kernel_rows]
             flags = [s >= 0.0 for s in scores]
             score_maps = [{"detection": s} for s in scores]
         elif self.chain is not None:

@@ -78,6 +78,13 @@ def _parse_bool(value: str, key: str) -> bool:
     raise ConfigFileError(f"config key {key!r}: expected a boolean, got {value!r}")
 
 
+def _parse_number(value: str, key: str, kind: type[int] | type[float]) -> int | float:
+    try:
+        return kind(value)
+    except ValueError as err:
+        raise ConfigFileError(f"config key {key!r}: {err}") from None
+
+
 def _parse_int_list(value: str, key: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in value.split(",") if part.strip())
@@ -97,26 +104,22 @@ class RunSettings:
             if key in values:
                 feature_kwargs[key] = _parse_bool(values.pop(key), key)
         if "min_df" in values:
-            feature_kwargs["min_df"] = int(values.pop("min_df"))
+            feature_kwargs["min_df"] = _parse_number(values.pop("min_df"), "min_df", int)
         self.feature_config = FeatureConfig(**feature_kwargs)
 
         train_kwargs: dict = {}
-        if "C" in values:
-            train_kwargs["C"] = float(values.pop("C"))
-        if "positive_weight" in values:
-            raw = values.pop("positive_weight")
-            train_kwargs["positive_weight"] = None if raw in ("", "balanced") else float(raw)
-        if "tol" in values:
-            train_kwargs["tol"] = float(values.pop("tol"))
-        if "max_iter" in values:
-            train_kwargs["max_iter"] = int(values.pop("max_iter"))
-        if "epochs" in values:
-            train_kwargs["epochs"] = int(values.pop("epochs"))
-        if "seed" in values:
-            train_kwargs["seed"] = int(values.pop("seed"))
+        if values.get("positive_weight") in ("", "balanced"):
+            values.pop("positive_weight")
+            train_kwargs["positive_weight"] = None
+        for key, kind in (("C", float), ("positive_weight", float), ("tol", float),
+                          ("max_iter", int), ("epochs", int), ("seed", int)):
+            if key in values:
+                train_kwargs[key] = _parse_number(values.pop(key), key, kind)
         self.train_config = svm.TrainConfig(**train_kwargs)
 
-        self.lam = float(values.pop("lambda", treekernel.DEFAULT_LAMBDA))
+        self.lam = treekernel.DEFAULT_LAMBDA
+        if "lambda" in values:
+            self.lam = _parse_number(values.pop("lambda"), "lambda", float)
         treekernel._check_lambda(self.lam)
         self.kernel_normalize = _parse_bool(values.pop("kernel_normalize", "true"), "kernel_normalize")
         self.positive_levels = _parse_int_list(values.pop("positive_levels", "2,3"), "positive_levels")
@@ -298,9 +301,10 @@ def cmd_kernel_selftest(args: argparse.Namespace) -> int:
         (treekernel.random_tree(rng, max_nodes=12), treekernel.random_tree(rng, max_nodes=12))
         for _ in range(args.pairs)
     ]
-    failures = 0
+    total_failures = 0
     for lam in (1.0, 0.5, 0.4):
         worst = 0.0
+        failures = 0
         for t1, t2 in pairs:
             fast = treekernel.sstk(t1, t2, lam)
             oracle = treekernel.fragment_pair_kernel(t1, t2, lam)
@@ -311,10 +315,11 @@ def cmd_kernel_selftest(args: argparse.Namespace) -> int:
             worst = max(worst, abs(fast - oracle))
             if not ok:
                 failures += 1
+        total_failures += failures
         status = "PASS" if failures == 0 else "FAIL"
         print(f"lambda={lam}: {len(pairs)} pairs, max |difference| {worst:.2e} ... {status}")
-    if failures:
-        print(f"kernel selftest FAILED on {failures} comparisons")
+    if total_failures:
+        print(f"kernel selftest FAILED on {total_failures} comparisons")
         return 1
     print("kernel selftest passed")
     return 0

@@ -1,9 +1,10 @@
 """Leave-one-document-out evaluation and metric reporting.
 
 Holding out whole documents prevents within-document leakage: per fold the
-vocabulary, IDF statistics, and kernel rows are computed from the training
+vocabulary, IDF statistics, and support set are computed from the training
 documents only.  Term extraction and kernel values do not depend on the fold,
-so they are computed once per evaluation.  Counts are pooled across folds
+so they are computed once per evaluation: a kernel fold's Gram is a block of
+the corpus Gram, and so are its held-out rows.  Counts are pooled across folds
 before computing metrics.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from . import svm, treekernel
 from .analyze import Predictor
@@ -227,7 +230,10 @@ def run_detection_eval(
     ``predict`` run.  ``category-ovr`` models also score the categories.
     The work that does not depend on the fold (every sentence's terms and,
     for kernel models, the corpus Gram) is done once, in one
-    :class:`CorpusTable` the folds share.
+    :class:`CorpusTable` the folds share.  A kernel fold's Predictor reads
+    the held-out rows from the corpus Gram, whose entries equal the rows it
+    would compute (the kernel is symmetric bit for bit), so it compiles no
+    support trees.
     """
     table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
 
@@ -239,7 +245,14 @@ def run_detection_eval(
             trees = document_trees(treebank, [held]) if treebank is not None else None
         except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
             raise type(err)(f"fold {fold.held_out}: {err}") from err
-        analyses, _ = Predictor(bundle).predict([ls.sentence for ls in held.sentences], trees)
+        sentences = [ls.sentence for ls in held.sentences]
+        if model_kind == "kernel-sstk":
+            held_rows = table.terms.document_rows([fold.held_out])
+            support_rows = table.terms.document_rows(fold.train)[bundle.model.support_idx]
+            kernel_rows = table.gram.matrix[np.ix_(held_rows, support_rows)]
+            analyses, _ = Predictor(bundle, compile_support=False).predict(sentences, trees, kernel_rows)
+        else:
+            analyses, _ = Predictor(bundle).predict(sentences, trees)
         gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
         pred = [
             SentenceVerdict(

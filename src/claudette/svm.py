@@ -14,6 +14,7 @@ n_neg / n_pos, which balances the total box mass of the two classes exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,12 +51,13 @@ class TrainConfig:
     epochs: int = 20  # used by the structured chain trainer
 
     def __post_init__(self) -> None:
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-        if self.positive_weight is not None and self.positive_weight <= 0:
-            raise ValueError("positive_weight must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # written so that NaN fails too: every comparison with NaN is false
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
+        if self.positive_weight is not None and not 0 < self.positive_weight < math.inf:
+            raise ValueError(f"positive_weight must be positive and finite, got {self.positive_weight}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1 or self.epochs < 1:
             raise ValueError("iteration counts must be >= 1")
 
@@ -275,7 +277,8 @@ def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelMod
             step = min(step, C_arr[j] - alpha[j])
         alpha[i] += y_arr[i] * step
         alpha[j] -= y_arr[j] * step
-        grad += step * y_arr * (K[:, i] - K[:, j])
+        # rows, not columns: K is symmetric, and a row of a C-order matrix is contiguous
+        grad += step * y_arr * (K[i] - K[j])
         trace.append(dual_objective())
         it += 1
 

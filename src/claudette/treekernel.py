@@ -13,15 +13,20 @@ Productions include the ordered child labels, so preterminals match only on
 identical words.  As in the Fast Tree Kernel (Moschitti 2006, "Making tree
 kernels practical for natural language learning", EACL), each tree is compiled
 once into interned production ids, and only node pairs with equal productions
-are visited, bottom-up and without recursion.  ``enumerate_fragments_oracle``
-provides an independent exponential-time route used to verify the kernel.
+are visited, bottom-up and without recursion.  The deltas are summed with
+``math.fsum``, which rounds correctly and so does not depend on the order of
+the pairs: ``K(a, b) == K(b, a)`` bit for bit, and a kernel row computed for a
+tree equals the corpus Gram's entries for it, so LOO evaluation reads its
+held-out rows from the Gram.  ``enumerate_fragments_oracle`` provides an
+independent exponential-time route used to verify the kernel.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -80,8 +85,10 @@ def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
     """Raw kernel of two trees compiled against one table.  ``rows[i]`` maps
     the nodes of ``b`` sharing node ``i``'s production to delta, filled in
     reverse preorder so child pairs come first.  Skipping a factor ``1 + 0``
-    is exact, and the sum runs in preorder over both trees, so every value
-    is the recursive definition's bit for bit."""
+    is exact, and each delta multiplies its factors in child order, so every
+    delta is the recursive definition's bit for bit and does not depend on
+    which tree is ``a``.  ``math.fsum`` rounds their sum correctly, whatever
+    the order, so ``_kernel(a, b, lam) == _kernel(b, a, lam)``."""
     b_nodes, b_children = b.by_production, b.children
     rows: list[dict[int, float] | None] = [None] * len(a.productions)
     for i in range(len(a.productions) - 1, -1, -1):
@@ -101,11 +108,7 @@ def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
                 if d is not None:
                     value *= 1.0 + d
             row[j] = value
-    total = 0.0
-    for row in filter(None, rows):
-        for value in row.values():
-            total += value
-    return total
+    return math.fsum(chain.from_iterable(row.values() for row in rows if row))
 
 
 def sstk(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from claudette import treekernel
 from claudette.cli import ConfigFileError, RunSettings, main, parse_config_file
 from claudette.modelio import load_model
 
@@ -61,6 +62,40 @@ class TestConfigFile:
     def test_balanced_positive_weight_keyword(self):
         settings = RunSettings({"positive_weight": "balanced"})
         assert settings.train_config.positive_weight is None
+
+    @pytest.mark.parametrize(
+        "key", ["C", "positive_weight", "tol", "max_iter", "epochs", "seed", "min_df", "lambda"]
+    )
+    def test_unparsable_number_names_its_key(self, key):
+        with pytest.raises(ConfigFileError, match=f"^config key '{key}': .*'abc'"):
+            RunSettings({key: "abc"})
+
+    def test_unparsable_number_message_reaches_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("C = abc\n", encoding="utf-8")
+        assert main(["stats", str(FIXTURES / "mini"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config key 'C': could not convert string to float: 'abc'\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["C", "positive_weight", "tol"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--corpus", str(FIXTURES / "mini"), "--model-kind", "linear-bow", "--seed", "7"],
+            ["train", "--task", "detect", "--corpus", str(FIXTURES / "mini"), "--seed", "7"],
+        ],
+        ids=["evaluate", "train"],
+    )
+    def test_non_finite_solver_setting_exits_2(self, command, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv = command + ["--config", str(cfg)]
+        if command[0] == "train":
+            argv += ["--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be positive and finite") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("levels", ["7", "", "0,2", "2,4"])
     def test_positive_levels_outside_fairness_levels_rejected(self, levels):
@@ -904,6 +939,19 @@ class TestKernelSelftest:
         assert main(["kernel-selftest", "--pairs", "25"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_status_is_per_lambda(self, monkeypatch, capsys):
+        real = treekernel.sstk
+
+        def wrong_at_one(t1, t2, lam=treekernel.DEFAULT_LAMBDA):
+            return real(t1, t2, lam) + (1.0 if lam == 1.0 else 0.0)
+
+        monkeypatch.setattr(treekernel, "sstk", wrong_at_one)
+        assert main(["kernel-selftest", "--pairs", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(" ", 1)[-1] for line in lines[:3]] == ["FAIL", "PASS", "PASS"]
+        assert [line.split(":")[0] for line in lines[:3]] == ["lambda=1.0", "lambda=0.5", "lambda=0.4"]
+        assert lines[3] == "kernel selftest FAILED on 5 comparisons"
 
 
 # One row per (command, fault): the same fault exits with the same code in

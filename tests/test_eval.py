@@ -27,6 +27,7 @@ from claudette.evaluation import (
 from claudette.features import FeatureConfig
 from claudette.modelio import MODEL_KINDS, CorpusTable, canonical_json_bytes, fit
 from claudette.svm import LengthMismatch, TrainConfig
+from claudette.treekernel import CompiledTrees
 from claudette.trees import ParseTree, load_treebank
 
 
@@ -360,6 +361,29 @@ class TestLooKeepsModelsInMemory:
         monkeypatch.setattr(ParseTree, "to_bracketed", refuse)
         report = run_detection_eval(mini_corpus, FC, kind, TC, treebank=treebank)
         assert report.to_record() == expected
+
+    @pytest.mark.parametrize("corpus_name", ["planted", "adjacency"])
+    def test_kernel_loo_reads_held_out_rows_from_the_corpus_gram(
+        self, corpus_name, fixtures_dir, monkeypatch
+    ):
+        corpus = load_corpus(fixtures_dir / corpus_name)
+        treebank = load_treebank(fixtures_dir / f"{corpus_name}_trees.txt", corpus)
+        expected = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank).to_record()
+        compiled = []
+        real_init = CompiledTrees.__init__
+
+        def counting_init(self, *args, **kwargs):
+            compiled.append(self)
+            real_init(self, *args, **kwargs)
+
+        def refuse(self, tree):
+            raise AssertionError("a LOO fold computed a kernel row")
+
+        monkeypatch.setattr(CompiledTrees, "__init__", counting_init)
+        monkeypatch.setattr(CompiledTrees, "row", refuse)
+        report = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank)
+        assert report.to_record() == expected
+        assert len(compiled) == 1  # the corpus Gram's; no fold compiles its support trees
 
     def test_kernel_loo_with_a_deep_tree_built_in_code(self, planted_corpus, fixtures_dir):
         treebank = load_treebank(fixtures_dir / "planted_trees.txt", planted_corpus)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from claudette import service
 from claudette.cli import main
 from claudette.modelio import load_model
 from claudette.service import make_server
+from claudette.treekernel import CompiledTrees
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,3 +164,26 @@ def test_kernel_model_without_fallback_answers_400(mini_kernel_model_without_fal
     assert json.loads(err.value.read()) == {
         "error": "this model needs parse trees, which the service cannot supply"
     }
+
+
+def test_kernel_support_is_compiled_before_bind_and_never_per_request(mini_kernel_model, monkeypatch):
+    compiled = []
+    real_init = CompiledTrees.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        compiled.append(self)
+
+    class RecordingServer(service._QuietServer):
+        def __init__(self, *args, **kwargs):
+            self.compiled_before_bind = len(compiled)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(CompiledTrees, "__init__", counting_init)
+    monkeypatch.setattr(service, "_QuietServer", RecordingServer)
+    with serving(mini_kernel_model) as srv:
+        assert srv.compiled_before_bind == 1
+        assert srv.RequestHandlerClass.predictor.support is compiled[0]
+        for i in range(4):
+            _post(srv, f"The provider may terminate account {i} at any time.".encode()).read()
+    assert len(compiled) == 1

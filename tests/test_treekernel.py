@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from claudette.treekernel import (
     CompiledTrees,
+    _compile,
+    _kernel,
     DegenerateTree,
     InvalidLambda,
     TooLarge,
@@ -21,7 +25,15 @@ from claudette.treekernel import (
     sstk,
     sstk_normalized,
 )
-from claudette.trees import ParseTree, parse_bracketed
+from claudette.trees import ParseTree, parse_bracketed, read_treebank_groups
+
+# the adjacency corpus's deep trees, on which the order of a kernel's sum can
+# change its last bit
+ADJACENCY_TREES = [
+    tree
+    for group in read_treebank_groups(Path(__file__).parent / "fixtures" / "adjacency_trees.txt")
+    for tree in group
+]
 
 T = parse_bracketed("(S (A a) (B b))")
 T_DISJOINT = parse_bracketed("(S (C c) (D d))")
@@ -29,8 +41,9 @@ T_HALF = parse_bracketed("(S (A a) (D d))")
 
 
 def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
-    """The recursive kernel the compiled one replaced: its values are the
-    ones ``sstk`` must reproduce bit for bit."""
+    """The recursive kernel the compiled one replaced, its deltas summed
+    with ``math.fsum`` as the compiled one sums them: its values are the ones
+    ``sstk`` must reproduce bit for bit."""
     prod = {id(n): n.production() for n in t1.internal_nodes() + t2.internal_nodes()}
     by_prod: dict = {}
     for n in t2.internal_nodes():
@@ -49,11 +62,9 @@ def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
             memo[key] = value
         return memo[key]
 
-    total = 0.0
-    for n1 in t1.internal_nodes():
-        for n2 in by_prod.get(prod[id(n1)], ()):
-            total += delta(n1, n2)
-    return total
+    return math.fsum(
+        delta(n1, n2) for n1 in t1.internal_nodes() for n2 in by_prod.get(prod[id(n1)], ())
+    )
 
 
 # Labels and words share "x", so a leaf can carry an internal node's label:
@@ -323,9 +334,47 @@ def test_deep_trees_need_no_recursion():
     deltas = [lam]
     for _ in range(depth):
         deltas.append(lam * (1.0 + deltas[-1]))
-    self_k = 0.0
-    for d in reversed(deltas):  # preorder: the root first
-        self_k += d
+    self_k = math.fsum(deltas)
     assert sstk(tree, tree, lam) == self_k
     gram = gram_matrix([tree, T], lam=lam, normalize=False)
     assert gram.matrix.tolist() == [[self_k, 0.0], [0.0, sstk(T, T, lam)]]
+
+
+def _kernel_both_ways(t1: ParseTree, t2: ParseTree, lam: float) -> tuple[float, float]:
+    table: dict = {}
+    a, b = _compile(t1, table), _compile(t2, table)
+    return _kernel(a, b, lam), _kernel(b, a, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([0.4, 0.7, 1.0]))
+def test_kernel_is_symmetric_bit_for_bit_on_random_trees(seed, lam):
+    rng = random.Random(seed)
+    ab, ba = _kernel_both_ways(random_tree(rng, max_nodes=24), random_tree(rng, max_nodes=24), lam)
+    assert ab == ba
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(ADJACENCY_TREES) - 1), st.sampled_from([0.3, 0.4, 0.7]))
+def test_kernel_is_symmetric_bit_for_bit_on_adjacency_trees(i, lam):
+    # one tree against every tree: an order-dependent sum breaks symmetry
+    # for about one pair in a hundred at lam = 0.4
+    for other in ADJACENCY_TREES:
+        ab, ba = _kernel_both_ways(ADJACENCY_TREES[i], other, lam)
+        assert ab == ba
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_kernel_row_equals_the_gram_entries_exactly(normalize):
+    trees = ADJACENCY_TREES[:90]
+    support_rows = list(range(1, len(trees), 3))
+    gram = gram_matrix(trees, lam=0.4, normalize=normalize).matrix
+    support = CompiledTrees([trees[s] for s in support_rows], 0.4, normalize)
+    for i, tree in enumerate(trees):
+        if i not in support_rows:
+            assert support.row(tree).tolist() == gram[i, support_rows].tolist(), i
+
+
+def test_gram_equals_its_transpose_exactly():
+    gram = gram_matrix(ADJACENCY_TREES[:90], lam=0.4, normalize=True).matrix
+    assert np.array_equal(gram, gram.T)
