@@ -35,7 +35,7 @@ from .features import (
     pos_bag,
 )
 from .modelio import CorpusTable, ModelBundle, fit
-from .seqmodel import ChainModel, SeqExample, joint_score, loss_augmented_viterbi, train_chain, viterbi
+from .seqmodel import ChainModel, SeqExample, train_chain, viterbi
 from .svm import (
     KernelModel,
     LinearModel,
@@ -45,13 +45,7 @@ from .svm import (
     train_linear,
     train_smo,
 )
-from .treekernel import (
-    KernelGram,
-    enumerate_fragments_oracle,
-    gram_matrix,
-    sstk,
-    sstk_normalized,
-)
+from .treekernel import KernelGram, enumerate_fragments_oracle, gram_matrix, sstk
 from .trees import ParseTree, parse_bracketed
 
 __version__ = "0.1.0"
@@ -89,9 +83,7 @@ __all__ = [
     "extract_ngrams",
     "fit",
     "gram_matrix",
-    "joint_score",
     "load_corpus",
-    "loss_augmented_viterbi",
     "make_loo_splits",
     "parse_bracketed",
     "parse_tagged_text",
@@ -102,7 +94,6 @@ __all__ = [
     "run_detection_eval",
     "segment_sentences",
     "sstk",
-    "sstk_normalized",
     "tokenize",
     "train_chain",
     "train_linear",

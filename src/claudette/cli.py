@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import random
 import sys
 from pathlib import Path
@@ -329,6 +330,22 @@ def cmd_kernel_selftest(args: argparse.Namespace) -> int:
 # parser wiring
 # ---------------------------------------------------------------------------
 
+def _int_in(low: int, high: float = math.inf):
+    """An argparse type: an integer in [low, high]."""
+    bounds = f"in {low}..{high}" if high < math.inf else f">= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="claudette",
@@ -349,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--trees")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -366,19 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-kind", choices=MODEL_KINDS, required=True)
     p.add_argument("--trees")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.add_argument("--json", help="write the metrics record to this path")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("serve", help="run the analysis HTTP service")
     p.add_argument("--model", required=True)
-    p.add_argument("--port", type=int, required=True)
-    p.add_argument("--max-bytes", type=int, default=DEFAULT_MAX_BYTES)
+    p.add_argument("--port", type=_int_in(0, 65535), required=True)
+    p.add_argument("--max-bytes", type=_int_in(1), default=DEFAULT_MAX_BYTES)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("kernel-selftest", help="verify the tree kernel against fragment enumeration")
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--pairs", type=_int_in(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_kernel_selftest)
 

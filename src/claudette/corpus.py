@@ -10,7 +10,6 @@ clause spans onto sentences as (category, level) labels.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -282,30 +281,6 @@ def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpa
 
     assert all(s is not None for s in spans)
     return "".join(plain_parts), [s for s in spans if s is not None]
-
-
-def reinsert_tags(plain: str, spans: Sequence[TagSpan]) -> str:
-    """Inverse of parse_tagged_text: put the tags back at their span offsets.
-
-    Closes are emitted before opens at the same position; spans closing at the
-    same position unwind innermost-first.
-    """
-    opens: dict[int, list[int]] = defaultdict(list)
-    closes: dict[int, list[int]] = defaultdict(list)
-    for idx, s in enumerate(spans):
-        opens[s.start].append(idx)
-        closes[s.end].append(idx)
-    out: list[str] = []
-    for p in range(len(plain) + 1):
-        for idx in sorted(closes.get(p, ()), reverse=True):
-            s = spans[idx]
-            out.append(f"</{s.category.symbol}{s.level}>")
-        for idx in opens.get(p, ()):
-            s = spans[idx]
-            out.append(f"<{s.category.symbol}{s.level}>")
-        if p < len(plain):
-            out.append(plain[p])
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

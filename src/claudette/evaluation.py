@@ -247,8 +247,8 @@ def run_detection_eval(
             raise type(err)(f"fold {fold.held_out}: {err}") from err
         sentences = [ls.sentence for ls in held.sentences]
         if model_kind == "kernel-sstk":
-            held_rows = table.terms.document_rows([fold.held_out])
-            support_rows = table.terms.document_rows(fold.train)[bundle.model.support_idx]
+            held_rows = table.rows([fold.held_out])
+            support_rows = table.rows(fold.train)[bundle.model.support_idx]
             kernel_rows = table.gram.matrix[np.ix_(held_rows, support_rows)]
             analyses, _ = Predictor(bundle, compile_support=False).predict(sentences, trees, kernel_rows)
         else:

@@ -104,15 +104,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.terms)
 
-    def index(self, term: str) -> int | None:
-        return self._index.get(term)
-
-    def idf(self, term: str) -> float:
-        i = self._index.get(term)
-        if i is None:
-            raise KeyError(term)
-        return float(self._idf[i])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Vocabulary)
@@ -172,18 +163,9 @@ class TermTable:
     frequencies in ``tf`` (the raw count, or ``1 + ln(count)`` under
     ``log_tf``).  LOO builds one table for the corpus, and each fold computes
     only its df, IDF, vocabulary and weights from its training rows.
-
-    ``documents`` optionally names consecutive runs of rows as
-    ``(name, n_rows)`` pairs, so a fold can select its rows by document name.
     """
 
-    def __init__(
-        self,
-        sentences: Sequence,
-        trees: Sequence[ParseTree | None] | None,
-        config: FeatureConfig,
-        documents: Sequence[tuple[str, int]] = (),
-    ):
+    def __init__(self, sentences: Sequence, trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
         if config.use_pos and trees is None:
             raise MissingTree("POS features enabled but no trees supplied")
         counts = [
@@ -202,18 +184,6 @@ class TermTable:
         tf = np.array([1.0 + math.log(n) for n in raw] if config.log_tf else raw, dtype=np.float64)
         order = np.lexsort((ids, np.repeat(np.arange(self.n_rows), lengths)))  # by row, then id
         self.indices, self.tf = ids[order], tf[order]
-        self._document_rows: dict[str, tuple[int, int]] = {}
-        start = 0
-        for name, n in documents:
-            self._document_rows[name] = (start, start + n)
-            start += n
-        if documents and start != self.n_rows:
-            raise ValueError(f"documents cover {start} rows but the table has {self.n_rows}")
-
-    def document_rows(self, names: Sequence[str]) -> np.ndarray:
-        """Row numbers of the named documents, in the order given."""
-        spans = [self._document_rows[name] for name in names]
-        return np.concatenate([np.arange(a, b) for a, b in spans] or [np.zeros(0, np.int64)])
 
     def vocabulary(self, rows: np.ndarray | None = None) -> Vocabulary:
         """Every term with document frequency >= min_df over ``rows`` (all

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -53,7 +54,7 @@ def canonical_json_bytes(obj) -> bytes:
     ).encode("utf-8")
 
 
-def _finite(x: float) -> float:
+def _finite(x: float | str) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ModelFormatError("model contains a non-finite value")
@@ -253,10 +254,14 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    """Read a model file; malformed content raises :class:`ModelFormatError`."""
+    """Read a model file; malformed content raises :class:`ModelFormatError`,
+    and so do a non-finite number (``NaN``, ``Infinity``, ``1e999``) and a
+    kernel ``lambda`` outside (0, 1]."""
     try:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        rec = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
+    except ModelFormatError:
+        raise
+    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to convert
         raise ModelFormatError(f"not a model file: {err}") from None
     if not isinstance(rec, dict) or "format_version" not in rec:
         raise ModelFormatError("not a model file: missing format_version")
@@ -269,7 +274,7 @@ def load_model(path: str | Path) -> ModelBundle:
         return _bundle_from_record(rec)
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as err:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as err:
         raise ModelFormatError(f"malformed model file: {type(err).__name__}: {err}") from None
 
 
@@ -281,6 +286,7 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
         raise ModelFormatError(f"payload kind {payload['kind']!r} does not match model kind {kind!r}")
     if kind == "kernel-sstk":
         model, support = kernel_from_payload(payload)
+        treekernel._check_lambda(model.lam)
         if not len(model.coef) == len(support) == model.n_support:
             raise ModelFormatError("support_idx, coef and support_trees lengths disagree")
         model.support_trees = [parse_bracketed(s) for s in support]
@@ -324,9 +330,10 @@ def document_trees(
 
 class CorpusTable:
     """The work over a corpus that no fold changes, done once per run: the
-    documents by name, every sentence's terms (a :class:`TermTable` with rows
-    named by document), the trees in corpus order, the tree kernel's ``lam``
-    and ``normalize``, and the corpus Gram, built on first use."""
+    documents by name, every sentence's terms (a :class:`TermTable` with one
+    row per sentence, in corpus order), the trees in the same order, the tree
+    kernel's ``lam`` and ``normalize``, and the corpus Gram, built on first
+    use."""
 
     def __init__(
         self,
@@ -340,8 +347,15 @@ class CorpusTable:
         self.lam, self.normalize = lam, normalize
         self._treebank = treebank
         sentences = [ls for doc in documents for ls in doc.sentences]
-        spans = [(doc.name, len(doc.sentences)) for doc in documents]
-        self.terms = TermTable(sentences, self.trees if feature_cfg.use_pos else None, feature_cfg, spans)
+        starts = accumulate((len(doc.sentences) for doc in documents), initial=0)
+        self._first_row = dict(zip((doc.name for doc in documents), starts))
+        self.terms = TermTable(sentences, self.trees if feature_cfg.use_pos else None, feature_cfg)
+
+    def rows(self, names: Sequence[str]) -> np.ndarray:
+        """Row numbers of the named documents' sentences in the term table, the
+        trees and the Gram, in the order given."""
+        spans = [(self._first_row[name], len(self.documents[name].sentences)) for name in names]
+        return np.concatenate([np.arange(a, a + n) for a, n in spans] or [np.zeros(0, np.int64)])
 
     @functools.cached_property
     def trees(self) -> list[ParseTree]:
@@ -371,7 +385,7 @@ def fit(
         names = list(table.documents)
     documents = [table.documents[name] for name in names]
     sentences = [ls for doc in documents for ls in doc.sentences]
-    rows = table.terms.document_rows(names)
+    rows = table.rows(names)
     vocab = table.terms.vocabulary(rows)
     y = [1 if ls.detection_label else -1 for ls in sentences]
     metadata = {

@@ -88,35 +88,6 @@ def _lattice(model: ChainModel, xs: Rows) -> list[list[float]]:
     ]
 
 
-def emission_matrix(model: ChainModel, xs: Rows) -> np.ndarray:
-    """Per-position emission scores, shape (k, L)."""
-    return np.array(_lattice(model, xs), dtype=np.float64)
-
-
-def joint_score(model: ChainModel, xs: Rows, ys: Sequence[int]) -> float:
-    """Score of one labeling of the sequence."""
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} vectors but {len(ys)} labels")
-    L = model.n_labels
-    for y in ys:
-        if not 0 <= y < L:
-            raise UnknownLabel(f"label index {y} outside 0..{L - 1}")
-    E = emission_matrix(model, xs)
-    return score_path(model, E, ys)
-
-
-def score_path(model: ChainModel, E: np.ndarray, ys: Sequence[int]) -> float:
-    """Path score over a precomputed emission lattice, accumulated left to
-    right exactly as the Viterbi recursion accumulates it."""
-    lattice = E.tolist()
-    transitions = model.transitions.tolist()
-    s = model.start.tolist()[ys[0]] + lattice[0][ys[0]]
-    for t in range(1, len(ys)):
-        s = s + transitions[ys[t - 1]][ys[t]]
-        s = s + lattice[t][ys[t]]
-    return s
-
-
 def _decode(
     model: ChainModel, lattice: list[list[float]], gold: Sequence[int] | None = None
 ) -> tuple[list[int], float, float | None]:
@@ -124,10 +95,10 @@ def _decode(
     in Python floats: the best path, its score and, with ``gold``, the gold
     path's score.
 
-    With ``gold`` each emission gets the margin loss as ``augmented_emissions``
-    adds it (``+ 1.0`` off gold, ``+ 0.0`` on gold) and the gold path is
-    scored in ``score_path``'s order, in the same pass.  Without it the loss
-    is ``-0.0``, which leaves every float unchanged (``-0.0 + -0.0`` is
+    With ``gold`` each emission gets the margin loss (``+ 1.0`` off gold,
+    ``+ 0.0`` on gold), and the gold path is scored left to right over the
+    same augmented lattice, in the same pass.  Without it the loss is
+    ``-0.0``, which leaves every float unchanged (``-0.0 + -0.0`` is
     ``-0.0``).  Each step adds ``dp[prev] + transitions[prev][cur]`` and then
     the emission, and a strict ``>`` keeps the lowest maximizing index, so
     paths and scores are bit-identical to the numpy ``argmax`` recursion that
@@ -176,25 +147,6 @@ def _decode(
 def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
     """Highest-scoring label sequence and its score."""
     return _decode(model, _lattice(model, xs))[:2]
-
-
-def augmented_emissions(model: ChainModel, xs: Rows, y_gold: Sequence[int]) -> np.ndarray:
-    """Emission lattice with +1 margin-rescaling loss on every non-gold label."""
-    if len(xs) != len(y_gold):
-        raise LengthMismatch(f"{len(xs)} vectors but {len(y_gold)} gold labels")
-    E = emission_matrix(model, xs)
-    loss = np.ones_like(E)
-    loss[np.arange(len(xs)), np.asarray(y_gold, dtype=np.int64)] = 0.0
-    return E + loss
-
-
-def loss_augmented_viterbi(
-    model: ChainModel, xs: Rows, y_gold: Sequence[int]
-) -> tuple[list[int], float]:
-    """argmax of joint_score(xs, ys) + Hamming(ys, y_gold), same tie rule."""
-    if len(xs) != len(y_gold):
-        raise LengthMismatch(f"{len(xs)} vectors but {len(y_gold)} gold labels")
-    return _decode(model, _lattice(model, xs), y_gold)[:2]
 
 
 def train_chain(

@@ -62,18 +62,13 @@ class TrainConfig:
             raise ValueError("iteration counts must be >= 1")
 
 
-def resolve_positive_weight(cfg: TrainConfig, y: np.ndarray) -> float:
-    if cfg.positive_weight is not None:
-        return cfg.positive_weight
-    n_pos = int(np.sum(y > 0))
-    n_neg = int(np.sum(y < 0))
-    if n_pos == 0 or n_neg == 0:
-        return 1.0
-    return n_neg / n_pos
-
-
 def box_constraints(cfg: TrainConfig, y: np.ndarray) -> np.ndarray:
-    pw = resolve_positive_weight(cfg, y)
+    """C_i of every example: C * positive_weight for positives, C otherwise.
+    A balanced weight is n_neg / n_pos, or 1.0 for a single-class set."""
+    pw = cfg.positive_weight
+    if pw is None:
+        n_pos, n_neg = int(np.sum(y > 0)), int(np.sum(y < 0))
+        pw = n_neg / n_pos if n_pos and n_neg else 1.0
     return np.where(y > 0, cfg.C * pw, cfg.C)
 
 
@@ -198,16 +193,6 @@ def predict_linear(model: LinearModel, X: Rows) -> list[float]:
     return [s + model.b for s in X.dot(model.w)]
 
 
-def linear_objective(model: LinearModel, X: Rows, y: Sequence[int], cfg: TrainConfig) -> float:
-    """Primal objective 0.5*||w||^2 + sum_i C_i * hinge_i of a fitted model."""
-    y_arr = _validate_labels(y)
-    C_arr = box_constraints(cfg, y_arr)
-    total = 0.5 * float(np.dot(model.w, model.w))
-    for score, yi, ci in zip(predict_linear(model, X), y_arr, C_arr):
-        total += ci * max(0.0, 1.0 - yi * score)
-    return total
-
-
 def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelModel:
     """Kernel SVM dual solved by SMO with maximal-violating-pair selection.
 
@@ -308,15 +293,3 @@ def predict_kernel(model: KernelModel, kernel_row: Sequence[float]) -> float:
         )
     return float(np.dot(model.coef, row)) + model.b
 
-
-def kkt_violation(gram: KernelGram, y: Sequence[int], alpha: np.ndarray, cfg: TrainConfig) -> float:
-    """Recompute m(alpha) - M(alpha) from scratch (diagnostic)."""
-    y_arr = _validate_labels(y)
-    C_arr = box_constraints(cfg, y_arr)
-    grad = gram.matrix @ (alpha * y_arr) * y_arr - 1.0
-    neg_yg = -y_arr * grad
-    up_mask = np.where(y_arr > 0, alpha < C_arr, alpha > 0)
-    low_mask = np.where(y_arr > 0, alpha > 0, alpha < C_arr)
-    if not up_mask.any() or not low_mask.any():
-        return 0.0
-    return float(np.max(neg_yg[up_mask]) - np.min(neg_yg[low_mask]))

@@ -118,11 +118,6 @@ def sstk(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
     return _kernel(_compile(t1, table), _compile(t2, table), lam)
 
 
-def sstk_normalized(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
-    """Cosine-normalized kernel: K(t1,t2) / sqrt(K(t1,t1) * K(t2,t2))."""
-    return float(CompiledTrees([t2], lam).row(t1)[0])
-
-
 @dataclass(frozen=True)
 class KernelGram:
     matrix: np.ndarray

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+from collections import defaultdict
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from claudette import seqmodel
 from claudette.cli import main
 from claudette.corpus import load_corpus
 from claudette.features import Rows
+from claudette.svm import box_constraints, predict_linear
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -30,6 +34,102 @@ def rows_from_pairs(rows, dim: int) -> Rows:
         np.array(data, dtype=np.float64),
         dim,
     )
+
+
+# ---------------------------------------------------------------------------
+# References the tests compare the program against
+# ---------------------------------------------------------------------------
+
+def reinsert_tags(plain: str, spans) -> str:
+    """Inverse of ``parse_tagged_text``: put the tags back at their span
+    offsets.  Closes are emitted before opens at the same position; spans
+    closing at the same position unwind innermost-first."""
+    opens: dict[int, list[int]] = defaultdict(list)
+    closes: dict[int, list[int]] = defaultdict(list)
+    for idx, s in enumerate(spans):
+        opens[s.start].append(idx)
+        closes[s.end].append(idx)
+    out: list[str] = []
+    for p in range(len(plain) + 1):
+        for idx in sorted(closes.get(p, ()), reverse=True):
+            s = spans[idx]
+            out.append(f"</{s.category.symbol}{s.level}>")
+        for idx in opens.get(p, ()):
+            s = spans[idx]
+            out.append(f"<{s.category.symbol}{s.level}>")
+        if p < len(plain):
+            out.append(plain[p])
+    return "".join(out)
+
+
+def linear_objective(model, X: Rows, y, cfg) -> float:
+    """Primal objective 0.5*||w||^2 + sum_i C_i * hinge_i of a fitted linear model."""
+    y_arr = np.asarray(y, dtype=np.float64)
+    total = 0.5 * float(np.dot(model.w, model.w))
+    for score, yi, ci in zip(predict_linear(model, X), y_arr, box_constraints(cfg, y_arr)):
+        total += ci * max(0.0, 1.0 - yi * score)
+    return total
+
+
+def recomputed_kkt_violation(gram, y, alpha: np.ndarray, cfg) -> float:
+    """SMO's stopping measure m(alpha) - M(alpha), recomputed from scratch."""
+    y_arr = np.asarray(y, dtype=np.float64)
+    C_arr = box_constraints(cfg, y_arr)
+    grad = gram.matrix @ (alpha * y_arr) * y_arr - 1.0
+    neg_yg = -y_arr * grad
+    up_mask = np.where(y_arr > 0, alpha < C_arr, alpha > 0)
+    low_mask = np.where(y_arr > 0, alpha > 0, alpha < C_arr)
+    if not up_mask.any() or not low_mask.any():
+        return 0.0
+    return float(np.max(neg_yg[up_mask]) - np.min(neg_yg[low_mask]))
+
+
+def per_row_emissions(model, xs: Rows) -> np.ndarray:
+    """Each emission row as the product of its own gather: the reference
+    for the one-gather lattice."""
+    E = np.empty((len(xs), model.n_labels), dtype=np.float64)
+    for t in range(len(xs)):
+        a, b = xs.indptr[t], xs.indptr[t + 1]
+        E[t] = model.emissions[:, xs.indices[a:b]] @ xs.data[a:b] if b > a else 0.0
+    return E
+
+
+def loss_lattice(E: np.ndarray, gold) -> np.ndarray:
+    """``E`` plus the margin loss: +1 off gold, +0 on gold."""
+    loss = np.ones_like(E)
+    loss[np.arange(len(gold)), gold] = 0.0
+    return E + loss
+
+
+def lattice_path_score(model, E: np.ndarray, ys) -> float:
+    """Reference accumulation over a lattice, mirroring the decoder's order."""
+    s = model.start[ys[0]] + E[0, ys[0]]
+    for t in range(1, len(ys)):
+        s = s + model.transitions[ys[t - 1], ys[t]]
+        s = s + E[t, ys[t]]
+    return float(s)
+
+
+def brute_force_best(model, E: np.ndarray):
+    """Exhaustive argmax with the documented tie rule: among optimal label
+    sequences, the one whose reversed tuple is lexicographically smallest."""
+    k, L = E.shape
+    best_score = None
+    candidates = []
+    for ys in product(range(L), repeat=k):
+        s = lattice_path_score(model, E, ys)
+        if best_score is None or s > best_score:
+            best_score = s
+            candidates = [ys]
+        elif s == best_score:
+            candidates.append(ys)
+    winner = min(candidates, key=lambda ys: tuple(reversed(ys)))
+    return list(winner), best_score
+
+
+def loss_augmented_decode(model, xs: Rows, gold):
+    """The trainer's loss-augmented Viterbi pass: best path and its score."""
+    return seqmodel._decode(model, seqmodel._lattice(model, xs), gold)[:2]
 
 
 @pytest.fixture(scope="session")

@@ -14,12 +14,18 @@ import random
 import threading
 import time
 import urllib.request
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rows_from_pairs
+from conftest import (
+    brute_force_best,
+    linear_objective,
+    loss_augmented_decode,
+    loss_lattice,
+    per_row_emissions,
+    rows_from_pairs,
+)
 
 from claudette.cli import main
 from claudette.corpus import corpus_stats, load_corpus
@@ -35,21 +41,9 @@ from claudette.evaluation import (
 )
 from claudette.features import FeatureConfig
 from claudette.modelio import CorpusTable, canonical_json_bytes, load_model
-from claudette.seqmodel import (
-    ChainModel,
-    augmented_emissions,
-    emission_matrix,
-    loss_augmented_viterbi,
-    viterbi,
-)
+from claudette.seqmodel import ChainModel, viterbi
 from claudette.service import make_server
-from claudette.svm import (
-    TrainConfig,
-    linear_objective,
-    predict_linear,
-    train_linear,
-    train_smo,
-)
+from claudette.svm import TrainConfig, predict_linear, train_linear, train_smo
 from claudette.treekernel import KernelGram, fragment_pair_kernel, random_tree, sstk
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -127,27 +121,6 @@ def test_c3_sstk_matches_fragment_oracle():
     _report("C3 SSTK oracle equivalence", f"200 pairs x 3 lambdas, worst |diff| {worst:.1e}, {elapsed:.1f}s")
 
 
-def _lattice_score(model, E, ys):
-    s = model.start[ys[0]] + E[0, ys[0]]
-    for t in range(1, len(ys)):
-        s = s + model.transitions[ys[t - 1], ys[t]]
-        s = s + E[t, ys[t]]
-    return float(s)
-
-
-def _brute_best(model, E):
-    k, L = E.shape
-    best = None
-    winners = []
-    for ys in product(range(L), repeat=k):
-        s = _lattice_score(model, E, ys)
-        if best is None or s > best:
-            best, winners = s, [ys]
-        elif s == best:
-            winners.append(ys)
-    return list(min(winners, key=lambda ys: tuple(reversed(ys)))), best
-
-
 def test_c4_viterbi_matches_exhaustive_enumeration():
     rng = random.Random(20240801)
     for trial in range(100):
@@ -166,14 +139,14 @@ def test_c4_viterbi_matches_exhaustive_enumeration():
         xs = rows_from_pairs(xs, dim)
         gold = [rng.randrange(L) for _ in range(k)]
 
-        E = emission_matrix(model, xs)
-        want_ys, want_score = _brute_best(model, E)
+        E = per_row_emissions(model, xs)
+        want_ys, want_score = brute_force_best(model, E)
         got_ys, got_score = viterbi(model, xs)
         assert got_score == want_score and got_ys == want_ys
 
-        E_aug = augmented_emissions(model, xs, gold)
-        want_ys, want_score = _brute_best(model, E_aug)
-        got_ys, got_score = loss_augmented_viterbi(model, xs, gold)
+        E_aug = loss_lattice(E, gold)
+        want_ys, want_score = brute_force_best(model, E_aug)
+        got_ys, got_score = loss_augmented_decode(model, xs, gold)
         assert got_score == want_score and got_ys == want_ys
     _report("C4 Viterbi oracle", "100 trials, plain + loss-augmented, exact")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -743,6 +744,12 @@ def corrupt_model(rec: dict, corruption: str) -> None:
         payload["support_trees"].pop()
     elif corruption == "fallback-wider-than-vocabulary":
         rec["fallback"]["dim"] += 1
+    elif corruption == "lambda-outside-unit-interval":
+        payload["lambda"] = 5.0
+    elif corruption == "nan-bias":
+        payload["b"] = float("nan")  # json.dumps writes NaN
+    elif corruption == "infinite-fallback-weight":
+        rec["fallback"]["w"][0][1] = float("inf")  # written as Infinity
 
 
 MODEL_CORRUPTIONS = [
@@ -753,6 +760,9 @@ MODEL_CORRUPTIONS = [
     "short-coef",
     "short-support-trees",
     "fallback-wider-than-vocabulary",
+    "lambda-outside-unit-interval",
+    "nan-bias",
+    "infinite-fallback-weight",
 ]
 
 
@@ -773,7 +783,8 @@ class TestMalformedModelFile:
         doc = plain_copy(FIXTURES / "mini" / "alpha.txt", tmp_path)
         code = main(["predict", "--model", str(bad), "--input", str(doc), "--trees", str(sidecar)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_serve_exits_3_before_binding(self, corruption, mini_kernel_model, tmp_path, monkeypatch, capsys):
         def bind(*args, **kwargs):
@@ -782,7 +793,8 @@ class TestMalformedModelFile:
         monkeypatch.setattr("claudette.service._QuietServer", bind)
         bad = self.corrupted(mini_kernel_model, corruption, tmp_path)
         assert main(["serve", "--model", str(bad), "--port", "0"]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_predict_with_chain_shapes_unlike_its_labels_exits_3(tmp_path, capsys):
@@ -934,6 +946,27 @@ class TestEvaluateCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--model", "m.json", "--port", "70000"],
+        ["serve", "--model", "m.json", "--port", "-1"],
+        ["serve", "--model", "m.json", "--port", "http"],
+        ["serve", "--model", "m.json", "--port", "0", "--max-bytes", "0"],
+        ["kernel-selftest", "--pairs", "-3"],
+        ["kernel-selftest", "--pairs", "0"],
+        ["train", "--task", "detect", "--corpus", "c", "--seed", "-1", "--out", "m.json"],
+        ["evaluate", "--corpus", "c", "--model-kind", "chain", "--seed", "-1"],
+    ],
+)
+def test_numeric_flag_out_of_range_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected an integer" in err and "Traceback" not in err
+
+
 class TestKernelSelftest:
     def test_passes(self, capsys):
         assert main(["kernel-selftest", "--pairs", "25"]) == 0
@@ -1020,6 +1053,9 @@ FAULT_TABLE = [
         id="predict-missing-trees",
     ),
     pytest.param(["serve", "--model", "{tmp}/missing.json", "--port", "0"], 2, id="serve-missing-model"),
+    # a model file with a non-finite number
+    pytest.param(["predict", "--model", "{tmp}/nan_b.json", "--input", "{doc}"], 3, id="predict-nan-model"),
+    pytest.param(["serve", "--model", "{tmp}/nan_b.json", "--port", "0"], 3, id="serve-nan-model"),
     # readable content that is wrong
     pytest.param(["stats", "{tmp}/unclosed"], 3, id="stats-unclosed-tag"),
     pytest.param(
@@ -1033,7 +1069,7 @@ FAULT_TABLE = [
 @pytest.mark.parametrize("argv, expected", FAULT_TABLE)
 def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypatch, capsysbinary):
     def bind(*args, **kwargs):
-        raise AssertionError("the service bound a port for a missing model")
+        raise AssertionError("the service bound a port for a model it could not load")
 
     monkeypatch.setattr("claudette.service._QuietServer", bind)
     (tmp_path / "empty").mkdir()
@@ -1042,6 +1078,8 @@ def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypa
     (tmp_path / "lambda.cfg").write_text("lambda = 2\n", encoding="utf-8")
     (tmp_path / "levels.cfg").write_text("positive_levels = 7\n", encoding="utf-8")
     (tmp_path / "two_groups.txt").write_text("(S (W a))\n\n(S (W b))\n", encoding="utf-8")
+    nan_b = re.sub(r'"b":[^,}]+', '"b":NaN', planted_model.read_text(encoding="utf-8"), count=1)
+    (tmp_path / "nan_b.json").write_text(nan_b, encoding="utf-8")
     places = {
         "fx": str(FIXTURES),
         "tmp": str(tmp_path),

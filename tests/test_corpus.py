@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reinsert_tags
+
 from claudette.corpus import (
     ABBREVIATIONS,
     CATEGORY_BY_SYMBOL,
@@ -23,7 +25,6 @@ from claudette.corpus import (
     load_corpus,
     parse_tagged_text,
     project_labels,
-    reinsert_tags,
     segment_sentences,
     tokenize,
 )

@@ -194,7 +194,7 @@ class TestProperties:
 
     def test_idf_monotone_nonincreasing_in_df(self):
         vocab = Vocabulary(terms=("t1", "t2", "t3"), df=(1, 2, 3), n_fit=3)
-        idfs = [vocab.idf(t) for t in vocab.terms]
+        idfs = vocab._idf.tolist()
         assert idfs == sorted(idfs, reverse=True)
         assert idfs[0] > idfs[1] > idfs[2]  # strict below n_fit
 
@@ -246,16 +246,19 @@ def reference_vocabulary(sentences, trees, config) -> Vocabulary:
 
 
 def reference_vectors(sentences, trees, vocab, config) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each sentence's (indices, weights), vectorized on its own."""
+    """Each sentence's (indices, weights), vectorized on its own, with each
+    IDF computed from the vocabulary's df and n_fit."""
+    index = dict(zip(vocab.terms, range(vocab.size)))
     out = []
     for i, sentence in enumerate(sentences):
         counts = Counter(extract_terms(sentence, trees[i] if trees else None, config))
         pairs = []
         for term, count in counts.items():
-            idx = vocab.index(term)
+            idx = index.get(term)
             if idx is not None:
                 tf = 1.0 + math.log(count) if config.log_tf else float(count)
-                pairs.append((idx, tf * vocab.idf(term)))
+                idf = math.log((1.0 + vocab.n_fit) / (1.0 + vocab.df[idx])) + 1.0
+                pairs.append((idx, tf * idf))
         pairs.sort()
         indices = np.array([i for i, _ in pairs], dtype=np.int64)
         values = np.array([w for _, w in pairs], dtype=np.float64)
@@ -309,9 +312,9 @@ class TestTermTable:
         docs[(held + 1) % len(docs)].append(())  # a training sentence with no terms
         sentences = [s for d in docs for s in d]
         trees = [tagged(s) for s in sentences] if use_pos else None
-        table = TermTable(sentences, trees, cfg, [(f"d{i}", len(d)) for i, d in enumerate(docs)])
-
-        rows = table.document_rows([f"d{i}" for i in range(len(docs)) if i != held])
+        table = TermTable(sentences, trees, cfg)
+        starts = np.cumsum([0] + [len(d) for d in docs])
+        rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in range(len(docs)) if i != held])
         train = [sentences[r] for r in rows]
         train_trees = [trees[r] for r in rows] if use_pos else None
         vocab = table.vocabulary(rows)
@@ -329,7 +332,7 @@ class TestTermTable:
         assert same_bytes(vectorize_all(train, train_trees, vocab, cfg), want, vocab.size)
 
         # the held-out rows, through the table and through a fresh one
-        held_rows = table.document_rows([f"d{held}"])
+        held_rows = np.arange(starts[held], starts[held + 1])
         held_sents = docs[held]
         held_trees = [trees[r] for r in held_rows] if use_pos else None
         want = reference_vectors(held_sents, held_trees, vocab, cfg)
@@ -351,7 +354,3 @@ class TestTermTable:
             TermTable([("a",)], None, cfg)
         with pytest.raises(MissingTree):
             TermTable([("a",)], [None], cfg)
-
-    def test_document_rows_must_cover_the_table(self):
-        with pytest.raises(ValueError):
-            TermTable([("a",), ("b",)], None, FeatureConfig(), [("d0", 1)])

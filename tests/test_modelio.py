@@ -265,6 +265,28 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"weight index {index} outside \\[0, 3\\)"):
             load_model(self.edited(bundle, edit, tmp_path))
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]
+        + [pytest.param("1" + "0" * n, id=f"1e{n}-integer") for n in (400, 5000)],
+    )
+    def test_numbers_that_are_not_finite_floats_rejected(self, literal, tmp_path):
+        path = self.edited(self.make_bundle(), lambda rec: rec["payload"].update(b="@"), tmp_path)
+        path.write_text(path.read_text().replace('"@"', literal))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("lam", [5.0, 0.0, -0.4])
+    def test_kernel_lambda_must_be_in_the_unit_interval(self, lam, tmp_path):
+        model = KernelModel(
+            support_idx=np.array([0]), coef=np.array([1.0]), b=0.0, lam=0.4,
+            normalized=True, n_train=2, kkt_violation=0.0, support_trees=[parse_bracketed("(S (A a))")],
+        )
+        bundle = ModelBundle("kernel-sstk", FeatureConfig(), small_vocab(), model)
+        path = self.edited(bundle, lambda rec: rec["payload"].update({"lambda": lam}), tmp_path)
+        with pytest.raises(ModelFormatError, match="lambda must be in"):
+            load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.json"
         path.write_text("[1, 2, 3]")
@@ -334,12 +356,21 @@ def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch,
     assert np.shares_memory(seen[0].matrix, table.gram.matrix)
     names = list(table.documents)[1:]
     fit("kernel-sstk", table, cfg, names)
-    rows = table.terms.document_rows(names)
+    rows = table.rows(names)
     assert not np.shares_memory(seen[1].matrix, table.gram.matrix)
     assert np.array_equal(seen[1].matrix, table.gram.matrix[np.ix_(rows, rows)])
     monkeypatch.setattr(svm, "train_smo", on_a_copy)
     save_model(fit("kernel-sstk", table, cfg), tmp_path / "copied.json")
     assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
+
+
+def test_corpus_table_rows_follow_the_names_given(mini_corpus):
+    table = CorpusTable(mini_corpus.documents, None, FeatureConfig())
+    first, second = (len(doc.sentences) for doc in mini_corpus.documents[:2])
+    names = [doc.name for doc in mini_corpus.documents]
+    assert table.rows(names[1::-1]).tolist() == list(range(first, first + second)) + list(range(first))
+    assert table.rows(names).tolist() == list(range(table.terms.n_rows))
+    assert table.rows([]).tolist() == []
 
 
 class TestCanonicalJson:

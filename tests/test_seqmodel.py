@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_from_pairs
+from conftest import (
+    brute_force_best,
+    lattice_path_score,
+    loss_augmented_decode,
+    loss_lattice,
+    per_row_emissions,
+    rows_from_pairs,
+)
 
 from claudette import seqmodel
 from claudette.features import FeatureConfig
@@ -18,16 +25,11 @@ from claudette.seqmodel import (
     ChainModel,
     SeqExample,
     UnknownLabel,
-    augmented_emissions,
-    emission_matrix,
-    joint_score,
-    loss_augmented_viterbi,
-    score_path,
     structured_objective,
     train_chain,
     viterbi,
 )
-from claudette.svm import DimensionMismatch, EmptyData, LengthMismatch, TrainConfig
+from claudette.svm import DimensionMismatch, EmptyData, TrainConfig
 
 
 def unit(i):
@@ -35,13 +37,10 @@ def unit(i):
     return [(i, 1.0)]
 
 
-def lattice_path_score(model, E, ys):
-    """Reference accumulation over a lattice, mirroring the decoder's order."""
-    s = model.start[ys[0]] + E[0, ys[0]]
-    for t in range(1, len(ys)):
-        s = s + model.transitions[ys[t - 1], ys[t]]
-        s = s + E[t, ys[t]]
-    return float(s)
+def reference_score(model, xs, ys):
+    """Score of one labeling: the reference path score over the reference
+    lattice."""
+    return lattice_path_score(model, per_row_emissions(model, xs), ys)
 
 
 def numpy_decode(model, E):
@@ -64,16 +63,6 @@ def numpy_decode(model, E):
     return ys, score
 
 
-def per_row_emissions(model, xs):
-    """Each emission row as the product of its own gather: the reference
-    for the one-gather lattice."""
-    E = np.empty((len(xs), model.n_labels), dtype=np.float64)
-    for t in range(len(xs)):
-        a, b = xs.indptr[t], xs.indptr[t + 1]
-        E[t] = model.emissions[:, xs.indices[a:b]] @ xs.data[a:b] if b > a else 0.0
-    return E
-
-
 def reference_apply_update(model, ex, y_hat, eta):
     """One fancy-index ``+=``/``-=`` pair per violated row: the reference for
     the one-scatter update."""
@@ -93,13 +82,6 @@ def reference_apply_update(model, ex, y_hat, eta):
             if gpair != hpair:
                 model.transitions[gpair] += eta
                 model.transitions[hpair] -= eta
-
-
-def loss_lattice(E, gold):
-    """``E`` plus the margin loss: +1 off gold, +0 on gold."""
-    loss = np.ones_like(E)
-    loss[np.arange(len(gold)), gold] = 0.0
-    return E + loss
 
 
 def reference_train_chain(examples, cfg, labels):
@@ -149,23 +131,6 @@ def bits(x):
     return struct.pack("<d", x)
 
 
-def brute_force_best(model, E):
-    """Exhaustive argmax with the documented tie rule: among optimal label
-    sequences, the one whose reversed tuple is lexicographically smallest."""
-    k, L = E.shape
-    best_score = None
-    candidates = []
-    for ys in product(range(L), repeat=k):
-        s = lattice_path_score(model, E, ys)
-        if best_score is None or s > best_score:
-            best_score = s
-            candidates = [ys]
-        elif s == best_score:
-            candidates.append(ys)
-    winner = min(candidates, key=lambda ys: tuple(reversed(ys)))
-    return list(winner), best_score
-
-
 def random_model_and_sequence(rng, max_len=8, max_labels=3, dim=5):
     L = rng.randint(2, max_labels)
     k = rng.randint(1, max_len)
@@ -181,19 +146,19 @@ def random_model_and_sequence(rng, max_len=8, max_labels=3, dim=5):
     return model, rows_from_pairs(xs, dim)
 
 
-class TestJointScore:
+class TestPathScore:
     def test_length_one_has_no_transition_term(self):
         model = ChainModel.zeros(["n", "p"], 2)
         model.start[:] = [0.5, -0.5]
         model.emissions[1, 0] = 2.0
         model.transitions[:] = 99.0  # must not contribute
-        assert joint_score(model, rows_from_pairs([unit(0)], 2), [1]) == pytest.approx(-0.5 + 2.0)
+        assert reference_score(model, rows_from_pairs([unit(0)], 2), [1]) == pytest.approx(-0.5 + 2.0)
 
     def test_zero_model_scores_zero(self):
         model = ChainModel.zeros(["n", "p"], 3)
         xs = rows_from_pairs([unit(0), unit(2)], 3)
         for ys in product(range(2), repeat=2):
-            assert joint_score(model, xs, list(ys)) == 0.0
+            assert reference_score(model, xs, list(ys)) == 0.0
 
     def test_hand_summed_two_step(self):
         model = ChainModel.zeros(["n", "p"], 2)
@@ -203,14 +168,7 @@ class TestJointScore:
         xs = rows_from_pairs([[(0, 2.0)], [(1, 3.0)]], 2)
         # start[1] + em[1].x1 + trans[1,0] + em[0].x2
         expected = 0.2 + (0.5 * 2.0) + 0.7 + (-1.0 * 3.0)
-        assert joint_score(model, xs, [1, 0]) == pytest.approx(expected)
-
-    def test_errors(self):
-        model = ChainModel.zeros(["n", "p"], 2)
-        with pytest.raises(LengthMismatch):
-            joint_score(model, rows_from_pairs([unit(0)], 2), [0, 1])
-        with pytest.raises(UnknownLabel):
-            joint_score(model, rows_from_pairs([unit(0)], 2), [5])
+        assert reference_score(model, xs, [1, 0]) == pytest.approx(expected)
 
 
 class TestViterbi:
@@ -236,7 +194,7 @@ class TestViterbi:
         rng = random.Random(2024)
         for _ in range(100):
             model, xs = random_model_and_sequence(rng)
-            E = emission_matrix(model, xs)
+            E = per_row_emissions(model, xs)
             expected_ys, expected_score = brute_force_best(model, E)
             ys, score = viterbi(model, xs)
             assert score == expected_score
@@ -247,7 +205,7 @@ class TestViterbi:
         for _ in range(30):
             model, xs = random_model_and_sequence(rng)
             ys, score = viterbi(model, xs)
-            assert joint_score(model, xs, ys) == pytest.approx(score, abs=1e-9)
+            assert reference_score(model, xs, ys) == pytest.approx(score, abs=1e-9)
 
     def test_tie_rule_prefers_low_labels(self):
         model = ChainModel.zeros(["a", "b", "c"], 2)
@@ -287,11 +245,8 @@ class TestDecodeMatchesNumpyReference:
         loss = np.ones_like(E)
         loss[np.arange(len(gold)), gold] = 0.0
         E_aug = E + loss
-        assert loss_augmented_viterbi(model, xs, gold) == numpy_decode(model, E_aug)
-        for lattice in (E, E_aug):
-            ys, _ = numpy_decode(model, lattice)
-            for path in (ys, gold):
-                assert score_path(model, lattice, path) == lattice_path_score(model, lattice, path)
+        assert loss_augmented_decode(model, xs, gold) == numpy_decode(model, E_aug)
+        assert seqmodel._decode(model, E.tolist(), gold)[2] == lattice_path_score(model, E_aug, gold)
 
 
 class TestEmissions:
@@ -305,20 +260,17 @@ class TestEmissions:
             idx = np.sort(rng.choice(dim, n, replace=False))
             xs.append(list(zip(idx.tolist(), rng.normal(size=n))))
         xs = rows_from_pairs(xs, dim)
-        E = emission_matrix(model, xs)
+        E = np.array(seqmodel._lattice(model, xs))
         assert (E == per_row_emissions(model, xs)).all()
         assert (E[[1, 4]] == 0.0).all()
         gold = [0, 1, 2, 0, 1, 2]
         loss = np.ones((6, 3))
         loss[np.arange(6), gold] = 0.0
-        assert (augmented_emissions(model, xs, gold) == per_row_emissions(model, xs) + loss).all()
+        assert (loss_lattice(per_row_emissions(model, xs), gold) == per_row_emissions(model, xs) + loss).all()
 
-    def test_public_entry_points_check_the_sequence(self):
+    def test_entry_points_check_the_sequence(self):
         model = ChainModel.zeros(["n", "p"], 2)
-        with_gold = [
-            lambda m, xs, f=f: f(m, xs, [0] * len(xs)) for f in (augmented_emissions, loss_augmented_viterbi)
-        ]
-        for call in [emission_matrix, viterbi] + with_gold:
+        for call in (seqmodel._lattice, viterbi, lambda m, xs: loss_augmented_decode(m, xs, [0] * len(xs))):
             with pytest.raises(DimensionMismatch):
                 call(model, rows_from_pairs([unit(0)], 3))
             with pytest.raises(EmptyData):
@@ -330,13 +282,13 @@ class TestLossAugmented:
         model = ChainModel.zeros(["n", "p"], 2)
         xs = rows_from_pairs([unit(0)] * 4, 2)
         gold = [0, 0, 0, 0]
-        ys, score = loss_augmented_viterbi(model, xs, gold)
+        ys, score = loss_augmented_decode(model, xs, gold)
         assert ys == [1, 1, 1, 1]  # lowest non-gold label everywhere
         assert score == pytest.approx(4.0)  # full Hamming distance
 
     def test_zero_model_three_labels_ties(self):
         model = ChainModel.zeros(["a", "b", "c"], 2)
-        ys, score = loss_augmented_viterbi(model, rows_from_pairs([unit(0)] * 2, 2), [0, 1])
+        ys, score = loss_augmented_decode(model, rows_from_pairs([unit(0)] * 2, 2), [0, 1])
         assert ys == [1, 0]  # lowest non-gold label at each position
         assert score == pytest.approx(2.0)
 
@@ -346,7 +298,7 @@ class TestLossAugmented:
         model.emissions[1, 1] = 5.0
         xs = rows_from_pairs([unit(0), unit(1)], 2)
         gold = [0, 1]
-        ys, score = loss_augmented_viterbi(model, xs, gold)
+        ys, score = loss_augmented_decode(model, xs, gold)
         # per position: gold emission 5 vs competitor 0 + 1 loss; gold wins
         assert ys == gold
         assert score == pytest.approx(10.0)
@@ -356,24 +308,19 @@ class TestLossAugmented:
         for _ in range(30):
             model, xs = random_model_and_sequence(rng)
             gold = [rng.randrange(model.n_labels) for _ in range(len(xs))]
-            _, aug = loss_augmented_viterbi(model, xs, gold)
-            assert aug >= joint_score(model, xs, gold) - 1e-9
+            _, aug = loss_augmented_decode(model, xs, gold)
+            assert aug >= reference_score(model, xs, gold) - 1e-9
 
     def test_matches_brute_force(self):
         rng = random.Random(404)
         for _ in range(100):
             model, xs = random_model_and_sequence(rng)
             gold = [rng.randrange(model.n_labels) for _ in range(len(xs))]
-            E_aug = augmented_emissions(model, xs, gold)
+            E_aug = loss_lattice(per_row_emissions(model, xs), gold)
             expected_ys, expected_score = brute_force_best(model, E_aug)
-            ys, score = loss_augmented_viterbi(model, xs, gold)
+            ys, score = loss_augmented_decode(model, xs, gold)
             assert score == expected_score
             assert ys == expected_ys
-
-    def test_length_mismatch(self):
-        model = ChainModel.zeros(["n", "p"], 2)
-        with pytest.raises(LengthMismatch):
-            loss_augmented_viterbi(model, rows_from_pairs([unit(0)], 2), [0, 1])
 
 
 def separable_sequences(n_seq=10, seed=0):
@@ -561,7 +508,7 @@ def corpus_sequences(corpus):
     """Each document of ``corpus`` as one sequence over the corpus
     vocabulary, as ``modelio.fit`` builds a chain's training set."""
     table = CorpusTable(corpus.documents, None, FeatureConfig())
-    rows = table.terms.document_rows(list(table.documents))
+    rows = table.rows(list(table.documents))
     X = table.terms.vectorize(table.terms.vocabulary(rows), rows)
     examples, pos = [], 0
     for doc in corpus.documents:
@@ -679,12 +626,13 @@ class TestTrainingDecode:
         E_aug = loss_lattice(E, gold)
         want_ys, want_aug = numpy_decode(model, E_aug)
         assert (ys, bits(aug)) == (want_ys, bits(want_aug))
-        assert bits(gold_score) == bits(score_path(model, E_aug, gold))
+        assert bits(gold_score) == bits(lattice_path_score(model, E_aug, gold))
         plain_ys, plain, no_gold = seqmodel._decode(model, E.tolist())
         want_ys, want_plain = numpy_decode(model, E)
         assert (plain_ys, bits(plain), no_gold) == (want_ys, bits(want_plain), None)
         # the public entry points, on the lattice the trainer computes
         ys, aug, gold_score = seqmodel._decode(model, seqmodel._lattice(model, xs), gold)
-        want_ys, want_aug = loss_augmented_viterbi(model, xs, gold)
+        E_aug = loss_lattice(per_row_emissions(model, xs), gold)
+        want_ys, want_aug = numpy_decode(model, E_aug)
         assert (ys, bits(aug)) == (want_ys, bits(want_aug))
-        assert bits(gold_score) == bits(score_path(model, augmented_emissions(model, xs, gold), gold))
+        assert bits(gold_score) == bits(lattice_path_score(model, E_aug, gold))

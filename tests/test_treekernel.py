@@ -23,7 +23,6 @@ from claudette.treekernel import (
     gram_matrix,
     random_tree,
     sstk,
-    sstk_normalized,
 )
 from claudette.trees import ParseTree, parse_bracketed, read_treebank_groups
 
@@ -122,18 +121,18 @@ class TestSstk:
 
 class TestNormalized:
     def test_identical_trees(self):
-        assert sstk_normalized(T, T, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert CompiledTrees([T], 1.0).row(T)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_trees(self):
-        assert sstk_normalized(T, T_DISJOINT, 0.4) == 0.0
+        assert CompiledTrees([T_DISJOINT], 0.4).row(T)[0] == 0.0
 
     def test_one_sixth_case(self):
-        assert sstk_normalized(T, T_HALF, 1.0) == pytest.approx(1 / 6, abs=1e-12)
+        assert CompiledTrees([T_HALF], 1.0).row(T)[0] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_degenerate_tree(self):
         leaf_only = ParseTree("a")
         with pytest.raises(DegenerateTree):
-            sstk_normalized(leaf_only, T, 1.0)
+            CompiledTrees([T], 1.0).row(leaf_only)
 
 
 class TestFragmentOracle:
