@@ -1,11 +1,10 @@
 """The one prediction path behind predict, the service and LOO evaluation.
 
-A :class:`Predictor` is a model bundle compiled once: it takes the bundle's
-typed models and compiles the kernel support trees, with their self-kernels.
-The predict command, the service and every LOO fold run it, and the front
-ends serialize its result with :func:`result_json`, so their outputs agree
-byte for byte.  A kernel LOO fold hands :meth:`Predictor.predict` its kernel
-rows, read from the corpus Gram, and so compiles no support trees.
+:func:`decide` scores one document's sentences from their kernel rows or
+else their TF-IDF rows.  A :class:`Predictor` makes those rows from text, with
+a kernel bundle's support trees compiled once; a LOO fold reads them from its
+corpus table instead, bit for bit the same.  The front ends serialize results
+with :func:`result_json`, so their outputs agree byte for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Sequence
 
 from . import seqmodel, svm, treekernel
 from .corpus import Sentence, segment_sentences
-from .features import MissingTree, vectorize_all
+from .features import MissingTree, Rows, vectorize_all
 from .modelio import ModelBundle, canonical_json_bytes
 from .trees import ParseTree
 
@@ -42,99 +41,93 @@ class TreeAlignmentError(ValueError):
     pass
 
 
-class Predictor:
-    """A model bundle compiled for prediction.
+def decide(
+    bundle: ModelBundle,
+    sentences: Sequence[Sentence],
+    X: Rows | None,
+    kernel_rows: Sequence[Sequence[float]] | None = None,
+) -> tuple[list[SentenceAnalysis], list[str]]:
+    """Analyses of the sentences of one document, and any warnings.
 
-    Linear models (one per category for ``category-ovr``, the embedded
-    fallback for ``kernel-sstk``) score a sentence as ``w.x + b`` and flag it
-    at score >= 0; the chain model decodes the whole document with Viterbi;
-    the kernel model scores each tree against the support trees.
-
-    With ``compile_support=False`` a kernel model's support trees are not
-    compiled, and :meth:`predict` must be given the kernel rows.
+    A kernel model scores ``kernel_rows``, each sentence's kernel values
+    against the support set in support order.  Otherwise ``X`` holds the
+    sentences' TF-IDF rows under the bundle's vocabulary: linear models (one
+    per category for ``category-ovr``, or a kernel model's embedded fallback,
+    with a warning) flag a sentence at ``w.x + b >= 0``; the chain model
+    decodes the whole document with Viterbi.
     """
-
-    def __init__(self, bundle: ModelBundle, compile_support: bool = True):
-        self.kind = bundle.kind
-        self.vocabulary = bundle.vocabulary
-        self.feature_config = bundle.feature_config
-        self.linear: dict[str, svm.LinearModel] = {}
-        self.chain: seqmodel.ChainModel | None = None
-        self.kernel: svm.KernelModel | None = None
-        self.support: treekernel.CompiledTrees | None = None
-        if bundle.kind == "linear-bow":
-            self.linear = {"detection": bundle.model}
-        elif bundle.kind == "category-ovr":
-            self.linear = {cat.symbol: m for cat, m in bundle.model.items()}
-        elif bundle.kind == "chain":
-            self.chain = bundle.model
+    warnings: list[str] = []
+    categories: list[list[str]] = [[] for _ in sentences]
+    if kernel_rows is not None:
+        scores = [svm.predict_kernel(bundle.model, row) for row in kernel_rows]
+        flags = [s >= 0.0 for s in scores]
+        score_maps = [{"detection": s} for s in scores]
+    elif bundle.kind == "chain":
+        emissions = bundle.model.emissions
+        ys = seqmodel.viterbi(bundle.model, X)[0] if len(X) else []
+        flags = [y == 1 for y in ys]
+        # informational only: emission-score gap, ignoring transitions
+        score_maps = [
+            {"detection": s1 - s0} for s1, s0 in zip(X.dot(emissions[1]), X.dot(emissions[0]))
+        ]
+    else:
+        if bundle.kind == "category-ovr":
+            linear = {cat.symbol: m for cat, m in bundle.model.items()}
+        elif bundle.kind == "linear-bow":
+            linear = {"detection": bundle.model}
+        elif bundle.fallback is None:
+            raise MissingTree("kernel model has no linear fallback and no trees were supplied")
         else:
-            self.kernel = bundle.model
-            if compile_support:
-                self.support = treekernel.CompiledTrees(
-                    self.kernel.support_trees, self.kernel.lam, self.kernel.normalized
-                )
-            if bundle.fallback is not None:
-                self.linear = {"detection": bundle.fallback}
+            warnings.append("no parse trees supplied; fell back to the embedded linear model")
+            linear = {"detection": bundle.fallback}
+        scores = {name: svm.predict_linear(m, X) for name, m in linear.items()}
+        score_maps = [{name: s[i] for name, s in scores.items()} for i in range(len(X))]
+        flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
+        if bundle.kind == "category-ovr":
+            categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]
+    analyses = [
+        SentenceAnalysis(
+            text=sent.text,
+            start=sent.start,
+            end=sent.end,
+            detection=flag,
+            scores=sm,
+            categories=cats,
+        )
+        for sent, flag, sm, cats in zip(sentences, flags, score_maps, categories)
+    ]
+    return analyses, warnings
+
+
+class Predictor:
+    """A model bundle compiled for prediction: a kernel bundle's support
+    trees are compiled here, once, so that threads may share the Predictor."""
+
+    def __init__(self, bundle: ModelBundle):
+        self.bundle = bundle
+        self.kind = bundle.kind
+        self.support: treekernel.CompiledTrees | None = None
+        if bundle.kind == "kernel-sstk":
+            model = bundle.model
+            self.support = treekernel.CompiledTrees(model.support_trees, model.lam, model.normalized)
 
     def predict(
-        self,
-        sentences: Sequence[Sentence],
-        trees: Sequence[ParseTree] | None = None,
-        kernel_rows: Sequence[Sequence[float]] | None = None,
+        self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None
     ) -> tuple[list[SentenceAnalysis], list[str]]:
-        """Analyses of the sentences of one document, and any warnings.
+        """:func:`decide` on the sentences of one document.
 
-        ``trees`` must align 1:1 with ``sentences``; it is only consulted by
-        kernel models, which otherwise fall back to their embedded linear
-        model with a warning, and by POS features.  ``kernel_rows``, one per
-        tree, are the trees' kernel values against the support set, in
-        support order; a kernel model given them skips computing them.
+        ``trees`` must align 1:1 with ``sentences``; a kernel model scores
+        their kernel rows, and POS features read them.  A kernel model
+        given no trees falls back to its embedded linear model.
         """
         if trees is not None and len(trees) != len(sentences):
             raise TreeAlignmentError(
                 f"document segments into {len(sentences)} sentences but {len(trees)} trees were supplied"
             )
-        warnings: list[str] = []
-        categories: list[list[str]] = [[] for _ in sentences]
-        if self.kernel is not None and trees is not None:
-            if kernel_rows is None:
-                kernel_rows = [self.support.row(t) for t in trees]
-            scores = [svm.predict_kernel(self.kernel, row) for row in kernel_rows]
-            flags = [s >= 0.0 for s in scores]
-            score_maps = [{"detection": s} for s in scores]
-        elif self.chain is not None:
-            emissions = self.chain.emissions
-            X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
-            ys = seqmodel.viterbi(self.chain, X)[0] if len(X) else []
-            flags = [y == 1 for y in ys]
-            # informational only: emission-score gap, ignoring transitions
-            score_maps = [
-                {"detection": s1 - s0} for s1, s0 in zip(X.dot(emissions[1]), X.dot(emissions[0]))
-            ]
-        else:
-            if self.kernel is not None:
-                if not self.linear:
-                    raise MissingTree("kernel model has no linear fallback and no trees were supplied")
-                warnings.append("no parse trees supplied; fell back to the embedded linear model")
-            X = vectorize_all(sentences, trees, self.vocabulary, self.feature_config)
-            scores = {name: svm.predict_linear(m, X) for name, m in self.linear.items()}
-            score_maps = [{name: s[i] for name, s in scores.items()} for i in range(len(X))]
-            flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
-            if self.kind == "category-ovr":
-                categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]
-        analyses = [
-            SentenceAnalysis(
-                text=sent.text,
-                start=sent.start,
-                end=sent.end,
-                detection=flag,
-                scores=sm,
-                categories=cats,
-            )
-            for sent, flag, sm, cats in zip(sentences, flags, score_maps, categories)
-        ]
-        return analyses, warnings
+        if self.support is not None and trees is not None:
+            return decide(self.bundle, sentences, None, [self.support.row(t) for t in trees])
+        X = vectorize_all(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
+        return decide(self.bundle, sentences, X)
 
     def analyze(self, text: str, trees: Sequence[ParseTree] | None = None) -> AnalysisResult:
         """Segment a plain-text document and predict its sentences."""

@@ -113,7 +113,7 @@ class RunSettings:
             values.pop("positive_weight")
             train_kwargs["positive_weight"] = None
         for key, kind in (("C", float), ("positive_weight", float), ("tol", float),
-                          ("max_iter", int), ("epochs", int), ("seed", int)):
+                          ("max_iter", int), ("epochs", int)):
             if key in values:
                 train_kwargs[key] = _parse_number(values.pop(key), key, kind)
         self.train_config = svm.TrainConfig(**train_kwargs)
@@ -131,18 +131,17 @@ class RunSettings:
             unknown = ", ".join(sorted(values))
             raise ConfigFileError(f"unknown config keys: {unknown}")
 
-    def with_seed(self, seed: int | None) -> "RunSettings":
-        if seed is not None:
-            self.train_config = dataclasses.replace(self.train_config, seed=seed)
-        return self
-
 
 def _load_settings(config_path: str | None, seed: int | None) -> RunSettings:
+    """The config file's settings; the seed comes from ``--seed`` only."""
     values = parse_config_file(config_path) if config_path else {}
     try:
-        return RunSettings(values).with_seed(seed)
+        settings = RunSettings(values)
     except ValueError as err:  # a field that does not parse or is out of range
         raise ConfigFileError(str(err)) from None
+    if seed is not None:
+        settings.train_config = dataclasses.replace(settings.train_config, seed=seed)
+    return settings
 
 
 def _needs_trees(args: argparse.Namespace, flag: str, kind: str, settings: RunSettings) -> None:

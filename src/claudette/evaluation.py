@@ -3,9 +3,9 @@
 Holding out whole documents prevents within-document leakage: per fold the
 vocabulary, IDF statistics, and support set are computed from the training
 documents only.  Term extraction and kernel values do not depend on the fold,
-so they are computed once per evaluation: a kernel fold's Gram is a block of
-the corpus Gram, and so are its held-out rows.  Counts are pooled across folds
-before computing metrics.
+so they are computed once per evaluation and every fold reads its training and
+held-out inputs from them.  Counts are pooled across folds before computing
+metrics.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import svm, treekernel
-from .analyze import Predictor
-from .corpus import CATEGORY_BY_SYMBOL, ClauseCategory, Corpus, LabeledSentence, StatsTable
+from .analyze import decide
+from .corpus import CATEGORY_BY_SYMBOL, POSITIVE_LEVELS, ClauseCategory, Corpus, LabeledSentence, StatsTable
 from .features import FeatureConfig
-from .modelio import CorpusTable, MissingTreebank, ModelBundle, document_trees, fit
+from .modelio import CorpusTable, MissingTreebank, ModelBundle, fit
 from .svm import LengthMismatch
 from .trees import ParseTree
 
@@ -225,15 +225,13 @@ def run_detection_eval(
 ) -> MetricsReport:
     """Leave-one-document-out evaluation of the chosen model kind.
 
-    Each fold is fitted by :func:`fit_detection_fold` and its held-out
-    document predicted by a :class:`Predictor`, the code ``train`` and
-    ``predict`` run.  ``category-ovr`` models also score the categories.
-    The work that does not depend on the fold (every sentence's terms and,
-    for kernel models, the corpus Gram) is done once, in one
-    :class:`CorpusTable` the folds share.  A kernel fold's Predictor reads
-    the held-out rows from the corpus Gram, whose entries equal the rows it
-    would compute (the kernel is symmetric bit for bit), so it compiles no
-    support trees.
+    Each fold is fitted by :func:`fit_detection_fold`, as ``train`` fits,
+    and its held-out document scored by :func:`decide`, as ``predict`` and
+    ``serve`` score.  ``category-ovr`` models also score the categories.
+    Every sentence's terms and, for kernel models, the corpus Gram are
+    computed once, in one :class:`CorpusTable`.  A fold reads from it the
+    held-out TF-IDF rows under its vocabulary, or their kernel rows against
+    its support set, which equal a :class:`Predictor`'s bit for bit.
     """
     table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
 
@@ -242,17 +240,16 @@ def run_detection_eval(
         held = corpus.document(fold.held_out)
         try:
             bundle = fit_detection_fold(table, fold, model_kind, train_cfg)
-            trees = document_trees(treebank, [held]) if treebank is not None else None
         except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
             raise type(err)(f"fold {fold.held_out}: {err}") from err
         sentences = [ls.sentence for ls in held.sentences]
+        held_rows = table.rows([fold.held_out])
         if model_kind == "kernel-sstk":
-            held_rows = table.rows([fold.held_out])
             support_rows = table.rows(fold.train)[bundle.model.support_idx]
             kernel_rows = table.gram.matrix[np.ix_(held_rows, support_rows)]
-            analyses, _ = Predictor(bundle, compile_support=False).predict(sentences, trees, kernel_rows)
+            analyses, _ = decide(bundle, sentences, None, kernel_rows)
         else:
-            analyses, _ = Predictor(bundle).predict(sentences, trees)
+            analyses, _ = decide(bundle, sentences, table.terms.vectorize(bundle.vocabulary, held_rows))
         gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
         pred = [
             SentenceVerdict(
@@ -345,10 +342,13 @@ class DiffReport:
 def compare_to_paper_stats(stats: StatsTable) -> DiffReport:
     """Diff a StatsTable against the published reference counts.
 
-    The reference describes the official 50-document corpus only; any other
-    document count marks every entry "not comparable".
+    The reference describes the official 50-document corpus, counted under
+    the default positive levels (2, 3); any other document count or levels
+    mark every entry "not comparable".
     """
-    comparable = stats.n_documents == REFERENCE_DOCUMENTS
+    comparable = (
+        stats.n_documents == REFERENCE_DOCUMENTS and set(stats.positive_levels) == set(POSITIVE_LEVELS)
+    )
     entries: list[DiffEntry] = []
 
     def entry(name: str, expected: str, actual: str, ok: bool, delta: str = "") -> None:

@@ -364,7 +364,8 @@ class CorpusTable:
 
     @functools.cached_property
     def gram(self) -> treekernel.KernelGram:
-        """Every pair's kernel value; a fold's Gram is its training block."""
+        """Every pair's kernel value; a fold's SMO reads its training block in
+        place, through the fold's row numbers."""
         return treekernel.gram_matrix(self.trees, lam=self.lam, normalize=self.normalize)
 
 
@@ -396,10 +397,7 @@ def fit(
     }
 
     if kind == "kernel-sstk":
-        gram = table.gram
-        if not np.array_equal(rows, np.arange(gram.n)):  # SMO only reads the corpus Gram itself
-            gram = dataclasses.replace(gram, matrix=gram.matrix[np.ix_(rows, rows)])
-        model = svm.train_smo(gram, y, train_cfg)
+        model = svm.train_smo(table.gram, rows, y, train_cfg)
         model.support_trees = [table.trees[rows[i]] for i in model.support_idx]
         metadata["lambda"] = table.lam
         metadata["kernel_normalize"] = table.normalize

@@ -2,8 +2,9 @@
 
 POST /analyze with a plain-text body returns the analysis as JSON; GET
 /health reports model metadata.  The model is compiled into a Predictor once,
-before the server accepts connections, and shared read-only across request
-threads; identical bodies produce identical responses.
+before the server binds its port (a kernel model's support trees with it),
+and shared read-only across request threads; identical bodies produce
+identical responses.  Connections are kept alive, with Nagle's algorithm off.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ def _error_body(message: str, error_id: str | None = None) -> bytes:
 class AnalyzeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "claudette"
+    # headers and body leave in two writes; with Nagle's algorithm on, the
+    # body can wait for the client's delayed ACK of the headers, about 40 ms
+    # per answer on a keep-alive connection
+    disable_nagle_algorithm = True
 
     # set by make_server
     predictor: Predictor = None  # type: ignore[assignment]

@@ -193,9 +193,12 @@ def predict_linear(model: LinearModel, X: Rows) -> list[float]:
     return [s + model.b for s in X.dot(model.w)]
 
 
-def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelModel:
+def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainConfig) -> KernelModel:
     """Kernel SVM dual solved by SMO with maximal-violating-pair selection.
 
+    The training examples are the Gram rows ``rows``, labelled ``y``; SMO
+    reads their block through the index array and copies none of it.
+    ``support_idx`` counts positions in ``rows``.
     Terminates when the KKT violation m(alpha) - M(alpha) drops below
     ``cfg.tol``; the bias is the midpoint of the two bounds.  Hitting the
     iteration cap is a soft failure: the best iterate is returned with a
@@ -204,9 +207,9 @@ def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelMod
     K = gram.matrix
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise NotSquare(f"gram matrix has shape {K.shape}")
-    n = K.shape[0]
+    n = len(rows)
     if len(y) != n:
-        raise LengthMismatch(f"gram is {n}x{n} but {len(y)} labels")
+        raise LengthMismatch(f"{n} gram rows but {len(y)} labels")
     if n < 2:
         raise EmptyData("need at least two training examples")
     y_arr = _validate_labels(y)
@@ -247,7 +250,8 @@ def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelMod
             warning = f"no-convergence: KKT violation {violation:.3e} after {it} iterations"
             break
 
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        ri, rj = rows[i], rows[j]
+        quad = K[ri, ri] + K[rj, rj] - 2.0 * K[ri, rj]
         if quad <= 0.0:
             quad = 1e-12
         step = violation / quad
@@ -263,7 +267,7 @@ def train_smo(gram: KernelGram, y: Sequence[int], cfg: TrainConfig) -> KernelMod
         alpha[i] += y_arr[i] * step
         alpha[j] -= y_arr[j] * step
         # rows, not columns: K is symmetric, and a row of a C-order matrix is contiguous
-        grad += step * y_arr * (K[i] - K[j])
+        grad += step * y_arr * (K[ri] - K[rj])[rows]
         trace.append(dual_objective())
         it += 1
 

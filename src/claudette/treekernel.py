@@ -124,10 +124,6 @@ class KernelGram:
     lam: float
     normalized: bool
 
-    @property
-    def n(self) -> int:
-        return int(self.matrix.shape[0])
-
 
 class CompiledTrees:
     """Trees compiled once against one production table, with their

@@ -153,7 +153,7 @@ def test_c4_viterbi_matches_exhaustive_enumeration():
 
 def test_c5_smo_correctness():
     cfg = TrainConfig(C=1.0, tol=1e-6)
-    model = train_smo(KernelGram(np.eye(2), 1.0, True), [1, -1], cfg)
+    model = train_smo(KernelGram(np.eye(2), 1.0, True), np.arange(2), [1, -1], cfg)
     assert np.abs(model.coef) == pytest.approx([1.0, 1.0], abs=1e-6)
     assert model.b == pytest.approx(0.0, abs=1e-6)
 
@@ -170,7 +170,7 @@ def test_c5_smo_correctness():
         if np.all(y == y[0]):
             y[0] = -y[0]
         cfg = TrainConfig(C=1.0, tol=1e-3)
-        model = train_smo(gram, list(y), cfg)
+        model = train_smo(gram, np.arange(n), list(y), cfg)
         assert model.warning is None
         assert model.kkt_violation < cfg.tol
         assert abs(model.coef.sum()) <= cfg.tol
@@ -302,7 +302,8 @@ def test_c9_cli_service_parity(tmp_path, capsysbinary):
                 data=doc.read_bytes(),
                 headers={"Content-Type": "text/plain; charset=utf-8"},
             )
-            service_bytes = urllib.request.urlopen(req).read()
+            with urllib.request.urlopen(req) as resp:
+                service_bytes = resp.read()
             assert service_bytes == cli_bytes, doc.name
     finally:
         server.shutdown()

@@ -65,7 +65,7 @@ class TestConfigFile:
         assert settings.train_config.positive_weight is None
 
     @pytest.mark.parametrize(
-        "key", ["C", "positive_weight", "tol", "max_iter", "epochs", "seed", "min_df", "lambda"]
+        "key", ["C", "positive_weight", "tol", "max_iter", "epochs", "min_df", "lambda"]
     )
     def test_unparsable_number_names_its_key(self, key):
         with pytest.raises(ConfigFileError, match=f"^config key '{key}': .*'abc'"):
@@ -1016,6 +1016,8 @@ FAULT_TABLE = [
         id="evaluate-lambda-2",
     ),
     pytest.param(["stats", "{fx}/mini", "--config", "{tmp}/levels.cfg"], 2, id="stats-positive-levels-7"),
+    # a config key that only --seed sets
+    pytest.param(EVALUATE_MINI + ["--config", "{tmp}/seed.cfg"], 2, id="evaluate-config-seed"),
     # an empty corpus directory
     pytest.param(["stats", "{tmp}/empty"], 2, id="stats-empty-corpus"),
     pytest.param(
@@ -1077,6 +1079,7 @@ def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypa
     (tmp_path / "unclosed" / "bad.txt").write_text("<a2>unclosed", encoding="utf-8")
     (tmp_path / "lambda.cfg").write_text("lambda = 2\n", encoding="utf-8")
     (tmp_path / "levels.cfg").write_text("positive_levels = 7\n", encoding="utf-8")
+    (tmp_path / "seed.cfg").write_text("seed = -2\n", encoding="utf-8")
     (tmp_path / "two_groups.txt").write_text("(S (W a))\n\n(S (W b))\n", encoding="utf-8")
     nan_b = re.sub(r'"b":[^,}]+', '"b":NaN', planted_model.read_text(encoding="utf-8"), count=1)
     (tmp_path / "nan_b.json").write_text(nan_b, encoding="utf-8")

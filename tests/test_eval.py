@@ -24,7 +24,7 @@ from claudette.evaluation import (
     REFERENCE_CLAUSE_COUNTS,
     REFERENCE_TOTAL_SENTENCES,
 )
-from claudette.features import FeatureConfig
+from claudette.features import FeatureConfig, TermTable, vectorize_all
 from claudette.modelio import MODEL_KINDS, CorpusTable, canonical_json_bytes, fit
 from claudette.svm import LengthMismatch, TrainConfig
 from claudette.treekernel import CompiledTrees
@@ -303,6 +303,19 @@ class TestCompareToPaperStats:
         assert diff.passed
         assert all(e.status == "pass" for e in diff.entries)
 
+    @pytest.mark.parametrize(
+        "levels, comparable", [((3,), False), ((2,), False), ((1, 2, 3), False), ((3, 2), True)]
+    )
+    def test_other_positive_levels_not_comparable(self, levels, comparable):
+        import dataclasses
+
+        # the published counts are under levels 2 and 3, so a table counted
+        # under other levels is not judged against them, even where it matches
+        stats = dataclasses.replace(self._reference_corpus_stats(), positive_levels=levels)
+        diff = compare_to_paper_stats(stats)
+        assert diff.comparable is diff.passed is comparable
+        assert all((e.status == "not comparable") is not comparable for e in diff.entries)
+
     def test_sentence_total_tolerance(self):
         import dataclasses
 
@@ -384,6 +397,39 @@ class TestLooKeepsModelsInMemory:
         report = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank)
         assert report.to_record() == expected
         assert len(compiled) == 1  # the corpus Gram's; no fold compiles its support trees
+
+    @pytest.mark.parametrize(
+        "cfg", [FC, FeatureConfig(use_pos=True, log_tf=True)], ids=["default", "pos-log-tf"]
+    )
+    @pytest.mark.parametrize("corpus_name", ["planted", "adjacency", "mini"])
+    def test_held_out_table_rows_equal_vectorize_all(self, corpus_name, cfg, fixtures_dir):
+        # a fold reads the held-out TF-IDF rows from the corpus table; they
+        # must be the rows predict would vectorize from the document itself
+        corpus = load_corpus(fixtures_dir / corpus_name)
+        treebank = load_treebank(fixtures_dir / f"{corpus_name}_trees.txt", corpus)
+        table = CorpusTable(corpus.documents, treebank, cfg)
+        for fold in make_loo_splits(corpus):
+            vocab = table.terms.vocabulary(table.rows(fold.train))
+            held = corpus.document(fold.held_out)
+            got = table.terms.vectorize(vocab, table.rows([fold.held_out]))
+            want = vectorize_all([ls.sentence for ls in held.sentences], treebank[held.name], vocab, cfg)
+            assert got.dim == want.dim
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (fold.held_out, part)
+
+    @pytest.mark.parametrize("kind", ["linear-bow", "chain", "category-ovr"])
+    def test_loo_extracts_terms_once(self, kind, planted_corpus, monkeypatch):
+        built = []
+        real_init = TermTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TermTable, "__init__", counting_init)
+        run_detection_eval(planted_corpus, FC, kind, TC)
+        assert len(built) == 1
 
     def test_kernel_loo_with_a_deep_tree_built_in_code(self, planted_corpus, fixtures_dir):
         treebank = load_treebank(fixtures_dir / "planted_trees.txt", planted_corpus)

@@ -336,7 +336,7 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
     assert len(predictor.support.productions) == table_size
 
 
-def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch, tmp_path):
+def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch):
     corpus = load_corpus(fixtures_dir / "mini")
     treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
     table = CorpusTable(corpus.documents, treebank, FeatureConfig())
@@ -344,24 +344,24 @@ def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch,
     train_smo = svm.train_smo
     seen = []
 
-    def recording(gram, y, c):
+    def recording(gram, rows, y, c):
         seen.append(gram)
-        return train_smo(gram, y, c)
-
-    def on_a_copy(gram, y, c):
-        return train_smo(dataclasses.replace(gram, matrix=gram.matrix.copy()), y, c)
+        return train_smo(gram, rows, y, c)
 
     monkeypatch.setattr(svm, "train_smo", recording)
-    save_model(fit("kernel-sstk", table, cfg), tmp_path / "shared.json")
-    assert np.shares_memory(seen[0].matrix, table.gram.matrix)
+    fit("kernel-sstk", table, cfg)
     names = list(table.documents)[1:]
-    fit("kernel-sstk", table, cfg, names)
+    fold = fit("kernel-sstk", table, cfg, names)
+    assert len(seen) == 2 and all(gram is table.gram for gram in seen)
+    # the fold's model equals SMO on a copy of its Gram block, bit for bit
     rows = table.rows(names)
-    assert not np.shares_memory(seen[1].matrix, table.gram.matrix)
-    assert np.array_equal(seen[1].matrix, table.gram.matrix[np.ix_(rows, rows)])
-    monkeypatch.setattr(svm, "train_smo", on_a_copy)
-    save_model(fit("kernel-sstk", table, cfg), tmp_path / "copied.json")
-    assert (tmp_path / "shared.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
+    block = dataclasses.replace(table.gram, matrix=table.gram.matrix[np.ix_(rows, rows)])
+    y = [1 if ls.detection_label else -1 for name in names for ls in table.documents[name].sentences]
+    copied = train_smo(block, np.arange(len(rows)), y, cfg)
+    assert copied.objective_trace == fold.model.objective_trace
+    copied.support_trees = [table.trees[rows[i]] for i in copied.support_idx]
+    expected = canonical_json_bytes(dataclasses.replace(fold, model=copied).to_record())
+    assert canonical_json_bytes(fold.to_record()) == expected
 
 
 def test_corpus_table_rows_follow_the_names_given(mini_corpus):

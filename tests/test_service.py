@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -62,58 +64,56 @@ def _url(server, path):
     return f"http://127.0.0.1:{server.server_address[1]}{path}"
 
 
+def _answer(req) -> tuple[int, bytes]:
+    """Status and body of the answer to ``req``, with its connection closed."""
+    try:
+        with urllib.request.urlopen(req) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as err:
+        with err:
+            return err.code, err.read()
+
+
 def _post(server, body: bytes, content_type: str | None = "text/plain; charset=utf-8"):
     headers = {}
     if content_type is not None:
         headers["Content-Type"] = content_type
-    req = urllib.request.Request(_url(server, "/analyze"), data=body, headers=headers)
-    return urllib.request.urlopen(req)
+    return _answer(urllib.request.Request(_url(server, "/analyze"), data=body, headers=headers))
 
 
 class TestHealth:
     def test_health_reports_model_metadata(self, server):
-        resp = urllib.request.urlopen(_url(server, "/health"))
-        assert resp.status == 200
-        record = json.loads(resp.read())
-        assert record == {"status": "ok", "model_kind": "linear-bow", "format_version": 1}
+        status, body = _answer(_url(server, "/health"))
+        assert status == 200
+        assert json.loads(body) == {"status": "ok", "model_kind": "linear-bow", "format_version": 1}
 
     def test_unknown_path_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(_url(server, "/nope"))
-        assert err.value.code == 404
+        assert _answer(_url(server, "/nope"))[0] == 404
 
 
 class TestAnalyze:
     def test_parity_with_cli_predict(self, server, served_model, capsysbinary):
         doc = FIXTURES / "planted" / "doc01.txt"
-        resp = _post(server, doc.read_bytes())
-        service_bytes = resp.read()
+        status, service_bytes = _post(server, doc.read_bytes())
+        assert status == 200
         assert main(["predict", "--model", str(served_model), "--input", str(doc)]) == 0
         cli_bytes = capsysbinary.readouterr().out
         assert service_bytes == cli_bytes
 
     def test_identical_bodies_identical_responses(self, server):
         body = b"The provider may change anything. Nothing else matters."
-        assert _post(server, body).read() == _post(server, body).read()
+        assert _post(server, body) == _post(server, body)
 
     def test_empty_body_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server, b"")
-        assert err.value.code == 400
+        assert _post(server, b"")[0] == 400
 
     def test_whitespace_body_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server, b"   \n  ")
-        assert err.value.code == 400
+        assert _post(server, b"   \n  ")[0] == 400
 
     def test_non_text_content_type_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server, b"{}", content_type="application/json")
-        assert err.value.code == 400
+        assert _post(server, b"{}", content_type="application/json")[0] == 400
 
     def test_missing_content_type_accepted(self, server):
-        import http.client
-
         body = b"A plain sentence without a header."
         conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
         try:
@@ -126,22 +126,32 @@ class TestAnalyze:
         finally:
             conn.close()
 
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, server):
+        # 20 answers on one connection; a body held back by Nagle's algorithm
+        # until the client's delayed ACK costs about 40 ms per answer
+        body = b"The provider may change anything. Nothing else matters."
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/analyze", body=body, headers={"Content-Type": "text/plain"})
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4
+
     def test_oversized_body_413(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server, b"x" * 5000)  # server cap is 4096
-        assert err.value.code == 413
+        assert _post(server, b"x" * 5000)[0] == 413  # server cap is 4096
 
     def test_invalid_utf8_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server, b"\xff\xfe nonsense")
-        assert err.value.code == 400
+        assert _post(server, b"\xff\xfe nonsense")[0] == 400
 
     def test_error_body_carries_no_internals(self, server):
-        try:
-            _post(server, b"")
-        except urllib.error.HTTPError as err:
-            record = json.loads(err.read())
-            assert set(record) <= {"error", "error_id"}
+        status, body = _post(server, b"")
+        assert status == 400
+        assert set(json.loads(body)) <= {"error", "error_id"}
 
     def test_concurrent_requests_share_the_model(self, server):
         from concurrent.futures import ThreadPoolExecutor
@@ -150,20 +160,17 @@ class TestAnalyze:
             f"Request number {i} asks about clause {i}. Another sentence.".encode()
             for i in range(8)
         ]
-        expected = [_post(server, b).read() for b in bodies]
+        expected = [_post(server, b) for b in bodies]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda b: _post(server, b).read(), bodies))
+            results = list(pool.map(lambda b: _post(server, b), bodies))
         assert results == expected
 
 
 def test_kernel_model_without_fallback_answers_400(mini_kernel_model_without_fallback):
     with serving(mini_kernel_model_without_fallback) as srv:
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post(srv, b"The provider may terminate the account at any time.")
-    assert err.value.code == 400
-    assert json.loads(err.value.read()) == {
-        "error": "this model needs parse trees, which the service cannot supply"
-    }
+        status, body = _post(srv, b"The provider may terminate the account at any time.")
+    assert status == 400
+    assert json.loads(body) == {"error": "this model needs parse trees, which the service cannot supply"}
 
 
 def test_kernel_support_is_compiled_before_bind_and_never_per_request(mini_kernel_model, monkeypatch):
@@ -185,5 +192,5 @@ def test_kernel_support_is_compiled_before_bind_and_never_per_request(mini_kerne
         assert srv.compiled_before_bind == 1
         assert srv.RequestHandlerClass.predictor.support is compiled[0]
         for i in range(4):
-            _post(srv, f"The provider may terminate account {i} at any time.".encode()).read()
+            assert _post(srv, f"The provider may terminate account {i} at any time.".encode())[0] == 200
     assert len(compiled) == 1

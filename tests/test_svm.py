@@ -269,18 +269,18 @@ def random_psd_gram(n, seed):
 class TestTrainSmo:
     def test_two_point_identity_gram(self):
         cfg = TrainConfig(C=1.0, tol=1e-6)
-        model = train_smo(identity_gram(), [1, -1], cfg)
+        model = train_smo(identity_gram(), np.arange(2), [1, -1], cfg)
         alphas = np.abs(model.coef)
         assert alphas == pytest.approx([1.0, 1.0], abs=1e-6)
         assert model.b == pytest.approx(0.0, abs=1e-6)
         assert model.support_idx.tolist() == [0, 1]
 
     def test_equality_constraint(self):
-        model = train_smo(identity_gram(), [1, -1], TrainConfig(tol=1e-6))
+        model = train_smo(identity_gram(), np.arange(2), [1, -1], TrainConfig(tol=1e-6))
         assert abs(model.coef.sum()) <= 1e-6
 
     def test_on_margin_prediction(self):
-        model = train_smo(identity_gram(), [1, -1], TrainConfig(tol=1e-8))
+        model = train_smo(identity_gram(), np.arange(2), [1, -1], TrainConfig(tol=1e-8))
         # kernel row of training point 0 against the two supports
         score = predict_kernel(model, [1.0, 0.0])
         assert 1 * score >= 1 - 1e-6
@@ -294,7 +294,7 @@ class TestTrainSmo:
             if np.all(y == y[0]):
                 y[0] = -y[0]
             cfg = TrainConfig(C=1.0, tol=1e-3)
-            model = train_smo(gram, list(y), cfg)
+            model = train_smo(gram, np.arange(n), list(y), cfg)
             assert model.warning is None
             assert model.kkt_violation < cfg.tol
             assert abs(model.coef.sum()) <= cfg.tol
@@ -316,7 +316,7 @@ class TestTrainSmo:
         y = np.where(rng.random(30) < 0.5, 1, -1)
         if np.all(y == y[0]):
             y[0] = -y[0]
-        model = train_smo(gram, list(y), TrainConfig(tol=1e-5))
+        model = train_smo(gram, np.arange(30), list(y), TrainConfig(tol=1e-5))
         trace = model.objective_trace
         assert len(trace) > 1
         for a, b in zip(trace, trace[1:]):
@@ -325,15 +325,15 @@ class TestTrainSmo:
     def test_not_square(self):
         gram = KernelGram(matrix=np.zeros((2, 3)), lam=1.0, normalized=False)
         with pytest.raises(NotSquare):
-            train_smo(gram, [1, -1], TrainConfig())
+            train_smo(gram, np.arange(2), [1, -1], TrainConfig())
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            train_smo(identity_gram(), [1, 1], TrainConfig())
+            train_smo(identity_gram(), np.arange(2), [1, 1], TrainConfig())
 
     def test_label_count_mismatch(self):
         with pytest.raises(LengthMismatch):
-            train_smo(identity_gram(), [1, -1, 1], TrainConfig())
+            train_smo(identity_gram(), np.arange(2), [1, -1, 1], TrainConfig())
 
     def test_iteration_cap_is_soft(self):
         gram = random_psd_gram(30, 3)
@@ -341,7 +341,7 @@ class TestTrainSmo:
         y = np.where(rng.random(30) < 0.5, 1, -1)
         if np.all(y == y[0]):
             y[0] = -y[0]
-        model = train_smo(gram, list(y), TrainConfig(tol=1e-9, max_iter=2))
+        model = train_smo(gram, np.arange(30), list(y), TrainConfig(tol=1e-9, max_iter=2))
         assert model.warning is not None and "no-convergence" in model.warning
         assert np.all(np.isfinite(model.coef))
 
