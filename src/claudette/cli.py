@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage errors, 3 data errors, 4 training
-non-convergence (diagnostics are still written).  A path that cannot be read
-or written is a usage error; readable content that is wrong is a data error.
-``main`` maps every typed fault to its code through ``USAGE_FAULTS`` and
-``DATA_FAULTS``.
+Exit codes: 0 success, 1 a worker process that ended without its results,
+2 usage errors, 3 data errors, 4 training non-convergence (diagnostics are
+still written).  A path that cannot be read or written is a usage error;
+readable content that is wrong is a data error.  ``main`` maps every typed
+fault to its code through ``USAGE_FAULTS`` and ``DATA_FAULTS``, and
+``WorkerFailed`` to 1.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ from .modelio import (
 from .report import render_report
 from .service import DEFAULT_MAX_BYTES, serve
 from .trees import TreeBankMismatch, TreeParseError, load_treebank, read_treebank_groups
+from .workers import WorkerFailed
 
+WORKER_FAILED = 1
 USAGE_ERROR = 2
 DATA_ERROR = 3
 NO_CONVERGENCE = 4
@@ -409,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(err), USAGE_ERROR)
     except DATA_FAULTS as err:
         return _fail(str(err), DATA_ERROR)
+    except WorkerFailed as err:
+        return _fail(str(err), WORKER_FAILED)
 
 
 if __name__ == "__main__":

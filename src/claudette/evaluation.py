@@ -4,12 +4,15 @@ Holding out whole documents prevents within-document leakage: per fold the
 vocabulary, IDF statistics, and support set are computed from the training
 documents only.  Term extraction and kernel values do not depend on the fold,
 so they are computed once per evaluation and every fold reads its training and
-held-out inputs from them.  Counts are pooled across folds before computing
-metrics.
+held-out inputs from them.  The folds run in forked worker processes
+(:func:`~claudette.workers.fork_map`), which share that work copy-on-write;
+their counts come back in fold order and are pooled before computing metrics,
+so the report is the same bytes as from one process.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,6 +25,7 @@ from .features import FeatureConfig
 from .modelio import CorpusTable, MissingTreebank, ModelBundle, fit
 from .svm import LengthMismatch
 from .trees import ParseTree
+from .workers import fork_map
 
 
 class TooFewDocuments(ValueError):
@@ -231,17 +235,23 @@ def run_detection_eval(
     Every sentence's terms and, for kernel models, the corpus Gram are
     computed once, in one :class:`CorpusTable`.  A fold reads from it the
     held-out TF-IDF rows under its vocabulary, or their kernel rows against
-    its support set, which equal a :class:`Predictor`'s bit for bit.
+    its support set, which equal a :class:`Predictor`'s bit for bit.  The
+    table, and the Gram of a kernel run, are built before the folds are
+    forked into at most ``len(os.sched_getaffinity(0))`` processes.
     """
     table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
+    splits = make_loo_splits(corpus)
+    if model_kind == "kernel-sstk":
+        # built before the fork, so that every worker reads this one; a missing
+        # tree fails here as it would in the first fold's fit
+        with _naming_fold(splits[0]):
+            table.gram
 
     def fold_report(fold: FoldSplit) -> MetricsReport:
         # a function, so the fold's model is freed before the next one is fitted
         held = corpus.document(fold.held_out)
-        try:
+        with _naming_fold(fold):
             bundle = fit_detection_fold(table, fold, model_kind, train_cfg)
-        except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
-            raise type(err)(f"fold {fold.held_out}: {err}") from err
         sentences = [ls.sentence for ls in held.sentences]
         held_rows = table.rows([fold.held_out])
         if model_kind == "kernel-sstk":
@@ -265,9 +275,18 @@ def run_detection_eval(
         return counts
 
     report = MetricsReport()
-    for fold in make_loo_splits(corpus):
-        report.add(fold_report(fold))
+    for counts in fork_map(fold_report, splits):
+        report.add(counts)
     return report
+
+
+@contextlib.contextmanager
+def _naming_fold(fold: FoldSplit):
+    """Prefix the fold's name to the data errors a fit raises."""
+    try:
+        yield
+    except (svm.EmptyData, svm.SingleClass, MissingTreebank) as err:
+        raise type(err)(f"fold {fold.held_out}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

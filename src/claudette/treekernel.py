@@ -17,13 +17,16 @@ are visited, bottom-up and without recursion.  The deltas are summed with
 ``math.fsum``, which rounds correctly and so does not depend on the order of
 the pairs: ``K(a, b) == K(b, a)`` bit for bit, and a kernel row computed for a
 tree equals the corpus Gram's entries for it, so LOO evaluation reads its
-held-out rows from the Gram.  ``enumerate_fragments_oracle`` provides an
+held-out rows from the Gram.  ``gram_matrix`` fills the Gram's rows in forked
+worker processes, each entry by the same call as in one process, so the
+matrix is the same bits.  ``enumerate_fragments_oracle`` provides an
 independent exponential-time route used to verify the kernel.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, product
@@ -32,6 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .trees import ParseTree
+from .workers import fork_map
 
 #: Default decay; common practice for this kernel family.
 DEFAULT_LAMBDA = 0.4
@@ -155,18 +159,26 @@ def gram_matrix(
     trees: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True
 ) -> KernelGram:
     """Pairwise kernel matrix, each tree compiled once and each unordered pair
-    computed once."""
+    computed once.  The rows are filled by :func:`~claudette.workers.fork_map`
+    workers, which share the compiled trees copy-on-write and write into one
+    shared anonymous mapping, so no values cross a pipe and each entry is the
+    one a single process computes."""
     compiled = CompiledTrees(trees, lam, normalize)
     diag = compiled.self_kernels
     n = len(diag)
-    K = np.zeros((n, n), dtype=np.float64)
-    for i, a in enumerate(compiled.trees):
+    shared = mmap.mmap(-1, max(8 * n * n, 1))  # zero-filled; length 0 is refused
+    K = np.frombuffer(shared, dtype=np.float64, count=n * n).reshape(n, n)
+
+    def fill_row(i: int) -> None:
+        a = compiled.trees[i]
         K[i, i] = 1.0 if normalize else diag[i]
         for j in range(i + 1, n):
             value = _kernel(a, compiled.trees[j], lam)
             if normalize:
                 value /= float(np.sqrt(diag[i] * diag[j]))
             K[i, j] = K[j, i] = value
+
+    fork_map(fill_row, range(n))
     return KernelGram(matrix=K, lam=lam, normalized=normalize)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
@@ -355,6 +356,11 @@ class TestCompareToPaperStats:
         assert len(record["entries"]) == len(diff.entries)
 
 
+def in_one_process(monkeypatch) -> None:
+    """Run the folds in this process: calls counted in forked workers are lost."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 class TestLooKeepsModelsInMemory:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_loo_never_serializes(self, kind, mini_corpus, fixtures_dir, monkeypatch):
@@ -394,6 +400,7 @@ class TestLooKeepsModelsInMemory:
 
         monkeypatch.setattr(CompiledTrees, "__init__", counting_init)
         monkeypatch.setattr(CompiledTrees, "row", refuse)
+        in_one_process(monkeypatch)  # so that the count sees every fold
         report = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank)
         assert report.to_record() == expected
         assert len(compiled) == 1  # the corpus Gram's; no fold compiles its support trees
@@ -428,6 +435,7 @@ class TestLooKeepsModelsInMemory:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(TermTable, "__init__", counting_init)
+        in_one_process(monkeypatch)  # so that the count sees every fold
         run_detection_eval(planted_corpus, FC, kind, TC)
         assert len(built) == 1
 

@@ -1,0 +1,168 @@
+"""``fork_map``: forked workers give the serial loop's results, bit for bit,
+and its errors; a worker that dies is a typed error and leaves no child."""
+
+from __future__ import annotations
+
+import os
+import signal
+
+import pytest
+
+from claudette import evaluation, svm
+from claudette.cli import main
+from claudette.corpus import load_corpus
+from claudette.features import FeatureConfig
+from claudette.modelio import MODEL_KINDS, canonical_json_bytes
+from claudette.treekernel import gram_matrix
+from claudette.trees import load_treebank, parse_bracketed
+from claudette.workers import WorkerFailed, fork_map, worker_count
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+FC = FeatureConfig(ngram_orders=(1,), min_df=2)
+TC = svm.TrainConfig(seed=7, C=1.0)
+CORES = [1, 2, 3]
+
+
+def on_cores(monkeypatch, cores: int) -> None:
+    """Make ``fork_map`` see ``cores`` CPUs, however many the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """A hung worker fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("fork_map did not return within 300 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(300)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("cores", CORES)
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 7])
+    def test_results_in_item_order(self, cores, n_items, monkeypatch):
+        on_cores(monkeypatch, cores)
+        assert fork_map(lambda x: (x, x * x), range(n_items)) == [(x, x * x) for x in range(n_items)]
+        assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        on_cores(monkeypatch, 3)
+        assert [worker_count(n) for n in (0, 1, 2, 5)] == [1, 1, 2, 3]
+
+    @pytest.mark.parametrize("cores", CORES)
+    def test_first_error_in_item_order_as_the_serial_loop(self, cores, monkeypatch):
+        def fn(x):
+            if x == 3:
+                raise svm.SingleClass(f"item {x}: kernel training requires both classes")
+            if x == 4:  # later in item order, and first in its own share
+                raise svm.EmptyData(f"item {x}")
+            return x
+
+        on_cores(monkeypatch, cores)
+        with pytest.raises(svm.SingleClass) as raised:
+            fork_map(fn, range(6))
+        assert type(raised.value) is svm.SingleClass
+        assert str(raised.value) == "item 3: kernel training requires both classes"
+        assert_no_child_left()
+
+    def test_killed_worker_is_a_typed_error(self, monkeypatch):
+        parent = os.getpid()
+
+        def fn(x):
+            if x == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        on_cores(monkeypatch, 2)  # item 3 is in the child's share
+        with pytest.raises(WorkerFailed, match=f"killed by signal {int(signal.SIGKILL)}"):
+            fork_map(fn, range(6))
+        assert_no_child_left()
+
+    def test_unpicklable_result_is_a_typed_error(self, monkeypatch):
+        on_cores(monkeypatch, 2)
+        with pytest.raises(WorkerFailed, match="could not send its results"):
+            fork_map(lambda x: (lambda: x), range(2))
+        assert_no_child_left()
+
+    def test_nested_fork_map_runs_in_the_worker(self, monkeypatch):
+        on_cores(monkeypatch, 2)
+        got = fork_map(lambda _: (os.getpid(), fork_map(lambda _: os.getpid(), range(3))), range(2))
+        assert got[0] == (os.getpid(), [os.getpid()] * 3)
+        child, inner = got[1]
+        assert child != os.getpid() and inner == [child] * 3
+        assert_no_child_left()
+
+
+def loo_record(corpus_name: str, kind: str) -> bytes:
+    corpus = load_corpus(os.path.join(FIXTURES, corpus_name))
+    treebank = None
+    if kind == "kernel-sstk":
+        treebank = load_treebank(os.path.join(FIXTURES, f"{corpus_name}_trees.txt"), corpus)
+    report = evaluation.run_detection_eval(corpus, FC, kind, TC, treebank=treebank)
+    return canonical_json_bytes(report.to_record())
+
+
+class TestParallelEqualsSerial:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("corpus_name", ["mini", "adjacency"])
+    def test_loo_record(self, corpus_name, kind, monkeypatch):
+        records = []
+        for cores in CORES:
+            on_cores(monkeypatch, cores)
+            records.append(loo_record(corpus_name, kind))
+        assert records[1] == records[0] and records[2] == records[0]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_gram_bytes(self, normalize, monkeypatch):
+        with open(os.path.join(FIXTURES, "mini_trees.txt"), encoding="utf-8") as f:
+            trees = [parse_bracketed(line) for line in f if line.strip()]
+        matrices = []
+        for cores in CORES:
+            on_cores(monkeypatch, cores)
+            matrices.append(gram_matrix(trees, normalize=normalize).matrix.tobytes())
+        assert matrices[1] == matrices[0] and matrices[2] == matrices[0]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
+    def test_folds_run_in_several_processes(self, planted_corpus, monkeypatch):
+        compute_metrics = evaluation.compute_metrics
+
+        def tagging(gold, pred):
+            counts = compute_metrics(gold, pred)
+            counts.warnings.append(f"pid {os.getpid()}")
+            return counts
+
+        monkeypatch.setattr(evaluation, "compute_metrics", tagging)
+        report = evaluation.run_detection_eval(planted_corpus, FC, "linear-bow", TC)
+        pids = [w for w in report.warnings if w.startswith("pid ")]
+        assert len(pids) == planted_corpus.M and len(set(pids)) >= 2
+
+
+def test_cli_exits_1_when_a_fold_worker_dies(monkeypatch, capsys):
+    parent = os.getpid()
+    fit = evaluation.fit_detection_fold
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(*args)
+
+    on_cores(monkeypatch, 2)
+    monkeypatch.setattr(evaluation, "fit_detection_fold", dying)
+    argv = ["evaluate", "--corpus", os.path.join(FIXTURES, "mini"), "--model-kind", "linear-bow", "--seed", "7"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: worker process ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert_no_child_left()
