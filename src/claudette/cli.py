@@ -104,7 +104,7 @@ class RunSettings:
         feature_kwargs: dict = {}
         if "ngram_orders" in values:
             feature_kwargs["ngram_orders"] = _parse_int_list(values.pop("ngram_orders"), "ngram_orders")
-        for key in ("use_pos", "lowercase", "log_tf"):
+        for key in ("use_pos", "log_tf"):
             if key in values:
                 feature_kwargs[key] = _parse_bool(values.pop(key), key)
         if "min_df" in values:

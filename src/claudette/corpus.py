@@ -141,8 +141,8 @@ class LabeledSentence:
         positive = any(level in POSITIVE_LEVELS for _, level in labels)
         return cls(sentence=sentence, labels=labels, detection_label=positive)
 
-    def positive_categories(self, levels: Sequence[int] = POSITIVE_LEVELS) -> frozenset[ClauseCategory]:
-        return frozenset(c for c, l in self.labels if l in levels)
+    def positive_categories(self) -> frozenset[ClauseCategory]:
+        return frozenset(c for c, l in self.labels if l in POSITIVE_LEVELS)
 
 
 @dataclass(frozen=True)

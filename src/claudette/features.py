@@ -27,7 +27,6 @@ class FeatureConfig:
     ngram_orders: tuple[int, ...] = (1, 2)
     use_pos: bool = False
     min_df: int = 1
-    lowercase: bool = True
     log_tf: bool = False
 
     def __post_init__(self) -> None:
@@ -120,6 +119,8 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     """Consecutive n-token windows, underscore-joined and namespaced "w{n}:"."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > len(tokens):  # no window, and no n slices to build
+        return []
     prefix = f"w{n}:"
     return [prefix + "_".join(gram) for gram in zip(*(tokens[i:] for i in range(n)))]
 
@@ -140,8 +141,6 @@ def _tokens_of(sentence) -> Sequence[str]:
 def extract_terms(sentence, tree: ParseTree | None, config: FeatureConfig) -> list[str]:
     """All feature terms of one sentence under ``config`` (duplicates kept)."""
     tokens = _tokens_of(sentence)
-    if config.lowercase:
-        tokens = [t.lower() for t in tokens]
     terms: list[str] = []
     for n in config.ngram_orders:
         terms.extend(extract_ngrams(tokens, n))

@@ -70,6 +70,9 @@ def feature_config_record(cfg: FeatureConfig) -> dict:
 
 
 def feature_config_from_record(rec: dict) -> FeatureConfig:
+    # files written before the key was dropped carry a "lowercase" that
+    # changed nothing, since tokens are already lowercase
+    rec = {key: value for key, value in rec.items() if key != "lowercase"}
     names = {f.name for f in dataclasses.fields(FeatureConfig)}
     if set(rec) != names:
         raise ModelFormatError(f"feature_config keys {sorted(rec)} are not {sorted(names)}")
@@ -112,8 +115,11 @@ def linear_payload(model: LinearModel) -> dict:
     }
 
 
-def _dense(pairs: list, dim: int) -> np.ndarray:
-    """A weight vector from its ``[[index, value], ...]`` record."""
+def _dense(pairs: list, dim: int, size: int) -> np.ndarray:
+    """A weight vector from its ``[[index, value], ...]`` record; ``dim``
+    must be the vocabulary ``size``, checked before anything is allocated."""
+    if dim != size:
+        raise ModelFormatError(f"model weights dim {dim} does not match the vocabulary size {size}")
     w = np.zeros(dim, dtype=np.float64)
     for i, v in pairs:
         if not 0 <= i < dim:
@@ -122,8 +128,8 @@ def _dense(pairs: list, dim: int) -> np.ndarray:
     return w
 
 
-def linear_from_payload(payload: dict) -> LinearModel:
-    w = _dense(payload["w"], payload["dim"])
+def linear_from_payload(payload: dict, size: int) -> LinearModel:
+    w = _dense(payload["w"], payload["dim"], size)
     return LinearModel(w=w, b=float(payload["b"]), warning=payload.get("warning"))
 
 
@@ -173,13 +179,13 @@ def chain_payload(model: ChainModel) -> dict:
     }
 
 
-def chain_from_payload(payload: dict) -> ChainModel:
+def chain_from_payload(payload: dict, size: int) -> ChainModel:
     L, dim = len(payload["labels"]), payload["dim"]
     transitions = np.asarray(payload["transitions"], dtype=np.float64)
     start = np.asarray(payload["start"], dtype=np.float64)
     if L < 2 or len(payload["emissions"]) != L or transitions.shape != (L, L) or start.shape != (L,):
         raise ModelFormatError(f"chain emissions, transitions and start do not fit its {L} labels")
-    emissions = np.array([_dense(row, dim) for row in payload["emissions"]])
+    emissions = np.array([_dense(row, dim, size) for row in payload["emissions"]])
     return ChainModel(
         labels=tuple(payload["labels"]), emissions=emissions, transitions=transitions, start=start
     )
@@ -192,9 +198,9 @@ def category_payload(models: dict[ClauseCategory, LinearModel]) -> dict:
     }
 
 
-def category_from_payload(payload: dict) -> dict[ClauseCategory, LinearModel]:
+def category_from_payload(payload: dict, size: int) -> dict[ClauseCategory, LinearModel]:
     return {
-        CATEGORY_BY_SYMBOL[sym]: linear_from_payload(p)
+        CATEGORY_BY_SYMBOL[sym]: linear_from_payload(p, size)
         for sym, p in payload["models"].items()
     }
 
@@ -255,13 +261,15 @@ def save_model(bundle: ModelBundle, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> ModelBundle:
     """Read a model file; malformed content raises :class:`ModelFormatError`,
-    and so do a non-finite number (``NaN``, ``Infinity``, ``1e999``) and a
-    kernel ``lambda`` outside (0, 1]."""
+    and so do a non-finite number (``NaN``, ``Infinity``, ``1e999``), JSON
+    nested too deeply to decode, a weight ``dim`` other than the vocabulary
+    size and a kernel ``lambda`` outside (0, 1]."""
     try:
         rec = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
     except ModelFormatError:
         raise
-    except ValueError as err:  # not UTF-8, not JSON, or an integer too long to convert
+    # not UTF-8, not JSON, an integer too long to convert, or nested too deeply
+    except (ValueError, RecursionError) as err:
         raise ModelFormatError(f"not a model file: {err}") from None
     if not isinstance(rec, dict) or "format_version" not in rec:
         raise ModelFormatError("not a model file: missing format_version")
@@ -284,6 +292,7 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
         raise ModelFormatError(f"unknown model kind {kind!r}")
     if payload["kind"] != {"linear-bow": "linear", "kernel-sstk": "kernel"}.get(kind, kind):
         raise ModelFormatError(f"payload kind {payload['kind']!r} does not match model kind {kind!r}")
+    vocabulary = vocabulary_from_record(rec["vocabulary"])
     if kind == "kernel-sstk":
         model, support = kernel_from_payload(payload)
         treekernel._check_lambda(model.lam)
@@ -292,41 +301,21 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
         model.support_trees = [parse_bracketed(s) for s in support]
     else:
         model = {"linear-bow": linear_from_payload, "chain": chain_from_payload,
-                 "category-ovr": category_from_payload}[kind](payload)
+                 "category-ovr": category_from_payload}[kind](payload, vocabulary.size)
     fallback = rec.get("fallback")
-    bundle = ModelBundle(
+    return ModelBundle(
         kind=kind,
         feature_config=feature_config_from_record(rec["feature_config"]),
-        vocabulary=vocabulary_from_record(rec["vocabulary"]),
+        vocabulary=vocabulary,
         model=model,
         metadata=rec.get("metadata", {}),
-        fallback=None if fallback is None else linear_from_payload(fallback),
+        fallback=None if fallback is None else linear_from_payload(fallback, vocabulary.size),
     )
-    weighted = list(model.values()) if kind == "category-ovr" else [model, bundle.fallback]
-    weighted = [m for m in weighted if isinstance(m, (LinearModel, ChainModel))]
-    if any(m.dim != bundle.vocabulary.size for m in weighted):
-        raise ModelFormatError("model weights do not match the vocabulary size")
-    return bundle
 
 
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
-
-def document_trees(
-    treebank: dict[str, list[ParseTree]] | None, documents: Sequence[Document]
-) -> list[ParseTree]:
-    """The documents' parse trees, concatenated in sentence order."""
-    if treebank is None:
-        raise MissingTreebank("kernel models and POS features require a treebank")
-    trees: list[ParseTree] = []
-    for doc in documents:
-        got = treebank.get(doc.name)
-        if got is None or len(got) != len(doc.sentences):
-            raise MissingTreebank(f"treebank missing or misaligned for document {doc.name!r}")
-        trees.extend(got)
-    return trees
-
 
 class CorpusTable:
     """The work over a corpus that no fold changes, done once per run: the
@@ -360,7 +349,15 @@ class CorpusTable:
     @functools.cached_property
     def trees(self) -> list[ParseTree]:
         """Every sentence's parse tree, in corpus order."""
-        return document_trees(self._treebank, self.documents.values())
+        if self._treebank is None:
+            raise MissingTreebank("kernel models and POS features require a treebank")
+        trees: list[ParseTree] = []
+        for doc in self.documents.values():
+            got = self._treebank.get(doc.name)
+            if got is None or len(got) != len(doc.sentences):
+                raise MissingTreebank(f"treebank missing or misaligned for document {doc.name!r}")
+            trees.extend(got)
+        return trees
 
     @functools.cached_property
     def gram(self) -> treekernel.KernelGram:

@@ -92,7 +92,6 @@ class KernelModel:
     normalized: bool
     n_train: int
     kkt_violation: float
-    objective_trace: list[float] = field(default_factory=list, repr=False)
     warning: str | None = None
     # the training trees at support_idx, attached by modelio.fit
     support_trees: list[ParseTree] = field(default_factory=list, repr=False)
@@ -200,9 +199,10 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
     reads their block through the index array and copies none of it.
     ``support_idx`` counts positions in ``rows``.
     Terminates when the KKT violation m(alpha) - M(alpha) drops below
-    ``cfg.tol``; the bias is the midpoint of the two bounds.  Hitting the
-    iteration cap is a soft failure: the best iterate is returned with a
-    diagnostic warning instead of raising.
+    ``cfg.tol``; the bias is the midpoint of the two bounds, and the final
+    violation, the model's ``kkt_violation``, is the evidence of convergence.
+    Hitting the iteration cap is a soft failure: the last iterate is returned
+    with a diagnostic warning instead of raising.
     """
     K = gram.matrix
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -219,13 +219,7 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
     C_arr = box_constraints(cfg, y_arr)
     alpha = np.zeros(n, dtype=np.float64)
     grad = -np.ones(n, dtype=np.float64)  # gradient of 0.5 a'Qa - e'a
-    trace: list[float] = []
     warning = None
-
-    def dual_objective() -> float:
-        # max-form objective: e'a - 0.5 a'Qa = 0.5*(e'a) - 0.5*(a'grad)
-        return 0.5 * float(np.sum(alpha)) - 0.5 * float(np.dot(alpha, grad))
-
     violation = np.inf
     b = 0.0
     it = 0
@@ -268,7 +262,6 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
         alpha[j] -= y_arr[j] * step
         # rows, not columns: K is symmetric, and a row of a C-order matrix is contiguous
         grad += step * y_arr * (K[ri] - K[rj])[rows]
-        trace.append(dual_objective())
         it += 1
 
     support = np.flatnonzero(alpha > 0.0)
@@ -280,7 +273,6 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
         normalized=gram.normalized,
         n_train=n,
         kkt_violation=float(violation),
-        objective_trace=trace,
         warning=warning,
     )
 

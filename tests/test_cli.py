@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
 from claudette import treekernel
 from claudette.cli import ConfigFileError, RunSettings, main, parse_config_file
-from claudette.modelio import load_model
+from claudette.modelio import canonical_json_bytes, load_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # nested far past any parser or recursion limit
@@ -222,6 +223,43 @@ class TestTrainCommand:
         assert main(["predict", "--model", str(model_file), "--input", str(text)]) == 0
         golden = FIXTURES / f"planted_predict_{kind}_golden.json"
         assert capsysbinary.readouterr().out == golden.read_bytes()
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("kind,model", [("linear-bow", "linear"), ("chain", "chain")])
+    def test_model_files_with_the_old_lowercase_key_still_load(
+        self, kind, model, value, planted_corpus, tmp_path, capsysbinary
+    ):
+        # files written before the key was dropped carry "lowercase"; tokens
+        # were lowercase either way, so they load and predict like the new file
+        new = FIXTURES / f"planted_{model}_model_golden.json"
+        rec = json.loads(new.read_bytes())
+        rec["feature_config"]["lowercase"] = value
+        old = tmp_path / "old.json"
+        old.write_bytes(canonical_json_bytes(rec))
+        assert canonical_json_bytes(load_model(old).to_record()) == new.read_bytes()
+        text = tmp_path / "first.txt"
+        text.write_text(planted_corpus.documents[0].plain_text, encoding="utf-8")
+        outputs = []
+        for path in (old, new):
+            assert main(["predict", "--model", str(path), "--input", str(text)]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] == outputs[1] == (FIXTURES / f"planted_predict_{kind}_golden.json").read_bytes()
+
+    def test_an_ngram_order_longer_than_every_sentence_adds_nothing(self, tmp_path, capsys):
+        # no sentence has 3,000,000 tokens, so the order yields no term and
+        # must cost no per-sentence work: n list slices per sentence take minutes
+        records = []
+        for orders in ("1", "1,3000000"):
+            cfg, out = tmp_path / "orders.cfg", tmp_path / "m.json"
+            cfg.write_text(f"ngram_orders = {orders}\n", encoding="utf-8")
+            argv = ["train", "--task", "detect", "--corpus", str(FIXTURES / "mini"), "--seed", "7"]
+            start = time.perf_counter()
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+            assert time.perf_counter() - start < 20.0
+            records.append(json.loads(out.read_bytes()))
+        assert records[1]["feature_config"]["ngram_orders"] == [1, 3000000]
+        assert records[0]["vocabulary"] == records[1]["vocabulary"]
+        assert records[0]["payload"] == records[1]["payload"]
 
     def test_category_train(self, tmp_path, capsys):
         out = tmp_path / "cat.json"
@@ -744,6 +782,8 @@ def corrupt_model(rec: dict, corruption: str) -> None:
         payload["support_trees"].pop()
     elif corruption == "fallback-wider-than-vocabulary":
         rec["fallback"]["dim"] += 1
+    elif corruption == "fallback-dim-beyond-memory":
+        rec["fallback"]["dim"] = 10**12  # 7.28 TiB of float64 if it were allocated
     elif corruption == "lambda-outside-unit-interval":
         payload["lambda"] = 5.0
     elif corruption == "nan-bias":
@@ -760,6 +800,7 @@ MODEL_CORRUPTIONS = [
     "short-coef",
     "short-support-trees",
     "fallback-wider-than-vocabulary",
+    "fallback-dim-beyond-memory",
     "lambda-outside-unit-interval",
     "nan-bias",
     "infinite-fallback-weight",
@@ -1016,8 +1057,9 @@ FAULT_TABLE = [
         id="evaluate-lambda-2",
     ),
     pytest.param(["stats", "{fx}/mini", "--config", "{tmp}/levels.cfg"], 2, id="stats-positive-levels-7"),
-    # a config key that only --seed sets
+    # a config key that only --seed sets, and one that no longer exists
     pytest.param(EVALUATE_MINI + ["--config", "{tmp}/seed.cfg"], 2, id="evaluate-config-seed"),
+    pytest.param(EVALUATE_MINI + ["--config", "{tmp}/lowercase.cfg"], 2, id="evaluate-config-lowercase"),
     # an empty corpus directory
     pytest.param(["stats", "{tmp}/empty"], 2, id="stats-empty-corpus"),
     pytest.param(
@@ -1058,6 +1100,9 @@ FAULT_TABLE = [
     # a model file with a non-finite number
     pytest.param(["predict", "--model", "{tmp}/nan_b.json", "--input", "{doc}"], 3, id="predict-nan-model"),
     pytest.param(["serve", "--model", "{tmp}/nan_b.json", "--port", "0"], 3, id="serve-nan-model"),
+    # a model file nested deeper than the JSON decoder recurses
+    pytest.param(["predict", "--model", "{tmp}/deep.json", "--input", "{doc}"], 3, id="predict-deep-model"),
+    pytest.param(["serve", "--model", "{tmp}/deep.json", "--port", "0"], 3, id="serve-deep-model"),
     # readable content that is wrong
     pytest.param(["stats", "{tmp}/unclosed"], 3, id="stats-unclosed-tag"),
     pytest.param(
@@ -1080,6 +1125,9 @@ def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypa
     (tmp_path / "lambda.cfg").write_text("lambda = 2\n", encoding="utf-8")
     (tmp_path / "levels.cfg").write_text("positive_levels = 7\n", encoding="utf-8")
     (tmp_path / "seed.cfg").write_text("seed = -2\n", encoding="utf-8")
+    (tmp_path / "lowercase.cfg").write_text("lowercase = true\n", encoding="utf-8")
+    # raw bytes: json.dumps cannot write what json.loads cannot read back
+    (tmp_path / "deep.json").write_bytes(b'{"format_version":' + b"[" * 200_000 + b"]" * 200_000 + b"}")
     (tmp_path / "two_groups.txt").write_text("(S (W a))\n\n(S (W b))\n", encoding="utf-8")
     nan_b = re.sub(r'"b":[^,}]+', '"b":NaN', planted_model.read_text(encoding="utf-8"), count=1)
     (tmp_path / "nan_b.json").write_text(nan_b, encoding="utf-8")

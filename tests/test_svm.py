@@ -316,9 +316,17 @@ class TestTrainSmo:
         y = np.where(rng.random(30) < 0.5, 1, -1)
         if np.all(y == y[0]):
             y[0] = -y[0]
-        model = train_smo(gram, np.arange(30), list(y), TrainConfig(tol=1e-5))
-        trace = model.objective_trace
-        assert len(trace) > 1
+        # the dual objective sum(a) - 0.5 (ay)'K(ay) after k iterations, from
+        # the model SMO returns when capped at k, for every k up to convergence
+        trace = []
+        for k in range(1, 1001):
+            model = train_smo(gram, np.arange(30), list(y), TrainConfig(tol=1e-5, max_iter=k))
+            ay = np.zeros(30)
+            ay[model.support_idx] = model.coef
+            trace.append(float(np.sum(np.abs(ay)) - 0.5 * ay @ gram.matrix @ ay))
+            if model.warning is None:
+                break
+        assert model.warning is None and len(trace) > 1
         for a, b in zip(trace, trace[1:]):
             assert b >= a - 1e-9
 
