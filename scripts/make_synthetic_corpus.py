@@ -10,10 +10,13 @@ LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
 of ``kernel-sstk`` (with the corpus's ``--trees``) on each of
 ``KERNEL_LOO_CORPORA``, and ``planted_<model>_model_golden.json``, the
 model files of ``train --task detect --model <model> --seed 7`` on
-``planted`` for ``linear`` (linear-bow) and ``chain``, which pin the
-trainers' weights, and ``planted_predict_<kind>_golden.json``, the
-``predict`` stdout of those two models on the first ``planted`` document's
-plain text, which pins the emitted score bytes.
+``planted`` for ``linear`` (linear-bow), ``chain`` and ``kernel-sstk`` (with
+``planted_trees.txt``), which pin the trainers' weights and the kernel
+model's support alphas, and ``planted_predict_<kind>_golden.json``, the
+``predict`` stdout of those three models on the first ``planted`` document's
+plain text, which pins the emitted score bytes.  The kernel model predicts
+from a one-group sidecar holding that document's trees, so its golden pins
+kernel rows, not the linear fallback.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -35,6 +38,7 @@ from claudette.corpus import corpus_stats, load_corpus  # noqa: E402
 from claudette.evaluation import stats_record  # noqa: E402
 from claudette.modelio import canonical_json_bytes  # noqa: E402
 from claudette.synthetic import generate_fixture_set  # noqa: E402
+from claudette.trees import read_treebank_groups, write_treebank_groups  # noqa: E402
 
 CORPORA = ("mini", "planted", "adjacency")
 LOO_GOLDEN_KINDS = ("linear-bow", "chain", "category-ovr")
@@ -42,7 +46,8 @@ KERNEL_LOO_CORPORA = ("planted", "adjacency")
 LOO_GOLDEN_SEED = 7
 # model kind -> its pinned model file on planted
 MODEL_GOLDENS = {"linear-bow": "planted_linear_model_golden.json",
-                 "chain": "planted_chain_model_golden.json"}
+                 "chain": "planted_chain_model_golden.json",
+                 "kernel-sstk": "planted_kernel-sstk_model_golden.json"}
 
 
 def main() -> int:
@@ -78,20 +83,26 @@ def main() -> int:
                 raise SystemExit(f"evaluate failed: kernel-sstk on {name}")
 
     first = load_corpus(root / "planted").documents[0]
+    planted_trees = root / "planted_trees.txt"
     with tempfile.TemporaryDirectory() as tmp:
         text = Path(tmp) / "planted_first.txt"
         text.write_text(first.plain_text, encoding="utf-8")
+        sidecar = Path(tmp) / "planted_first_trees.txt"
+        write_treebank_groups(read_treebank_groups(planted_trees)[:1], sidecar)
         for kind, model_name in MODEL_GOLDENS.items():
             model = root / model_name
+            trees = ["--trees", str(planted_trees)] if kind == "kernel-sstk" else []
             argv = ["train", "--task", "detect", "--model", kind, "--corpus", str(root / "planted")]
-            argv += ["--seed", str(LOO_GOLDEN_SEED), "--out", str(model)]
+            argv += trees + ["--seed", str(LOO_GOLDEN_SEED), "--out", str(model)]
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit(f"train failed: {kind} on planted")
             # predict writes its JSON to stdout's byte buffer
             out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            argv = ["predict", "--model", str(model), "--input", str(text)]
+            argv += ["--trees", str(sidecar)] if trees else []
             with contextlib.redirect_stdout(out):
-                if cli_main(["predict", "--model", str(model), "--input", str(text)]) != 0:
+                if cli_main(argv) != 0:
                     raise SystemExit(f"predict failed: {kind} on {first.name}")
             out.flush()
             (root / f"planted_predict_{kind}_golden.json").write_bytes(out.buffer.getvalue())

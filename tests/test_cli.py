@@ -11,6 +11,7 @@ import pytest
 from claudette import treekernel
 from claudette.cli import ConfigFileError, RunSettings, main, parse_config_file
 from claudette.modelio import canonical_json_bytes, load_model
+from claudette.trees import read_treebank_groups, write_treebank_groups
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # nested far past any parser or recursion limit
@@ -214,13 +215,30 @@ class TestTrainCommand:
         assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / "planted_linear_model_golden.json").read_bytes()
 
-    @pytest.mark.parametrize("kind,model", [("linear-bow", "linear"), ("chain", "chain")])
+    def test_kernel_model_matches_the_pinned_golden(self, tmp_path, capsys):
+        # written by scripts/make_synthetic_corpus.py; pins the SMO support
+        # alphas, which rest on every Gram entry
+        out = tmp_path / "kernel.json"
+        argv = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "planted")]
+        argv += ["--trees", str(FIXTURES / "planted_trees.txt")]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "planted_kernel-sstk_model_golden.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind,model", [("linear-bow", "linear"), ("chain", "chain"), ("kernel-sstk", "kernel-sstk")]
+    )
     def test_predict_matches_the_pinned_golden(self, kind, model, planted_corpus, tmp_path, capsysbinary):
-        # written by scripts/make_synthetic_corpus.py; pins the emitted score bytes
+        # written by scripts/make_synthetic_corpus.py; pins the emitted score
+        # bytes, for the kernel model those of its kernel rows
         text = tmp_path / "first.txt"
         text.write_text(planted_corpus.documents[0].plain_text, encoding="utf-8")
         model_file = FIXTURES / f"planted_{model}_model_golden.json"
-        assert main(["predict", "--model", str(model_file), "--input", str(text)]) == 0
+        argv = ["predict", "--model", str(model_file), "--input", str(text)]
+        if kind == "kernel-sstk":
+            sidecar = tmp_path / "first_trees.txt"
+            write_treebank_groups(read_treebank_groups(FIXTURES / "planted_trees.txt")[:1], sidecar)
+            argv += ["--trees", str(sidecar)]
+        assert main(argv) == 0
         golden = FIXTURES / f"planted_predict_{kind}_golden.json"
         assert capsysbinary.readouterr().out == golden.read_bytes()
 
