@@ -125,7 +125,7 @@ class Predictor:
                 f"document segments into {len(sentences)} sentences but {len(trees)} trees were supplied"
             )
         if self.support is not None and trees is not None:
-            return decide(self.bundle, sentences, None, [self.support.row(t) for t in trees])
+            return decide(self.bundle, sentences, None, self.support.rows(trees))
         X = vectorize_all(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
         return decide(self.bundle, sentences, X)
 

@@ -17,6 +17,8 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation, svm, treekernel
 from .analyze import TreeAlignmentError, analyze_text, result_json
 from .corpus import FAIRNESS_LEVELS, CorpusError, EmptyCorpus, corpus_fingerprint, corpus_stats, load_corpus
@@ -299,11 +301,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel_selftest(args: argparse.Namespace) -> int:
+    """Check ``sstk`` on each sampled pair, and one Gram over every sampled
+    tree, against fragment enumeration; the Gram must also equal its
+    transpose bit for bit."""
     rng = random.Random(args.seed)
     pairs = [
         (treekernel.random_tree(rng, max_nodes=12), treekernel.random_tree(rng, max_nodes=12))
         for _ in range(args.pairs)
     ]
+    trees = [t for pair in pairs for t in pair]
     total_failures = 0
     for lam in (1.0, 0.5, 0.4):
         worst = 0.0
@@ -318,9 +324,20 @@ def cmd_kernel_selftest(args: argparse.Namespace) -> int:
             worst = max(worst, abs(fast - oracle))
             if not ok:
                 failures += 1
+        gram = treekernel.gram_matrix(trees, lam=lam, normalize=False).matrix
+        gram_worst = 0.0
+        for fast, oracle in zip(gram, treekernel.fragment_kernel_rows(trees, lam)):
+            off = np.abs(fast - oracle)
+            gram_worst = max(gram_worst, float(off.max()))
+            failures += int(np.count_nonzero(~(off < 1e-9)))
+        symmetric = np.array_equal(gram, gram.T)
+        failures += int(not symmetric)
         total_failures += failures
         status = "PASS" if failures == 0 else "FAIL"
-        print(f"lambda={lam}: {len(pairs)} pairs, max |difference| {worst:.2e} ... {status}")
+        print(
+            f"lambda={lam}: {len(pairs)} pairs, max |difference| {worst:.2e}; Gram of {len(trees)} trees, "
+            f"max |difference| {gram_worst:.2e}, {'symmetric' if symmetric else 'NOT symmetric'} ... {status}"
+        )
     if total_failures:
         print(f"kernel selftest FAILED on {total_failures} comparisons")
         return 1

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -130,6 +132,95 @@ def brute_force_best(model, E: np.ndarray):
 def loss_augmented_decode(model, xs: Rows, gold):
     """The trainer's loss-augmented Viterbi pass: best path and its score."""
     return seqmodel._decode(model, seqmodel._lattice(model, xs), gold)[:2]
+
+
+class _Compiled(NamedTuple):
+    productions: list[int]  # production id per internal node, in preorder
+    children: list[tuple[int, ...]]  # child node indices, -1 for a leaf
+    by_production: dict[int, list[int]]  # node indices per production id, ascending
+
+
+def _compile(tree, table: dict, grow: bool = True) -> _Compiled:
+    """Flatten ``tree``, interning its productions in ``table``.  Preorder puts
+    every child after its parent.  With ``grow=False`` the table is only read:
+    an unknown production gets a negative id private to this tree, so it
+    matches nothing else compiled against ``table``."""
+    nodes = tree.internal_nodes()
+    index = {id(n): i for i, n in enumerate(nodes)}
+    local: dict = {}
+    productions: list[int] = []
+    by_production: dict[int, list[int]] = {}
+    for i, n in enumerate(nodes):
+        prod = n.production()
+        pid = table.get(prod)
+        if pid is None:
+            pid = table.setdefault(prod, len(table)) if grow else local.setdefault(prod, -1 - len(local))
+        productions.append(pid)
+        by_production.setdefault(pid, []).append(i)
+    children = [tuple(index.get(id(c), -1) for c in n.children) for n in nodes]
+    return _Compiled(productions, children, by_production)
+
+
+def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
+    """The per-pair reference: the raw kernel of two trees compiled against
+    one table.  ``rows[i]`` maps the nodes of ``b`` sharing node ``i``'s
+    production to delta, filled in reverse preorder so child pairs come
+    first; each delta multiplies its factors in child order, and
+    ``math.fsum`` rounds their sum correctly."""
+    b_nodes, b_children = b.by_production, b.children
+    rows: list[dict[int, float] | None] = [None] * len(a.productions)
+    for i in range(len(a.productions) - 1, -1, -1):
+        js = b_nodes.get(a.productions[i])
+        if js is None:
+            continue
+        kids = [(k, rows[c]) for k, c in enumerate(a.children[i]) if c >= 0 and rows[c]]
+        if not kids:
+            rows[i] = dict.fromkeys(js, lam)
+            continue
+        rows[i] = row = {}
+        for j in js:
+            value = lam
+            b_kids = b_children[j]
+            for k, child_row in kids:
+                d = child_row.get(b_kids[k])
+                if d is not None:
+                    value *= 1.0 + d
+            row[j] = value
+    return math.fsum(chain.from_iterable(row.values() for row in rows if row))
+
+
+def reference_gram(trees, lam: float, normalize: bool) -> np.ndarray:
+    """The Gram filled one ``_kernel`` call per unordered pair."""
+    table: dict = {}
+    compiled = [_compile(t, table) for t in trees]
+    diag = [_kernel(c, c, lam) for c in compiled]
+    n = len(trees)
+    K = np.zeros((n, n))
+    for i in range(n):
+        K[i, i] = 1.0 if normalize else diag[i]
+        for j in range(i + 1, n):
+            value = _kernel(compiled[i], compiled[j], lam)
+            if normalize:
+                value /= float(np.sqrt(diag[i] * diag[j]))
+            K[i, j] = K[j, i] = value
+    return K
+
+
+def reference_rows(support, queries, lam: float, normalize: bool) -> np.ndarray:
+    """Kernel rows of ``queries`` against ``support``, one ``_kernel`` call
+    per pair, the queries compiled without growing the support's table."""
+    table: dict = {}
+    compiled = [_compile(t, table) for t in support]
+    diag = [_kernel(c, c, lam) for c in compiled]
+    rows = []
+    for tree in queries:
+        c = _compile(tree, table, grow=False)
+        row = [_kernel(c, other, lam) for other in compiled]
+        if normalize:
+            self_k = _kernel(c, c, lam)
+            row = [k / float(np.sqrt(self_k * other_k)) for k, other_k in zip(row, diag)]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(len(queries), len(support))
 
 
 @pytest.fixture(scope="session")

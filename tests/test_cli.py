@@ -1045,6 +1045,20 @@ class TestKernelSelftest:
         assert [line.split(":")[0] for line in lines[:3]] == ["lambda=1.0", "lambda=0.5", "lambda=0.4"]
         assert lines[3] == "kernel selftest FAILED on 5 comparisons"
 
+    def test_gram_entries_and_symmetry_are_checked(self, monkeypatch, capsys):
+        real = treekernel.gram_matrix
+
+        def skewed(trees, lam=treekernel.DEFAULT_LAMBDA, normalize=True):
+            gram = real(trees, lam=lam, normalize=normalize)
+            gram.matrix[0, 1] += 1e-6  # one entry off, and no longer symmetric
+            return gram
+
+        monkeypatch.setattr(treekernel, "gram_matrix", skewed)
+        assert main(["kernel-selftest", "--pairs", "5"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert all("Gram of 10 trees" in line and "NOT symmetric ... FAIL" in line for line in lines[:3])
+        assert lines[3] == "kernel selftest FAILED on 6 comparisons"
+
 
 # One row per (command, fault): the same fault exits with the same code in
 # every command, with one ``error:`` line and no traceback.  Placeholders:

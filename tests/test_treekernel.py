@@ -1,20 +1,22 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import sys
 import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import _compile, _kernel, reference_gram, reference_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claudette.treekernel import (
     CompiledTrees,
-    _compile,
-    _kernel,
     DegenerateTree,
     InvalidLambda,
     TooLarge,
@@ -339,28 +341,99 @@ def test_deep_trees_need_no_recursion():
     assert gram.matrix.tolist() == [[self_k, 0.0], [0.0, sstk(T, T, lam)]]
 
 
-def _kernel_both_ways(t1: ParseTree, t2: ParseTree, lam: float) -> tuple[float, float]:
-    table: dict = {}
-    a, b = _compile(t1, table), _compile(t2, table)
-    return _kernel(a, b, lam), _kernel(b, a, lam)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6), st.sampled_from([0.4, 0.7, 1.0]))
 def test_kernel_is_symmetric_bit_for_bit_on_random_trees(seed, lam):
     rng = random.Random(seed)
-    ab, ba = _kernel_both_ways(random_tree(rng, max_nodes=24), random_tree(rng, max_nodes=24), lam)
-    assert ab == ba
+    t1, t2 = random_tree(rng, max_nodes=24), random_tree(rng, max_nodes=24)
+    table: dict = {}
+    assert sstk(t1, t2, lam) == sstk(t2, t1, lam) == _kernel(_compile(t1, table), _compile(t2, table), lam)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(ADJACENCY_TREES) - 1), st.sampled_from([0.3, 0.4, 0.7]))
 def test_kernel_is_symmetric_bit_for_bit_on_adjacency_trees(i, lam):
-    # one tree against every tree: an order-dependent sum breaks symmetry
-    # for about one pair in a hundred at lam = 0.4
-    for other in ADJACENCY_TREES:
-        ab, ba = _kernel_both_ways(ADJACENCY_TREES[i], other, lam)
-        assert ab == ba
+    # one tree against every tree, as the query and as the forest: an
+    # order-dependent sum breaks symmetry for about one pair in a hundred at lam = 0.4
+    as_query = CompiledTrees(ADJACENCY_TREES, lam, normalize=False).row(ADJACENCY_TREES[i])
+    as_forest = CompiledTrees([ADJACENCY_TREES[i]], lam, normalize=False).rows(ADJACENCY_TREES)[:, 0]
+    assert as_query.tolist() == as_forest.tolist()
+    assert as_query.tolist() == reference_rows(ADJACENCY_TREES, [ADJACENCY_TREES[i]], lam, False)[0].tolist()
+
+
+# Trees rooted at an internal node, so that every self-kernel is positive.
+ROOTED = st.builds(ParseTree, st.sampled_from(["A", "B", "x"]), st.lists(TREES, min_size=1, max_size=3))
+# Queries add a label and a word no support tree has: productions the
+# support's table lacks, beside ones it has.
+QUERY_LEAVES = st.builds(ParseTree, st.sampled_from(["x", "y", "w"]))
+QUERIES = st.builds(
+    ParseTree,
+    st.sampled_from(["A", "B", "C"]),
+    st.lists(
+        st.recursive(
+            QUERY_LEAVES,
+            lambda kids: st.builds(ParseTree, st.sampled_from(["A", "B", "C", "x"]), st.lists(kids, min_size=1, max_size=3)),
+            max_leaves=10,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(ROOTED, min_size=0, max_size=7),
+    st.lists(QUERIES, min_size=0, max_size=3),
+    st.sampled_from([0.3, 0.4, 1.0]),
+    st.booleans(),
+)
+def test_block_routine_equals_the_per_pair_reference_exactly(trees, queries, lam, normalize):
+    # the Gram, and rows for support trees and for trees with unseen productions
+    gram = gram_matrix(trees, lam=lam, normalize=normalize).matrix
+    assert gram.tobytes() == reference_gram(trees, lam, normalize).tobytes()
+    probes = trees[:2] + queries
+    rows = CompiledTrees(trees, lam, normalize).rows(probes)
+    assert rows.shape == (len(probes), len(trees))
+    assert rows.tobytes() == reference_rows(trees, probes, lam, normalize).tobytes()
+
+
+def test_three_deltas_are_summed_exactly():
+    # three node pairs whose left-to-right sum, in the block's order, misses
+    # the correctly rounded sum by one bit: a plain sum serves two deltas only
+    t1 = parse_bracketed("(A (B (B (A x) (A z))))")
+    t2 = parse_bracketed("(B (B (A x) (A (B x) (B x) (A y))))")
+    table: dict = {}
+    want = _kernel(_compile(t1, table), _compile(t2, table), 0.9)
+    assert sstk(t1, t2, 0.9) == sstk(t2, t1, 0.9) == want
+    assert gram_matrix([t1, t2], lam=0.9, normalize=False).matrix[0, 1] == want
+
+
+def test_a_node_of_50000_children_costs_memory_linear_in_the_nodes(monkeypatch):
+    # children padded to the widest node would take 1,501 x 50,000 slots
+    # (600 MB); in CSR form they take 50,000.  A small lam keeps the root's
+    # 1,500-factor product finite.
+    kids = [ParseTree(f"w{k}") if k % 100 >= 3 else ParseTree("P", [ParseTree(f"w{k}")]) for k in range(50_000)]
+    wide = ParseTree("S", kids)
+    other = parse_bracketed("(S (P w0) (Q q))")
+    lam = 0.05
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # so tracemalloc sees every block
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        gram = gram_matrix([wide, other], lam=lam, normalize=False).matrix
+        row = CompiledTrees([wide, other], lam, normalize=False).row(wide)
+        value = sstk(wide, wide, lam)
+        elapsed = time.perf_counter() - began
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = reference_gram([wide, other], lam, False)
+    assert gram.tobytes() == want.tobytes()
+    assert row.tolist() == want[0].tolist()
+    assert value == want[0, 0] and math.isfinite(value)
+    assert elapsed < 20.0
+    assert peak < 64 * 2**20, peak
 
 
 @pytest.mark.parametrize("normalize", [True, False])

@@ -7,13 +7,14 @@ import os
 import signal
 
 import pytest
+from conftest import reference_gram
 
 from claudette import evaluation, svm
 from claudette.cli import main
 from claudette.corpus import load_corpus
 from claudette.features import FeatureConfig
 from claudette.modelio import MODEL_KINDS, canonical_json_bytes
-from claudette.treekernel import gram_matrix
+from claudette.treekernel import DEFAULT_LAMBDA, gram_matrix
 from claudette.trees import load_treebank, parse_bracketed
 from claudette.workers import WorkerFailed, fork_map, worker_count
 
@@ -124,14 +125,17 @@ class TestParallelEqualsSerial:
         assert records[1] == records[0] and records[2] == records[0]
 
     @pytest.mark.parametrize("normalize", [True, False])
-    def test_gram_bytes(self, normalize, monkeypatch):
-        with open(os.path.join(FIXTURES, "mini_trees.txt"), encoding="utf-8") as f:
+    @pytest.mark.parametrize("name", ["mini", "planted", "adjacency"])
+    def test_gram_bytes(self, name, normalize, monkeypatch):
+        # planted and adjacency cut into many blocks, so every worker fills some
+        with open(os.path.join(FIXTURES, f"{name}_trees.txt"), encoding="utf-8") as f:
             trees = [parse_bracketed(line) for line in f if line.strip()]
         matrices = []
         for cores in CORES:
             on_cores(monkeypatch, cores)
             matrices.append(gram_matrix(trees, normalize=normalize).matrix.tobytes())
         assert matrices[1] == matrices[0] and matrices[2] == matrices[0]
+        assert matrices[0] == reference_gram(trees, DEFAULT_LAMBDA, normalize).tobytes()
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs at least 2 CPUs")
     def test_folds_run_in_several_processes(self, planted_corpus, monkeypatch):
