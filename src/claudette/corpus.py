@@ -2,14 +2,19 @@
 
 A corpus document is a UTF-8 text file with inline clause annotations of the
 form ``<SYMLVL>...</SYMLVL>``, where SYM is one of eight clause-category
-symbols and LVL is a fairness level in 1..3.  This module strips the tags,
-segments the plain text into sentences, tokenizes them, and projects the
-clause spans onto sentences as (category, level) labels.
+symbols and LVL is a fairness level in 1..3.  A tag is ``<`` or ``</``,
+letters, decimal digits and ``>``; any other ``<`` is text.  This module
+strips the tags, segments the plain text into sentences, tokenizes them, and
+projects the clause spans onto sentences as (category, level) labels.  Each
+step is one pass of a compiled pattern or a merge of sorted ranges, so the
+time is linear in the document.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -188,28 +193,10 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return line, offset - last_nl  # column is 1-based
 
 
-def _scan_tag(raw: str, pos: int) -> tuple[bool, str, str, int] | None:
-    """Try to read a tag candidate ``</?letters digits?>`` starting at ``pos``
-    (which must point at '<').  Returns (closing, symbol, level_str, end_pos)
-    or None when the text at pos is not tag-shaped and should stay literal."""
-    i = pos + 1
-    closing = False
-    if i < len(raw) and raw[i] == "/":
-        closing = True
-        i += 1
-    sym_start = i
-    while i < len(raw) and raw[i].isalpha():
-        i += 1
-    if i == sym_start:
-        return None
-    sym = raw[sym_start:i]
-    lvl_start = i
-    while i < len(raw) and raw[i].isdigit():
-        i += 1
-    lvl = raw[lvl_start:i]
-    if i >= len(raw) or raw[i] != ">":
-        return None
-    return closing, sym, lvl, i + 1
+#: A tag candidate: ``<`` or ``</``, letters, decimal digits, ``>``.  The
+#: letters class also takes non-decimal numerals (``²``, ``½``), so a tag
+#: holding one is an unknown symbol rather than literal text.
+_TAG = re.compile(r"<(/?)([^\W\d_]+)(\d*)>")
 
 
 def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpan]]:
@@ -227,24 +214,13 @@ def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpa
     stack: list[tuple[ClauseCategory, int, int, int, int]] = []
 
     pos = 0
-    n = len(raw)
-    while pos < n:
-        lt = raw.find("<", pos)
-        if lt < 0:
-            plain_parts.append(raw[pos:])
-            plain_len += n - pos
-            break
-        if lt > pos:
-            plain_parts.append(raw[pos:lt])
-            plain_len += lt - pos
-        scanned = _scan_tag(raw, lt)
-        if scanned is None:
-            # a lone '<' that cannot start a tag stays literal text
-            plain_parts.append("<")
-            plain_len += 1
-            pos = lt + 1
-            continue
-        closing, sym, lvl, after = scanned
+    for tag in _TAG.finditer(raw):
+        # any '<' outside a match cannot start a tag and stays literal text
+        lt = tag.start()
+        plain_parts.append(raw[pos:lt])
+        plain_len += lt - pos
+        slash, sym, lvl = tag.groups()
+        closing = slash == "/"
         category = CATEGORY_BY_SYMBOL.get(sym)
         if category is None:
             raise UnknownTag(f"unknown tag symbol {sym!r}", *_line_col(raw, lt))
@@ -273,7 +249,8 @@ def parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpa
             if plain_len == start:
                 raise EmptyTagSpan(f"tag <{sym}{lvl}> encloses no text", *_line_col(raw, lt))
             spans[slot] = TagSpan(category=category, level=level, start=start, end=plain_len)
-        pos = after
+        pos = tag.end()
+    plain_parts.append(raw[pos:])
 
     if stack:
         cat, lvl_open, _, _, raw_off = stack[-1]
@@ -302,19 +279,33 @@ ABBREVIATIONS = frozenset({
     "fri.", "sat.", "sun.", "govt.", "acct.", "assn.", "esq.",
 })
 
-_TERMINALS = ".!?"
 _QUOTES = "\"'“”‘’«»"
 
+#: A sentence cut candidate: a newline, or a '.', '!' or '?' followed by
+#: whitespace; group 1 is the next non-whitespace character, if any.
+_CUT = re.compile(r"\n|[.!?](?=\s+(\S)?)")
+#: An alphanumeric run or one other non-whitespace character.
+_TOKEN = re.compile(r"[^\W_]+|\S")
+_ALNUM = re.compile(r"[^\W_]")
 
-def _abbreviation_before(plain: str, dot: int, start: int) -> bool:
+
+def _abbreviation_before(plain: str, dot: int) -> bool:
     """Whether the token ending at the period at ``dot`` is an abbreviation."""
     w = dot
-    while w > start and not plain[w - 1].isspace():
+    while w > 0 and not plain[w - 1].isspace():
         w -= 1
     word = plain[w : dot + 1].lower()
-    while word and not word[0].isalnum():
-        word = word[1:]
-    return word in ABBREVIATIONS
+    first = _ALNUM.search(word)
+    return first is not None and word[first.start() :] in ABBREVIATIONS
+
+
+def _ends_sentence(plain: str, cut: re.Match) -> bool:
+    mark, nxt = cut.group(0, 1)
+    if mark == "\n":
+        return True
+    if nxt is None or not (nxt.isupper() or nxt.isdigit() or nxt in _QUOTES):
+        return False
+    return mark != "." or not _abbreviation_before(plain, cut.start())
 
 
 def segment_sentences(plain: str) -> list[Sentence]:
@@ -323,101 +314,61 @@ def segment_sentences(plain: str) -> list[Sentence]:
     Any newline terminates the current sentence (paragraph break).  A '.', '!'
     or '?' terminates it when followed by whitespace whose next non-whitespace
     character is an uppercase letter, a digit, or a quote — unless the token
-    preceding a period is a known abbreviation.
+    preceding a period is a known abbreviation.  Sentences are stripped of
+    surrounding whitespace; a whitespace-only stretch yields none.
     """
     sentences: list[Sentence] = []
-    n = len(plain)
-    i = 0
-    while i < n:
-        while i < n and plain[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        start = i
-        j = i
-        end = n
-        resume = n
-        while j < n:
-            c = plain[j]
-            if c == "\n":
-                end = j
-                resume = j + 1
-                break
-            if c in _TERMINALS:
-                k = j + 1
-                while k < n and plain[k].isspace():
-                    k += 1
-                if k == j + 1 and k < n:
-                    pass  # punctuation not followed by whitespace
-                elif k >= n:
-                    end = resume = j + 1
-                    break
-                else:
-                    nxt = plain[k]
-                    boundary = nxt.isupper() or nxt.isdigit() or nxt in _QUOTES
-                    if boundary and c == "." and _abbreviation_before(plain, j, start):
-                        boundary = False
-                    if boundary:
-                        end = resume = j + 1
-                        break
-            j += 1
-        while end > start and plain[end - 1].isspace():
-            end -= 1
-        if end > start:
-            text = plain[start:end]
-            sentences.append(Sentence(start=start, end=end, text=text, tokens=tuple(tokenize(text))))
-        i = resume
+    start = 0
+    ends = [cut.end() for cut in _CUT.finditer(plain) if _ends_sentence(plain, cut)]
+    for end in ends + [len(plain)]:
+        chunk = plain[start:end]
+        text = chunk.strip()
+        if text:
+            first = start + len(chunk) - len(chunk.lstrip())
+            sentences.append(Sentence(first, first + len(text), text, tuple(tokenize(text))))
+        start = end
     return sentences
 
 
 def tokenize(sentence_text: str) -> list[str]:
     """Lowercased tokens: alphanumeric runs, with every punctuation mark a
     standalone token.  "twitter.com/tos" -> [twitter, ., com, /, tos]."""
-    tokens: list[str] = []
-    cur: list[str] = []
-    for ch in sentence_text:
-        if ch.isspace():
-            if cur:
-                tokens.append("".join(cur).lower())
-                cur = []
-        elif ch.isalnum():
-            cur.append(ch)
-        else:
-            if cur:
-                tokens.append("".join(cur).lower())
-                cur = []
-            tokens.append(ch.lower())
-    if cur:
-        tokens.append("".join(cur).lower())
-    return tokens
+    return [token.lower() for token in _TOKEN.findall(sentence_text)]
 
 
 # ---------------------------------------------------------------------------
 # Label projection and corpus loading
 # ---------------------------------------------------------------------------
 
-def _overlaps_nonspace(sentence: Sentence, span: TagSpan) -> bool:
-    a = max(sentence.start, span.start)
-    b = min(sentence.end, span.end)
-    if a >= b:
-        return False
-    window = sentence.text[a - sentence.start : b - sentence.start]
-    return any(not ch.isspace() for ch in window)
-
-
 def project_labels(spans: Sequence[TagSpan], sentences: Sequence[Sentence]) -> list[LabeledSentence]:
     """Attach (category, level) labels to every sentence whose range overlaps
     the span by at least one non-whitespace character.  A span covering
-    several sentences labels each of them."""
-    out: list[LabeledSentence] = []
-    for sent in sentences:
-        labels = {
-            (span.category, span.level)
-            for span in spans
-            if _overlaps_nonspace(sent, span)
-        }
-        out.append(LabeledSentence.from_labels(sent, labels))
-    return out
+    several sentences labels each of them.  ``sentences`` must be disjoint
+    and in text order, as :func:`segment_sentences` returns them.
+
+    The spans of each (category, level) are merged into disjoint ranges, and
+    each range visits only the sentences it overlaps, so the time is linear
+    in spans plus sentences.  A sentence overlaps the union of a key's spans
+    on a non-whitespace character exactly when it so overlaps one of them.
+    """
+    merged: dict[tuple[ClauseCategory, int], list[list[int]]] = {}
+    for span in sorted(spans, key=lambda s: s.start):
+        ranges = merged.setdefault((span.category, span.level), [])
+        if ranges and span.start <= ranges[-1][1]:
+            ranges[-1][1] = max(ranges[-1][1], span.end)
+        else:
+            ranges.append([span.start, span.end])
+    ends = [s.end for s in sentences]
+    labels: list[set[tuple[ClauseCategory, int]]] = [set() for _ in sentences]
+    for key, ranges in merged.items():
+        for a, b in ranges:
+            i = bisect.bisect_right(ends, a)
+            while i < len(sentences) and sentences[i].start < b:
+                sent = sentences[i]
+                if not sent.text[max(a - sent.start, 0) : b - sent.start].isspace():
+                    labels[i].add(key)
+                i += 1
+    return [LabeledSentence.from_labels(s, l) for s, l in zip(sentences, labels)]
 
 
 def parse_document(name: str, raw: str, lenient: bool = False) -> Document:

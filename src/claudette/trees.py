@@ -2,11 +2,14 @@
 
 A treebank file holds one bracketed tree per line, with a blank line between
 documents; groups align 1:1 with corpus documents in order, and within a
-group lines align with that document's sentences.
+group lines align with that document's sentences.  A line's tokens are
+brackets and runs of characters that are neither brackets nor whitespace,
+read by one compiled pattern.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -136,29 +139,13 @@ class ParseTree:
         return f"ParseTree({self.to_bracketed()!r})"
 
 
-def _lex(text: str) -> list[str]:
-    tokens: list[str] = []
-    cur: list[str] = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
+#: A bracket, or a run of characters that are neither brackets nor whitespace.
+_BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def parse_bracketed(text: str) -> ParseTree:
     """Parse one bracketed expression such as "(S (A a) (B b))"."""
-    tokens = _lex(text)
+    tokens = _BRACKET_TOKEN.findall(text)
     if not tokens:
         raise UnbalancedParens("empty input")
     pos = 0

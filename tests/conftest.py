@@ -5,16 +5,31 @@ import math
 from collections import defaultdict
 from itertools import chain, product
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import pytest
 
 from claudette import seqmodel
 from claudette.cli import main
-from claudette.corpus import load_corpus
+from claudette.corpus import (
+    ABBREVIATIONS,
+    CATEGORY_BY_SYMBOL,
+    FAIRNESS_LEVELS,
+    ClauseCategory,
+    CrossedNesting,
+    EmptyTagSpan,
+    LabeledSentence,
+    Sentence,
+    TagSpan,
+    UnbalancedTag,
+    UnknownTag,
+    _line_col,
+    load_corpus,
+)
 from claudette.features import Rows
 from claudette.svm import box_constraints, predict_linear
+from claudette.trees import MAX_DEPTH, EmptyNode, ParseTree, TrailingInput, TreeTooDeep, UnbalancedParens
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -132,6 +147,292 @@ def brute_force_best(model, E: np.ndarray):
 def loss_augmented_decode(model, xs: Rows, gold):
     """The trainer's loss-augmented Viterbi pass: best path and its score."""
     return seqmodel._decode(model, seqmodel._lattice(model, xs), gold)[:2]
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the type and message of the
+    ``ValueError`` it raises, so two readers can be compared on bad input."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+# The character-loop readers and the all-pairs label projection that the
+# compiled-pattern readers in ``claudette.corpus`` and ``claudette.trees``
+# replaced.  They are the differential references for those readers; apart
+# from their names they are unchanged.
+
+def _scan_tag(raw: str, pos: int) -> tuple[bool, str, str, int] | None:
+    """Try to read a tag candidate ``</?letters digits?>`` starting at ``pos``
+    (which must point at '<').  Returns (closing, symbol, level_str, end_pos)
+    or None when the text at pos is not tag-shaped and should stay literal."""
+    i = pos + 1
+    closing = False
+    if i < len(raw) and raw[i] == "/":
+        closing = True
+        i += 1
+    sym_start = i
+    while i < len(raw) and raw[i].isalpha():
+        i += 1
+    if i == sym_start:
+        return None
+    sym = raw[sym_start:i]
+    lvl_start = i
+    while i < len(raw) and raw[i].isdigit():
+        i += 1
+    lvl = raw[lvl_start:i]
+    if i >= len(raw) or raw[i] != ">":
+        return None
+    return closing, sym, lvl, i + 1
+
+
+def reference_parse_tagged_text(raw: str, lenient: bool = False) -> tuple[str, list[TagSpan]]:
+    """Strip clause tags from ``raw`` and return the plain text together with
+    one TagSpan per open/close pair, in opening-tag order.
+
+    Offsets in the returned spans index the plain text.  With ``lenient`` set,
+    an opening tag that repeats the currently open (category, level) is
+    accepted as its closer — some released annotations contain this artifact.
+    """
+    plain_parts: list[str] = []
+    plain_len = 0
+    spans: list[TagSpan | None] = []
+    # stack entries: (category, level, plain_start, slot in `spans`, raw_offset)
+    stack: list[tuple[ClauseCategory, int, int, int, int]] = []
+
+    pos = 0
+    n = len(raw)
+    while pos < n:
+        lt = raw.find("<", pos)
+        if lt < 0:
+            plain_parts.append(raw[pos:])
+            plain_len += n - pos
+            break
+        if lt > pos:
+            plain_parts.append(raw[pos:lt])
+            plain_len += lt - pos
+        scanned = _scan_tag(raw, lt)
+        if scanned is None:
+            # a lone '<' that cannot start a tag stays literal text
+            plain_parts.append("<")
+            plain_len += 1
+            pos = lt + 1
+            continue
+        closing, sym, lvl, after = scanned
+        category = CATEGORY_BY_SYMBOL.get(sym)
+        if category is None:
+            raise UnknownTag(f"unknown tag symbol {sym!r}", *_line_col(raw, lt))
+        if len(lvl) != 1 or int(lvl) not in FAIRNESS_LEVELS:
+            raise UnknownTag(f"bad fairness level {lvl!r} on tag <{sym}{lvl}>", *_line_col(raw, lt))
+        level = int(lvl)
+
+        if not closing and lenient and stack and stack[-1][0] is category and stack[-1][1] == level:
+            closing = True  # repeated opener closes the innermost identical tag
+
+        if not closing:
+            stack.append((category, level, plain_len, len(spans), lt))
+            spans.append(None)
+        else:
+            if not stack:
+                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", *_line_col(raw, lt))
+            top_cat, top_lvl, start, slot, _ = stack[-1]
+            if top_cat is not category or top_lvl != level:
+                if any(c is category and l == level for c, l, *_ in stack):
+                    raise CrossedNesting(
+                        f"closing </{sym}{lvl}> crosses inner <{top_cat.symbol}{top_lvl}>",
+                        *_line_col(raw, lt),
+                    )
+                raise UnbalancedTag(f"closing </{sym}{lvl}> without matching open tag", *_line_col(raw, lt))
+            stack.pop()
+            if plain_len == start:
+                raise EmptyTagSpan(f"tag <{sym}{lvl}> encloses no text", *_line_col(raw, lt))
+            spans[slot] = TagSpan(category=category, level=level, start=start, end=plain_len)
+        pos = after
+
+    if stack:
+        cat, lvl_open, _, _, raw_off = stack[-1]
+        raise UnbalancedTag(f"tag <{cat.symbol}{lvl_open}> never closed", *_line_col(raw, raw_off))
+
+    assert all(s is not None for s in spans)
+    return "".join(plain_parts), [s for s in spans if s is not None]
+
+
+_TERMINALS = ".!?"
+_QUOTES = "\"'“”‘’«»"
+
+
+def _abbreviation_before(plain: str, dot: int, start: int) -> bool:
+    """Whether the token ending at the period at ``dot`` is an abbreviation."""
+    w = dot
+    while w > start and not plain[w - 1].isspace():
+        w -= 1
+    word = plain[w : dot + 1].lower()
+    while word and not word[0].isalnum():
+        word = word[1:]
+    return word in ABBREVIATIONS
+
+
+def reference_segment_sentences(plain: str) -> list[Sentence]:
+    """Rule-based sentence segmenter.
+
+    Any newline terminates the current sentence (paragraph break).  A '.', '!'
+    or '?' terminates it when followed by whitespace whose next non-whitespace
+    character is an uppercase letter, a digit, or a quote — unless the token
+    preceding a period is a known abbreviation.
+    """
+    sentences: list[Sentence] = []
+    n = len(plain)
+    i = 0
+    while i < n:
+        while i < n and plain[i].isspace():
+            i += 1
+        if i >= n:
+            break
+        start = i
+        j = i
+        end = n
+        resume = n
+        while j < n:
+            c = plain[j]
+            if c == "\n":
+                end = j
+                resume = j + 1
+                break
+            if c in _TERMINALS:
+                k = j + 1
+                while k < n and plain[k].isspace():
+                    k += 1
+                if k == j + 1 and k < n:
+                    pass  # punctuation not followed by whitespace
+                elif k >= n:
+                    end = resume = j + 1
+                    break
+                else:
+                    nxt = plain[k]
+                    boundary = nxt.isupper() or nxt.isdigit() or nxt in _QUOTES
+                    if boundary and c == "." and _abbreviation_before(plain, j, start):
+                        boundary = False
+                    if boundary:
+                        end = resume = j + 1
+                        break
+            j += 1
+        while end > start and plain[end - 1].isspace():
+            end -= 1
+        if end > start:
+            text = plain[start:end]
+            sentences.append(Sentence(start=start, end=end, text=text, tokens=tuple(reference_tokenize(text))))
+        i = resume
+    return sentences
+
+
+def reference_tokenize(sentence_text: str) -> list[str]:
+    """Lowercased tokens: alphanumeric runs, with every punctuation mark a
+    standalone token.  "twitter.com/tos" -> [twitter, ., com, /, tos]."""
+    tokens: list[str] = []
+    cur: list[str] = []
+    for ch in sentence_text:
+        if ch.isspace():
+            if cur:
+                tokens.append("".join(cur).lower())
+                cur = []
+        elif ch.isalnum():
+            cur.append(ch)
+        else:
+            if cur:
+                tokens.append("".join(cur).lower())
+                cur = []
+            tokens.append(ch.lower())
+    if cur:
+        tokens.append("".join(cur).lower())
+    return tokens
+
+
+def _overlaps_nonspace(sentence: Sentence, span: TagSpan) -> bool:
+    a = max(sentence.start, span.start)
+    b = min(sentence.end, span.end)
+    if a >= b:
+        return False
+    window = sentence.text[a - sentence.start : b - sentence.start]
+    return any(not ch.isspace() for ch in window)
+
+
+def reference_project_labels(spans: Sequence[TagSpan], sentences: Sequence[Sentence]) -> list[LabeledSentence]:
+    """Attach (category, level) labels to every sentence whose range overlaps
+    the span by at least one non-whitespace character.  A span covering
+    several sentences labels each of them."""
+    out: list[LabeledSentence] = []
+    for sent in sentences:
+        labels = {
+            (span.category, span.level)
+            for span in spans
+            if _overlaps_nonspace(sent, span)
+        }
+        out.append(LabeledSentence.from_labels(sent, labels))
+    return out
+
+
+def _lex(text: str) -> list[str]:
+    tokens: list[str] = []
+    cur: list[str] = []
+    for ch in text:
+        if ch in "()":
+            if cur:
+                tokens.append("".join(cur))
+                cur = []
+            tokens.append(ch)
+        elif ch.isspace():
+            if cur:
+                tokens.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        tokens.append("".join(cur))
+    return tokens
+
+
+def reference_parse_bracketed(text: str) -> ParseTree:
+    """Parse one bracketed expression such as "(S (A a) (B b))"."""
+    tokens = _lex(text)
+    if not tokens:
+        raise UnbalancedParens("empty input")
+    pos = 0
+
+    def parse_node(depth: int) -> ParseTree:
+        nonlocal pos
+        if depth > MAX_DEPTH:
+            raise TreeTooDeep(f"tree is nested deeper than {MAX_DEPTH} levels")
+        if tokens[pos] != "(":
+            raise UnbalancedParens(f"expected '(' but found {tokens[pos]!r}")
+        pos += 1
+        if pos >= len(tokens):
+            raise UnbalancedParens("unexpected end of input after '('")
+        label = tokens[pos]
+        if label in "()":
+            raise EmptyNode("node is missing a label")
+        pos += 1
+        children: list[ParseTree] = []
+        while True:
+            if pos >= len(tokens):
+                raise UnbalancedParens("unexpected end of input; missing ')'")
+            tok = tokens[pos]
+            if tok == ")":
+                pos += 1
+                break
+            if tok == "(":
+                children.append(parse_node(depth + 1))
+            else:
+                children.append(ParseTree(tok))
+                pos += 1
+        if not children:
+            raise EmptyNode(f"node {label!r} has no children and no token")
+        return ParseTree(label, children)
+
+    tree = parse_node(1)
+    if pos != len(tokens):
+        raise TrailingInput(f"unexpected trailing input starting at {tokens[pos]!r}")
+    return tree
 
 
 class _Compiled(NamedTuple):

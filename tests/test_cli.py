@@ -132,6 +132,11 @@ class TestStatsCommand:
         assert main(["stats", str(tmp_path)]) == 3
         assert "never closed" in capsys.readouterr().err
 
+    def test_non_decimal_numeral_in_tag_exits_3(self, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("<a²>x</a²>", encoding="utf-8")
+        assert main(["stats", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: bad: unknown tag symbol 'a²' (line 1, column 1)\n"
+
     def test_non_utf8_document_exits_3(self, tmp_path, capsys):
         corpus = corpus_with_undecodable_document(tmp_path)
         assert main(["stats", str(corpus)]) == 3

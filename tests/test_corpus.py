@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reinsert_tags
+from conftest import (
+    outcome,
+    reference_parse_tagged_text,
+    reference_project_labels,
+    reference_segment_sentences,
+    reference_tokenize,
+    reinsert_tags,
+)
 
 from claudette.corpus import (
     ABBREVIATIONS,
@@ -21,8 +28,10 @@ from claudette.corpus import (
     TagSpan,
     UnbalancedTag,
     UnknownTag,
+    _QUOTES,
     corpus_stats,
     load_corpus,
+    parse_document,
     parse_tagged_text,
     project_labels,
     segment_sentences,
@@ -129,6 +138,18 @@ class TestParseTaggedText:
         assert plain == "xyz"
         assert len(spans) == 2
 
+    def test_non_decimal_numerals(self):
+        # among the letters, a non-decimal numeral makes the symbol unknown
+        for raw, sym in [("<a²>x</a²>", "a²"), ("<a½>x</a½>", "a½"), ("<a²2>x</a²2>", "a²")]:
+            with pytest.raises(UnknownTag, match=f"unknown tag symbol '{sym}'"):
+                parse_tagged_text(raw)
+        # after the level digits, it leaves a '<' that starts no tag
+        assert parse_tagged_text("<a2²>x") == ("<a2²>x", [])
+
+    def test_any_decimal_digit_is_a_level(self):
+        plain, spans = parse_tagged_text("<a٢>x</a٢>")  # ARABIC-INDIC DIGIT TWO
+        assert (plain, spans) == ("x", [TagSpan(ClauseCategory.ARBITRATION, 2, 0, 1)])
+
 
 class TestTagErrorsInLongDocuments:
     LINE = "words <a2>clause text.</a2> more"
@@ -158,6 +179,21 @@ class TestTagErrorsInLongDocuments:
         assert len(spans) == 40_000
         assert plain.count("clause text.") == 40_000
         assert elapsed < 10.0  # linear: well under a second; quadratic took about a minute
+
+    @pytest.mark.parametrize("shape", ["sequential", "nested"])
+    def test_many_spans_label_sentences_in_bounded_time(self, shape):
+        n = 20_000
+        lines = [f"Clause {i} binds you." for i in range(n)]
+        if shape == "sequential":
+            raw = "\n".join(f"<a2>{line}</a2>" for line in lines)
+        else:
+            raw = "<a2>" * n + "\n".join(lines) + "</a2>" * n
+        t0 = time.perf_counter()
+        doc = parse_document(shape, raw)
+        elapsed = time.perf_counter() - t0
+        assert len(doc.spans) == n
+        assert [ls.labels for ls in doc.sentences] == [{(ClauseCategory.ARBITRATION, 2)}] * n
+        assert elapsed < 10.0  # linear: about a second; all-pairs projection took 8 s at 4,000 tags
 
 
 # Recursive strategy for properly tagged text whose spans are all non-empty.
@@ -249,6 +285,16 @@ class TestSegmentation:
             prev_end = s.end
         assert plain[prev_end:].strip() == ""
 
+    def test_long_leading_punctuation_in_bounded_time(self):
+        n = 1_000_000  # fits under serve's default 1 MiB body cap
+        t0 = time.perf_counter()
+        split = segment_sentences("(" * n + "x. Yes.")
+        whole = segment_sentences("(" * n + "e.g. Yes.")
+        elapsed = time.perf_counter() - t0
+        assert [len(s.text) for s in split] == [n + 2, 4]
+        assert [len(s.text) for s in whole] == [n + 9]
+        assert elapsed < 10.0  # linear: about a second; stripping one character at a time took 20 s a body
+
     def test_abbreviation_list_is_reasonably_sized(self):
         assert len(ABBREVIATIONS) >= 60
         assert all(a.endswith(".") and a == a.lower() for a in ABBREVIATIONS)
@@ -337,6 +383,53 @@ class TestProjectLabels:
         more = project_labels(spans + extra, sents)
         for b, m in zip(base, more):
             assert b.labels <= m.labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_all_pairs_projection(self, data):
+        plain = data.draw(st.text(alphabet="a .\nA", min_size=1, max_size=40))
+        n = len(plain)
+        span = st.builds(
+            lambda lvl, bounds: TagSpan(ClauseCategory.ARBITRATION, lvl, *bounds),
+            st.integers(1, 2),
+            st.integers(0, n - 1).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, n))),
+        )
+        spans = data.draw(st.lists(span, max_size=10))
+        sents = segment_sentences(plain)
+        assert project_labels(spans, sents) == reference_project_labels(spans, sents)
+
+
+# Differential tests against the character-loop readers kept in conftest.
+_PIECES = [
+    " ", "\t", "\n", "\x1c", "\xa0", "\u2028",  # whitespace
+    "a", "A", "x", "İ", "ß", "_", ".", "!", "?", ",", "(", ")", "<", "/", ">",
+    "e.g.", "(e.g.", "U.S.", "no.", "0", "2", "7", "٢", "٧",  # ASCII and Arabic-Indic digits
+    *_QUOTES, *CATEGORY_BY_SYMBOL, "<a2>", "</a2>", "<j1>", "</j1>", "<a٢>",
+]
+_NUMERALS = ["²", "½", "Ⅻ"]  # numeric, not decimal; they change the tag grammar only
+# The pieces that decide sentence cuts, so that cut candidates come often.
+_CUT_PIECES = ["e.g.", "(e.g.", "U.S.", "no.", "x.", "a", "A", "2", "٢", "!", "?", " ", "\n", "\xa0", *_QUOTES]
+
+
+def _text(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
+
+
+class TestAgainstCharacterLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(_text(_PIECES + _NUMERALS))
+    def test_tokenize(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_CUT_PIECES)))
+    def test_segment_sentences(self, text):
+        assert segment_sentences(text) == reference_segment_sentences(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_text(_PIECES), st.booleans())
+    def test_parse_tagged_text(self, raw, lenient):
+        assert outcome(parse_tagged_text, raw, lenient) == outcome(reference_parse_tagged_text, raw, lenient)
 
 
 class TestLabeledSentence:

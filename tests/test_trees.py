@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import outcome, reference_parse_bracketed
 from claudette.treekernel import random_tree
 from claudette.trees import (
     MAX_DEPTH,
@@ -167,3 +168,12 @@ def test_random_tree_canonical_round_trip(seed, max_nodes):
     tree = random_tree(random.Random(seed), max_nodes=max_nodes)
     assert parse_bracketed(tree.to_bracketed()) == tree
     assert tree.n_nodes() <= max_nodes
+
+
+_BRACKET_PIECES = ["(", ")", "(S", "(NP", " ", "\t", "\n", "\x1c", "\xa0", "\u2028", "x", "İ", ".", "_", "<"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BRACKET_PIECES), max_size=40).map("".join))
+def test_parse_bracketed_equals_character_loop(text):
+    assert outcome(parse_bracketed, text) == outcome(reference_parse_bracketed, text)
