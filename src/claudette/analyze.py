@@ -101,11 +101,13 @@ def decide(
 
 class Predictor:
     """A model bundle compiled for prediction: a kernel bundle's support
-    trees are compiled here, once, so that threads may share the Predictor."""
+    trees and the vocabulary's term index are built here, once, so that
+    threads may share the Predictor and no request pays for them."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.kind = bundle.kind
+        bundle.vocabulary._index
         self.support: treekernel.CompiledTrees | None = None
         if bundle.kind == "kernel-sstk":
             model = bundle.model

@@ -7,10 +7,10 @@ classification unit is the sentence.  Term namespaces keep word n-grams
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -83,25 +83,50 @@ class Vocabulary:
     """Immutable term -> dense index map with per-term document frequencies.
 
     Indices are assigned in lexicographic term order so the mapping does not
-    depend on input ordering.
+    depend on input ordering.  A vocabulary taken from a :class:`TermTable`
+    holds the table's kept term ids and their df as arrays; its term tuple,
+    df tuple and term -> index dict are built only when read: to save or
+    compare it, or to vectorize text that is not in the table.
     """
 
     def __init__(self, terms: Sequence[str], df: Sequence[int], n_fit: int):
+        terms = tuple(terms)
         if len(terms) != len(df):
             raise ValueError("terms and df must align")
-        if list(terms) != sorted(terms):
-            raise ValueError("terms must be lexicographically sorted")
-        self.terms = tuple(terms)
-        self.df = tuple(map(int, df))
+        if any(a >= b for a, b in zip(terms, terms[1:])):
+            raise ValueError("terms must be strictly increasing")
+        self.terms = terms
+        self._source = self._ids = None
+        self._set_df(np.array(df, dtype=np.int64), n_fit)
+
+    @classmethod
+    def _of_table(cls, source: tuple[str, ...], ids: np.ndarray, df: np.ndarray, n_fit: int) -> "Vocabulary":
+        """The terms ``source[ids]`` (``ids`` increasing) with their ``df``."""
+        vocab = cls.__new__(cls)
+        vocab._source, vocab._ids = source, ids
+        vocab._set_df(df, n_fit)
+        return vocab
+
+    def _set_df(self, df: np.ndarray, n_fit: int) -> None:
+        self._df = df
         self.n_fit = int(n_fit)
-        self._index = dict(zip(self.terms, range(len(self.terms))))
-        # one math.log per distinct df: many terms share a df
-        idf_of = {d: math.log((1.0 + self.n_fit) / (1.0 + d)) + 1.0 for d in set(self.df)}
-        self._idf = np.fromiter(map(idf_of.__getitem__, self.df), dtype=np.float64, count=len(self.df))
+        self._idf = _per_distinct(df, lambda d: math.log((1.0 + self.n_fit) / (1.0 + d)) + 1.0)
+
+    @functools.cached_property
+    def terms(self) -> tuple[str, ...]:
+        return tuple(map(self._source.__getitem__, self._ids.tolist()))
+
+    @functools.cached_property
+    def df(self) -> tuple[int, ...]:
+        return tuple(self._df.tolist())
+
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.terms, range(self.size)))
 
     @property
     def size(self) -> int:
-        return len(self.terms)
+        return len(self._df)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -112,7 +137,14 @@ class Vocabulary:
         )
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.size
+
+
+def _per_distinct(values: np.ndarray, f) -> np.ndarray:
+    """``f`` of every value as float64, called once per distinct value: many
+    terms share a df, and many entries a count."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
 def extract_ngrams(tokens: Sequence[str], n: int) -> list[str]:
@@ -161,28 +193,31 @@ class TermTable:
     ``indices[indptr[r]:indptr[r + 1]]`` (increasing) with their term
     frequencies in ``tf`` (the raw count, or ``1 + ln(count)`` under
     ``log_tf``).  LOO builds one table for the corpus, and each fold computes
-    only its df, IDF, vocabulary and weights from its training rows.
+    its df, IDF, vocabulary, column map and weights from its rows as array
+    operations over the term ids; no fold touches a term string.
     """
 
     def __init__(self, sentences: Sequence, trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
         if config.use_pos and trees is None:
             raise MissingTree("POS features enabled but no trees supplied")
-        counts = [
-            Counter(extract_terms(s, trees[i] if trees is not None else None, config))
-            for i, s in enumerate(sentences)
-        ]
+        flat: list[str] = []
+        lengths: list[int] = []
+        for i, s in enumerate(sentences):
+            terms = extract_terms(s, trees[i] if trees is not None else None, config)
+            flat.extend(terms)
+            lengths.append(len(terms))
         self.config = config
-        self.n_rows = len(counts)
-        self.terms = tuple(sorted(set().union(*counts)))
-        term_id = dict(zip(self.terms, range(len(self.terms))))
-        lengths = [len(c) for c in counts]
-        self.indptr = np.array(list(accumulate(lengths, initial=0)), dtype=np.int64)
-        ids = np.array([term_id[t] for c in counts for t in c], dtype=np.int64)
-        raw = [n for c in counts for n in c.values()]
+        self.n_rows = len(lengths)
+        self.terms = tuple(sorted(set(flat)))
+        n = len(self.terms)
+        term_id = dict(zip(self.terms, range(n)))
+        ids = np.fromiter(map(term_id.__getitem__, flat), np.int64, len(flat))
+        # sorted keys order the entries by row, then id
+        keys, counts = np.unique(np.repeat(np.arange(self.n_rows), lengths) * n + ids, return_counts=True)
+        self.indptr = np.searchsorted(keys, np.arange(self.n_rows + 1) * n)
+        self.indices = keys % n
         # math.log, not np.log, which may round differently
-        tf = np.array([1.0 + math.log(n) for n in raw] if config.log_tf else raw, dtype=np.float64)
-        order = np.lexsort((ids, np.repeat(np.arange(self.n_rows), lengths)))  # by row, then id
-        self.indices, self.tf = ids[order], tf[order]
+        self.tf = _per_distinct(counts, lambda c: 1.0 + math.log(c)) if config.log_tf else counts.astype(np.float64)
 
     def vocabulary(self, rows: np.ndarray | None = None) -> Vocabulary:
         """Every term with document frequency >= min_df over ``rows`` (all
@@ -195,7 +230,7 @@ class TermTable:
             ids, n_fit = self.indices[np.repeat(selected, np.diff(self.indptr))], len(rows)
         df = np.bincount(ids, minlength=len(self.terms))
         kept = np.flatnonzero(df >= self.config.min_df)
-        return Vocabulary([self.terms[i] for i in kept], df[kept].tolist(), n_fit=n_fit)
+        return Vocabulary._of_table(self.terms, kept, df[kept], n_fit)
 
     def vectorize(self, vocab: Vocabulary, rows: np.ndarray | None = None) -> Rows:
         """L2-normalized TF-IDF rows of ``rows`` (all rows by default), in order.
@@ -203,20 +238,25 @@ class TermTable:
         weight(t) = tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1).  Terms
         outside the vocabulary are ignored; an all-zero row stays all-zero.
         """
-        column = np.fromiter(
-            map(vocab._index.get, self.terms, repeat(-1)), np.int64, len(self.terms)
-        )
-        cols = column[self.indices]
+        if vocab._source is self.terms:  # kept ids, increasing: no term lookups
+            column = np.full(len(self.terms), -1, dtype=np.int64)
+            column[vocab._ids] = np.arange(vocab.size)
+        else:
+            column = np.fromiter(
+                map(vocab._index.get, self.terms, repeat(-1)), np.int64, len(self.terms)
+            )
+        indptr, indices, tf = self.indptr, self.indices, self.tf
+        if rows is not None:  # only the rows' own entries are mapped and weighted
+            starts = indptr[:-1][rows]
+            lengths = indptr[1:][rows] - starts
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            picked = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+            indices, tf = indices[picked], tf[picked]
+        cols = column[indices]
         known = cols >= 0
-        bounds = np.concatenate(([0], np.cumsum(known)))[self.indptr]
+        bounds = np.concatenate(([0], np.cumsum(known)))[indptr]
         cols = cols[known]
-        weights = self.tf[known] * vocab._idf[cols]
-        if rows is not None:
-            starts = bounds[:-1][rows]
-            lengths = bounds[1:][rows] - starts
-            bounds = np.concatenate(([0], np.cumsum(lengths)))
-            picked = np.repeat(starts - bounds[:-1], lengths) + np.arange(bounds[-1])
-            cols, weights = cols[picked], weights[picked]
+        weights = tf[known] * vocab._idf[cols]
         ends = bounds.tolist()
         for a, b in zip(ends, ends[1:]):
             v = weights[a:b]

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
-from itertools import chain, product
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, product
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -27,7 +27,7 @@ from claudette.corpus import (
     _line_col,
     load_corpus,
 )
-from claudette.features import Rows
+from claudette.features import Rows, extract_terms
 from claudette.svm import box_constraints, predict_linear
 from claudette.trees import MAX_DEPTH, EmptyNode, ParseTree, TrailingInput, TreeTooDeep, UnbalancedParens
 
@@ -147,6 +147,24 @@ def brute_force_best(model, E: np.ndarray):
 def loss_augmented_decode(model, xs: Rows, gold):
     """The trainer's loss-augmented Viterbi pass: best path and its score."""
     return seqmodel._decode(model, seqmodel._lattice(model, xs), gold)[:2]
+
+
+def reference_term_table(sentences, trees, config) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The ``terms``, ``indptr``, ``indices`` and ``tf`` of a ``TermTable``,
+    built with one ``Counter`` per sentence and a ``lexsort``."""
+    counts = [
+        Counter(extract_terms(s, trees[i] if trees is not None else None, config))
+        for i, s in enumerate(sentences)
+    ]
+    terms = tuple(sorted(set().union(*counts)))
+    term_id = dict(zip(terms, range(len(terms))))
+    lengths = [len(c) for c in counts]
+    indptr = np.array(list(accumulate(lengths, initial=0)), dtype=np.int64)
+    ids = np.array([term_id[t] for c in counts for t in c], dtype=np.int64)
+    raw = [n for c in counts for n in c.values()]
+    tf = np.array([1.0 + math.log(n) for n in raw] if config.log_tf else raw, dtype=np.float64)
+    order = np.lexsort((ids, np.repeat(np.arange(len(counts)), lengths)))  # by row, then id
+    return terms, indptr, ids[order], tf[order]
 
 
 def outcome(parse, *args):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import rows_from_pairs
+from conftest import reference_term_table, rows_from_pairs
 from hypothesis import strategies as st
 
 from claudette.corpus import LabeledSentence, Sentence, tokenize
@@ -22,6 +23,7 @@ from claudette.features import (
     pos_bag,
     vectorize_all,
 )
+from claudette.modelio import canonical_json_bytes, vocabulary_from_record, vocabulary_record
 from claudette.trees import ParseTree, parse_bracketed
 
 
@@ -348,3 +350,74 @@ class TestTermTable:
             TermTable([("a",)], None, cfg)
         with pytest.raises(MissingTree):
             TermTable([("a",)], [None], cfg)
+
+
+def same_arrays(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def file_copy(vocab: Vocabulary) -> Vocabulary:
+    """``vocab`` as a model file saves it and ``load_model`` reads it back."""
+    return vocabulary_from_record(json.loads(canonical_json_bytes(vocabulary_record(vocab))))
+
+
+sentence_lists = st.lists(mixed_case.map(tuple), max_size=8)  # empty sentences and zero rows too
+orders = st.sets(st.integers(1, 3), min_size=1).map(tuple)
+
+
+class TestArrayFolds:
+    """The flat table and its array vocabularies against the builds they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sentence_lists, orders, st.booleans(), st.booleans())
+    def test_table_equals_the_counter_build(self, sentences, ngram_orders, log_tf, use_pos):
+        cfg = FeatureConfig(ngram_orders=ngram_orders, log_tf=log_tf, use_pos=use_pos)
+        trees = [tagged(s) for s in sentences] if use_pos else None
+        table = TermTable(sentences, trees, cfg)
+        terms, indptr, indices, tf = reference_term_table(sentences, trees, cfg)
+        assert table.terms == terms and table.n_rows == len(sentences)
+        for got, want in ((table.indptr, indptr), (table.indices, indices), (table.tf, tf)):
+            assert same_arrays(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sentence_lists, st.data(), orders, st.integers(1, 4), st.booleans())
+    def test_table_vocabulary_equals_its_strings_and_its_file_copy(self, sentences, data, ngram_orders, min_df, log_tf):
+        cfg = FeatureConfig(ngram_orders=ngram_orders, min_df=min_df, log_tf=log_tf)
+        table = TermTable(sentences, None, cfg)
+        picked = data.draw(st.lists(st.booleans(), min_size=len(sentences), max_size=len(sentences)))
+        rows = np.flatnonzero(np.array(picked, dtype=bool))
+        others = np.flatnonzero(~np.array(picked, dtype=bool))
+        vocab = table.vocabulary(rows)
+        for X in (table.vectorize(vocab, rows), table.vectorize(vocab, others), table.vectorize(vocab)):
+            assert X.dim == vocab.size
+        # a fold reads no term string: the column map comes from the ids
+        assert not {"terms", "df", "_index"} & set(vars(vocab))
+
+        want = reference_vocabulary([sentences[r] for r in rows], None, cfg)
+        assert vocab == want and want == vocab and vocab.size == want.size == len(vocab)
+        assert same_arrays(vocab._idf, want._idf)
+        assert canonical_json_bytes(vocabulary_record(vocab)) == canonical_json_bytes(vocabulary_record(want))
+
+        copy = file_copy(vocab)
+        for which in (rows, others, None):
+            X, Y = table.vectorize(vocab, which), table.vectorize(copy, which)
+            assert X.dim == Y.dim
+            for name in ("indptr", "indices", "data"):
+                assert same_arrays(getattr(X, name), getattr(Y, name))
+
+    def test_min_df_above_every_df_gives_an_empty_vocabulary(self):
+        sentences = [("a", "b"), ("b",), ()]
+        table = TermTable(sentences, None, FeatureConfig(ngram_orders=(1, 2), min_df=4))
+        vocab = table.vocabulary()
+        assert vocab.size == 0 and vocab.terms == () and vocab.df == () and vocab.n_fit == 3
+        assert vocab == Vocabulary((), (), 3) == file_copy(vocab)
+        assert vocab._idf.dtype == np.float64 and vocab._idf.shape == (0,)
+        for v in (vocab, file_copy(vocab)):
+            X = table.vectorize(v)
+            assert X.dim == 0 and X.indptr.tolist() == [0, 0, 0, 0]
+            assert X.indices.size == X.data.size == 0
+
+    def test_duplicate_or_unsorted_terms_are_refused(self):
+        for terms in (("w1:a", "w1:a"), ("w1:b", "w1:a")):
+            with pytest.raises(ValueError):
+                Vocabulary(terms, (1, 1), 2)
