@@ -74,18 +74,16 @@ def _check_sequence(model: ChainModel, xs: Rows) -> None:
 
 def _lattice(model: ChainModel, xs: Rows) -> list[list[float]]:
     """Emission scores, one list of L floats per position, from one gather of
-    the document's columns.  Each row is its slice of the gather times its
-    values, one BLAS product per row: the same product as
-    ``emissions[:, row_indices] @ row_values`` and so bit-identical to it (a
-    batched product over all rows sums in another order)."""
+    the document's columns, one multiply by its values and one bincount over
+    ``label * T + row``.  bincount adds in input order, so each emission is
+    ``0.0`` plus its row's products left to right in column order (``0.0``
+    for an empty row), whatever the weights' memory layout or the BLAS."""
     _check_sequence(model, xs)
-    gathered = model.emissions[:, xs.indices]
-    data = xs.data
-    empty = [0.0] * model.n_labels
-    bounds = xs.indptr.tolist()
-    return [
-        gathered[:, a:b].dot(data[a:b]).tolist() if b > a else empty for a, b in zip(bounds, bounds[1:])
-    ]
+    T, L = len(xs), model.n_labels
+    products = model.emissions.take(xs.indices, axis=1)
+    products *= xs.data
+    keys = np.arange(0, L * T, T)[:, None] + np.repeat(np.arange(T), np.diff(xs.indptr))
+    return np.bincount(keys.ravel(), products.ravel(), L * T).reshape(L, T).T.tolist()
 
 
 def _decode(
@@ -165,10 +163,11 @@ def train_chain(
     would drown the converged ones.  ``structured_objective`` evaluates the
     objective of a model on a set of examples.
 
-    A step is the ``1 - 1/t`` shrink, the lattice rows (``_lattice``), one
-    loss-augmented Viterbi pass that also scores the gold path (``_decode``)
-    and, on a margin violation, one scatter (``_apply_update``); the weights
-    are bit-identical to those of separate ndarray passes.
+    A step is the ``1 - 1/t`` shrink, the lattice (``_lattice``: one gather,
+    multiply and bincount per document), one loss-augmented Viterbi pass that
+    also scores the gold path (``_decode``) and, on a margin violation, one
+    scatter (``_apply_update``), bit-identical to separate ndarray passes.
+    Gold labels outside ``[0, L)`` raise ``UnknownLabel``.
 
     Note the effective regularization: small C means strong shrinking, which
     on noisy imbalanced data can collapse the model toward the majority
@@ -179,13 +178,13 @@ def train_chain(
     dim = examples[0].xs.dim
     if any(ex.xs.dim != dim for ex in examples):
         raise DimensionMismatch("sequences disagree on feature dimension")
-    max_label = max(0, max(max(ex.ys) for ex in examples))
+    seen = {y for ex in examples for y in ex.ys}
     if labels is None:
-        labels = tuple(str(i) for i in range(max(max_label + 1, 2)))
-    else:
-        labels = tuple(labels)
-        if max_label >= len(labels):
-            raise UnknownLabel(f"label index {max_label} outside the {len(labels)}-label set")
+        labels = [str(i) for i in range(max(max(seen) + 1, 2))]
+    labels = tuple(labels)
+    outside = sorted(y for y in seen if not 0 <= y < len(labels))
+    if outside:
+        raise UnknownLabel(f"label index {outside[0]} outside the {len(labels)}-label set")
 
     model = ChainModel.zeros(labels, dim)
     avg_em = np.zeros_like(model.emissions)

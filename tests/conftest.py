@@ -102,12 +102,19 @@ def recomputed_kkt_violation(gram, y, alpha: np.ndarray, cfg) -> float:
 
 
 def per_row_emissions(model, xs: Rows) -> np.ndarray:
-    """Each emission row as the product of its own gather: the reference
-    for the one-gather lattice."""
+    """Each emission as ``0.0`` plus its row's Python-float products
+    ``weight * value``, added left to right in column order (an empty row is
+    ``0.0``): the reference for the lattice."""
+    weights = model.emissions.tolist()
+    bounds = xs.indptr.tolist()
     E = np.empty((len(xs), model.n_labels), dtype=np.float64)
-    for t in range(len(xs)):
-        a, b = xs.indptr[t], xs.indptr[t + 1]
-        E[t] = model.emissions[:, xs.indices[a:b]] @ xs.data[a:b] if b > a else 0.0
+    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        pairs = list(zip(xs.indices[a:b].tolist(), xs.data[a:b].tolist()))
+        for label, w in enumerate(weights):
+            total = 0.0
+            for i, v in pairs:
+                total += w[i] * v
+            E[t, label] = total
     return E
 
 

@@ -249,6 +249,40 @@ class TestDecodeMatchesNumpyReference:
         assert seqmodel._decode(model, E.tolist(), gold)[2] == lattice_path_score(model, E_aug, gold)
 
 
+# grid weights with both signed zeros make ties and -0.0 + 0.0 sums
+# frequent; arbitrary floats make sums whose rounding depends on their order
+SIGNED_WEIGHTS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, 1.5, -2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def sparse_documents(draw):
+    """A model with 2-4 labels and a document whose rows are empty, hold one
+    entry or several, with signed zeros among the weights and values.  The
+    weights are held in C order, in Fortran order or as a strided view."""
+    L = draw(st.sampled_from([2, 3, 4]))
+    dim = draw(st.integers(1, 8))
+    weights = np.array(draw(st.lists(SIGNED_WEIGHTS, min_size=L * dim, max_size=L * dim))).reshape(L, dim)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        weights = np.asfortranarray(weights)
+    elif layout == "strided":
+        held = np.zeros((2 * L, 3 * dim))
+        held[::2, ::3] = weights
+        weights = held[::2, ::3]
+    model = ChainModel.zeros([str(i) for i in range(L)], dim)
+    model.emissions = weights
+    columns = st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, dim - 1), min_size=1, max_size=1),
+        st.sets(st.integers(0, dim - 1), min_size=min(2, dim)).map(sorted),
+    )
+    rows = [[(i, draw(SIGNED_WEIGHTS)) for i in idx] for idx in draw(st.lists(columns, min_size=1, max_size=8))]
+    return model, rows_from_pairs(rows, dim)
+
+
 class TestEmissions:
     def test_one_gather_matches_per_row_products(self):
         rng = np.random.default_rng(8)
@@ -267,6 +301,13 @@ class TestEmissions:
         loss = np.ones((6, 3))
         loss[np.arange(6), gold] = 0.0
         assert (loss_lattice(per_row_emissions(model, xs), gold) == per_row_emissions(model, xs) + loss).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_documents())
+    def test_lattice_equals_the_reference_bit_for_bit(self, document):
+        model, xs = document
+        got = [[bits(e) for e in row] for row in seqmodel._lattice(model, xs)]
+        assert got == [[bits(e) for e in row] for row in per_row_emissions(model, xs).tolist()]
 
     def test_entry_points_check_the_sequence(self):
         model = ChainModel.zeros(["n", "p"], 2)
@@ -503,6 +544,12 @@ class TestTrainChain:
         with pytest.raises(UnknownLabel):
             train_chain([SeqExample(rows_from_pairs([unit(0)], 2), (3,))], TrainConfig(), labels=("n", "p"))
 
+    @pytest.mark.parametrize("labels", [("n", "p"), None])
+    def test_negative_label(self, labels):
+        example = SeqExample(rows_from_pairs([unit(0), unit(1)], 2), (-1, 0))
+        with pytest.raises(UnknownLabel):
+            train_chain([example], TrainConfig(), labels=labels)
+
 
 def corpus_sequences(corpus):
     """Each document of ``corpus`` as one sequence over the corpus
@@ -587,14 +634,6 @@ class TestReferenceTrainer:
             assert model_bytes(got) == model_bytes(want)
 
 
-# grid weights with both signed zeros make ties and -0.0 + 0.0 sums
-# frequent; arbitrary floats make sums whose rounding depends on their order
-SIGNED_WEIGHTS = st.one_of(
-    st.sampled_from([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, 1.5, -2.0]),
-    st.floats(-4.0, 4.0, allow_nan=False),
-)
-
-
 @st.composite
 def signed_grid_chains(draw):
     """Like ``grid_chains``, with signed zeros and arbitrary floats among the
@@ -620,7 +659,7 @@ class TestTrainingDecode:
     @given(signed_grid_chains())
     def test_fused_pass_equals_the_separate_ones(self, chain):
         model, xs, gold = chain
-        # a drawn lattice keeps its signed zeros (a BLAS row product does not)
+        # a drawn lattice keeps its signed zeros (``_lattice`` sums from 0.0)
         E = model.emissions.T.copy()
         ys, aug, gold_score = seqmodel._decode(model, E.tolist(), gold)
         E_aug = loss_lattice(E, gold)
