@@ -37,7 +37,7 @@ from claudette.cli import main as cli_main  # noqa: E402
 from claudette.corpus import corpus_stats, load_corpus  # noqa: E402
 from claudette.evaluation import stats_record  # noqa: E402
 from claudette.modelio import canonical_json_bytes  # noqa: E402
-from claudette.synthetic import generate_fixture_set  # noqa: E402
+from synthetic import generate_fixture_set  # noqa: E402
 from claudette.trees import read_treebank_groups, write_treebank_groups  # noqa: E402
 
 CORPORA = ("mini", "planted", "adjacency")

@@ -1,4 +1,8 @@
-"""Deterministic synthetic corpora for tests and experiments.
+"""Deterministic synthetic corpora: the bundled test fixtures.
+
+``make_synthetic_corpus.py`` writes them with ``generate_fixture_set``; this
+module sits next to it, outside the ``claudette`` package, because nothing
+else imports it.
 
 Three generators:
 
@@ -17,8 +21,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .corpus import Corpus, load_corpus
-from .trees import ParseTree
+from claudette.corpus import Corpus, load_corpus
+from claudette.trees import ParseTree, write_treebank_groups
 
 MINI_DOCUMENTS = {
     "alpha": (
@@ -246,8 +250,6 @@ def treebank_groups_for(corpus: Corpus) -> list[list[ParseTree]]:
 
 def generate_fixture_set(root: str | Path, with_trees: bool = True) -> None:
     """Write the three bundled corpora (and treebanks) under ``root``."""
-    from .trees import write_treebank_groups
-
     root = Path(root)
     write_mini_corpus(root / "mini")
     write_planted_corpus(root / "planted")

@@ -72,17 +72,50 @@ def _check_sequence(model: ChainModel, xs: Rows) -> None:
         raise DimensionMismatch(f"vector dim {xs.dim} != model dim {model.dim}")
 
 
-def _lattice(model: ChainModel, xs: Rows) -> list[list[float]]:
+@dataclass(frozen=True)
+class _Plan:
+    """A training document's index arrays, built once per ``train_chain``
+    call and read by every step on it."""
+
+    flat: np.ndarray  # label * V + column, label by label: the gather index
+    values: np.ndarray  # the document's values, once per label
+    keys: np.ndarray  # label * T + row: each product's lattice slot
+    rows: list[tuple[np.ndarray, np.ndarray]]  # each row's columns and values
+
+
+def _plan(xs: Rows, n_labels: int) -> _Plan:
+    """The plan of document ``xs`` for ``n_labels`` labels."""
+    labels = np.arange(n_labels)[:, None]
+    row_of_entry = np.repeat(np.arange(len(xs)), np.diff(xs.indptr))
+    bounds = xs.indptr.tolist()
+    return _Plan(
+        flat=(labels * xs.dim + xs.indices).ravel(),
+        values=np.tile(xs.data, n_labels),
+        keys=(labels * len(xs) + row_of_entry).ravel(),
+        rows=[(xs.indices[a:b], xs.data[a:b]) for a, b in zip(bounds, bounds[1:])],
+    )
+
+
+def _lattice(model: ChainModel, xs: Rows, plan: _Plan | None = None) -> list[list[float]]:
     """Emission scores, one list of L floats per position, from one gather of
     the document's columns, one multiply by its values and one bincount over
     ``label * T + row``.  bincount adds in input order, so each emission is
     ``0.0`` plus its row's products left to right in column order (``0.0``
-    for an empty row), whatever the weights' memory layout or the BLAS."""
-    _check_sequence(model, xs)
+    for an empty row), whatever the weights' memory layout or the BLAS.
+    With ``plan`` (the caller has checked the sequence) the gather is one
+    1-D ``take`` of the plan's flat index from the flattened weights, a view
+    for the C-ordered ones ``train_chain`` holds, and the keys are the
+    plan's."""
     T, L = len(xs), model.n_labels
-    products = model.emissions.take(xs.indices, axis=1)
-    products *= xs.data
-    keys = np.arange(0, L * T, T)[:, None] + np.repeat(np.arange(T), np.diff(xs.indptr))
+    if plan is None:
+        _check_sequence(model, xs)
+        products = model.emissions.take(xs.indices, axis=1)
+        products *= xs.data
+        keys = np.arange(0, L * T, T)[:, None] + np.repeat(np.arange(T), np.diff(xs.indptr))
+    else:
+        products = model.emissions.reshape(-1).take(plan.flat)
+        products *= plan.values
+        keys = plan.keys
     return np.bincount(keys.ravel(), products.ravel(), L * T).reshape(L, T).T.tolist()
 
 
@@ -95,13 +128,17 @@ def _decode(
 
     With ``gold`` each emission gets the margin loss (``+ 1.0`` off gold,
     ``+ 0.0`` on gold), and the gold path is scored left to right over the
-    same augmented lattice, in the same pass.  Without it the loss is
-    ``-0.0``, which leaves every float unchanged (``-0.0 + -0.0`` is
-    ``-0.0``).  Each step adds ``dp[prev] + transitions[prev][cur]`` and then
-    the emission, and a strict ``>`` keeps the lowest maximizing index, so
-    paths and scores are bit-identical to the numpy ``argmax`` recursion that
-    ``tests/test_seqmodel.py`` keeps as the reference.
+    same augmented lattice.  Without it the loss is ``-0.0``, which leaves
+    every float unchanged (``-0.0 + -0.0`` is ``-0.0``).  Each step adds
+    ``dp[prev] + transitions[prev][cur]`` and then the emission, and a strict
+    ``>`` keeps the lowest maximizing index, so paths and scores are
+    bit-identical to the numpy ``argmax`` recursion that
+    ``tests/test_seqmodel.py`` keeps as the reference.  Two labels, the only
+    set ``modelio.fit`` trains, take an unrolled recursion that makes the same
+    additions in the same order (leaving out the ``-0.0`` ones).
     """
+    if model.n_labels == 2:
+        return _decode_two(model, lattice, gold)
     start = model.start.tolist()
     trans = model.transitions.tolist()
     into = model.transitions.T.tolist()  # into[cur][prev]
@@ -142,6 +179,50 @@ def _decode(
     return ys, dp[last], None if gold is None else path_score
 
 
+def _decode_two(
+    model: ChainModel, lattice: list[list[float]], gold: Sequence[int] | None
+) -> tuple[list[int], float, float | None]:
+    """``_decode`` for two labels: the loss added once per emission, the
+    recursion unrolled over the four ``(prev, cur)`` pairs, and the gold path
+    scored after it."""
+    start = model.start.tolist()
+    trans = model.transitions.tolist()
+    (s0, s1), ((t00, t01), (t10, t11)) = start, trans
+    if gold is None:
+        aug = lattice
+    else:
+        aug = [[e0 + 0.0, e1 + 1.0] if g == 0 else [e0 + 1.0, e1 + 0.0] for (e0, e1), g in zip(lattice, gold)]
+    a0, a1 = aug[0]
+    d0, d1 = s0 + a0, s1 + a1
+    back = []
+    for a0, a1 in aug[1:]:
+        b0, c0 = d0 + t00, d1 + t10
+        b1, c1 = d0 + t01, d1 + t11
+        if c0 > b0:
+            b0, p0 = c0, 1
+        else:
+            p0 = 0
+        if c1 > b1:
+            b1, p1 = c1, 1
+        else:
+            p1 = 0
+        back.append((p0, p1))
+        d0, d1 = b0 + a0, b1 + a1
+    last = 1 if d1 > d0 else 0
+    ys = [last]
+    for ptr in reversed(back):
+        ys.append(ptr[ys[-1]])
+    ys.reverse()
+    if gold is None:
+        return ys, d1 if last else d0, None
+    g = gold[0]
+    path_score = start[g] + aug[0][g]
+    for row, g, h in zip(aug[1:], gold[1:], gold):
+        path_score = path_score + trans[h][g]
+        path_score = path_score + row[g]
+    return ys, d1 if last else d0, path_score
+
+
 def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
     """Highest-scoring label sequence and its score."""
     return _decode(model, _lattice(model, xs))[:2]
@@ -163,10 +244,11 @@ def train_chain(
     would drown the converged ones.  ``structured_objective`` evaluates the
     objective of a model on a set of examples.
 
-    A step is the ``1 - 1/t`` shrink, the lattice (``_lattice``: one gather,
-    multiply and bincount per document), one loss-augmented Viterbi pass that
-    also scores the gold path (``_decode``) and, on a margin violation, one
-    scatter (``_apply_update``), bit-identical to separate ndarray passes.
+    Each document's index arrays (``_plan``) are built once per call.  A step
+    is then the ``1 - 1/t`` shrink, the lattice (``_lattice``: one 1-D
+    ``take``, one multiply and one bincount), one loss-augmented Viterbi pass
+    that also scores the gold path (``_decode``) and, on a margin violation,
+    one scatter (``_apply_update``), bit-identical to separate ndarray passes.
     Gold labels outside ``[0, L)`` raise ``UnknownLabel``.
 
     Note the effective regularization: small C means strong shrinking, which
@@ -187,6 +269,7 @@ def train_chain(
         raise UnknownLabel(f"label index {outside[0]} outside the {len(labels)}-label set")
 
     model = ChainModel.zeros(labels, dim)
+    plans = [_plan(ex.xs, len(labels)) for ex in examples]
     avg_em = np.zeros_like(model.emissions)
     avg_tr = np.zeros_like(model.transitions)
     avg_st = np.zeros_like(model.start)
@@ -207,10 +290,10 @@ def train_chain(
             model.transitions *= shrink
             model.start *= shrink
 
-            ex = examples[j]
-            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs), ex.ys)
+            ex, plan = examples[j], plans[j]
+            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan), ex.ys)
             if aug_score > gold_score:
-                _apply_update(model, ex, y_hat, eta)
+                _apply_update(model, ex, y_hat, eta, plan)
 
             if t >= tail_start:
                 avg_em += model.emissions
@@ -227,38 +310,33 @@ def train_chain(
     return averaged
 
 
-def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float) -> None:
+def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float, plan: _Plan) -> None:
     """w += eta * (Phi(x, gold) - Phi(x, y_hat)) on the violated positions.
 
     The emissions get one ``np.add.at`` into the flat (C-contiguous) matrix
-    at ``label * V + column`` of ``x * +-eta``, concatenated row by row (gold
-    part, then y_hat part): a weight that several violated rows move gets
+    at ``label * V + column`` of ``x * +-eta``, concatenated row by row from
+    the plan's row views (gold part, then y_hat part): a weight that several violated rows move gets
     its updates in row order, bit-identical to a ``+=``/``-=`` pair per row.
     """
     gold = ex.ys
     if gold[0] != y_hat[0]:
         model.start[gold[0]] += eta
         model.start[y_hat[0]] -= eta
-    xs = ex.xs
+    for gpair, hpair in zip(zip(gold, gold[1:]), zip(y_hat, y_hat[1:])):
+        if gpair != hpair:
+            model.transitions[gpair] += eta
+            model.transitions[hpair] -= eta
     dim = model.dim
     columns: list[np.ndarray] = []
     values: list[np.ndarray] = []
     offsets: list[int] = []
     lengths: list[int] = []
-    bounds = xs.indptr.tolist()
-    for tpos, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if gold[tpos] != y_hat[tpos] and b > a:
-            idx, vals = xs.indices[a:b], xs.data[a:b]
+    for (idx, vals), g, h in zip(plan.rows, gold, y_hat):
+        if g != h and len(idx):
             columns += (idx, idx)
             values += (vals, vals)
-            offsets += (gold[tpos] * dim, y_hat[tpos] * dim)
-            lengths += (b - a, b - a)
-        if tpos >= 1:
-            gpair = (gold[tpos - 1], gold[tpos])
-            hpair = (y_hat[tpos - 1], y_hat[tpos])
-            if gpair != hpair:
-                model.transitions[gpair] += eta
-                model.transitions[hpair] -= eta
+            offsets += (g * dim, h * dim)
+            lengths += (len(idx), len(idx))
     if columns:
         where = np.concatenate(columns) + np.repeat(offsets, lengths)
         steps = np.concatenate(values) * np.repeat([eta, -eta] * (len(lengths) // 2), lengths)
