@@ -74,49 +74,41 @@ def _check_sequence(model: ChainModel, xs: Rows) -> None:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A training document's index arrays, built once per ``train_chain``
-    call and read by every step on it."""
+    """A document's lattice index arrays for a label count.  ``train_chain``
+    builds one per example once per call and reads it on every step."""
 
     flat: np.ndarray  # label * V + column, label by label: the gather index
     values: np.ndarray  # the document's values, once per label
     keys: np.ndarray  # label * T + row: each product's lattice slot
-    rows: list[tuple[np.ndarray, np.ndarray]]  # each row's columns and values
 
 
 def _plan(xs: Rows, n_labels: int) -> _Plan:
     """The plan of document ``xs`` for ``n_labels`` labels."""
     labels = np.arange(n_labels)[:, None]
     row_of_entry = np.repeat(np.arange(len(xs)), np.diff(xs.indptr))
-    bounds = xs.indptr.tolist()
     return _Plan(
         flat=(labels * xs.dim + xs.indices).ravel(),
         values=np.tile(xs.data, n_labels),
         keys=(labels * len(xs) + row_of_entry).ravel(),
-        rows=[(xs.indices[a:b], xs.data[a:b]) for a, b in zip(bounds, bounds[1:])],
     )
 
 
 def _lattice(model: ChainModel, xs: Rows, plan: _Plan | None = None) -> list[list[float]]:
-    """Emission scores, one list of L floats per position, from one gather of
-    the document's columns, one multiply by its values and one bincount over
+    """Emission scores, one list of L floats per position, from one 1-D
+    ``take`` of the plan's flat index from the flattened weights (a view for
+    C-ordered ones), one multiply by its values and one bincount over its keys
     ``label * T + row``.  bincount adds in input order, so each emission is
     ``0.0`` plus its row's products left to right in column order (``0.0``
     for an empty row), whatever the weights' memory layout or the BLAS.
-    With ``plan`` (the caller has checked the sequence) the gather is one
-    1-D ``take`` of the plan's flat index from the flattened weights, a view
-    for the C-ordered ones ``train_chain`` holds, and the keys are the
-    plan's."""
+    Without ``plan`` the sequence is checked and its plan built here; with
+    one the caller has checked it."""
     T, L = len(xs), model.n_labels
     if plan is None:
         _check_sequence(model, xs)
-        products = model.emissions.take(xs.indices, axis=1)
-        products *= xs.data
-        keys = np.arange(0, L * T, T)[:, None] + np.repeat(np.arange(T), np.diff(xs.indptr))
-    else:
-        products = model.emissions.reshape(-1).take(plan.flat)
-        products *= plan.values
-        keys = plan.keys
-    return np.bincount(keys.ravel(), products.ravel(), L * T).reshape(L, T).T.tolist()
+        plan = _plan(xs, L)
+    products = model.emissions.reshape(-1).take(plan.flat)
+    products *= plan.values
+    return np.bincount(plan.keys, products, L * T).reshape(L, T).T.tolist()
 
 
 def _decode(
@@ -293,7 +285,7 @@ def train_chain(
             ex, plan = examples[j], plans[j]
             y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan), ex.ys)
             if aug_score > gold_score:
-                _apply_update(model, ex, y_hat, eta, plan)
+                _apply_update(model, ex, y_hat, eta)
 
             if t >= tail_start:
                 avg_em += model.emissions
@@ -310,12 +302,12 @@ def train_chain(
     return averaged
 
 
-def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float, plan: _Plan) -> None:
+def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float) -> None:
     """w += eta * (Phi(x, gold) - Phi(x, y_hat)) on the violated positions.
 
     The emissions get one ``np.add.at`` into the flat (C-contiguous) matrix
-    at ``label * V + column`` of ``x * +-eta``, concatenated row by row from
-    the plan's row views (gold part, then y_hat part): a weight that several violated rows move gets
+    at ``label * V + column`` of ``x * +-eta``, concatenated row by row (gold
+    part, then y_hat part): a weight that several violated rows move gets
     its updates in row order, bit-identical to a ``+=``/``-=`` pair per row.
     """
     gold = ex.ys
@@ -326,17 +318,19 @@ def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: 
         if gpair != hpair:
             model.transitions[gpair] += eta
             model.transitions[hpair] -= eta
-    dim = model.dim
+    xs, dim = ex.xs, model.dim
     columns: list[np.ndarray] = []
     values: list[np.ndarray] = []
     offsets: list[int] = []
     lengths: list[int] = []
-    for (idx, vals), g, h in zip(plan.rows, gold, y_hat):
-        if g != h and len(idx):
+    bounds = xs.indptr.tolist()
+    for a, b, g, h in zip(bounds, bounds[1:], gold, y_hat):
+        if g != h and b > a:
+            idx, vals = xs.indices[a:b], xs.data[a:b]
             columns += (idx, idx)
             values += (vals, vals)
             offsets += (g * dim, h * dim)
-            lengths += (len(idx), len(idx))
+            lengths += (b - a, b - a)
     if columns:
         where = np.concatenate(columns) + np.repeat(offsets, lengths)
         steps = np.concatenate(values) * np.repeat([eta, -eta] * (len(lengths) // 2), lengths)
