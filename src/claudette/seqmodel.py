@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .features import Rows
-from .svm import DimensionMismatch, EmptyData, LengthMismatch, TrainConfig
+from .svm import DimensionMismatch, EmptyData, LengthMismatch, SingleClass, TrainConfig
 
 
 class UnknownLabel(ValueError):
@@ -74,145 +74,119 @@ def _check_sequence(model: ChainModel, xs: Rows) -> None:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A document's lattice index arrays for a label count.  ``train_chain``
-    builds one per example once per call and reads it on every step."""
+    """A document's lattice index arrays for a label count, and its margin
+    loss for a gold path.  ``train_chain`` builds one per example per call."""
 
     flat: np.ndarray  # label * V + column, label by label: the gather index
     values: np.ndarray  # the document's values, once per label
     keys: np.ndarray  # label * T + row: each product's lattice slot
+    loss: np.ndarray | None  # (T, L): 1.0 off gold, 0.0 on gold; None without gold
 
 
-def _plan(xs: Rows, n_labels: int) -> _Plan:
-    """The plan of document ``xs`` for ``n_labels`` labels."""
+def _plan(xs: Rows, n_labels: int, gold: Sequence[int] | None = None) -> _Plan:
+    """The plan of document ``xs`` for ``n_labels`` labels and gold path ``gold``."""
     labels = np.arange(n_labels)[:, None]
     row_of_entry = np.repeat(np.arange(len(xs)), np.diff(xs.indptr))
+    loss = None
+    if gold is not None:
+        loss = np.ones((len(xs), n_labels))
+        loss[np.arange(len(xs)), gold] = 0.0
     return _Plan(
         flat=(labels * xs.dim + xs.indices).ravel(),
         values=np.tile(xs.data, n_labels),
         keys=(labels * len(xs) + row_of_entry).ravel(),
+        loss=loss,
     )
 
 
-def _lattice(model: ChainModel, xs: Rows, plan: _Plan | None = None) -> list[list[float]]:
+def _lattice(
+    model: ChainModel, xs: Rows, gold: Sequence[int] | None = None, plan: _Plan | None = None
+) -> list[list[float]]:
     """Emission scores, one list of L floats per position, from one 1-D
     ``take`` of the plan's flat index from the flattened weights (a view for
     C-ordered ones), one multiply by its values and one bincount over its keys
     ``label * T + row``.  bincount adds in input order, so each emission is
     ``0.0`` plus its row's products left to right in column order (``0.0``
     for an empty row), whatever the weights' memory layout or the BLAS.
-    Without ``plan`` the sequence is checked and its plan built here; with
-    one the caller has checked it."""
+    With a gold path one add then puts in the margin loss: ``+ 1.0`` off
+    gold, ``+ 0.0`` on gold.  Without ``plan`` the sequence is checked and its
+    plan built here for ``gold``; a plan carries its own (checked) gold path."""
     T, L = len(xs), model.n_labels
     if plan is None:
         _check_sequence(model, xs)
-        plan = _plan(xs, L)
+        plan = _plan(xs, L, gold)
     products = model.emissions.reshape(-1).take(plan.flat)
     products *= plan.values
-    return np.bincount(plan.keys, products, L * T).reshape(L, T).T.tolist()
+    scores = np.bincount(plan.keys, products, L * T).reshape(L, T).T
+    if plan.loss is not None:
+        scores = scores + plan.loss
+    return scores.tolist()
 
 
 def _decode(
     model: ChainModel, lattice: list[list[float]], gold: Sequence[int] | None = None
 ) -> tuple[list[int], float, float | None]:
-    """Viterbi over ``lattice`` (one list of L emission floats per position)
-    in Python floats: the best path, its score and, with ``gold``, the gold
-    path's score.
+    """Viterbi over ``lattice`` (one list of L emission floats per position;
+    in training it holds the margin loss) in Python floats: the best path, its
+    score and, with ``gold``, the gold path's score added left to right.
 
-    With ``gold`` each emission gets the margin loss (``+ 1.0`` off gold,
-    ``+ 0.0`` on gold), and the gold path is scored left to right over the
-    same augmented lattice.  Without it the loss is ``-0.0``, which leaves
-    every float unchanged (``-0.0 + -0.0`` is ``-0.0``).  Each step adds
-    ``dp[prev] + transitions[prev][cur]`` and then the emission, and a strict
-    ``>`` keeps the lowest maximizing index, so paths and scores are
-    bit-identical to the numpy ``argmax`` recursion that
+    Each step adds ``dp[prev] + transitions[prev][cur]`` and then the
+    emission, and a strict ``>`` keeps the lowest maximizing index, so paths
+    and scores are bit-identical to the numpy ``argmax`` recursion that
     ``tests/test_seqmodel.py`` keeps as the reference.  Two labels, the only
-    set ``modelio.fit`` trains, take an unrolled recursion that makes the same
-    additions in the same order (leaving out the ``-0.0`` ones).
+    set ``modelio.fit`` trains, take a recursion unrolled over the four
+    ``(prev, cur)`` pairs that makes the same additions in the same order.
     """
-    if model.n_labels == 2:
-        return _decode_two(model, lattice, gold)
     start = model.start.tolist()
     trans = model.transitions.tolist()
-    into = model.transitions.T.tolist()  # into[cur][prev]
-    labels = range(len(start))
-    rest = labels[1:]
-    if gold is None:
-        losses, path = [[-0.0] * len(start)], [0] * len(lattice)
-    else:
-        losses, path = [[0.0 if cur == g else 1.0 for cur in labels] for g in labels], gold
-    g = path[0]
-    row = [e + loss for e, loss in zip(lattice[0], losses[g])]
-    path_score = start[g] + row[g]
-    dp = [s + e for s, e in zip(start, row)]
     back = []
-    for row, g, h in zip(lattice[1:], path[1:], path):
-        path_score = path_score + trans[h][g]
-        path_score = path_score + (row[g] + losses[g][g])
-        ptr = []
-        nxt = []
-        for weights, e, loss in zip(into, row, losses[g]):
-            arg, best = 0, dp[0] + weights[0]
-            for prev in rest:
-                cand = dp[prev] + weights[prev]
-                if cand > best:
-                    arg, best = prev, cand
-            ptr.append(arg)
-            nxt.append(best + (e + loss))
-        back.append(ptr)
-        dp = nxt
-    last = 0
-    for cur in rest:
-        if dp[cur] > dp[last]:
-            last = cur
-    ys = [last]
-    for ptr in reversed(back):
-        ys.append(ptr[ys[-1]])
-    ys.reverse()
-    return ys, dp[last], None if gold is None else path_score
-
-
-def _decode_two(
-    model: ChainModel, lattice: list[list[float]], gold: Sequence[int] | None
-) -> tuple[list[int], float, float | None]:
-    """``_decode`` for two labels: the loss added once per emission, the
-    recursion unrolled over the four ``(prev, cur)`` pairs, and the gold path
-    scored after it."""
-    start = model.start.tolist()
-    trans = model.transitions.tolist()
-    (s0, s1), ((t00, t01), (t10, t11)) = start, trans
-    if gold is None:
-        aug = lattice
+    if len(start) == 2:
+        (s0, s1), ((t00, t01), (t10, t11)) = start, trans
+        a0, a1 = lattice[0]
+        d0, d1 = s0 + a0, s1 + a1
+        for a0, a1 in lattice[1:]:
+            b0, c0 = d0 + t00, d1 + t10
+            b1, c1 = d0 + t01, d1 + t11
+            if c0 > b0:
+                b0, p0 = c0, 1
+            else:
+                p0 = 0
+            if c1 > b1:
+                b1, p1 = c1, 1
+            else:
+                p1 = 0
+            back.append((p0, p1))
+            d0, d1 = b0 + a0, b1 + a1
+        dp = [d0, d1]
     else:
-        aug = [[e0 + 0.0, e1 + 1.0] if g == 0 else [e0 + 1.0, e1 + 0.0] for (e0, e1), g in zip(lattice, gold)]
-    a0, a1 = aug[0]
-    d0, d1 = s0 + a0, s1 + a1
-    back = []
-    for a0, a1 in aug[1:]:
-        b0, c0 = d0 + t00, d1 + t10
-        b1, c1 = d0 + t01, d1 + t11
-        if c0 > b0:
-            b0, p0 = c0, 1
-        else:
-            p0 = 0
-        if c1 > b1:
-            b1, p1 = c1, 1
-        else:
-            p1 = 0
-        back.append((p0, p1))
-        d0, d1 = b0 + a0, b1 + a1
-    last = 1 if d1 > d0 else 0
+        into = model.transitions.T.tolist()  # into[cur][prev]
+        rest = range(1, len(start))
+        dp = [s + e for s, e in zip(start, lattice[0])]
+        for row in lattice[1:]:
+            ptr, nxt = [], []
+            for weights, e in zip(into, row):
+                arg, best = 0, dp[0] + weights[0]
+                for prev in rest:
+                    cand = dp[prev] + weights[prev]
+                    if cand > best:
+                        arg, best = prev, cand
+                ptr.append(arg)
+                nxt.append(best + e)
+            back.append(ptr)
+            dp = nxt
+    last = max(range(len(dp)), key=dp.__getitem__)  # the first of equal maxima
     ys = [last]
     for ptr in reversed(back):
         ys.append(ptr[ys[-1]])
     ys.reverse()
     if gold is None:
-        return ys, d1 if last else d0, None
+        return ys, dp[last], None
     g = gold[0]
-    path_score = start[g] + aug[0][g]
-    for row, g, h in zip(aug[1:], gold[1:], gold):
+    path_score = start[g] + lattice[0][g]
+    for row, g, h in zip(lattice[1:], gold[1:], gold):
         path_score = path_score + trans[h][g]
         path_score = path_score + row[g]
-    return ys, d1 if last else d0, path_score
+    return ys, dp[last], path_score
 
 
 def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
@@ -236,12 +210,13 @@ def train_chain(
     would drown the converged ones.  ``structured_objective`` evaluates the
     objective of a model on a set of examples.
 
-    Each document's index arrays (``_plan``) are built once per call.  A step
-    is then the ``1 - 1/t`` shrink, the lattice (``_lattice``: one 1-D
-    ``take``, one multiply and one bincount), one loss-augmented Viterbi pass
-    that also scores the gold path (``_decode``) and, on a margin violation,
-    one scatter (``_apply_update``), bit-identical to separate ndarray passes.
-    Gold labels outside ``[0, L)`` raise ``UnknownLabel``.
+    Each document's index arrays and margin loss (``_plan``) are built once
+    per call.  A step is then the ``1 - 1/t`` shrink, the loss-augmented
+    lattice (``_lattice``: one 1-D ``take``, one multiply, one bincount and
+    one add), one Viterbi pass that also scores the gold path (``_decode``)
+    and, on a margin violation, one scatter (``_apply_update``), bit-identical
+    to separate ndarray passes.  Fewer than two labels raise ``SingleClass``,
+    and gold labels outside ``[0, L)`` raise ``UnknownLabel``.
 
     Note the effective regularization: small C means strong shrinking, which
     on noisy imbalanced data can collapse the model toward the majority
@@ -256,12 +231,14 @@ def train_chain(
     if labels is None:
         labels = [str(i) for i in range(max(max(seen) + 1, 2))]
     labels = tuple(labels)
+    if len(labels) < 2:
+        raise SingleClass(f"a chain needs at least two labels, not {len(labels)}")
     outside = sorted(y for y in seen if not 0 <= y < len(labels))
     if outside:
         raise UnknownLabel(f"label index {outside[0]} outside the {len(labels)}-label set")
 
     model = ChainModel.zeros(labels, dim)
-    plans = [_plan(ex.xs, len(labels)) for ex in examples]
+    plans = [_plan(ex.xs, len(labels), ex.ys) for ex in examples]
     avg_em = np.zeros_like(model.emissions)
     avg_tr = np.zeros_like(model.transitions)
     avg_st = np.zeros_like(model.start)
@@ -283,7 +260,7 @@ def train_chain(
             model.start *= shrink
 
             ex, plan = examples[j], plans[j]
-            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan), ex.ys)
+            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan=plan), ex.ys)
             if aug_score > gold_score:
                 _apply_update(model, ex, y_hat, eta)
 
@@ -293,13 +270,12 @@ def train_chain(
                 avg_st += model.start
                 averaged_steps += 1
 
-    averaged = ChainModel(
+    return ChainModel(
         labels=labels,
         emissions=avg_em / averaged_steps,
         transitions=avg_tr / averaged_steps,
         start=avg_st / averaged_steps,
     )
-    return averaged
 
 
 def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float) -> None:
@@ -346,6 +322,6 @@ def structured_objective(model: ChainModel, examples: Sequence[SeqExample], C: f
     )
     hinge = 0.0
     for ex in examples:
-        _, aug, gold = _decode(model, _lattice(model, ex.xs), ex.ys)
+        _, aug, gold = _decode(model, _lattice(model, ex.xs, ex.ys), ex.ys)
         hinge += max(0.0, aug - gold)
     return reg + C * hinge

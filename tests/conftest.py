@@ -152,8 +152,9 @@ def brute_force_best(model, E: np.ndarray):
 
 
 def loss_augmented_decode(model, xs: Rows, gold):
-    """The trainer's loss-augmented Viterbi pass: best path and its score."""
-    return seqmodel._decode(model, seqmodel._lattice(model, xs), gold)[:2]
+    """The trainer's loss-augmented Viterbi pass, over the lattice that holds
+    the margin loss: best path and its score."""
+    return seqmodel._decode(model, seqmodel._lattice(model, xs, gold), gold)[:2]
 
 
 def reference_term_table(sentences, trees, config) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:

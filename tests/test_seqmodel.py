@@ -29,7 +29,7 @@ from claudette.seqmodel import (
     train_chain,
     viterbi,
 )
-from claudette.svm import DimensionMismatch, EmptyData, TrainConfig
+from claudette.svm import DimensionMismatch, EmptyData, SingleClass, TrainConfig
 
 
 def unit(i):
@@ -246,7 +246,7 @@ class TestDecodeMatchesNumpyReference:
         loss[np.arange(len(gold)), gold] = 0.0
         E_aug = E + loss
         assert loss_augmented_decode(model, xs, gold) == numpy_decode(model, E_aug)
-        assert seqmodel._decode(model, E.tolist(), gold)[2] == lattice_path_score(model, E_aug, gold)
+        assert seqmodel._decode(model, E_aug.tolist(), gold)[2] == lattice_path_score(model, E_aug, gold)
 
 
 # grid weights with both signed zeros make ties and -0.0 + 0.0 sums
@@ -303,11 +303,16 @@ class TestEmissions:
         assert (loss_lattice(per_row_emissions(model, xs), gold) == per_row_emissions(model, xs) + loss).all()
 
     @settings(max_examples=300, deadline=None)
-    @given(sparse_documents())
-    def test_lattice_equals_the_reference_bit_for_bit(self, document):
+    @given(sparse_documents(), st.data())
+    def test_lattice_equals_the_reference_bit_for_bit(self, document, data):
         model, xs = document
-        got = [[bits(e) for e in row] for row in seqmodel._lattice(model, xs)]
-        assert got == [[bits(e) for e in row] for row in per_row_emissions(model, xs).tolist()]
+        labels = st.lists(st.integers(0, model.n_labels - 1), min_size=len(xs), max_size=len(xs))
+        gold = data.draw(st.none() | labels)
+        want = per_row_emissions(model, xs)
+        if gold is not None:
+            want = loss_lattice(want, gold)  # -0.0 on gold becomes 0.0
+        got = [[bits(e) for e in row] for row in seqmodel._lattice(model, xs, gold)]
+        assert got == [[bits(e) for e in row] for row in want.tolist()]
 
     def test_entry_points_check_the_sequence(self):
         model = ChainModel.zeros(["n", "p"], 2)
@@ -544,6 +549,12 @@ class TestTrainChain:
         with pytest.raises(UnknownLabel):
             train_chain([SeqExample(rows_from_pairs([unit(0)], 2), (3,))], TrainConfig(), labels=("n", "p"))
 
+    @pytest.mark.parametrize("labels", [("only",), ()])
+    def test_fewer_than_two_labels(self, labels):
+        example = SeqExample(rows_from_pairs([unit(0), unit(1)], 2), (0, 0))
+        with pytest.raises(SingleClass):
+            train_chain([example], TrainConfig(), labels=labels)
+
     @pytest.mark.parametrize("labels", [("n", "p"), None])
     def test_negative_label(self, labels):
         example = SeqExample(rows_from_pairs([unit(0), unit(1)], 2), (-1, 0))
@@ -655,7 +666,8 @@ def signed_grid_chains(draw):
 
 
 class TestTrainingDecode:
-    """The one-pass training decode against the separate passes it replaced."""
+    """The training decode, over a lattice that already holds the margin
+    loss, against the numpy reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(signed_grid_chains())
@@ -663,8 +675,8 @@ class TestTrainingDecode:
         model, xs, gold = chain
         # a drawn lattice keeps its signed zeros (``_lattice`` sums from 0.0)
         E = model.emissions.T.copy()
-        ys, aug, gold_score = seqmodel._decode(model, E.tolist(), gold)
         E_aug = loss_lattice(E, gold)
+        ys, aug, gold_score = seqmodel._decode(model, E_aug.tolist(), gold)
         want_ys, want_aug = numpy_decode(model, E_aug)
         assert (ys, bits(aug)) == (want_ys, bits(want_aug))
         assert bits(gold_score) == bits(lattice_path_score(model, E_aug, gold))
@@ -672,7 +684,7 @@ class TestTrainingDecode:
         want_ys, want_plain = numpy_decode(model, E)
         assert (plain_ys, bits(plain), no_gold) == (want_ys, bits(want_plain), None)
         # the public entry points, on the lattice the trainer computes
-        ys, aug, gold_score = seqmodel._decode(model, seqmodel._lattice(model, xs), gold)
+        ys, aug, gold_score = seqmodel._decode(model, seqmodel._lattice(model, xs, gold), gold)
         E_aug = loss_lattice(per_row_emissions(model, xs), gold)
         want_ys, want_aug = numpy_decode(model, E_aug)
         assert (ys, bits(aug)) == (want_ys, bits(want_aug))
