@@ -63,13 +63,10 @@ def decide(
         flags = [s >= 0.0 for s in scores]
         score_maps = [{"detection": s} for s in scores]
     elif bundle.kind == "chain":
-        emissions = bundle.model.emissions
-        ys = seqmodel.viterbi(bundle.model, X)[0] if len(X) else []
-        flags = [y == 1 for y in ys]
-        # informational only: emission-score gap, ignoring transitions
-        score_maps = [
-            {"detection": s1 - s0} for s1, s0 in zip(X.dot(emissions[1]), X.dot(emissions[0]))
-        ]
+        lattice = seqmodel._lattice(bundle.model, X) if len(X) else []
+        flags = [y == 1 for y in seqmodel._decode(bundle.model, lattice)[0]] if lattice else []
+        # informational only: the decoded lattice's emission gap, ignoring transitions
+        score_maps = [{"detection": e[1] - e[0]} for e in lattice]
     else:
         if bundle.kind == "category-ovr":
             linear = {cat.symbol: m for cat, m in bundle.model.items()}

@@ -68,15 +68,22 @@ class Rows:
         a, b = int(indptr[0]), int(indptr[-1])
         return Rows(indptr - a, self.indices[a:b], self.data[a:b], self.dim)
 
+    @functools.cached_property
+    def row_of_entry(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each row's ``values`` (one per entry) added to ``0.0`` left to right,
+        ``0.0`` for an empty row: one bincount, which adds in input order, over
+        ``row_of_entry``, each entry's row, built once per batch.  Every pinned
+        sparse row sum goes through here, so none depends on the BLAS kernel."""
+        return np.bincount(self.row_of_entry, values, len(self))
+
     def dot(self, w: np.ndarray) -> list[float]:
-        """``w . x`` of every row: one dot product per row out of one gather,
-        0.0 for an empty row."""
+        """``w . x`` of every row: one gather, one multiply, :meth:`row_sums`."""
         if w.shape[0] != self.dim:
             raise DimensionMismatch(f"input dim {self.dim} != weights dim {w.shape[0]}")
-        gathered = w[self.indices]
-        data = self.data
-        bounds = self.indptr.tolist()
-        return [float(gathered[a:b].dot(data[a:b])) for a, b in zip(bounds, bounds[1:])]
+        return self.row_sums(w[self.indices] * self.data).tolist()
 
 
 class Vocabulary:
@@ -254,16 +261,11 @@ class TermTable:
             indices, tf = indices[picked], tf[picked]
         cols = column[indices]
         known = cols >= 0
-        bounds = np.concatenate(([0], np.cumsum(known)))[indptr]
         cols = cols[known]
-        weights = tf[known] * vocab._idf[cols]
-        ends = bounds.tolist()
-        for a, b in zip(ends, ends[1:]):
-            v = weights[a:b]
-            nrm = math.sqrt(v.dot(v))
-            if nrm > 0.0:
-                v /= nrm
-        return Rows(bounds, cols, weights, vocab.size)
+        weights = tf[known] * vocab._idf[cols]  # tf >= 1, and idf >= 1 for df <= N_fit: no zero norm
+        X = Rows(np.concatenate(([0], np.cumsum(known)))[indptr], cols, weights, vocab.size)
+        weights /= np.sqrt(X.row_sums(weights * weights))[X.row_of_entry]
+        return X
 
 
 def build_vocabulary(

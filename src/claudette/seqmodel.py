@@ -84,17 +84,20 @@ class _Plan:
 
 
 def _plan(xs: Rows, n_labels: int, gold: Sequence[int] | None = None) -> _Plan:
-    """The plan of document ``xs`` for ``n_labels`` labels and gold path ``gold``."""
+    """The plan of document ``xs`` for ``n_labels`` labels and gold path
+    ``gold``; a gold label outside ``[0, n_labels)`` raises ``UnknownLabel``."""
     labels = np.arange(n_labels)[:, None]
-    row_of_entry = np.repeat(np.arange(len(xs)), np.diff(xs.indptr))
     loss = None
     if gold is not None:
+        outside = sorted(y for y in gold if not 0 <= y < n_labels)
+        if outside:
+            raise UnknownLabel(f"label index {outside[0]} outside the {n_labels}-label set")
         loss = np.ones((len(xs), n_labels))
         loss[np.arange(len(xs)), gold] = 0.0
     return _Plan(
         flat=(labels * xs.dim + xs.indices).ravel(),
         values=np.tile(xs.data, n_labels),
-        keys=(labels * len(xs) + row_of_entry).ravel(),
+        keys=(labels * len(xs) + xs.row_of_entry).ravel(),
         loss=loss,
     )
 
@@ -227,15 +230,11 @@ def train_chain(
     dim = examples[0].xs.dim
     if any(ex.xs.dim != dim for ex in examples):
         raise DimensionMismatch("sequences disagree on feature dimension")
-    seen = {y for ex in examples for y in ex.ys}
     if labels is None:
-        labels = [str(i) for i in range(max(max(seen) + 1, 2))]
+        labels = [str(i) for i in range(max(2, 1 + max(max(ex.ys) for ex in examples)))]
     labels = tuple(labels)
     if len(labels) < 2:
         raise SingleClass(f"a chain needs at least two labels, not {len(labels)}")
-    outside = sorted(y for y in seen if not 0 <= y < len(labels))
-    if outside:
-        raise UnknownLabel(f"label index {outside[0]} outside the {len(labels)}-label set")
 
     model = ChainModel.zeros(labels, dim)
     plans = [_plan(ex.xs, len(labels), ex.ys) for ex in examples]
@@ -314,7 +313,8 @@ def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: 
 
 
 def structured_objective(model: ChainModel, examples: Sequence[SeqExample], C: float) -> float:
-    """0.5*||W||^2 + C * sum of structured hinges on ``examples``."""
+    """0.5*||W||^2 + C * sum of structured hinges on ``examples``; as in
+    ``train_chain``, gold labels outside ``[0, L)`` raise ``UnknownLabel``."""
     reg = 0.5 * (
         float(np.sum(model.emissions**2))
         + float(np.sum(model.transitions**2))

@@ -101,21 +101,30 @@ def recomputed_kkt_violation(gram, y, alpha: np.ndarray, cfg) -> float:
     return float(np.max(neg_yg[up_mask]) - np.min(neg_yg[low_mask]))
 
 
-def per_row_emissions(model, xs: Rows) -> np.ndarray:
-    """Each emission as ``0.0`` plus its row's Python-float products
-    ``weight * value``, added left to right in column order (an empty row is
-    ``0.0``): the reference for the lattice."""
-    weights = model.emissions.tolist()
+def left_to_right(values) -> float:
+    """``0.0`` plus each of ``values`` in turn, in Python floats: the order in
+    which ``Rows.row_sums`` adds a row.  Not ``sum()``, which Python 3.12 made
+    compensated."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def row_dots(xs: Rows, w) -> list[float]:
+    """Each row's ``w . x``: ``left_to_right`` of its Python-float products
+    ``w[i] * value`` in column order (``0.0`` for an empty row)."""
     bounds = xs.indptr.tolist()
-    E = np.empty((len(xs), model.n_labels), dtype=np.float64)
-    for t, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        pairs = list(zip(xs.indices[a:b].tolist(), xs.data[a:b].tolist()))
-        for label, w in enumerate(weights):
-            total = 0.0
-            for i, v in pairs:
-                total += w[i] * v
-            E[t, label] = total
-    return E
+    return [
+        left_to_right(w[i] * v for i, v in zip(xs.indices[a:b].tolist(), xs.data[a:b].tolist()))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def per_row_emissions(model, xs: Rows) -> np.ndarray:
+    """The (T, L) emissions, each label's ``row_dots``: the reference for the lattice."""
+    E = np.array([row_dots(xs, w) for w in model.emissions.tolist()], dtype=np.float64)
+    return E.reshape(model.n_labels, len(xs)).T
 
 
 def loss_lattice(E: np.ndarray, gold) -> np.ndarray:

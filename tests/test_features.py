@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import reference_term_table, rows_from_pairs
+from conftest import left_to_right, reference_term_table, rows_from_pairs
 from hypothesis import strategies as st
 
 from claudette.corpus import LabeledSentence, Sentence, tokenize
@@ -264,7 +264,7 @@ def reference_vectors(sentences, trees, vocab, config) -> list[tuple[np.ndarray,
         pairs.sort()
         indices = np.array([i for i, _ in pairs], dtype=np.int64)
         values = np.array([w for _, w in pairs], dtype=np.float64)
-        nrm = float(np.sqrt(np.dot(values, values)))
+        nrm = math.sqrt(left_to_right(v * v for v in values.tolist()))
         out.append((indices, values / nrm if nrm > 0.0 else values))
     return out
 

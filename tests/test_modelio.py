@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import per_row_emissions
+
 from claudette import svm
 from claudette.analyze import Predictor, analyze_text, result_json
-from claudette.corpus import ClauseCategory, load_corpus
-from claudette.features import FeatureConfig, Vocabulary
+from claudette.corpus import ClauseCategory, load_corpus, segment_sentences
+from claudette.features import FeatureConfig, Vocabulary, vectorize_all
 from claudette.modelio import (
     MODEL_KINDS,
     CorpusTable,
@@ -334,6 +336,17 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
             row = CompiledTrees(support_trees, model.lam, model.normalized).row(tree)
             assert sentence.scores["detection"] == predict_kernel(model, row)
     assert len(predictor.support.productions) == table_size
+
+
+def test_chain_detection_scores_are_the_reference_emission_gap(fixtures_dir):
+    corpus = load_corpus(fixtures_dir / "mini")
+    bundle = fit("chain", CorpusTable(corpus.documents, None, FeatureConfig()), TrainConfig(seed=7, C=10.0))
+    predictor = Predictor(bundle)
+    for doc in corpus.documents:
+        result = predictor.analyze(doc.plain_text)
+        sentences = segment_sentences(doc.plain_text)
+        E = per_row_emissions(bundle.model, vectorize_all(sentences, None, bundle.vocabulary, bundle.feature_config))
+        assert [s.scores["detection"] for s in result.sentences] == (E[:, 1] - E[:, 0]).tolist(), doc.name
 
 
 def test_full_corpus_kernel_fit_reads_the_corpus_gram(fixtures_dir, monkeypatch):

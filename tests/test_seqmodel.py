@@ -37,6 +37,10 @@ def unit(i):
     return [(i, 1.0)]
 
 
+def two_label_objective(example):
+    return structured_objective(ChainModel.zeros(("n", "p"), 2), [example], 1.0)
+
+
 def reference_score(model, xs, ys):
     """Score of one labeling: the reference path score over the reference
     lattice."""
@@ -555,11 +559,20 @@ class TestTrainChain:
         with pytest.raises(SingleClass):
             train_chain([example], TrainConfig(), labels=labels)
 
-    @pytest.mark.parametrize("labels", [("n", "p"), None])
-    def test_negative_label(self, labels):
-        example = SeqExample(rows_from_pairs([unit(0), unit(1)], 2), (-1, 0))
+    @pytest.mark.parametrize(
+        "score, gold",
+        [
+            pytest.param(lambda ex: train_chain([ex], TrainConfig(), labels=("n", "p")), -1, id="labels0"),
+            pytest.param(lambda ex: train_chain([ex], TrainConfig()), -1, id="None"),
+            pytest.param(two_label_objective, -1, id="objective-1"),
+            pytest.param(two_label_objective, 2, id="objective-L"),
+        ],
+    )
+    def test_negative_label(self, score, gold):
+        """A gold label outside [0, L) raises, in training and in the objective."""
+        example = SeqExample(rows_from_pairs([unit(0), unit(1)], 2), (gold, 0))
         with pytest.raises(UnknownLabel):
-            train_chain([example], TrainConfig(), labels=labels)
+            score(example)
 
 
 def corpus_sequences(corpus):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import linear_objective, recomputed_kkt_violation, rows_from_pairs
+from conftest import left_to_right, linear_objective, recomputed_kkt_violation, row_dots, rows_from_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,7 +58,7 @@ def reference_train_linear(X, y, cfg: TrainConfig) -> LinearModel:
     bounds = X.indptr.tolist()
     idx_list = [X.indices[a:b] for a, b in zip(bounds, bounds[1:])]
     val_list = [X.data[a:b] for a, b in zip(bounds, bounds[1:])]
-    q_diag = np.array([float(np.dot(v, v)) + 1.0 for v in val_list])
+    q_diag = np.array([left_to_right(v * v for v in vals.tolist()) + 1.0 for vals in val_list])
     w = np.zeros(X.dim, dtype=np.float64)
     w_b = 0.0
     alpha = np.zeros(n, dtype=np.float64)
@@ -245,12 +245,7 @@ class TestPredictLinear:
     def test_scores_equal_the_per_row_dot(self, X, seed):
         rng = np.random.default_rng(seed)
         model = LinearModel(w=rng.normal(size=12), b=float(rng.normal()))
-        want = []
-        for r in range(len(X)):
-            a, b = X.indptr[r], X.indptr[r + 1]
-            idx, vals = X.indices[a:b], X.data[a:b]
-            want.append((float(np.dot(model.w[idx], vals)) if b > a else 0.0) + model.b)
-        assert predict_linear(model, X) == want
+        assert predict_linear(model, X) == [s + model.b for s in row_dots(X, model.w.tolist())]
 
 
 def identity_gram(n=2):
