@@ -59,7 +59,7 @@ def decide(
     warnings: list[str] = []
     categories: list[list[str]] = [[] for _ in sentences]
     if kernel_rows is not None:
-        scores = [svm.predict_kernel(bundle.model, row) for row in kernel_rows]
+        scores = svm.predict_kernel(bundle.model, kernel_rows)
         flags = [s >= 0.0 for s in scores]
         score_maps = [{"detection": s} for s in scores]
     elif bundle.kind == "chain":

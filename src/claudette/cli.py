@@ -167,7 +167,7 @@ def _fail(message: str, code: int) -> int:
 USAGE_FAULTS = (UsageError, ConfigFileError, EmptyCorpus, OSError)
 DATA_FAULTS = (CorpusError, TreeParseError, TreeBankMismatch, ModelFormatError, MissingTreebank,
                TreeAlignmentError, MissingTree, evaluation.TooFewDocuments, svm.EmptyData,
-               svm.SingleClass, InputError)
+               svm.SingleClass, treekernel.DegenerateTree, InputError)
 
 
 # ---------------------------------------------------------------------------

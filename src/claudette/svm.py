@@ -218,26 +218,26 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
     if np.all(y_arr > 0) or np.all(y_arr < 0):
         raise SingleClass("kernel training requires both classes")
 
-    C_arr = box_constraints(cfg, y_arr)
-    alpha = np.zeros(n, dtype=np.float64)
-    grad = -np.ones(n, dtype=np.float64)  # gradient of 0.5 a'Qa - e'a
-    warning = None
-    violation = np.inf
-    b = 0.0
-    it = 0
+    # Kept between iterations: grad and f = -y * grad, which both selections
+    # read, and penalties that leave an index out of one (up_pen 0.0 or -inf,
+    # low_pen 0.0 or +inf), rewritten only for the pair a step moves.  f -=
+    # step * d alone would round alike but could flip an exact zero's sign.
+    y_list, C_list = y_arr.tolist(), box_constraints(cfg, y_arr).tolist()
+    alpha = [0.0] * n
+    grad = -np.ones(n)  # gradient of 0.5 a'Qa - e'a
+    neg_y, f = -y_arr, y_arr.copy()
+    up_pen = np.where(y_arr > 0, 0.0, -np.inf)
+    low_pen = np.where(y_arr > 0, np.inf, 0.0)
+    diff, buf = np.empty(K.shape[0]), np.empty(n)
+    warning, b, it = None, 0.0, 0
     while True:
-        neg_yg = -y_arr * grad
-        up_mask = np.where(y_arr > 0, alpha < C_arr, alpha > 0)
-        low_mask = np.where(y_arr > 0, alpha > 0, alpha < C_arr)
-        if not up_mask.any() or not low_mask.any():
+        # the first index of the largest f that may move up, and of the smallest that may move down
+        i = int(np.add(f, up_pen, out=buf).argmax())
+        j = int(np.add(f, low_pen, out=buf).argmin())
+        if up_pen[i] or low_pen[j]:  # an empty set
             violation = 0.0
             break
-        up_vals = np.where(up_mask, neg_yg, -np.inf)
-        low_vals = np.where(low_mask, neg_yg, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up = up_vals[i]
-        m_low = low_vals[j]
+        m_up, m_low = float(f[i]), float(f[j])
         violation = m_up - m_low
         b = 0.5 * (m_up + m_low)
         if violation < cfg.tol:
@@ -247,46 +247,40 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
             break
 
         ri, rj = rows[i], rows[j]
-        quad = K[ri, ri] + K[rj, rj] - 2.0 * K[ri, rj]
+        Ki, Kj = K[ri], K[rj]
+        quad = float(Ki[ri] + Kj[rj] - 2.0 * Ki[rj])
         if quad <= 0.0:
             quad = 1e-12
-        step = violation / quad
         # alpha_i moves by +y_i*step, alpha_j by -y_j*step; clip to the box
-        if y_arr[i] > 0:
-            step = min(step, C_arr[i] - alpha[i])
-        else:
-            step = min(step, alpha[i])
-        if y_arr[j] > 0:
-            step = min(step, alpha[j])
-        else:
-            step = min(step, C_arr[j] - alpha[j])
-        alpha[i] += y_arr[i] * step
-        alpha[j] -= y_arr[j] * step
+        yi, yj, ci, cj, ai, aj = y_list[i], y_list[j], C_list[i], C_list[j], alpha[i], alpha[j]
+        step = min(violation / quad, ci - ai if yi > 0 else ai)
+        step = min(step, aj if yj > 0 else cj - aj)
+        for k, a in ((i, ai + yi * step), (j, aj - yj * step)):
+            alpha[k] = a
+            up_pen[k] = 0.0 if (a < C_list[k] if y_list[k] > 0 else a > 0) else -math.inf
+            low_pen[k] = 0.0 if (a > 0 if y_list[k] > 0 else a < C_list[k]) else math.inf
         # rows, not columns: K is symmetric, and a row of a C-order matrix is contiguous
-        grad += step * y_arr * (K[ri] - K[rj])[rows]
+        np.subtract(Ki, Kj, out=diff).take(rows, out=buf)
+        buf *= step
+        buf *= y_arr
+        grad += buf
+        np.multiply(neg_y, grad, out=f)
         it += 1
 
+    alpha = np.array(alpha)
     support = np.flatnonzero(alpha > 0.0)
-    return KernelModel(
-        support_idx=support,
-        coef=alpha[support] * y_arr[support],
-        b=float(b),
-        lam=gram.lam,
-        normalized=gram.normalized,
-        n_train=n,
-        kkt_violation=float(violation),
-        warning=warning,
-    )
+    return KernelModel(support_idx=support, coef=alpha[support] * y_arr[support], b=float(b), lam=gram.lam,
+                       normalized=gram.normalized, n_train=n, kkt_violation=float(violation), warning=warning)
 
 
-def predict_kernel(model: KernelModel, kernel_row: Sequence[float]) -> float:
-    """Score sum_i coef_i * K(x, support_i) + b, the sum taken in support
-    order as one row of :class:`Rows`.  ``kernel_row`` must align with the
-    model's support list.
+def predict_kernel(model: KernelModel, kernel_rows: Sequence[Sequence[float]]) -> list[float]:
+    """Scores sum_i coef_i * K(x, support_i) + b, one per row of the 2-D
+    ``kernel_rows``, each sum taken in support order as a row of
+    :class:`Rows`.  Each row must align with the model's support list.
     """
-    row = np.asarray(kernel_row, dtype=np.float64)
-    n = row.shape[0]
-    if n != model.n_support:
-        raise LengthMismatch(f"kernel row has {n} entries but model has {model.n_support} supports")
-    return Rows(np.array([0, n]), np.arange(n), row, n).dot(model.coef)[0] + model.b
-
+    K = np.asarray(kernel_rows, dtype=np.float64)
+    if K.ndim != 2 or K.shape[1] != model.n_support:
+        raise LengthMismatch(f"kernel rows of shape {K.shape} but model has {model.n_support} supports")
+    n, m = K.shape
+    rows = Rows(np.arange(n + 1) * m, np.tile(np.arange(m), n), K.reshape(-1), m)
+    return [s + model.b for s in rows.dot(model.coef)]

@@ -79,7 +79,8 @@ class InvalidLambda(ValueError):
 
 
 class DegenerateTree(ValueError):
-    """A tree whose self-kernel is zero (no internal nodes) cannot be normalized."""
+    """A tree whose self-kernel is zero (no internal nodes), or whose square
+    is 0 or overflows, cannot be normalized."""
 
 
 class TooLarge(ValueError):
@@ -259,10 +260,16 @@ def _self_kernels(nodes: _Nodes, lam: float) -> np.ndarray:
     return _kernels(nodes, nodes, np.arange(len(nodes.tree_ptr) - 1), 1, lam).reshape(-1)
 
 
-def _check_normalizable(self_kernels: np.ndarray) -> None:
-    zero = np.flatnonzero(self_kernels <= 0.0)
-    if len(zero):
-        raise DegenerateTree(f"tree {zero[0]} has zero self-kernel; cannot normalize")
+def _check_normalizable(self_kernels: np.ndarray, what: str = "tree") -> None:
+    """Refuse a self-kernel ``d`` with ``d * d`` outside (0, inf): normalizing
+    divides by products ``d_i * d_j``, which lie between their squares."""
+    with np.errstate(over="ignore"):
+        square = self_kernels * self_kernels
+    bad = np.flatnonzero(~((square > 0.0) & (square < np.inf)))
+    if len(bad):
+        k = int(bad[0])
+        raise DegenerateTree(f"{what} {k} has self-kernel {self_kernels[k]:.3g}, whose square is 0 or overflows: "
+                             "cannot normalize")
 
 
 def sstk(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
@@ -302,8 +309,7 @@ class CompiledTrees:
         K = _kernels(queries, self.nodes, np.zeros(len(trees), dtype=np.int64), self.size, self.lam)
         if self.normalize:
             self_k = _self_kernels(queries, self.lam)
-            if (self_k <= 0.0).any():
-                raise DegenerateTree("input tree has zero self-kernel; cannot normalize")
+            _check_normalizable(self_k, "input tree")
             K /= np.sqrt(self_k[:, None] * self.self_kernels)
         return K
 

@@ -28,7 +28,7 @@ from claudette.corpus import (
     load_corpus,
 )
 from claudette.features import Rows, extract_terms
-from claudette.svm import box_constraints, predict_linear
+from claudette.svm import KernelModel, box_constraints, predict_linear
 from claudette.trees import MAX_DEPTH, EmptyNode, ParseTree, TrailingInput, TreeTooDeep, UnbalancedParens
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -99,6 +99,76 @@ def recomputed_kkt_violation(gram, y, alpha: np.ndarray, cfg) -> float:
     if not up_mask.any() or not low_mask.any():
         return 0.0
     return float(np.max(neg_yg[up_mask]) - np.min(neg_yg[low_mask]))
+
+
+def reference_train_smo(gram, rows, y, cfg) -> KernelModel:
+    """``svm.train_smo`` as it was before it kept its selection state between
+    iterations: every iteration rebuilds -y * grad, both masks and both
+    masked copies over all training rows.  The differential reference for
+    the solver; apart from the name, and the input checks left out, the loop
+    is unchanged."""
+    K = gram.matrix
+    n = len(rows)
+    y_arr = np.asarray(y, dtype=np.float64)
+    C_arr = box_constraints(cfg, y_arr)
+    alpha = np.zeros(n, dtype=np.float64)
+    grad = -np.ones(n, dtype=np.float64)  # gradient of 0.5 a'Qa - e'a
+    warning = None
+    violation = np.inf
+    b = 0.0
+    it = 0
+    while True:
+        neg_yg = -y_arr * grad
+        up_mask = np.where(y_arr > 0, alpha < C_arr, alpha > 0)
+        low_mask = np.where(y_arr > 0, alpha > 0, alpha < C_arr)
+        if not up_mask.any() or not low_mask.any():
+            violation = 0.0
+            break
+        up_vals = np.where(up_mask, neg_yg, -np.inf)
+        low_vals = np.where(low_mask, neg_yg, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        m_up = up_vals[i]
+        m_low = low_vals[j]
+        violation = m_up - m_low
+        b = 0.5 * (m_up + m_low)
+        if violation < cfg.tol:
+            break
+        if it >= cfg.max_iter:
+            warning = f"no-convergence: KKT violation {violation:.3e} after {it} iterations"
+            break
+
+        ri, rj = rows[i], rows[j]
+        quad = K[ri, ri] + K[rj, rj] - 2.0 * K[ri, rj]
+        if quad <= 0.0:
+            quad = 1e-12
+        step = violation / quad
+        # alpha_i moves by +y_i*step, alpha_j by -y_j*step; clip to the box
+        if y_arr[i] > 0:
+            step = min(step, C_arr[i] - alpha[i])
+        else:
+            step = min(step, alpha[i])
+        if y_arr[j] > 0:
+            step = min(step, alpha[j])
+        else:
+            step = min(step, C_arr[j] - alpha[j])
+        alpha[i] += y_arr[i] * step
+        alpha[j] -= y_arr[j] * step
+        # rows, not columns: K is symmetric, and a row of a C-order matrix is contiguous
+        grad += step * y_arr * (K[ri] - K[rj])[rows]
+        it += 1
+
+    support = np.flatnonzero(alpha > 0.0)
+    return KernelModel(
+        support_idx=support,
+        coef=alpha[support] * y_arr[support],
+        b=float(b),
+        lam=gram.lam,
+        normalized=gram.normalized,
+        n_train=n,
+        kkt_violation=float(violation),
+        warning=warning,
+    )
 
 
 def left_to_right(values) -> float:

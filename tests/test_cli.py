@@ -487,6 +487,27 @@ class TestTrainCommand:
         assert f"error: {cfg}: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("depth", [9, 10])
+    def test_overflowing_tree_kernel_exits_3(self, depth, tmp_path, capsys):
+        # a complete binary tree over X -> X X: at lambda 1 its self-kernel is
+        # 1.4e181 at depth 9, whose square overflows, and inf at depth 10
+        def complete(d: int) -> str:
+            return "(X w)" if d == 0 else f"(X {complete(d - 1)} {complete(d - 1)})"
+
+        lines = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n")
+        lines[0] = complete(depth)
+        (tmp_path / "trees.txt").write_text("\n".join(lines), encoding="utf-8")
+        (tmp_path / "lambda.cfg").write_text("lambda = 1.0\n", encoding="utf-8")
+        out = tmp_path / "k.json"
+        argv = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+        argv += ["--trees", str(tmp_path / "trees.txt"), "--config", str(tmp_path / "lambda.cfg")]
+        assert main(argv + ["--seed", "7", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: tree 0 has self-kernel "), err
+        assert "overflows" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_chain_skips_empty_documents(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(FIXTURES / "mini", corpus)

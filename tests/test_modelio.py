@@ -334,7 +334,7 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
         assert len(result.sentences) == len(trees)
         for sentence, tree in zip(result.sentences, trees):
             row = CompiledTrees(support_trees, model.lam, model.normalized).row(tree)
-            assert sentence.scores["detection"] == predict_kernel(model, row)
+            assert sentence.scores["detection"] == predict_kernel(model, [row])[0]
     assert len(predictor.support.productions) == table_size
 
 

@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import left_to_right, linear_objective, recomputed_kkt_violation, row_dots, rows_from_pairs
+from conftest import (
+    left_to_right,
+    linear_objective,
+    recomputed_kkt_violation,
+    reference_train_smo,
+    row_dots,
+    rows_from_pairs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,7 +284,7 @@ class TestTrainSmo:
     def test_on_margin_prediction(self):
         model = train_smo(identity_gram(), np.arange(2), [1, -1], TrainConfig(tol=1e-8))
         # kernel row of training point 0 against the two supports
-        score = predict_kernel(model, [1.0, 0.0])
+        score = predict_kernel(model, [[1.0, 0.0]])[0]
         assert 1 * score >= 1 - 1e-6
 
     def test_random_psd_grams_reach_kkt(self):
@@ -349,6 +356,88 @@ class TestTrainSmo:
         assert np.all(np.isfinite(model.coef))
 
 
+def smo_bits(model):
+    """What ``train_smo`` returns, each float as its bytes, so that the sign
+    of a zero counts too."""
+    return (
+        model.coef.tobytes(),
+        model.support_idx.tobytes(),
+        np.float64(model.b).tobytes(),
+        np.float64(model.kkt_violation).tobytes(),
+        model.warning,
+    )
+
+
+def both_classes(rng, n, p=0.4):
+    y = np.where(rng.random(n) < p, 1, -1)
+    y[:2] = (1, -1)
+    return y.tolist()
+
+
+class TestTrainSmoEqualsReference:
+    """``train_smo`` keeps its working-set state between iterations; every
+    fit is the reference loop's, bit for bit."""
+
+    @pytest.mark.parametrize("positive_weight", [None, 2.5])
+    @pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+    def test_fold_blocks_of_a_larger_gram(self, C, positive_weight):
+        gram = random_psd_gram(60, 11)
+        rng = np.random.default_rng(12)
+        cfg = TrainConfig(C=C, positive_weight=positive_weight)
+        # LOO folds: every row but one run, in order; then shuffled subsets
+        blocks = [np.setdiff1d(np.arange(60), np.arange(k, k + 12)) for k in (0, 24, 48)]
+        blocks += [rng.permutation(60)[:35] for _ in range(3)]
+        for rows in blocks:
+            y = both_classes(rng, len(rows))
+            model = train_smo(gram, rows, y, cfg)
+            assert smo_bits(model) == smo_bits(reference_train_smo(gram, rows, y, cfg))
+
+    def test_every_iteration_cap(self):
+        gram = random_psd_gram(60, 13)
+        rng = np.random.default_rng(14)
+        rows = np.arange(1, 60, 2)
+        y = both_classes(rng, len(rows), 0.5)
+        # uncapped, this fit takes 172 iterations: every iterate is compared
+        for max_iter in range(1, 172):
+            cfg = TrainConfig(C=1.0, tol=1e-9, max_iter=max_iter)
+            model = train_smo(gram, rows, y, cfg)
+            assert model.warning.startswith("no-convergence")
+            assert smo_bits(model) == smo_bits(reference_train_smo(gram, rows, y, cfg))
+
+    def test_duplicate_rows_take_the_flat_curvature_branch(self):
+        # rows 0 and 1 are the same point with opposite labels, so the first
+        # pair SMO picks, the first up and the first low index, has quad 0
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(20, 4))
+        A[1], A[7] = A[0], A[3]
+        gram = KernelGram(matrix=A @ A.T, lam=1.0, normalized=False)
+        y = [1, -1] + both_classes(rng, 18)
+        for C in (0.1, 1.0, 10.0):
+            cfg = TrainConfig(C=C)
+            assert smo_bits(train_smo(gram, np.arange(20), y, cfg)) == smo_bits(
+                reference_train_smo(gram, np.arange(20), y, cfg)
+            )
+
+    def test_empty_up_set(self):
+        # C * positive_weight underflows to 0: no positive may move up and
+        # no negative down, so SMO stops before its first step
+        cfg = TrainConfig(C=1e-300, positive_weight=1e-300)
+        gram = random_psd_gram(8, 16)
+        y = [1, -1, 1, -1, -1, 1, -1, -1]
+        model = train_smo(gram, np.arange(8), y, cfg)
+        assert model.kkt_violation == 0.0 and model.n_support == 0
+        assert smo_bits(model) == smo_bits(reference_train_smo(gram, np.arange(8), y, cfg))
+
+    def test_an_exact_zero_keeps_its_sign(self):
+        # the gradient of row 1 cancels to zero exactly; the reference's b is
+        # -0.0, which f -= step * d alone would round to +0.0
+        gram = KernelGram(matrix=np.array([[9.0, 3.0, 4.0], [3.0, 2.0, 1.0], [4.0, 1.0, 2.0]]), lam=1.0, normalized=False)
+        cfg = TrainConfig(C=2.0)
+        model = train_smo(gram, np.arange(3), [-1, 1, -1], cfg)
+        assert np.float64(model.b).tobytes() == np.float64(-0.0).tobytes()
+        assert smo_bits(model) == smo_bits(reference_train_smo(gram, np.arange(3), [-1, 1, -1], cfg))
+
+
 class TestPredictKernel:
     def make_model(self, coef, b=0.0):
         coef = np.asarray(coef, dtype=float)
@@ -364,16 +453,23 @@ class TestPredictKernel:
 
     def test_no_supports_returns_bias(self):
         model = self.make_model([], b=0.75)
-        assert predict_kernel(model, []) == 0.75
+        assert predict_kernel(model, [[]]) == [0.75]
 
     def test_linearity_in_kernel_row(self):
         model = self.make_model([0.5, -0.25], b=0.1)
         row = [0.8, 0.4]
-        base = predict_kernel(model, row) - model.b
-        doubled = predict_kernel(model, [2 * v for v in row]) - model.b
+        base = predict_kernel(model, [row])[0] - model.b
+        doubled = predict_kernel(model, [[2 * v for v in row]])[0] - model.b
         assert doubled == pytest.approx(2 * base)
 
     def test_length_mismatch(self):
         model = self.make_model([0.5, -0.25])
         with pytest.raises(LengthMismatch):
-            predict_kernel(model, [1.0])
+            predict_kernel(model, [[1.0]])
+
+    def test_a_batch_scores_each_row_as_alone(self):
+        rng = np.random.default_rng(17)
+        model = self.make_model(rng.normal(size=9), b=-0.3)
+        rows = rng.random((6, 9))
+        assert predict_kernel(model, rows) == [predict_kernel(model, [row])[0] for row in rows]
+        assert predict_kernel(model, rows[:0]) == []

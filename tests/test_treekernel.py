@@ -137,6 +137,47 @@ class TestNormalized:
             CompiledTrees([T], 1.0).row(leaf_only)
 
 
+def complete_tree(depth: int) -> ParseTree:
+    """A complete binary tree over the one production ``X -> X X``, with
+    ``(X w)`` leaves: at lambda 1 its self-kernel squares to doubles over
+    depth."""
+    return parse_bracketed("(X w)") if depth == 0 else ParseTree("X", [complete_tree(depth - 1), complete_tree(depth - 1)])
+
+
+class TestSelfKernelRange:
+    """Normalizing divides by ``sqrt(d_i * d_j)``; a self-kernel whose square
+    is 0 or overflows is refused, where it used to normalize kernels to 0."""
+
+    def test_the_largest_normalizable_tree_reads_one(self):
+        tree = complete_tree(8)
+        assert sstk(tree, tree, 1.0) == pytest.approx(3.79e90, rel=1e-3)
+        assert gram_matrix([tree, tree], 1.0).matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_the_depth_9_pair_is_refused(self):
+        tree = complete_tree(9)
+        assert sstk(tree, tree, 1.0) == pytest.approx(1.438e181, rel=1e-3)  # its square overflows
+        with pytest.raises(DegenerateTree, match="tree 0 has self-kernel 1.44e[+]181, whose square .* overflows"):
+            gram_matrix([tree, tree], 1.0)
+        with pytest.raises(DegenerateTree, match="tree 1 has self-kernel"):
+            CompiledTrees([T, tree], 1.0)
+        with pytest.raises(DegenerateTree, match="input tree 1 has self-kernel"):
+            CompiledTrees([T], 1.0).rows([T, tree])
+        # unnormalized kernels divide by nothing and stay finite
+        assert CompiledTrees([T], 1.0, normalize=False).rows([tree]).tolist() == [[0.0]]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_infinite_self_kernel_is_refused(self):
+        with pytest.raises(DegenerateTree, match="tree 1 has self-kernel inf"):
+            gram_matrix([T, complete_tree(10)], 1.0)
+
+    def test_an_underflowing_square_is_refused(self):
+        # lambda 1e-200: T's self-kernel is about 3e-200, whose square is 0
+        with pytest.raises(DegenerateTree, match="square is 0"):
+            gram_matrix([T, T], 1e-200)
+        with pytest.raises(DegenerateTree):
+            CompiledTrees([T], 1e-200)
+
+
 class TestFragmentOracle:
     def test_single_preterminal(self):
         assert dict(enumerate_fragments_oracle(parse_bracketed("(A a)"))) == {"(A a)": 1}
