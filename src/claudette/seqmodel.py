@@ -192,11 +192,6 @@ def _decode(
     return ys, dp[last], path_score
 
 
-def viterbi(model: ChainModel, xs: Rows) -> tuple[list[int], float]:
-    """Highest-scoring label sequence and its score."""
-    return _decode(model, _lattice(model, xs))[:2]
-
-
 def train_chain(
     examples: Sequence[SeqExample],
     cfg: TrainConfig,
@@ -210,8 +205,7 @@ def train_chain(
     epoch, and a fixed epoch budget (cfg.epochs).  The returned weights are
     the average of the iterates over the second half of training: the first
     steps take sizes up to C*n, and folding those iterates into the average
-    would drown the converged ones.  ``structured_objective`` evaluates the
-    objective of a model on a set of examples.
+    would drown the converged ones.
 
     Each document's index arrays and margin loss (``_plan``) are built once
     per call.  A step is then the ``1 - 1/t`` shrink, the loss-augmented
@@ -310,18 +304,3 @@ def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: 
         where = np.concatenate(columns) + np.repeat(offsets, lengths)
         steps = np.concatenate(values) * np.repeat([eta, -eta] * (len(lengths) // 2), lengths)
         np.add.at(model.emissions.reshape(-1), where, steps)
-
-
-def structured_objective(model: ChainModel, examples: Sequence[SeqExample], C: float) -> float:
-    """0.5*||W||^2 + C * sum of structured hinges on ``examples``; as in
-    ``train_chain``, gold labels outside ``[0, L)`` raise ``UnknownLabel``."""
-    reg = 0.5 * (
-        float(np.sum(model.emissions**2))
-        + float(np.sum(model.transitions**2))
-        + float(np.sum(model.start**2))
-    )
-    hinge = 0.0
-    for ex in examples:
-        _, aug, gold = _decode(model, _lattice(model, ex.xs, ex.ys), ex.ys)
-        hinge += max(0.0, aug - gold)
-    return reg + C * hinge

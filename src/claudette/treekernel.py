@@ -46,8 +46,10 @@ for it, so LOO evaluation reads its held-out rows from the Gram.
 
 :func:`gram_matrix` cuts the upper triangle into blocks of query trees under
 a fixed pair budget, fills them in forked worker processes and reads the
-self-kernels off its diagonal.  ``enumerate_fragments_oracle`` provides an
-independent exponential-time route used to verify the kernel.
+self-kernels off its diagonal: one that overflows, or whose square is 0 or
+overflows when normalizing, raises ``DegenerateTree``.
+:func:`fragment_kernel_rows` enumerates fragments, an independent
+exponential-time route that ``kernel-selftest`` checks a Gram against.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class InvalidLambda(ValueError):
 
 class DegenerateTree(ValueError):
     """A tree whose self-kernel is zero (no internal nodes), or whose square
-    is 0 or overflows, cannot be normalized."""
+    is 0 or overflows, cannot be normalized; one whose self-kernel overflows
+    cannot be used raw either."""
 
 
 class TooLarge(ValueError):
@@ -189,30 +192,34 @@ def _kernel_block(
     level = np.concatenate(([0], ends))[np.searchsorted(heights, np.arange(heights[-1] + 2))]
 
     delta = np.full(total, lam)  # the pairs at height 0 are done
-    for h in range(1, len(level) - 1):
-        s0, s1 = int(level[h]), int(level[h + 1])
-        if s0 == s1:
-            continue
-        q, t = owner[s0:s1] + a, target[s0:s1]
-        arity = queries.child_ptr[q + 1] - queries.child_ptr[q]
-        offsets = np.cumsum(arity) - arity
-        k = np.arange(int(arity.sum()))
-        cq = queries.children[k + np.repeat(queries.child_ptr[q] - offsets, arity)]
-        ct = forest.children[k + np.repeat(forest.child_ptr[t] - offsets, arity)]
-        both = np.flatnonzero((cq >= 0) & (ct >= 0))
-        same = queries.production[cq[both]] == forest.production[ct[both]]
-        k, cq, ct = both[same], cq[both[same]] - a, ct[both[same]]
-        if not len(k):
-            continue
-        pair = np.repeat(np.arange(s1 - s0), arity)[k]
-        factors = 1.0 + delta[start[cq] + forest.rank[ct] - first[cq]]
-        # lam, then each pair's factors in child order, multiplied left to right
-        per_pair = np.bincount(pair, minlength=s1 - s0)
-        heads = np.arange(s1 - s0) + np.cumsum(per_pair) - per_pair
-        seq = np.empty(s1 - s0 + len(k))
-        seq[heads] = lam
-        seq[pair + np.arange(1, len(k) + 1)] = factors
-        delta[s0:s1] = np.multiply.reduceat(seq, heads)
+    # A delta past the double range becomes inf here, silently: the kernels it
+    # reaches are refused by _check_normalizable or, unnormalized, by the
+    # finiteness checks of gram_matrix's diagonal and of CompiledTrees.rows.
+    with np.errstate(over="ignore"):
+        for h in range(1, len(level) - 1):
+            s0, s1 = int(level[h]), int(level[h + 1])
+            if s0 == s1:
+                continue
+            q, t = owner[s0:s1] + a, target[s0:s1]
+            arity = queries.child_ptr[q + 1] - queries.child_ptr[q]
+            offsets = np.cumsum(arity) - arity
+            k = np.arange(int(arity.sum()))
+            cq = queries.children[k + np.repeat(queries.child_ptr[q] - offsets, arity)]
+            ct = forest.children[k + np.repeat(forest.child_ptr[t] - offsets, arity)]
+            both = np.flatnonzero((cq >= 0) & (ct >= 0))
+            same = queries.production[cq[both]] == forest.production[ct[both]]
+            k, cq, ct = both[same], cq[both[same]] - a, ct[both[same]]
+            if not len(k):
+                continue
+            pair = np.repeat(np.arange(s1 - s0), arity)[k]
+            factors = 1.0 + delta[start[cq] + forest.rank[ct] - first[cq]]
+            # lam, then each pair's factors in child order, multiplied left to right
+            per_pair = np.bincount(pair, minlength=s1 - s0)
+            heads = np.arange(s1 - s0) + np.cumsum(per_pair) - per_pair
+            seq = np.empty(s1 - s0 + len(k))
+            seq[heads] = lam
+            seq[pair + np.arange(1, len(k) + 1)] = factors
+            delta[s0:s1] = np.multiply.reduceat(seq, heads)
 
     r = queries.tree[a + owner] - q0
     key = r * width + forest.tree[target] - lo[r]
@@ -224,8 +231,19 @@ def _kernel_block(
         keys, bounds = np.unique(key[many], return_index=True)
         values = delta[many].tolist()
         bounds = bounds.tolist() + [len(values)]
-        out[keys] = [math.fsum(values[i:j]) for i, j in zip(bounds, bounds[1:])]
+        try:
+            out[keys] = [math.fsum(values[i:j]) for i, j in zip(bounds, bounds[1:])]
+        except OverflowError:  # fsum refuses a finite sum past the double range
+            out[keys] = [_fsum_or_inf(values[i:j]) for i, j in zip(bounds, bounds[1:])]
     return out.reshape(q1 - q0, width)
+
+
+def _fsum_or_inf(values: list[float]) -> float:
+    """The correctly rounded sum of positive deltas, inf past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _blocks(queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
@@ -272,13 +290,6 @@ def _check_normalizable(self_kernels: np.ndarray, what: str = "tree") -> None:
                              "cannot normalize")
 
 
-def sstk(t1: ParseTree, t2: ParseTree, lam: float = DEFAULT_LAMBDA) -> float:
-    """Raw SubSet Tree Kernel value between two trees."""
-    _check_lambda(lam)
-    nodes = _compile([t1, t2], {})
-    return float(_kernel_block(nodes, 0, 1, nodes, np.array([1]), np.array([2]), lam)[0, 0])
-
-
 @dataclass(frozen=True)
 class KernelGram:
     matrix: np.ndarray
@@ -311,11 +322,10 @@ class CompiledTrees:
             self_k = _self_kernels(queries, self.lam)
             _check_normalizable(self_k, "input tree")
             K /= np.sqrt(self_k[:, None] * self.self_kernels)
+        elif not np.isfinite(K).all():
+            k = int(np.flatnonzero(~np.isfinite(K).all(axis=1))[0])
+            raise DegenerateTree(f"input tree {k} has a kernel that overflows")
         return K
-
-    def row(self, tree: ParseTree) -> np.ndarray:
-        """Kernel values of ``tree`` against every compiled tree."""
-        return self.rows([tree])[0]
 
 
 def gram_matrix(
@@ -339,13 +349,16 @@ def gram_matrix(
             K[i, i:] = K[i:, i] = values[r, : n - i]
 
     fork_map(fill, _blocks(nodes, nodes, lo, hi))
+    diag = K.diagonal().copy()
     if normalize:
-        diag = K.diagonal().copy()
         _check_normalizable(diag)
         step = max(1, BLOCK_PAIRS // max(n, 1))
         for i in range(0, n, step):
             K[i : i + step] /= np.sqrt(diag[i : i + step, None] * diag)
         np.fill_diagonal(K, 1.0)
+    elif not np.isfinite(diag).all():
+        k = int(np.flatnonzero(~np.isfinite(diag))[0])
+        raise DegenerateTree(f"tree {k} has self-kernel {diag[k]:.3g}: the raw kernel overflows")
     return KernelGram(matrix=K, lam=lam, normalized=normalize)
 
 
@@ -414,30 +427,12 @@ def random_tree(
     return tree
 
 
-def fragment_pair_kernel(
-    t1: ParseTree, t2: ParseTree, lam: float = 1.0, max_nodes: int = 16
-) -> float:
-    """Kernel value computed from explicit fragment enumeration.
-
-    Each matching fragment pair contributes lam ** (number of expanded nodes
-    in the fragment); the expansion count equals the number of '(' in the
-    canonical string.  At lam = 1 this is the integer count of matching pairs.
-    """
-    _check_lambda(lam)
-    f1 = enumerate_fragments_oracle(t1, max_nodes)
-    f2 = enumerate_fragments_oracle(t2, max_nodes)
-    total = 0.0
-    for frag, c1 in f1.items():
-        c2 = f2.get(frag)
-        if c2:
-            total += c1 * c2 * lam ** frag.count("(")
-    return total
-
-
 def fragment_kernel_rows(trees: Sequence[ParseTree], lam: float = 1.0, max_nodes: int = 16):
     """Each tree's kernel values against every tree of ``trees``, one row at
-    a time: :func:`fragment_pair_kernel`'s sum over matching fragments, with
-    each tree's fragments enumerated once."""
+    a time, from explicit fragment enumeration: each matching fragment pair
+    adds ``lam ** e``, ``e`` being its count of expanded nodes (of ``(`` in
+    its canonical string), so at lam = 1 an entry counts matching pairs.
+    Each tree's fragments are enumerated once."""
     _check_lambda(lam)
     fragments = [enumerate_fragments_oracle(t, max_nodes) for t in trees]
     holders: dict[str, tuple[list[int], list[int]]] = {}

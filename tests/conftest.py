@@ -29,6 +29,7 @@ from claudette.corpus import (
 )
 from claudette.features import Rows, extract_terms
 from claudette.svm import KernelModel, box_constraints, predict_linear
+from claudette.treekernel import CompiledTrees, enumerate_fragments_oracle
 from claudette.trees import MAX_DEPTH, EmptyNode, ParseTree, TrailingInput, TreeTooDeep, UnbalancedParens
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -230,10 +231,52 @@ def brute_force_best(model, E: np.ndarray):
     return list(winner), best_score
 
 
+def viterbi(model, xs: Rows) -> tuple[list[int], float]:
+    """The highest-scoring label sequence of ``xs`` and its score, from the
+    decoder that prediction runs."""
+    return seqmodel._decode(model, seqmodel._lattice(model, xs))[:2]
+
+
+def structured_objective(model, examples, C: float) -> float:
+    """0.5*||W||^2 + C * sum of structured hinges on ``examples``, the
+    objective ``train_chain`` minimizes; as in ``train_chain``, gold labels
+    outside ``[0, L)`` raise ``UnknownLabel``."""
+    reg = 0.5 * (
+        float(np.sum(model.emissions**2))
+        + float(np.sum(model.transitions**2))
+        + float(np.sum(model.start**2))
+    )
+    hinge = 0.0
+    for ex in examples:
+        _, aug, gold = seqmodel._decode(model, seqmodel._lattice(model, ex.xs, ex.ys), ex.ys)
+        hinge += max(0.0, aug - gold)
+    return reg + C * hinge
+
+
 def loss_augmented_decode(model, xs: Rows, gold):
     """The trainer's loss-augmented Viterbi pass, over the lattice that holds
     the margin loss: best path and its score."""
     return seqmodel._decode(model, seqmodel._lattice(model, xs, gold), gold)[:2]
+
+
+def sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
+    """The raw SubSet Tree Kernel of two trees, through the public API: ``t1``
+    as a query against ``t2`` compiled alone."""
+    return float(CompiledTrees([t2], lam, normalize=False).rows([t1])[0, 0])
+
+
+def fragment_pair_kernel(t1: ParseTree, t2: ParseTree, lam: float) -> float:
+    """The kernel from explicit fragment enumeration: each matching fragment
+    pair adds ``lam ** e``, ``e`` being its count of expanded nodes (of ``(``
+    in its canonical string).  At lam = 1 it counts matching pairs."""
+    f1 = enumerate_fragments_oracle(t1)
+    f2 = enumerate_fragments_oracle(t2)
+    total = 0.0
+    for frag, c1 in f1.items():
+        c2 = f2.get(frag)
+        if c2:
+            total += c1 * c2 * lam ** frag.count("(")
+    return total
 
 
 def reference_term_table(sentences, trees, config) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:

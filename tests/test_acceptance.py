@@ -20,11 +20,14 @@ import numpy as np
 import pytest
 from conftest import (
     brute_force_best,
+    fragment_pair_kernel,
     linear_objective,
     loss_augmented_decode,
     loss_lattice,
     per_row_emissions,
     rows_from_pairs,
+    sstk,
+    viterbi,
 )
 
 from claudette.cli import main
@@ -41,10 +44,10 @@ from claudette.evaluation import (
 )
 from claudette.features import FeatureConfig
 from claudette.modelio import CorpusTable, canonical_json_bytes, load_model
-from claudette.seqmodel import ChainModel, viterbi
+from claudette.seqmodel import ChainModel
 from claudette.service import make_server
 from claudette.svm import TrainConfig, predict_linear, train_linear, train_smo
-from claudette.treekernel import KernelGram, fragment_pair_kernel, random_tree, sstk
+from claudette.treekernel import KernelGram, random_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[1]

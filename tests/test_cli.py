@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -487,26 +490,34 @@ class TestTrainCommand:
         assert f"error: {cfg}: not valid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("depth", [9, 10])
-    def test_overflowing_tree_kernel_exits_3(self, depth, tmp_path, capsys):
-        # a complete binary tree over X -> X X: at lambda 1 its self-kernel is
-        # 1.4e181 at depth 9, whose square overflows, and inf at depth 10
-        def complete(d: int) -> str:
-            return "(X w)" if d == 0 else f"(X {complete(d - 1)} {complete(d - 1)})"
-
-        lines = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n")
-        lines[0] = complete(depth)
-        (tmp_path / "trees.txt").write_text("\n".join(lines), encoding="utf-8")
-        (tmp_path / "lambda.cfg").write_text("lambda = 1.0\n", encoding="utf-8")
-        out = tmp_path / "k.json"
-        argv = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
-        argv += ["--trees", str(tmp_path / "trees.txt"), "--config", str(tmp_path / "lambda.cfg")]
-        assert main(argv + ["--seed", "7", "--out", str(out)]) == 3
+    @pytest.mark.parametrize(
+        "depth, settings",
+        [(9, "lambda = 1.0\n"), (10, "lambda = 1.0\n"), (10, "lambda = 1.0\nkernel_normalize = false\n")],
+        ids=["9", "10", "10-raw"],
+    )
+    def test_overflowing_tree_kernel_exits_3(self, depth, settings, tmp_path, capsys):
+        # at lambda 1 the self-kernel is 1.4e181 at depth 9, whose square
+        # overflows, and inf at depth 10, which overflows unnormalized too
+        argv = overflow_train_argv(tmp_path, depth, settings)
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: tree 0 has self-kernel "), err
         assert "overflows" in err and "Traceback" not in err
-        assert not out.exists()
+        assert not (tmp_path / "k.json").exists()
+
+    @pytest.mark.parametrize(
+        "settings", ["lambda = 1.0\n", "lambda = 1.0\nkernel_normalize = false\n"], ids=["normalized", "raw"]
+    )
+    def test_overflow_leaves_one_line_on_stderr(self, settings, tmp_path, capfd):
+        # in a child process, so that a numpy warning from the Gram's workers
+        # or the solver reaches the stderr a user sees
+        src = Path(treekernel.__file__).resolve().parents[1]
+        argv = overflow_train_argv(tmp_path, 10, settings)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run([sys.executable, "-m", "claudette.cli", *argv], env=env)
+        assert run.returncode == 3
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: tree 0 has self-kernel inf"), err
 
     def test_chain_skips_empty_documents(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -530,6 +541,23 @@ class TestTrainCommand:
         argv = ["train", "--task", "detect", "--model", "chain", "--corpus", str(empty)]
         assert main(argv + ["--seed", "3", "--out", str(tmp_path / "e.json")]) == 3
         assert "no training sequences" in capsys.readouterr().err
+
+
+def overflow_train_argv(tmp_path: Path, depth: int, settings: str) -> list[str]:
+    """``train`` arguments for the mini corpus with its first tree replaced by
+    a complete binary tree of ``depth`` over ``X -> X X``, under a config of
+    ``settings``, writing ``k.json`` in ``tmp_path``."""
+
+    def complete(d: int) -> str:
+        return "(X w)" if d == 0 else f"(X {complete(d - 1)} {complete(d - 1)})"
+
+    lines = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n")
+    lines[0] = complete(depth)
+    (tmp_path / "trees.txt").write_text("\n".join(lines), encoding="utf-8")
+    (tmp_path / "overflow.cfg").write_text(settings, encoding="utf-8")
+    argv = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+    argv += ["--trees", str(tmp_path / "trees.txt"), "--config", str(tmp_path / "overflow.cfg")]
+    return argv + ["--seed", "7", "--out", str(tmp_path / "k.json")]
 
 
 def corpus_with_undecodable_document(tmp_path: Path) -> Path:
@@ -1073,17 +1101,23 @@ class TestKernelSelftest:
         assert out.count("PASS") == 3
 
     def test_status_is_per_lambda(self, monkeypatch, capsys):
-        real = treekernel.sstk
+        real = treekernel.gram_matrix
 
-        def wrong_at_one(t1, t2, lam=treekernel.DEFAULT_LAMBDA):
-            return real(t1, t2, lam) + (1.0 if lam == 1.0 else 0.0)
+        def wrong_at_one(trees, lam=treekernel.DEFAULT_LAMBDA, normalize=True):
+            gram = real(trees, lam=lam, normalize=normalize)
+            if lam == 1.0:
+                for k in range(0, len(trees), 2):  # each sampled pair's kernel, on both sides
+                    gram.matrix[k, k + 1] += 1.0
+                    gram.matrix[k + 1, k] += 1.0
+            return gram
 
-        monkeypatch.setattr(treekernel, "sstk", wrong_at_one)
+        monkeypatch.setattr(treekernel, "gram_matrix", wrong_at_one)
         assert main(["kernel-selftest", "--pairs", "5"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.rsplit(" ", 1)[-1] for line in lines[:3]] == ["FAIL", "PASS", "PASS"]
         assert [line.split(":")[0] for line in lines[:3]] == ["lambda=1.0", "lambda=0.5", "lambda=0.4"]
-        assert lines[3] == "kernel selftest FAILED on 5 comparisons"
+        assert "symmetric ... FAIL" in lines[0] and "NOT" not in lines[0]
+        assert lines[3] == "kernel selftest FAILED on 10 comparisons"
 
     def test_gram_entries_and_symmetry_are_checked(self, monkeypatch, capsys):
         real = treekernel.gram_matrix

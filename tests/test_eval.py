@@ -395,11 +395,11 @@ class TestLooKeepsModelsInMemory:
             compiled.append(self)
             real_init(self, *args, **kwargs)
 
-        def refuse(self, tree):
-            raise AssertionError("a LOO fold computed a kernel row")
+        def refuse(self, trees):
+            raise AssertionError("a LOO fold computed kernel rows")
 
         monkeypatch.setattr(CompiledTrees, "__init__", counting_init)
-        monkeypatch.setattr(CompiledTrees, "row", refuse)
+        monkeypatch.setattr(CompiledTrees, "rows", refuse)
         in_one_process(monkeypatch)  # so that the count sees every fold
         report = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank)
         assert report.to_record() == expected

@@ -333,7 +333,7 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
         result = predictor.analyze(text, trees)
         assert len(result.sentences) == len(trees)
         for sentence, tree in zip(result.sentences, trees):
-            row = CompiledTrees(support_trees, model.lam, model.normalized).row(tree)
+            row = CompiledTrees(support_trees, model.lam, model.normalized).rows([tree])[0]
             assert sentence.scores["detection"] == predict_kernel(model, [row])[0]
     assert len(predictor.support.productions) == table_size
 

@@ -16,6 +16,8 @@ from conftest import (
     loss_lattice,
     per_row_emissions,
     rows_from_pairs,
+    structured_objective,
+    viterbi,
 )
 
 from claudette import seqmodel
@@ -25,9 +27,7 @@ from claudette.seqmodel import (
     ChainModel,
     SeqExample,
     UnknownLabel,
-    structured_objective,
     train_chain,
-    viterbi,
 )
 from claudette.svm import DimensionMismatch, EmptyData, SingleClass, TrainConfig
 

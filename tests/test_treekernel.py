@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _compile, _kernel, reference_gram, reference_rows
+from conftest import _compile, _kernel, fragment_pair_kernel, reference_gram, reference_rows, sstk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +21,8 @@ from claudette.treekernel import (
     InvalidLambda,
     TooLarge,
     enumerate_fragments_oracle,
-    fragment_pair_kernel,
     gram_matrix,
     random_tree,
-    sstk,
 )
 from claudette.trees import ParseTree, parse_bracketed, read_treebank_groups
 
@@ -123,18 +121,18 @@ class TestSstk:
 
 class TestNormalized:
     def test_identical_trees(self):
-        assert CompiledTrees([T], 1.0).row(T)[0] == pytest.approx(1.0, abs=1e-12)
+        assert CompiledTrees([T], 1.0).rows([T])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_trees(self):
-        assert CompiledTrees([T_DISJOINT], 0.4).row(T)[0] == 0.0
+        assert CompiledTrees([T_DISJOINT], 0.4).rows([T])[0, 0] == 0.0
 
     def test_one_sixth_case(self):
-        assert CompiledTrees([T_HALF], 1.0).row(T)[0] == pytest.approx(1 / 6, abs=1e-12)
+        assert CompiledTrees([T_HALF], 1.0).rows([T])[0, 0] == pytest.approx(1 / 6, abs=1e-12)
 
     def test_degenerate_tree(self):
         leaf_only = ParseTree("a")
         with pytest.raises(DegenerateTree):
-            CompiledTrees([T], 1.0).row(leaf_only)
+            CompiledTrees([T], 1.0).rows([leaf_only])
 
 
 def complete_tree(depth: int) -> ParseTree:
@@ -142,6 +140,11 @@ def complete_tree(depth: int) -> ParseTree:
     ``(X w)`` leaves: at lambda 1 its self-kernel squares to doubles over
     depth."""
     return parse_bracketed("(X w)") if depth == 0 else ParseTree("X", [complete_tree(depth - 1), complete_tree(depth - 1)])
+
+
+# 1,023 distinct preterminals under one root: at lambda 1 the root pair's
+# delta is 2 ** 1023, and two of them sum past the double range.
+BIG = ParseTree("W", [ParseTree(f"P{k}", [ParseTree(f"p{k}")]) for k in range(1023)])
 
 
 class TestSelfKernelRange:
@@ -164,11 +167,27 @@ class TestSelfKernelRange:
             CompiledTrees([T], 1.0).rows([T, tree])
         # unnormalized kernels divide by nothing and stay finite
         assert CompiledTrees([T], 1.0, normalize=False).rows([tree]).tolist() == [[0.0]]
+        assert gram_matrix([T, tree], 1.0, normalize=False).matrix[1, 1] == sstk(tree, tree, 1.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_infinite_self_kernel_is_refused(self):
-        with pytest.raises(DegenerateTree, match="tree 1 has self-kernel inf"):
+        with pytest.raises(DegenerateTree, match="tree 1 has self-kernel inf, whose square"):
             gram_matrix([T, complete_tree(10)], 1.0)
+        with pytest.raises(DegenerateTree, match="tree 1 has self-kernel inf: the raw kernel overflows"):
+            gram_matrix([T, complete_tree(10)], 1.0, normalize=False)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_finite_sum_past_the_double_range_is_refused(self):
+        # a kernel between trees holding BIG twice and once sums 2 or 4
+        # deltas of 2 ** 1023, which math.fsum refuses with OverflowError
+        assert sstk(BIG, BIG, 1.0) == 2.0**1023 + 1023
+        twice = ParseTree("Z", [BIG, BIG])
+        for normalize in (True, False):
+            with pytest.raises(DegenerateTree, match="tree 0 has self-kernel inf"):
+                gram_matrix([twice, T], 1.0, normalize)
+        # a raw row that overflows against a support tree that does not
+        with pytest.raises(DegenerateTree, match="input tree 1 has a kernel that overflows"):
+            CompiledTrees([T, BIG], 1.0, normalize=False).rows([T, twice])
 
     def test_an_underflowing_square_is_refused(self):
         # lambda 1e-200: T's self-kernel is about 3e-200, whose square is 0
@@ -274,7 +293,7 @@ class TestGramMatrix:
         rng = random.Random(21)
         trees = [random_tree(rng, max_nodes=10) for _ in range(6)]
         gram = gram_matrix(trees, lam=0.4, normalize=True)
-        row = CompiledTrees(trees, 0.4, True).row(trees[2])
+        row = CompiledTrees(trees, 0.4, True).rows([trees[2]])[0]
         assert np.allclose(row, gram.matrix[2], atol=1e-12)
 
 
@@ -295,12 +314,20 @@ def test_sstk_equals_recursive_reference_exactly(t1, t2, lam):
     assert sstk(t1, t1, lam) == reference_sstk(t1, t1, lam)
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-def test_gram_and_kernel_row_entries_equal_the_pairwise_formula(normalize):
-    rng = random.Random(31)
-    trees = [random_tree(rng, max_nodes=16) for _ in range(8)]
+def sampled_trees(count: int, seed: int, max_nodes: int) -> list[ParseTree]:
+    rng = random.Random(seed)
+    return [random_tree(rng, max_nodes=max_nodes) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "trees, lam, normalize",
+    [pytest.param(sampled_trees(8, 31, 16), 0.4, normalize, id=str(normalize)) for normalize in (True, False)]
+    # the trees and raw Grams of ``kernel-selftest --pairs 6 --seed 1``: pair
+    # k's kernel is entry (2k, 2k + 1)
+    + [pytest.param(sampled_trees(12, 1, 12), lam, False, id=f"selftest-{lam}") for lam in (1.0, 0.5, 0.4)],
+)
+def test_gram_and_kernel_row_entries_equal_the_pairwise_formula(trees, lam, normalize):
     probe = random_tree(random.Random(32), max_nodes=16, labels=("A", "B", "D"))
-    lam = 0.4
 
     def expected(a: ParseTree, b: ParseTree) -> float:
         value = sstk(a, b, lam)
@@ -317,7 +344,7 @@ def test_gram_and_kernel_row_entries_equal_the_pairwise_formula(normalize):
                 want = expected(trees[min(i, j)], trees[max(i, j)])
             assert gram[i, j] == want, (i, j)
     for tree in trees[:3] + [probe]:
-        row = CompiledTrees(trees, lam, normalize).row(tree)
+        row = CompiledTrees(trees, lam, normalize).rows([tree])[0]
         assert row.tolist() == [expected(tree, other) for other in trees]
 
 
@@ -328,15 +355,15 @@ class TestCompiledTrees:
         novel = parse_bracketed("(S (A a) (E (F f) (F f)))")
         # only (A a) matches a support tree; the unseen productions still count in the
         # novel tree's self-kernel: S 2*5, (A a) 1, E 2*2, four (F f) pairs 4, total 19
-        assert support.row(novel).tolist() == [1.0 / float(np.sqrt(19.0 * 6.0))] * 2
-        assert CompiledTrees([T, T_HALF], lam=1.0, normalize=False).row(novel).tolist() == [1.0, 1.0]
+        assert support.rows([novel])[0].tolist() == [1.0 / float(np.sqrt(19.0 * 6.0))] * 2
+        assert CompiledTrees([T, T_HALF], lam=1.0, normalize=False).rows([novel])[0].tolist() == [1.0, 1.0]
         assert len(support.productions) == size
 
     def test_degenerate_support_tree(self):
         with pytest.raises(DegenerateTree):
             CompiledTrees([T, ParseTree("lonely")], lam=0.4)
         raw = CompiledTrees([T, ParseTree("lonely")], lam=0.4, normalize=False)
-        assert raw.row(T).tolist() == [sstk(T, T, 0.4), 0.0]
+        assert raw.rows([T])[0].tolist() == [sstk(T, T, 0.4), 0.0]
 
 
 def test_threads_share_compiled_trees_read_only():
@@ -344,12 +371,12 @@ def test_threads_share_compiled_trees_read_only():
     support = CompiledTrees([random_tree(rng, max_nodes=16) for _ in range(12)], lam=0.4)
     # a fourth label makes unseen productions likely in every probe
     probes = [random_tree(rng, max_nodes=16, labels=("A", "B", "D")) for _ in range(24)]
-    expected = [support.row(t).tolist() for t in probes]
+    expected = [support.rows([t])[0].tolist() for t in probes]
     size = len(support.productions)
     results: dict[int, list] = {}
 
     def work(k: int) -> None:
-        results[k] = [support.row(t).tolist() for t in probes]
+        results[k] = [support.rows([t])[0].tolist() for t in probes]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
     interval = sys.getswitchinterval()
@@ -396,7 +423,7 @@ def test_kernel_is_symmetric_bit_for_bit_on_random_trees(seed, lam):
 def test_kernel_is_symmetric_bit_for_bit_on_adjacency_trees(i, lam):
     # one tree against every tree, as the query and as the forest: an
     # order-dependent sum breaks symmetry for about one pair in a hundred at lam = 0.4
-    as_query = CompiledTrees(ADJACENCY_TREES, lam, normalize=False).row(ADJACENCY_TREES[i])
+    as_query = CompiledTrees(ADJACENCY_TREES, lam, normalize=False).rows([ADJACENCY_TREES[i]])[0]
     as_forest = CompiledTrees([ADJACENCY_TREES[i]], lam, normalize=False).rows(ADJACENCY_TREES)[:, 0]
     assert as_query.tolist() == as_forest.tolist()
     assert as_query.tolist() == reference_rows(ADJACENCY_TREES, [ADJACENCY_TREES[i]], lam, False)[0].tolist()
@@ -463,7 +490,7 @@ def test_a_node_of_50000_children_costs_memory_linear_in_the_nodes(monkeypatch):
     began = time.perf_counter()
     try:
         gram = gram_matrix([wide, other], lam=lam, normalize=False).matrix
-        row = CompiledTrees([wide, other], lam, normalize=False).row(wide)
+        row = CompiledTrees([wide, other], lam, normalize=False).rows([wide])[0]
         value = sstk(wide, wide, lam)
         elapsed = time.perf_counter() - began
         peak = tracemalloc.get_traced_memory()[1]
@@ -485,7 +512,7 @@ def test_kernel_row_equals_the_gram_entries_exactly(normalize):
     support = CompiledTrees([trees[s] for s in support_rows], 0.4, normalize)
     for i, tree in enumerate(trees):
         if i not in support_rows:
-            assert support.row(tree).tolist() == gram[i, support_rows].tolist(), i
+            assert support.rows([tree])[0].tolist() == gram[i, support_rows].tolist(), i
 
 
 def test_gram_equals_its_transpose_exactly():
