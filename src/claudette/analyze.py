@@ -2,9 +2,11 @@
 
 :func:`decide` scores one document's sentences from their kernel rows or
 else their TF-IDF rows.  A :class:`Predictor` makes those rows from text, with
-a kernel bundle's support trees compiled once; a LOO fold reads them from its
-corpus table instead, bit for bit the same.  The front ends serialize results
-with :func:`result_json`, so their outputs agree byte for byte.
+a kernel bundle's support trees compiled once: :func:`features.vectorize_all`
+counts the text's terms straight into the vocabulary's columns, with no term
+table.  A LOO fold reads the rows from its corpus table instead, bit for bit
+the same.  The front ends serialize results with :func:`result_json`, so
+their outputs agree byte for byte.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +93,7 @@ class Vocabulary:
     depend on input ordering.  A vocabulary taken from a :class:`TermTable`
     holds the table's kept term ids and their df as arrays; its term tuple,
     df tuple and term -> index dict are built only when read: to save or
-    compare it, or to vectorize text that is not in the table.
+    compare it, or to vectorize text with :func:`vectorize_all`.
     """
 
     def __init__(self, terms: Sequence[str], df: Sequence[int], n_fit: int):
@@ -158,10 +158,10 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     """Consecutive n-token windows, underscore-joined and namespaced "w{n}:"."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > len(tokens):  # no window, and no n slices to build
-        return []
     prefix = f"w{n}:"
-    return [prefix + "_".join(gram) for gram in zip(*(tokens[i:] for i in range(n)))]
+    if n == 1:  # the window is the token: no slice and no join
+        return [prefix + t for t in tokens]
+    return [prefix + "_".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
 def pos_bag(tree: ParseTree) -> list[str]:
@@ -201,7 +201,9 @@ class TermTable:
     frequencies in ``tf`` (the raw count, or ``1 + ln(count)`` under
     ``log_tf``).  LOO builds one table for the corpus, and each fold computes
     its df, IDF, vocabulary, column map and weights from its rows as array
-    operations over the term ids; no fold touches a term string.
+    operations over the term ids; no fold touches a term string.  A table
+    vectorizes only under its own vocabularies: text scored under a saved
+    model goes through :func:`vectorize_all`, which builds no table.
     """
 
     def __init__(self, sentences: Sequence, trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
@@ -223,8 +225,7 @@ class TermTable:
         keys, counts = np.unique(np.repeat(np.arange(self.n_rows), lengths) * n + ids, return_counts=True)
         self.indptr = np.searchsorted(keys, np.arange(self.n_rows + 1) * n)
         self.indices = keys % n
-        # math.log, not np.log, which may round differently
-        self.tf = _per_distinct(counts, lambda c: 1.0 + math.log(c)) if config.log_tf else counts.astype(np.float64)
+        self.tf = _tf(counts, config)
 
     def vocabulary(self, rows: np.ndarray | None = None) -> Vocabulary:
         """Every term with document frequency >= min_df over ``rows`` (all
@@ -240,18 +241,12 @@ class TermTable:
         return Vocabulary._of_table(self.terms, kept, df[kept], n_fit)
 
     def vectorize(self, vocab: Vocabulary, rows: np.ndarray | None = None) -> Rows:
-        """L2-normalized TF-IDF rows of ``rows`` (all rows by default), in order.
-
-        weight(t) = tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1).  Terms
-        outside the vocabulary are ignored; an all-zero row stays all-zero.
-        """
-        if vocab._source is self.terms:  # kept ids, increasing: no term lookups
-            column = np.full(len(self.terms), -1, dtype=np.int64)
-            column[vocab._ids] = np.arange(vocab.size)
-        else:
-            column = np.fromiter(
-                map(vocab._index.get, self.terms, repeat(-1)), np.int64, len(self.terms)
-            )
+        """L2-normalized TF-IDF rows (:func:`_tfidf`) of ``rows`` (all rows by
+        default), in order, under a vocabulary taken from this table."""
+        if vocab._source is not self.terms:
+            raise ValueError("the vocabulary was not taken from this table")
+        column = np.full(len(self.terms), -1, dtype=np.int64)  # kept ids, increasing: no term lookups
+        column[vocab._ids] = np.arange(vocab.size)
         indptr, indices, tf = self.indptr, self.indices, self.tf
         if rows is not None:  # only the rows' own entries are mapped and weighted
             starts = indptr[:-1][rows]
@@ -261,11 +256,24 @@ class TermTable:
             indices, tf = indices[picked], tf[picked]
         cols = column[indices]
         known = cols >= 0
-        cols = cols[known]
-        weights = tf[known] * vocab._idf[cols]  # tf >= 1, and idf >= 1 for df <= N_fit: no zero norm
-        X = Rows(np.concatenate(([0], np.cumsum(known)))[indptr], cols, weights, vocab.size)
-        weights /= np.sqrt(X.row_sums(weights * weights))[X.row_of_entry]
-        return X
+        return _tfidf(np.concatenate(([0], np.cumsum(known)))[indptr], cols[known], tf[known], vocab)
+
+
+def _tf(counts: np.ndarray, config: FeatureConfig) -> np.ndarray:
+    """Term frequencies of term counts: the raw count, or ``1 + ln(count)``
+    under ``log_tf`` (math.log, not np.log, which may round differently)."""
+    return _per_distinct(counts, lambda c: 1.0 + math.log(c)) if config.log_tf else counts.astype(np.float64)
+
+
+def _tfidf(indptr: np.ndarray, cols: np.ndarray, tf: np.ndarray, vocab: Vocabulary) -> Rows:
+    """The L2-normalized rows of the entries ``cols`` (increasing within each
+    row of ``indptr``) with term frequencies ``tf``, each weighted
+    tf(t) * (ln((1 + N_fit) / (1 + df(t))) + 1).  tf >= 1, and idf >= 1 for
+    df <= N_fit, so no stored row has a zero norm; an empty row stays empty."""
+    weights = tf * vocab._idf[cols]
+    X = Rows(indptr, cols, weights, vocab.size)
+    weights /= np.sqrt(X.row_sums(weights * weights))[X.row_of_entry]
+    return X
 
 
 def build_vocabulary(
@@ -283,5 +291,21 @@ def vectorize_all(
     vocab: Vocabulary,
     config: FeatureConfig,
 ) -> Rows:
-    """L2-normalized TF-IDF rows of ``sentences`` (see :meth:`TermTable.vectorize`)."""
-    return TermTable(sentences, trees, config).vectorize(vocab)
+    """L2-normalized TF-IDF rows (:func:`_tfidf`) of ``sentences``, bit for
+    bit their rows in a :class:`TermTable`, built with no table: each term
+    found in ``vocab`` is keyed ``row * V + column``, one ``Counter`` counts
+    the keys, and the sorted distinct keys are the entries in row order."""
+    if config.use_pos and trees is None:
+        raise MissingTree("POS features enabled but no trees supplied")
+    index, V = vocab._index, vocab.size
+    keys: list[int] = []
+    for r, s in enumerate(sentences):
+        base = r * V
+        terms = extract_terms(s, trees[r] if trees is not None else None, config)
+        keys.extend([base + c for c in map(index.get, terms) if c is not None])
+    counts = Counter(keys)
+    distinct = sorted(counts)
+    key = np.array(distinct, dtype=np.int64)
+    indptr = np.searchsorted(key, np.arange(len(sentences) + 1) * V)
+    tf = _tf(np.array(list(map(counts.__getitem__, distinct)), dtype=np.int64), config)
+    return _tfidf(indptr, key % max(V, 1), tf, vocab)  # V == 0 leaves no key

@@ -79,9 +79,13 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         if content_type is not None and not content_type.strip().lower().startswith("text/"):
             self._send(400, _error_body(f"content type must be text/*, got {content_type!r}"))
             return
+        # RFC 9110 8.6: exactly one field of 1*DIGIT; int() alone would also
+        # take "+33", "3_3" and surrounding Unicode space
+        fields = self.headers.get_all("Content-Length", ["0"])
+        value = fields[0].strip(" \t")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
+            length = int(value) if len(fields) == 1 and value.isascii() and value.isdigit() else -1
+        except ValueError:  # more digits than int() converts
             length = -1
         if length < 0:
             self._send(400, _error_body("bad Content-Length"))

@@ -352,6 +352,58 @@ class TestTermTable:
             TermTable([("a",)], [None], cfg)
 
 
+class TestVectorizeAll:
+    """A request's rows, built with no table, against the per-sentence reference."""
+
+    VOCAB_TEXT = [("a", "b", "a"), ("b", "c"), ("d",)]
+
+    def check(self, sentences, trees, vocab, cfg):
+        X = vectorize_all(sentences, trees, vocab, cfg)
+        assert X.indptr.shape == (len(sentences) + 1,)
+        assert same_bytes(X, reference_vectors(sentences, trees, vocab, cfg), vocab.size)
+        return X
+
+    def test_no_sentences(self):
+        cfg = FeatureConfig()
+        vocab = TermTable(self.VOCAB_TEXT, None, cfg).vocabulary()
+        X = self.check([], None, vocab, cfg)
+        assert X.indptr.tolist() == [0] and X.indices.size == 0
+
+    def test_sentences_with_no_known_term_give_zero_rows(self):
+        cfg = FeatureConfig()
+        vocab = TermTable(self.VOCAB_TEXT, None, cfg).vocabulary()
+        X = self.check([("x", "y"), (), ("a", "x"), ("z",)], None, vocab, cfg)
+        assert X.indptr.tolist() == [0, 0, 0, 1, 1]
+
+    def test_an_empty_vocabulary(self):
+        cfg = FeatureConfig(min_df=9)
+        vocab = file_copy(TermTable(self.VOCAB_TEXT, None, cfg).vocabulary())
+        assert vocab.size == 0
+        X = self.check([("a", "b"), (), ("c",)], None, vocab, cfg)
+        assert X.dim == 0 and X.indptr.tolist() == [0, 0, 0, 0]
+
+    def test_repeated_terms_under_log_tf(self):
+        cfg = FeatureConfig(log_tf=True)
+        vocab = file_copy(TermTable(self.VOCAB_TEXT, None, cfg).vocabulary())
+        X = self.check([("a", "a", "a", "b", "a", "b"), ("b",) * 7, ("a", "c", "a")], None, vocab, cfg)
+        assert len(set(X.data.tolist())) > 2
+
+    def test_pos_terms_from_trees(self):
+        cfg = FeatureConfig(use_pos=True)
+        text = [("a", "b", "a"), ("heldout", "only"), ()]
+        trees = [tagged(s) for s in text]
+        vocab = file_copy(TermTable(self.VOCAB_TEXT, [tagged(s) for s in self.VOCAB_TEXT], cfg).vocabulary())
+        X = self.check(text, trees, vocab, cfg)
+        assert any(vocab.terms[c].startswith("p:") for c in X.indices.tolist())
+
+    def test_missing_trees_rejected(self):
+        cfg = FeatureConfig(use_pos=True)
+        vocab = TermTable(self.VOCAB_TEXT, [tagged(s) for s in self.VOCAB_TEXT], cfg).vocabulary()
+        for trees in (None, [None]):
+            with pytest.raises(MissingTree):
+                vectorize_all([("a",)], trees, vocab, cfg)
+
+
 def same_arrays(got, want) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -398,9 +450,11 @@ class TestArrayFolds:
         assert same_arrays(vocab._idf, want._idf)
         assert canonical_json_bytes(vocabulary_record(vocab)) == canonical_json_bytes(vocabulary_record(want))
 
+        # a request's rows under the model file's vocabulary are the fold's rows
         copy = file_copy(vocab)
         for which in (rows, others, None):
-            X, Y = table.vectorize(vocab, which), table.vectorize(copy, which)
+            X = table.vectorize(vocab, which)
+            Y = vectorize_all(sentences if which is None else [sentences[r] for r in which], None, copy, cfg)
             assert X.dim == Y.dim
             for name in ("indptr", "indices", "data"):
                 assert same_arrays(getattr(X, name), getattr(Y, name))
@@ -412,10 +466,19 @@ class TestArrayFolds:
         assert vocab.size == 0 and vocab.terms == () and vocab.df == () and vocab.n_fit == 3
         assert vocab == Vocabulary((), (), 3) == file_copy(vocab)
         assert vocab._idf.dtype == np.float64 and vocab._idf.shape == (0,)
-        for v in (vocab, file_copy(vocab)):
-            X = table.vectorize(v)
+        for X in (table.vectorize(vocab), vectorize_all(sentences, None, file_copy(vocab), table.config)):
             assert X.dim == 0 and X.indptr.tolist() == [0, 0, 0, 0]
             assert X.indices.size == X.data.size == 0
+
+    def test_a_vocabulary_from_elsewhere_is_refused(self):
+        sentences = [("a", "b"), ("b",)]
+        table = TermTable(sentences, None, FeatureConfig(ngram_orders=(1,)))
+        vocab = table.vocabulary()
+        other = TermTable(sentences, None, FeatureConfig(ngram_orders=(1,))).vocabulary()
+        for foreign in (file_copy(vocab), other):
+            assert foreign == vocab
+            with pytest.raises(ValueError, match="not taken from this table"):
+                table.vectorize(foreign)
 
     def test_duplicate_or_unsorted_terms_are_refused(self):
         for terms in (("w1:a", "w1:a"), ("w1:b", "w1:a")):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -141,6 +142,30 @@ class TestAnalyze:
         finally:
             conn.close()
         assert elapsed < 0.4
+
+    def _raw_status(self, server, length_fields: list[bytes], body: bytes) -> int:
+        """The status code answered to a POST whose Content-Length fields are
+        written byte for byte as given."""
+        head = b"POST /analyze HTTP/1.1\r\nHost: localhost\r\nContent-Type: text/plain\r\n"
+        head += b"".join(b"Content-Length: " + v + b"\r\n" for v in length_fields)
+        with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=10) as sock:
+            sock.sendall(head + b"\r\n" + body)
+            answer = b""
+            while b"\r\n" not in answer:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                answer += chunk
+        return int(answer.split(b" ", 2)[1])
+
+    def test_content_length_of_digits_only(self, server):
+        body = b"The provider may change the terms."
+        size = str(len(body)).encode()
+        assert self._raw_status(server, [size], body) == 200
+        assert self._raw_status(server, [b" " + size + b"\t"], body) == 200
+        bad = [b"3_4", b"+34", b"\xb2", b"-1", b"", b"0x22", b"34 34", b"9" * 5000]
+        assert [self._raw_status(server, [v], body) for v in bad] == [400] * len(bad)
+        assert self._raw_status(server, [size, size], body) == 400
 
     def test_oversized_body_413(self, server):
         assert _post(server, b"x" * 5000)[0] == 413  # server cap is 4096
