@@ -194,15 +194,13 @@ def compute_metrics(
             report.detection.fp += 1
         elif g.detection:
             report.detection.fn += 1
-        for cat in ClauseCategory:
-            in_g = cat in g.categories
-            in_p = cat in p.categories
+        for cat in g.categories | p.categories:  # a category in neither adds no count
             counts = report.categories[cat]
-            if in_g and in_p:
+            if cat in g.categories and cat in p.categories:
                 counts.tp += 1
-            elif in_p:
+            elif cat in p.categories:
                 counts.fp += 1
-            elif in_g:
+            else:
                 counts.fn += 1
     return report
 
@@ -249,7 +247,7 @@ def run_detection_eval(
 
     def fold_report(fold: FoldSplit) -> MetricsReport:
         # a function, so the fold's model is freed before the next one is fitted
-        held = corpus.document(fold.held_out)
+        held = table.documents[fold.held_out]
         with _naming_fold(fold):
             bundle = fit_detection_fold(table, fold, model_kind, train_cfg)
         sentences = [ls.sentence for ls in held.sentences]

@@ -36,13 +36,15 @@ and does not depend on which tree is the query.  Scoring a tree against a
 whole forest at once follows Aiolli, Da San Martino, Sperduti and Moschitti
 (2006, "Fast on-line kernel learning for trees", ICDM).
 
-**The exact sum.**  A tree pair's kernel is the correctly rounded sum of its
-deltas: ``np.bincount`` gives it where the pair has at most two deltas,
-since ``0.0 + a + b`` is one correctly rounded add, and ``math.fsum`` gives
-it for the rest.  It does not depend on the order of the pairs, so ``K(a, b)
-== K(b, a)`` bit for bit, the Gram is the same bits however it is cut into
-blocks, and a kernel row computed for a tree equals the corpus Gram's entries
-for it, so LOO evaluation reads its held-out rows from the Gram.
+**One summation order.**  A tree pair's kernel is ``0.0`` plus its deltas
+in ascending order: one ``np.lexsort`` by tree pair, then delta, and one
+``np.bincount``.  A pair's deltas are one multiset whichever tree is the
+query, so ``K(a, b) == K(b, a)`` bit for bit, the Gram is the same bits
+however it is cut into blocks, and a kernel row computed for a tree equals
+the corpus Gram's entries for it, so LOO evaluation reads its held-out rows
+from the Gram.  For positive terms ascending order also has the smallest
+error bound of any order of recursive summation (Higham 1993, "The accuracy
+of floating point summation", SIAM J. Sci. Comput.).
 
 :func:`gram_matrix` cuts the upper triangle into blocks of query trees under
 a fixed pair budget, fills them in forked worker processes and reads the
@@ -54,7 +56,6 @@ exponential-time route that ``kernel-selftest`` checks a Gram against.
 
 from __future__ import annotations
 
-import math
 import mmap
 from collections import Counter
 from dataclasses import dataclass
@@ -224,26 +225,11 @@ def _kernel_block(
     r = queries.tree[a + owner] - q0
     key = r * width + forest.tree[target] - lo[r]
     size = (q1 - q0) * width
-    out = np.bincount(key, weights=delta, minlength=size)
-    many = np.flatnonzero(np.bincount(key, minlength=size)[key] > 2)
-    if len(many):
-        many = many[np.argsort(key[many], kind="stable")]
-        keys, bounds = np.unique(key[many], return_index=True)
-        values = delta[many].tolist()
-        bounds = bounds.tolist() + [len(values)]
-        try:
-            out[keys] = [math.fsum(values[i:j]) for i, j in zip(bounds, bounds[1:])]
-        except OverflowError:  # fsum refuses a finite sum past the double range
-            out[keys] = [_fsum_or_inf(values[i:j]) for i, j in zip(bounds, bounds[1:])]
+    # each pair's deltas added to 0.0 in ascending order; a sum past the
+    # double range becomes inf here, silently, and is refused as above
+    ascending = np.lexsort((delta, key))
+    out = np.bincount(key[ascending], weights=delta[ascending], minlength=size)
     return out.reshape(q1 - q0, width)
-
-
-def _fsum_or_inf(values: list[float]) -> float:
-    """The correctly rounded sum of positive deltas, inf past the double range."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
 
 
 def _blocks(queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:

@@ -583,6 +583,16 @@ def reference_parse_bracketed(text: str) -> ParseTree:
     return tree
 
 
+def ascending_sum(values) -> float:
+    """``0.0`` plus ``values`` in ascending order, one rounded add at a time,
+    as ``treekernel`` sums a tree pair's deltas.  Builtin ``sum`` compensates
+    float sums from Python 3.12 on, so it would not do."""
+    total = 0.0
+    for value in sorted(values):
+        total += value
+    return total
+
+
 class _Compiled(NamedTuple):
     productions: list[int]  # production id per internal node, in preorder
     children: list[tuple[int, ...]]  # child node indices, -1 for a leaf
@@ -614,8 +624,8 @@ def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
     """The per-pair reference: the raw kernel of two trees compiled against
     one table.  ``rows[i]`` maps the nodes of ``b`` sharing node ``i``'s
     production to delta, filled in reverse preorder so child pairs come
-    first; each delta multiplies its factors in child order, and
-    ``math.fsum`` rounds their sum correctly."""
+    first; each delta multiplies its factors in child order, and they are
+    added in ascending order."""
     b_nodes, b_children = b.by_production, b.children
     rows: list[dict[int, float] | None] = [None] * len(a.productions)
     for i in range(len(a.productions) - 1, -1, -1):
@@ -635,7 +645,7 @@ def _kernel(a: _Compiled, b: _Compiled, lam: float) -> float:
                 if d is not None:
                     value *= 1.0 + d
             row[j] = value
-    return math.fsum(chain.from_iterable(row.values() for row in rows if row))
+    return ascending_sum(chain.from_iterable(row.values() for row in rows if row))
 
 
 def reference_gram(trees, lam: float, normalize: bool) -> np.ndarray:

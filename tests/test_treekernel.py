@@ -1,20 +1,23 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 import sys
 import threading
 import time
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _compile, _kernel, fragment_pair_kernel, reference_gram, reference_rows, sstk
+from conftest import _compile, _kernel, ascending_sum, fragment_pair_kernel, reference_gram, reference_rows, sstk
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claudette import treekernel
 from claudette.treekernel import (
     CompiledTrees,
     DegenerateTree,
@@ -39,14 +42,17 @@ T_DISJOINT = parse_bracketed("(S (C c) (D d))")
 T_HALF = parse_bracketed("(S (A a) (D d))")
 
 
-def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
-    """The recursive kernel the compiled one replaced, its deltas summed
-    with ``math.fsum`` as the compiled one sums them: its values are the ones
-    ``sstk`` must reproduce bit for bit."""
+def reference_deltas(t1: ParseTree, t2: ParseTree, lam: float) -> list[float]:
+    """The deltas of the node pairs the compiled kernel visits, from the
+    recursive definition, in its block's layout with ``t1`` as the query: by
+    the ``t1`` node's height, then preorder, then ``t2`` preorder."""
     prod = {id(n): n.production() for n in t1.internal_nodes() + t2.internal_nodes()}
     by_prod: dict = {}
     for n in t2.internal_nodes():
         by_prod.setdefault(prod[id(n)], []).append(n)
+    height: dict = {}
+    for n in reversed(t1.internal_nodes()):
+        height[id(n)] = max((1 + height[id(c)] for c in n.children if c.children), default=0)
     memo: dict = {}
 
     def delta(a: ParseTree, b: ParseTree) -> float:
@@ -61,9 +67,15 @@ def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
             memo[key] = value
         return memo[key]
 
-    return math.fsum(
-        delta(n1, n2) for n1 in t1.internal_nodes() for n2 in by_prod.get(prod[id(n1)], ())
-    )
+    queries = sorted(t1.internal_nodes(), key=lambda n: height[id(n)])
+    return [delta(n1, n2) for n1 in queries for n2 in by_prod.get(prod[id(n1)], ())]
+
+
+def reference_sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:
+    """The recursive kernel the compiled one replaced, its deltas added in
+    ascending order as the compiled one adds them: its values are the ones
+    ``sstk`` must reproduce bit for bit."""
+    return ascending_sum(reference_deltas(t1, t2, lam))
 
 
 # Labels and words share "x", so a leaf can carry an internal node's label:
@@ -179,7 +191,7 @@ class TestSelfKernelRange:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_finite_sum_past_the_double_range_is_refused(self):
         # a kernel between trees holding BIG twice and once sums 2 or 4
-        # deltas of 2 ** 1023, which math.fsum refuses with OverflowError
+        # deltas of 2 ** 1023, which np.bincount turns into inf with no warning
         assert sstk(BIG, BIG, 1.0) == 2.0**1023 + 1023
         twice = ParseTree("Z", [BIG, BIG])
         for normalize in (True, False):
@@ -403,7 +415,7 @@ def test_deep_trees_need_no_recursion():
     deltas = [lam]
     for _ in range(depth):
         deltas.append(lam * (1.0 + deltas[-1]))
-    self_k = math.fsum(deltas)
+    self_k = ascending_sum(deltas)
     assert sstk(tree, tree, lam) == self_k
     gram = gram_matrix([tree, T], lam=lam, normalize=False)
     assert gram.matrix.tolist() == [[self_k, 0.0], [0.0, sstk(T, T, lam)]]
@@ -466,13 +478,29 @@ def test_block_routine_equals_the_per_pair_reference_exactly(trees, queries, lam
     assert rows.tobytes() == reference_rows(trees, probes, lam, normalize).tobytes()
 
 
-def test_three_deltas_are_summed_exactly():
-    # three node pairs whose left-to-right sum, in the block's order, misses
-    # the correctly rounded sum by one bit: a plain sum serves two deltas only
+def test_three_deltas_are_added_in_ascending_order():
+    # 0.9 + 1.71 + 2.439 gives 5.0489999999999995, where the correctly
+    # rounded sum the kernel once gave is 5.049
     t1 = parse_bracketed("(A (B (B (A x) (A z))))")
     t2 = parse_bracketed("(B (B (A x) (A (B x) (B x) (A y))))")
-    table: dict = {}
-    want = _kernel(_compile(t1, table), _compile(t2, table), 0.9)
+    deltas = reference_deltas(t1, t2, 0.9)
+    want = ascending_sum(deltas)
+    assert len(deltas) == 3 and want != math.fsum(deltas)
+    assert sstk(t1, t2, 0.9) == sstk(t2, t1, 0.9) == want
+    assert gram_matrix([t1, t2], lam=0.9, normalize=False).matrix[0, 1] == want
+
+
+def test_a_sum_in_the_block_layout_would_depend_on_the_query():
+    # the pair's six deltas, five of lam and one of lam * (1 + lam), are one
+    # multiset either way round; added in the block's layout they give 6.21
+    # with t1 as the query and 6.210000000000001 with t2
+    t1 = parse_bracketed("(C (B (B x)))")
+    t2 = parse_bracketed("(A (B (B (B z) (B z) (B (B (A (B (B (B (B x))))))))))")
+    layouts = [reference_deltas(t1, t2, 0.9), reference_deltas(t2, t1, 0.9)]
+    assert sorted(layouts[0]) == sorted(layouts[1])
+    in_layout = [reduce(operator.add, deltas, 0.0) for deltas in layouts]
+    want = ascending_sum(layouts[0])
+    assert in_layout[0] == want != in_layout[1]
     assert sstk(t1, t2, 0.9) == sstk(t2, t1, 0.9) == want
     assert gram_matrix([t1, t2], lam=0.9, normalize=False).matrix[0, 1] == want
 
@@ -513,6 +541,17 @@ def test_kernel_row_equals_the_gram_entries_exactly(normalize):
     for i, tree in enumerate(trees):
         if i not in support_rows:
             assert support.rows([tree])[0].tolist() == gram[i, support_rows].tolist(), i
+
+
+def test_gram_bytes_do_not_depend_on_the_block_cut(monkeypatch):
+    trees = ADJACENCY_TREES[:90]
+    whole = gram_matrix(trees, lam=0.4, normalize=True).matrix.tobytes()
+    nodes = CompiledTrees(trees, 0.4, normalize=False).nodes
+    lo, hi = np.arange(90), np.full(90, 90)
+    assert len(treekernel._blocks(nodes, nodes, lo, hi)) < 90
+    monkeypatch.setattr(treekernel, "BLOCK_PAIRS", 16)
+    assert len(treekernel._blocks(nodes, nodes, lo, hi)) == 90
+    assert gram_matrix(trees, lam=0.4, normalize=True).matrix.tobytes() == whole
 
 
 def test_gram_equals_its_transpose_exactly():
