@@ -170,12 +170,6 @@ class Corpus:
     def N(self) -> int:
         return sum(len(d.sentences) for d in self.documents)
 
-    def document(self, name: str) -> Document:
-        for d in self.documents:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
     def all_sentences(self) -> list[LabeledSentence]:
         out: list[LabeledSentence] = []
         for d in self.documents:

@@ -127,8 +127,8 @@ def _dense(pairs: list, dim: int, size: int) -> np.ndarray:
         raise ModelFormatError(f"model weights dim {dim} does not match the vocabulary size {size}")
     w = np.zeros(dim, dtype=np.float64)
     for i, v in pairs:
-        if not 0 <= i < dim:
-            raise ModelFormatError(f"weight index {i} outside [0, {dim})")
+        if type(i) is not int or not 0 <= i < dim:
+            raise ModelFormatError(f"weight index {i!r} outside [0, {dim}) or not an integer")
         w[i] = v
     return w
 
@@ -138,9 +138,12 @@ def linear_from_payload(payload: dict, size: int) -> LinearModel:
     return LinearModel(w=w, b=float(payload["b"]), warning=payload.get("warning"))
 
 
-def kernel_payload(model: KernelModel, support_trees: list[str]) -> dict:
-    if len(support_trees) != model.n_support:
-        raise ModelFormatError("support tree list does not match the support set")
+def kernel_payload(model: KernelModel) -> dict:
+    if any(t.depth() > MAX_DEPTH for t in model.support_trees):
+        raise ModelFormatError(
+            f"a support tree is nested deeper than {MAX_DEPTH} levels, "
+            "so the model file could not be read back"
+        )
     return {
         "kind": "kernel",
         "support_idx": [int(i) for i in model.support_idx],
@@ -151,11 +154,15 @@ def kernel_payload(model: KernelModel, support_trees: list[str]) -> dict:
         "n_train": model.n_train,
         "kkt_violation": _finite(model.kkt_violation),
         "warning": model.warning,
-        "support_trees": list(support_trees),
+        "support_trees": [t.to_bracketed() for t in model.support_trees],
     }
 
 
-def kernel_from_payload(payload: dict) -> tuple[KernelModel, list[str]]:
+def kernel_from_payload(payload: dict, size: int) -> KernelModel:
+    """The kernel model of a payload, support trees parsed; ``size`` is unused
+    (kernel rows do not read the vocabulary) but keeps the codecs' signature."""
+    if type(payload["normalized"]) is not bool:
+        raise ModelFormatError(f"kernel normalized {payload['normalized']!r} is not a boolean")
     model = KernelModel(
         support_idx=np.asarray(payload["support_idx"], dtype=np.int64),
         coef=np.asarray(payload["coef"], dtype=np.float64),
@@ -166,7 +173,12 @@ def kernel_from_payload(payload: dict) -> tuple[KernelModel, list[str]]:
         kkt_violation=float(payload["kkt_violation"]),
         warning=payload.get("warning"),
     )
-    return model, list(payload["support_trees"])
+    treekernel._check_lambda(model.lam)
+    support = payload["support_trees"]
+    if not len(model.coef) == len(support) == model.n_support:
+        raise ModelFormatError("support_idx, coef and support_trees lengths disagree")
+    model.support_trees = [parse_bracketed(s) for s in support]
+    return model
 
 
 def chain_payload(model: ChainModel) -> dict:
@@ -210,6 +222,18 @@ def category_from_payload(payload: dict, size: int) -> dict[ClauseCategory, Line
     }
 
 
+def _codec(kind: str):
+    """The (encoder, decoder) pair of a model kind, looked up at call time so
+    that a wrapped codec is the one called; a decoder takes the payload and
+    the vocabulary size."""
+    return {
+        "linear-bow": (linear_payload, linear_from_payload),
+        "kernel-sstk": (kernel_payload, kernel_from_payload),
+        "chain": (chain_payload, chain_from_payload),
+        "category-ovr": (category_payload, category_from_payload),
+    }[kind]
+
+
 # ---------------------------------------------------------------------------
 # The unified model file
 # ---------------------------------------------------------------------------
@@ -225,22 +249,12 @@ class ModelBundle:
     fallback: LinearModel | None = None
 
     def to_record(self) -> dict:
-        if self.kind == "kernel-sstk":
-            if any(t.depth() > MAX_DEPTH for t in self.model.support_trees):
-                raise ModelFormatError(
-                    f"a support tree is nested deeper than {MAX_DEPTH} levels, "
-                    "so the model file could not be read back"
-                )
-            payload = kernel_payload(self.model, [t.to_bracketed() for t in self.model.support_trees])
-        else:
-            payload = {"linear-bow": linear_payload, "chain": chain_payload,
-                       "category-ovr": category_payload}[self.kind](self.model)
         rec = {
             "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "feature_config": feature_config_record(self.feature_config),
             "vocabulary": vocabulary_record(self.vocabulary),
-            "payload": payload,
+            "payload": _codec(self.kind)[0](self.model),
             "metadata": self.metadata,
         }
         if self.fallback is not None:
@@ -298,15 +312,7 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
     if payload["kind"] != {"linear-bow": "linear", "kernel-sstk": "kernel"}.get(kind, kind):
         raise ModelFormatError(f"payload kind {payload['kind']!r} does not match model kind {kind!r}")
     vocabulary = vocabulary_from_record(rec["vocabulary"])
-    if kind == "kernel-sstk":
-        model, support = kernel_from_payload(payload)
-        treekernel._check_lambda(model.lam)
-        if not len(model.coef) == len(support) == model.n_support:
-            raise ModelFormatError("support_idx, coef and support_trees lengths disagree")
-        model.support_trees = [parse_bracketed(s) for s in support]
-    else:
-        model = {"linear-bow": linear_from_payload, "chain": chain_from_payload,
-                 "category-ovr": category_from_payload}[kind](payload, vocabulary.size)
+    model = _codec(kind)[1](payload, vocabulary.size)
     fallback = rec.get("fallback")
     return ModelBundle(
         kind=kind,

@@ -55,14 +55,17 @@ class ChainModel:
         return int(self.emissions.shape[1])
 
     @classmethod
-    def zeros(cls, labels: Sequence[str], dim: int) -> "ChainModel":
+    def over(cls, labels: Sequence[str], weights: np.ndarray) -> "ChainModel":
+        """The model whose emissions (L x V), transitions (L x L) and start
+        (L) are views of the flat ``weights``, in that order."""
         L = len(labels)
-        return cls(
-            labels=tuple(labels),
-            emissions=np.zeros((L, dim), dtype=np.float64),
-            transitions=np.zeros((L, L), dtype=np.float64),
-            start=np.zeros(L, dtype=np.float64),
-        )
+        V = len(weights) // L - L - 1
+        emissions, transitions, start = np.split(weights, [L * V, L * (V + L)])
+        return cls(tuple(labels), emissions.reshape(L, V), transitions.reshape(L, L), start)
+
+    @classmethod
+    def zeros(cls, labels: Sequence[str], dim: int) -> "ChainModel":
+        return cls.over(labels, np.zeros(len(labels) * (dim + len(labels) + 1)))
 
 
 def _check_sequence(model: ChainModel, xs: Rows) -> None:
@@ -208,12 +211,12 @@ def train_chain(
     would drown the converged ones.
 
     Each document's index arrays and margin loss (``_plan``) are built once
-    per call.  A step is then the ``1 - 1/t`` shrink, the loss-augmented
-    lattice (``_lattice``: one 1-D ``take``, one multiply, one bincount and
-    one add), one Viterbi pass that also scores the gold path (``_decode``)
-    and, on a margin violation, one scatter (``_apply_update``), bit-identical
-    to separate ndarray passes.  Fewer than two labels raise ``SingleClass``,
-    and gold labels outside ``[0, L)`` raise ``UnknownLabel``.
+    per call.  A step is one ``1 - 1/t`` multiply of the flat weight vector,
+    the loss-augmented lattice (``_lattice``: one 1-D ``take``, one multiply,
+    one bincount, one add), one Viterbi pass that also scores the gold path
+    (``_decode``), on a margin violation one scatter (``_apply_update``) and,
+    in the tail, one add of the vector to the average.  Fewer than two labels
+    raise ``SingleClass``; gold labels outside ``[0, L)`` raise ``UnknownLabel``.
 
     Note the effective regularization: small C means strong shrinking, which
     on noisy imbalanced data can collapse the model toward the majority
@@ -230,11 +233,10 @@ def train_chain(
     if len(labels) < 2:
         raise SingleClass(f"a chain needs at least two labels, not {len(labels)}")
 
-    model = ChainModel.zeros(labels, dim)
+    weights = np.zeros(len(labels) * (dim + len(labels) + 1))
+    average = np.zeros_like(weights)
+    model = ChainModel.over(labels, weights)
     plans = [_plan(ex.xs, len(labels), ex.ys) for ex in examples]
-    avg_em = np.zeros_like(model.emissions)
-    avg_tr = np.zeros_like(model.transitions)
-    avg_st = np.zeros_like(model.start)
 
     n = len(examples)
     lam_reg = 1.0 / (cfg.C * n)
@@ -247,10 +249,7 @@ def train_chain(
         for j in rng.permutation(n):
             t += 1
             eta = 1.0 / (lam_reg * t)
-            shrink = 1.0 - eta * lam_reg  # = 1 - 1/t
-            model.emissions *= shrink
-            model.transitions *= shrink
-            model.start *= shrink
+            weights *= 1.0 - eta * lam_reg  # = 1 - 1/t
 
             ex, plan = examples[j], plans[j]
             y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan=plan), ex.ys)
@@ -258,17 +257,10 @@ def train_chain(
                 _apply_update(model, ex, y_hat, eta)
 
             if t >= tail_start:
-                avg_em += model.emissions
-                avg_tr += model.transitions
-                avg_st += model.start
+                average += weights
                 averaged_steps += 1
 
-    return ChainModel(
-        labels=labels,
-        emissions=avg_em / averaged_steps,
-        transitions=avg_tr / averaged_steps,
-        start=avg_st / averaged_steps,
-    )
+    return ChainModel.over(labels, average / averaged_steps)
 
 
 def _apply_update(model: ChainModel, ex: SeqExample, y_hat: Sequence[int], eta: float) -> None:

@@ -62,12 +62,6 @@ class ParseTree:
     def is_preterminal(self) -> bool:
         return len(self.children) == 1 and self.children[0].is_leaf
 
-    def production(self) -> tuple[str, tuple[str, ...]] | None:
-        """Label plus ordered child labels; None for a leaf."""
-        if not self.children:
-            return None
-        return self.label, tuple(c.label for c in self.children)
-
     def nodes(self) -> Iterator["ParseTree"]:
         """All nodes, preorder."""
         stack = [self]

@@ -54,6 +54,18 @@ def rows_from_pairs(rows, dim: int) -> Rows:
     )
 
 
+def production(node: ParseTree) -> tuple[str, tuple[str, ...]] | None:
+    """A node's label plus its ordered child labels; None for a leaf."""
+    if not node.children:
+        return None
+    return node.label, tuple(c.label for c in node.children)
+
+
+def document(corpus, name: str):
+    """The document of ``corpus`` named ``name``; a ``KeyError`` if none is."""
+    return {d.name: d for d in corpus.documents}[name]
+
+
 # ---------------------------------------------------------------------------
 # References the tests compare the program against
 # ---------------------------------------------------------------------------
@@ -610,7 +622,7 @@ def _compile(tree, table: dict, grow: bool = True) -> _Compiled:
     productions: list[int] = []
     by_production: dict[int, list[int]] = {}
     for i, n in enumerate(nodes):
-        prod = n.production()
+        prod = production(n)
         pid = table.get(prod)
         if pid is None:
             pid = table.setdefault(prod, len(table)) if grow else local.setdefault(prod, -1 - len(local))

@@ -872,6 +872,10 @@ def corrupt_model(rec: dict, corruption: str) -> None:
     elif corruption == "vocabulary-index-gaps":
         for i, entry in enumerate(rec["vocabulary"]["entries"]):
             entry[1] = 2 * i
+    elif corruption == "weight-index-true":
+        rec["fallback"]["w"][0][0] = True  # w[True] = v would write every weight
+    elif corruption == "normalized-not-a-boolean":
+        payload["normalized"] = "false"  # a non-empty string is truthy
 
 
 MODEL_CORRUPTIONS = [
@@ -890,6 +894,8 @@ MODEL_CORRUPTIONS = [
     "vocabulary-df-above-n-fit",
     "vocabulary-duplicate-term",
     "vocabulary-index-gaps",
+    "weight-index-true",
+    "normalized-not-a-boolean",
 ]
 
 

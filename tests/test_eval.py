@@ -4,6 +4,7 @@ import os
 import sys
 
 import pytest
+from conftest import document
 
 from claudette.corpus import (
     ClauseCategory,
@@ -53,7 +54,7 @@ class TestLooSplits:
 
     def test_held_out_sentence_counts_sum_to_corpus_total(self, planted_corpus):
         total = sum(
-            len(planted_corpus.document(s.held_out).sentences)
+            len(document(planted_corpus, s.held_out).sentences)
             for s in make_loo_splits(planted_corpus)
         )
         assert total == planted_corpus.N
@@ -266,7 +267,7 @@ class TestNoLeakage:
         treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
         shared = CorpusTable(mini_corpus.documents, treebank, FC, normalize=normalize)
         for fold in make_loo_splits(mini_corpus):
-            train_docs = [mini_corpus.document(name) for name in fold.train]
+            train_docs = [document(mini_corpus, name) for name in fold.train]
             own = CorpusTable(train_docs, treebank, FC, normalize=normalize)
             expected = canonical_json_bytes(fit(kind, own, TC).to_record())
             got = canonical_json_bytes(fit_detection_fold(shared, fold, kind, TC).to_record())
@@ -417,7 +418,7 @@ class TestLooKeepsModelsInMemory:
         table = CorpusTable(corpus.documents, treebank, cfg)
         for fold in make_loo_splits(corpus):
             vocab = table.terms.vocabulary(table.rows(fold.train))
-            held = corpus.document(fold.held_out)
+            held = document(corpus, fold.held_out)
             got = table.terms.vectorize(vocab, table.rows([fold.held_out]))
             want = vectorize_all([ls.sentence for ls in held.sentences], treebank[held.name], vocab, cfg)
             assert got.dim == want.dim

@@ -83,26 +83,15 @@ class TestComponentRecords:
             n_train=5,
             kkt_violation=1e-4,
             warning=None,
+            support_trees=[parse_bracketed("(A a)"), parse_bracketed("(B b)")],
         )
-        payload = kernel_payload(model, ["(A a)", "(B b)"])
-        back, trees = kernel_from_payload(payload)
-        assert trees == ["(A a)", "(B b)"]
+        payload = kernel_payload(model)
+        assert payload["support_trees"] == ["(A a)", "(B b)"]
+        back = kernel_from_payload(payload, 0)
+        assert [t.to_bracketed() for t in back.support_trees] == ["(A a)", "(B b)"]
         assert back.support_idx.tolist() == [0, 3]
         assert back.coef.tolist() == [0.5, -0.5]
         assert back.lam == 0.4
-
-    def test_kernel_payload_validates_tree_count(self):
-        model = KernelModel(
-            support_idx=np.array([0]),
-            coef=np.array([1.0]),
-            b=0.0,
-            lam=0.4,
-            normalized=True,
-            n_train=2,
-            kkt_violation=0.0,
-        )
-        with pytest.raises(ModelFormatError):
-            kernel_payload(model, [])
 
     def test_chain_round_trip(self):
         model = ChainModel.zeros(("negative", "positive"), 3)

@@ -480,6 +480,20 @@ def paired_cue_sequences(n_seq=40, k=16, dims=10, seed=5, n_pairs=2, n_traps=3):
 
 
 class TestTrainChain:
+    def test_no_feature_columns(self):
+        # a vocabulary that keeps no term gives rows of dim 0: the flat weight
+        # vector then holds only the transitions and the start
+        shapes = [(2, 0), (2, 2), (2,)]
+        zeros = ChainModel.zeros(("negative", "positive"), 0)
+        assert [a.shape for a in (zeros.emissions, zeros.transitions, zeros.start)] == shapes
+        examples = [
+            SeqExample(rows_from_pairs([[], [], []], 0), (0, 1, 1)),
+            SeqExample(rows_from_pairs([[], []], 0), (1, 0)),
+        ]
+        model = train_chain(examples, TrainConfig(seed=1, C=10.0, epochs=3), ("negative", "positive"))
+        assert model.dim == 0
+        assert [a.shape for a in (model.emissions, model.transitions, model.start)] == shapes
+
     def test_separable_sequences_reach_zero_hamming(self):
         examples = separable_sequences()
         model = train_chain(examples, TrainConfig(seed=3, C=10.0))

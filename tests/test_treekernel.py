@@ -13,7 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _compile, _kernel, ascending_sum, fragment_pair_kernel, reference_gram, reference_rows, sstk
+from conftest import (
+    _compile,
+    _kernel,
+    ascending_sum,
+    fragment_pair_kernel,
+    production,
+    reference_gram,
+    reference_rows,
+    sstk,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +55,7 @@ def reference_deltas(t1: ParseTree, t2: ParseTree, lam: float) -> list[float]:
     """The deltas of the node pairs the compiled kernel visits, from the
     recursive definition, in its block's layout with ``t1`` as the query: by
     the ``t1`` node's height, then preorder, then ``t2`` preorder."""
-    prod = {id(n): n.production() for n in t1.internal_nodes() + t2.internal_nodes()}
+    prod = {id(n): production(n) for n in t1.internal_nodes() + t2.internal_nodes()}
     by_prod: dict = {}
     for n in t2.internal_nodes():
         by_prod.setdefault(prod[id(n)], []).append(n)

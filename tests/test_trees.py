@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import outcome, reference_parse_bracketed
+from conftest import outcome, production, reference_parse_bracketed
 from claudette.treekernel import random_tree
 from claudette.trees import (
     MAX_DEPTH,
@@ -89,9 +89,9 @@ class TestParseBracketed:
 class TestParseTree:
     def test_production(self):
         tree = parse_bracketed("(S (A a) (B b))")
-        assert tree.production() == ("S", ("A", "B"))
-        assert tree.children[0].production() == ("A", ("a",))
-        assert tree.children[0].children[0].production() is None
+        assert production(tree) == ("S", ("A", "B"))
+        assert production(tree.children[0]) == ("A", ("a",))
+        assert production(tree.children[0].children[0]) is None
 
     def test_node_counts(self):
         tree = parse_bracketed("(S (A a) (B b))")
