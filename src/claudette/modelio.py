@@ -54,8 +54,32 @@ def canonical_json_bytes(obj) -> bytes:
     ).encode("utf-8")
 
 
-def _finite(x: float | str) -> float:
+def _finite(x) -> float:
+    """A model number as a float: an int or a float, not a bool (nor a string
+    such as ``"nan"``, which ``float`` would parse), and finite."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ModelFormatError(f"model number {x!r} is not a JSON number")
     x = float(x)
+    if not math.isfinite(x):
+        raise ModelFormatError("model contains a non-finite value")
+    return x
+
+
+def _numbers(values: list) -> np.ndarray:
+    """:func:`_finite` over a list of model numbers read from a file, as one
+    float64 array."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ModelFormatError(f"model number {bad!r} is not a JSON number")
+    numbers = np.array(values, dtype=np.float64)
+    if not np.isfinite(numbers).all():
+        raise ModelFormatError("model contains a non-finite value")
+    return numbers
+
+
+def _json_float(text: str) -> float:
+    """A JSON float or constant (``NaN``, ``Infinity``) as it is decoded."""
+    x = float(text)
     if not math.isfinite(x):
         raise ModelFormatError("model contains a non-finite value")
     return x
@@ -125,17 +149,18 @@ def _dense(pairs: list, dim: int, size: int) -> np.ndarray:
     must be the vocabulary ``size``, checked before anything is allocated."""
     if dim != size:
         raise ModelFormatError(f"model weights dim {dim} does not match the vocabulary size {size}")
-    w = np.zeros(dim, dtype=np.float64)
-    for i, v in pairs:
+    index = [i for i, _ in pairs]
+    for i in index:
         if type(i) is not int or not 0 <= i < dim:
             raise ModelFormatError(f"weight index {i!r} outside [0, {dim}) or not an integer")
-        w[i] = v
+    w = np.zeros(dim, dtype=np.float64)
+    w[index] = _numbers([v for _, v in pairs])
     return w
 
 
 def linear_from_payload(payload: dict, size: int) -> LinearModel:
     w = _dense(payload["w"], payload["dim"], size)
-    return LinearModel(w=w, b=float(payload["b"]), warning=payload.get("warning"))
+    return LinearModel(w=w, b=_finite(payload["b"]), warning=payload.get("warning"))
 
 
 def kernel_payload(model: KernelModel) -> dict:
@@ -163,14 +188,16 @@ def kernel_from_payload(payload: dict, size: int) -> KernelModel:
     (kernel rows do not read the vocabulary) but keeps the codecs' signature."""
     if type(payload["normalized"]) is not bool:
         raise ModelFormatError(f"kernel normalized {payload['normalized']!r} is not a boolean")
+    if not all(type(i) is int for i in [payload["n_train"], *payload["support_idx"]]):
+        raise ModelFormatError("kernel n_train or a support_idx is not an integer")
     model = KernelModel(
         support_idx=np.asarray(payload["support_idx"], dtype=np.int64),
-        coef=np.asarray(payload["coef"], dtype=np.float64),
-        b=float(payload["b"]),
-        lam=float(payload["lambda"]),
+        coef=_numbers(payload["coef"]),
+        b=_finite(payload["b"]),
+        lam=_finite(payload["lambda"]),
         normalized=payload["normalized"],
         n_train=payload["n_train"],
-        kkt_violation=float(payload["kkt_violation"]),
+        kkt_violation=_finite(payload["kkt_violation"]),
         warning=payload.get("warning"),
     )
     treekernel._check_lambda(model.lam)
@@ -198,8 +225,8 @@ def chain_payload(model: ChainModel) -> dict:
 
 def chain_from_payload(payload: dict, size: int) -> ChainModel:
     L, dim = len(payload["labels"]), payload["dim"]
-    transitions = np.asarray(payload["transitions"], dtype=np.float64)
-    start = np.asarray(payload["start"], dtype=np.float64)
+    transitions = np.array([_numbers(row) for row in payload["transitions"]])
+    start = _numbers(payload["start"])
     if L < 2 or len(payload["emissions"]) != L or transitions.shape != (L, L) or start.shape != (L,):
         raise ModelFormatError(f"chain emissions, transitions and start do not fit its {L} labels")
     emissions = np.array([_dense(row, dim, size) for row in payload["emissions"]])
@@ -284,7 +311,7 @@ def load_model(path: str | Path) -> ModelBundle:
     nested too deeply to decode, a weight ``dim`` other than the vocabulary
     size and a kernel ``lambda`` outside (0, 1]."""
     try:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite, parse_constant=_finite)
+        rec = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_json_float, parse_constant=_json_float)
     except ModelFormatError:
         raise
     # not UTF-8, not JSON, an integer too long to convert, or nested too deeply

@@ -5,11 +5,20 @@ POST /analyze with a plain-text body returns the analysis as JSON; GET
 before the server binds its port (a kernel model's support trees with it),
 and shared read-only across request threads; identical bodies produce
 identical responses.  Connections are kept alive, with Nagle's algorithm off.
+
+The handler reads a request's head itself, in one pass (RFC 9112), and sends
+each answer, status line, header fields and body, in one write.  Every
+refusal has a JSON body: 400 for a malformed request line or header field,
+411 for a Transfer-Encoding, 413 for a body over the cap, 414 and 431 for a
+request or header line over 65,536 bytes or more than 100 header fields, 501
+for a method other than GET or POST, and 505 for an HTTP version other than
+1.0 and 1.1.  A connection with nothing to read for 30 s is closed.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -20,6 +29,11 @@ from .modelio import FORMAT_VERSION, ModelBundle, canonical_json_bytes
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_BYTES = 1 << 20  # 1 MiB
+# http.server's limits: bytes in one request or header line, header fields
+_MAX_LINE, _MAX_FIELDS = 65536, 100
+_VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")
+# RFC 9112 5.1: a token, a colon, the value between optional spaces and tabs
+_FIELD_LINE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\0]*?)[ \t]*\r?\n")
 
 
 def _error_body(message: str, error_id: str | None = None) -> bytes:
@@ -32,10 +46,11 @@ def _error_body(message: str, error_id: str | None = None) -> bytes:
 class AnalyzeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "claudette"
-    # headers and body leave in two writes; with Nagle's algorithm on, the
-    # body can wait for the client's delayed ACK of the headers, about 40 ms
-    # per answer on a keep-alive connection
+    # an answer leaves in one write; a 100 Continue goes before it, and with
+    # Nagle's algorithm on, the answer could wait for the client's delayed ACK
     disable_nagle_algorithm = True
+    # seconds a connection may sit with no byte to read before it is closed
+    timeout = 30.0
 
     # set by make_server
     predictor: Predictor = None  # type: ignore[assignment]
@@ -44,17 +59,83 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:  # route to logging, not stderr
         log.debug("%s " + fmt, self.address_string(), *args)
 
+    def parse_request(self) -> bool:
+        """Read the request line in ``raw_requestline`` and the header fields
+        after it, in one pass.  On success ``fields`` maps each lower-cased
+        field name to its values in arrival order; on failure the error answer
+        is sent.  The syntax is RFC 9112's, with http.server's limits."""
+        self.command = None
+        self.request_version = ""
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.raw_requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, "bad request line")
+            return False
+        version = words[2]
+        if version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            if _VERSION.fullmatch(version):
+                self.send_error(505, "only HTTP/1.0 and HTTP/1.1 are supported")
+            else:
+                self.send_error(400, "bad HTTP version")
+            return False
+        self.command, self.path = words[0].decode("iso-8859-1"), words[1].decode("iso-8859-1")
+        self.request_version = version.decode()
+        fields: dict[str, list[str]] = {}
+        self.fields = fields
+        for _ in range(_MAX_FIELDS + 1):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, f"a header line exceeds {_MAX_LINE} bytes")
+                return False
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:  # the client left mid-request
+                return False
+            match = _FIELD_LINE.fullmatch(line)
+            if match is None:
+                # no colon, whitespace before it, an obs-fold continuation,
+                # or CR or NUL in the value (RFC 9112 5.1-5.2)
+                self.send_error(400, "malformed header field line")
+                return False
+            name, value = match.groups()
+            fields.setdefault(name.decode("ascii").lower(), []).append(value.decode("iso-8859-1"))
+        else:
+            self.send_error(431, f"more than {_MAX_FIELDS} header fields")
+            return False
+        if "transfer-encoding" in fields:
+            self.send_error(411, "Transfer-Encoding is not supported; send a Content-Length")
+            return False
+        options = {o.strip().lower() for v in fields.get("connection", ()) for o in v.split(",")}
+        self.close_connection = "close" in options or (
+            version == b"HTTP/1.0" and "keep-alive" not in options
+        )
+        return True
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Every refusal, http.server's own included, as a JSON error body."""
+        self._send(code, _error_body(message or self.responses[code][0]))
+
     def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
+        """The status line, the header fields and the body, in one write."""
         if status >= 400:
             self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if status >= 400:
-            self.send_header("Connection", "close")
-        self.end_headers()
+        self.log_request(status)
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        elif self.request_version == "HTTP/1.0":
+            head += "Connection: keep-alive\r\n"
         try:
-            self.wfile.write(body)
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 
@@ -75,16 +156,16 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         if self.path != "/analyze":
             self._send(404, _error_body("not found"))
             return
-        content_type = self.headers.get("Content-Type")
-        if content_type is not None and not content_type.strip().lower().startswith("text/"):
+        content_type = self.fields.get("content-type", [None])[0]
+        if content_type is not None and not content_type.lower().startswith("text/"):
             self._send(400, _error_body(f"content type must be text/*, got {content_type!r}"))
             return
         # RFC 9110 8.6: exactly one field of 1*DIGIT; int() alone would also
         # take "+33", "3_3" and surrounding Unicode space
-        fields = self.headers.get_all("Content-Length", ["0"])
-        value = fields[0].strip(" \t")
+        lengths = self.fields.get("content-length", ["0"])
+        value = lengths[0]
         try:
-            length = int(value) if len(fields) == 1 and value.isascii() and value.isdigit() else -1
+            length = int(value) if len(lengths) == 1 and value.isascii() and value.isdigit() else -1
         except ValueError:  # more digits than int() converts
             length = -1
         if length < 0:
@@ -93,6 +174,10 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         if length > self.max_bytes:
             self._send(413, _error_body(f"body exceeds the {self.max_bytes}-byte cap"))
             return
+        if length and self.request_version == "HTTP/1.1" and any(
+            v.lower() == "100-continue" for v in self.fields.get("expect", ())
+        ):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length) if length else b""
         if not raw.strip():
             self._send(400, _error_body("empty body"))

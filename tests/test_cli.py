@@ -876,6 +876,21 @@ def corrupt_model(rec: dict, corruption: str) -> None:
         rec["fallback"]["w"][0][0] = True  # w[True] = v would write every weight
     elif corruption == "normalized-not-a-boolean":
         payload["normalized"] = "false"  # a non-empty string is truthy
+    # numbers written as strings or booleans, which float() or numpy would take
+    elif corruption == "bias-a-string":
+        payload["b"] = "nan"
+    elif corruption == "coef-a-string":
+        payload["coef"][0] = "1.0"
+    elif corruption == "lambda-a-string":
+        payload["lambda"] = "0.4"
+    elif corruption == "kkt-violation-a-string":
+        payload["kkt_violation"] = "nan"
+    elif corruption == "support-idx-a-string":
+        payload["support_idx"][0] = str(payload["support_idx"][0])
+    elif corruption == "fallback-weight-a-string":
+        rec["fallback"]["w"][0][1] = "inf"
+    elif corruption == "fallback-bias-a-boolean":
+        rec["fallback"]["b"] = True
 
 
 MODEL_CORRUPTIONS = [
@@ -896,6 +911,13 @@ MODEL_CORRUPTIONS = [
     "vocabulary-index-gaps",
     "weight-index-true",
     "normalized-not-a-boolean",
+    "bias-a-string",
+    "coef-a-string",
+    "lambda-a-string",
+    "kkt-violation-a-string",
+    "support-idx-a-string",
+    "fallback-weight-a-string",
+    "fallback-bias-a-boolean",
 ]
 
 
@@ -933,6 +955,24 @@ class TestMalformedModelFile:
 def test_predict_with_chain_shapes_unlike_its_labels_exits_3(tmp_path, capsys):
     rec = json.loads((FIXTURES / "planted_chain_model_golden.json").read_text(encoding="utf-8"))
     rec["payload"].update(transitions=[[0.0, 1.0]], start=[0.0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec), encoding="utf-8")
+    doc = plain_copy(FIXTURES / "planted" / "doc00.txt", tmp_path)
+    assert main(["predict", "--model", str(bad), "--input", str(doc)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        pytest.param({"transitions": [[0.0, "nan"], [0.0, 0.0]]}, id="transition-a-string"),
+        pytest.param({"start": ["0.5", 0.0]}, id="start-a-string"),
+        pytest.param({"start": [False, 0.0]}, id="start-a-boolean"),
+    ],
+)
+def test_predict_with_a_chain_number_not_a_json_number_exits_3(update, tmp_path, capsys):
+    rec = json.loads((FIXTURES / "planted_chain_model_golden.json").read_text(encoding="utf-8"))
+    rec["payload"].update(update)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rec), encoding="utf-8")
     doc = plain_copy(FIXTURES / "planted" / "doc00.txt", tmp_path)
@@ -1212,6 +1252,9 @@ FAULT_TABLE = [
     # a model file with a non-finite number
     pytest.param(["predict", "--model", "{tmp}/nan_b.json", "--input", "{doc}"], 3, id="predict-nan-model"),
     pytest.param(["serve", "--model", "{tmp}/nan_b.json", "--port", "0"], 3, id="serve-nan-model"),
+    # a model number written as a string
+    pytest.param(["predict", "--model", "{tmp}/string_b.json", "--input", "{doc}"], 3, id="predict-string-b-model"),
+    pytest.param(["serve", "--model", "{tmp}/string_b.json", "--port", "0"], 3, id="serve-string-b-model"),
     # a model file nested deeper than the JSON decoder recurses
     pytest.param(["predict", "--model", "{tmp}/deep.json", "--input", "{doc}"], 3, id="predict-deep-model"),
     pytest.param(["serve", "--model", "{tmp}/deep.json", "--port", "0"], 3, id="serve-deep-model"),
@@ -1243,6 +1286,8 @@ def test_fault_exit_code_table(argv, expected, planted_model, tmp_path, monkeypa
     (tmp_path / "two_groups.txt").write_text("(S (W a))\n\n(S (W b))\n", encoding="utf-8")
     nan_b = re.sub(r'"b":[^,}]+', '"b":NaN', planted_model.read_text(encoding="utf-8"), count=1)
     (tmp_path / "nan_b.json").write_text(nan_b, encoding="utf-8")
+    string_b = re.sub(r'"b":[^,}]+', '"b":"nan"', planted_model.read_text(encoding="utf-8"), count=1)
+    (tmp_path / "string_b.json").write_text(string_b, encoding="utf-8")
     places = {
         "fx": str(FIXTURES),
         "tmp": str(tmp_path),

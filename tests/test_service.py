@@ -4,6 +4,7 @@ import contextlib
 import http.client
 import json
 import socket
+import socketserver
 import threading
 import time
 import urllib.error
@@ -189,6 +190,168 @@ class TestAnalyze:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda b: _post(server, b), bodies))
         assert results == expected
+
+
+def _read_answer(sock: socket.socket) -> tuple[int, dict[str, str], bytes]:
+    """Status, header fields (lower-cased names) and body of the next answer
+    on ``sock``, read up to its Content-Length."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise AssertionError(f"connection closed mid-answer: {data!r}")
+        data += chunk
+    head, body = data.split(b"\r\n\r\n", 1)
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    fields = {name.lower(): value.strip() for name, value in (line.split(":", 1) for line in lines)}
+    while len(body) < int(fields["content-length"]):
+        body += sock.recv(65536)
+    return int(status_line.split(" ", 2)[1]), fields, body
+
+
+def _closed(sock: socket.socket) -> bool:
+    """Whether the server has closed ``sock``: the next read finds the end."""
+    return sock.recv(1) == b""
+
+
+@contextlib.contextmanager
+def _connection(server):
+    with socket.create_connection(("127.0.0.1", server.server_address[1]), timeout=10) as sock:
+        yield sock
+
+
+def _request(method: str, path: str, body: bytes = b"", version: str = "HTTP/1.1", fields: str = "") -> bytes:
+    head = f"{method} {path} {version}\r\nHost: localhost\r\n{fields}"
+    if body:
+        head += f"Content-Type: text/plain\r\nContent-Length: {len(body)}\r\n"
+    return head.encode("latin-1") + b"\r\n" + body
+
+
+BODY = b"The provider may terminate the account at any time."
+
+
+class TestRequestHead:
+    """The handler's own request-head parser: the limits and codes of
+    http.server, RFC 9112's field syntax, and a JSON body on every refusal."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            pytest.param(b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n", 414, id="request-line-too-long"),
+            pytest.param(_request("GET", "/health", fields="X-Long: " + "y" * 65536 + "\r\n"), 431,
+                         id="header-line-too-long"),
+            pytest.param(_request("GET", "/health", fields="X-Many: y\r\n" * 100), 431, id="101-header-fields"),
+            pytest.param(_request("PUT", "/analyze", BODY), 501, id="unsupported-method"),
+            pytest.param(_request("POST", "/analyze", fields="Transfer-Encoding: chunked\r\n")
+                         + b"%x\r\n%s\r\n0\r\n\r\n" % (len(BODY), BODY), 411, id="chunked-body"),
+            pytest.param(_request("GET", "/health", fields="No colon here\r\n"), 400, id="field-without-colon"),
+            pytest.param(_request("GET", "/health", fields="Accept : */*\r\n"), 400,
+                         id="whitespace-before-colon"),
+            pytest.param(_request("GET", "/health", fields="Accept: text/plain,\r\n */*\r\n"), 400,
+                         id="obs-fold"),
+            pytest.param(_request("GET", "/health", fields="Accept: a\x00b\r\n"), 400, id="nul-in-value"),
+            pytest.param(_request("GET", "/health", version="HTTP/2.0"), 505, id="http-2.0"),
+            pytest.param(_request("GET", "/health", version="HTTP/1.2"), 505, id="http-1.2"),
+            pytest.param(_request("GET", "/health", version="HTTP/1.1x"), 400, id="bad-version"),
+            pytest.param(b"GET /health\r\n\r\n", 400, id="no-version"),
+        ],
+    )
+    def test_refusal_is_json_and_closes(self, server, request_bytes, status):
+        with _connection(server) as sock:
+            sock.sendall(request_bytes)
+            got, fields, body = _read_answer(sock)
+            assert (got, fields["content-type"], fields["connection"]) == (status, "application/json", "close")
+            assert set(json.loads(body)) == {"error"}
+            assert _closed(sock)
+
+    def test_a_hundred_header_fields_are_served(self, server):
+        with _connection(server) as sock:
+            # http.server itself took 99, counting the blank line as a field
+            sock.sendall(_request("GET", "/health", fields="X-Many: y\r\n" * 99))  # and Host
+            assert _read_answer(sock)[0] == 200
+
+    def test_no_request_reaches_the_email_header_parser(self, server, monkeypatch):
+        def parse_headers(*args, **kwargs):
+            raise AssertionError("http.client.parse_headers read a request head")
+
+        monkeypatch.setattr(http.client, "parse_headers", parse_headers)
+        with _connection(server) as sock:  # a raw client: http.client would parse the answers
+            for request in (_request("POST", "/analyze", BODY), _request("GET", "/health")):
+                sock.sendall(request)
+                assert _read_answer(sock)[0] == 200
+
+    def test_each_answer_leaves_in_one_write(self, server, monkeypatch):
+        writes = []
+        real_write = socketserver._SocketWriter.write
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return real_write(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", write)
+        with _connection(server) as sock:
+            answers = []
+            for request in (_request("POST", "/analyze", BODY), _request("GET", "/health"),
+                            _request("GET", "/nope")):
+                sock.sendall(request)
+                answers.append(_read_answer(sock))
+        assert [a[0] for a in answers] == [200, 200, 404]
+        assert len(writes) == 3
+        for data, (_, _, body) in zip(writes, answers):
+            assert data.startswith(b"HTTP/1.1 ") and data.endswith(b"\r\n\r\n" + body)
+
+
+class TestConnections:
+    def test_http_1_1_keeps_the_connection_alive(self, server):
+        with _connection(server) as sock:
+            for _ in range(3):
+                sock.sendall(_request("POST", "/analyze", BODY))
+                status, fields, _ = _read_answer(sock)
+                assert status == 200 and "connection" not in fields
+
+    def test_http_1_1_closes_when_asked(self, server):
+        with _connection(server) as sock:
+            sock.sendall(_request("GET", "/health", fields="Connection: close\r\n"))
+            status, fields, _ = _read_answer(sock)
+            assert (status, fields["connection"]) == (200, "close")
+            assert _closed(sock)
+
+    def test_http_1_0_closes_the_connection(self, server):
+        with _connection(server) as sock:
+            sock.sendall(_request("POST", "/analyze", BODY, version="HTTP/1.0"))
+            status, fields, _ = _read_answer(sock)
+            assert (status, fields["connection"]) == (200, "close")
+            assert _closed(sock)
+
+    def test_http_1_0_keeps_alive_on_request(self, server):
+        with _connection(server) as sock:
+            for _ in range(2):
+                sock.sendall(_request("POST", "/analyze", BODY, "HTTP/1.0", "Connection: keep-alive\r\n"))
+                status, fields, _ = _read_answer(sock)
+                assert (status, fields["connection"]) == (200, "keep-alive")
+
+    def test_expect_100_continue(self, server):
+        expected = _post(server, BODY)
+        with _connection(server) as sock:
+            request = _request("POST", "/analyze", BODY, fields="Expect: 100-continue\r\n")
+            head = request[: -len(BODY)]
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(BODY)
+            status, _, body = _read_answer(sock)
+        assert (status, body) == expected
+
+    def test_silent_connection_is_closed_and_others_are_served(self, server, monkeypatch):
+        assert service.AnalyzeHandler.timeout == 30.0
+        monkeypatch.setattr(service.AnalyzeHandler, "timeout", 0.2)
+        with _connection(server) as silent:
+            start = time.perf_counter()
+            assert _post(server, BODY)[0] == 200
+            assert _closed(silent)
+            assert time.perf_counter() - start < 5.0
 
 
 def test_kernel_model_without_fallback_answers_400(mini_kernel_model_without_fallback):
