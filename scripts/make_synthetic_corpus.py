@@ -16,7 +16,8 @@ model's support alphas, and ``planted_predict_<kind>_golden.json``, the
 ``predict`` stdout of those three models on the first ``planted`` document's
 plain text, which pins the emitted score bytes.  The kernel model predicts
 from a one-group sidecar holding that document's trees, so its golden pins
-kernel rows, not the linear fallback.
+kernel rows; ``planted_predict_kernel-sstk-fallback_golden.json`` is its
+``predict`` stdout without the sidecar, which pins the linear fallback.
 
     python scripts/make_synthetic_corpus.py [--root DIR]
 """
@@ -48,6 +49,16 @@ LOO_GOLDEN_SEED = 7
 MODEL_GOLDENS = {"linear-bow": "planted_linear_model_golden.json",
                  "chain": "planted_chain_model_golden.json",
                  "kernel-sstk": "planted_kernel-sstk_model_golden.json"}
+
+
+def predict_stdout(argv: list[str]) -> bytes:
+    """The bytes ``predict`` writes to stdout's byte buffer."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        if cli_main(argv) != 0:
+            raise SystemExit(f"predict failed: {' '.join(argv)}")
+    out.flush()
+    return out.buffer.getvalue()
 
 
 def main() -> int:
@@ -97,15 +108,11 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 if cli_main(argv) != 0:
                     raise SystemExit(f"train failed: {kind} on planted")
-            # predict writes its JSON to stdout's byte buffer
-            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
             argv = ["predict", "--model", str(model), "--input", str(text)]
-            argv += ["--trees", str(sidecar)] if trees else []
-            with contextlib.redirect_stdout(out):
-                if cli_main(argv) != 0:
-                    raise SystemExit(f"predict failed: {kind} on {first.name}")
-            out.flush()
-            (root / f"planted_predict_{kind}_golden.json").write_bytes(out.buffer.getvalue())
+            golden = root / f"planted_predict_{kind}_golden.json"
+            golden.write_bytes(predict_stdout(argv + (["--trees", str(sidecar)] if trees else [])))
+            if trees:  # the same model without trees scores with its linear fallback
+                (root / f"planted_predict_{kind}-fallback_golden.json").write_bytes(predict_stdout(argv))
 
     for name in CORPORA:
         corpus = load_corpus(root / name)

@@ -1,22 +1,26 @@
 """The one prediction path behind predict, the service and LOO evaluation.
 
 :func:`decide` scores one document's sentences from their kernel rows or
-else their TF-IDF rows.  A :class:`Predictor` makes those rows from text, with
-a kernel bundle's support trees compiled once: :func:`features.vectorize_all`
-counts the text's terms straight into the vocabulary's columns, with no term
-table.  A LOO fold reads the rows from its corpus table instead, bit for bit
-the same.  The front ends serialize results with :func:`result_json`, so
-their outputs agree byte for byte.
+else their TF-IDF rows, and :func:`_verdicts` turns the scores into
+analyses.  A LOO fold reads the rows from its corpus table as one batch.  A
+:class:`Predictor` makes them from text, with a kernel bundle's support trees
+compiled once.  A linear scorer (linear-bow, each category-ovr model, a
+kernel bundle's fallback) scores text in Python floats, with no numpy call:
+:func:`features.tfidf_rows` weights each sentence's row, and each score adds
+``w[c] * x`` to ``0.0`` left to right, then ``b``, the bits of
+:func:`svm.predict_linear` on the batch.  The front ends serialize results
+with :func:`result_json`, so their outputs agree byte for byte.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import seqmodel, svm, treekernel
 from .corpus import Sentence, segment_sentences
-from .features import MissingTree, Rows, vectorize_all
+from .features import DimensionMismatch, MissingTree, Rows, tfidf_rows, vectorize_all
 from .modelio import ModelBundle, canonical_json_bytes
 from .trees import ParseTree
 
@@ -43,6 +47,56 @@ class TreeAlignmentError(ValueError):
     pass
 
 
+def _linear_models(bundle: ModelBundle) -> dict[str, svm.LinearModel] | None:
+    """The linear models that score a bundle's TF-IDF rows, by score name: one
+    per category for category-ovr, or a kernel bundle's embedded fallback.
+    None for the chain and for a kernel bundle with no fallback."""
+    if bundle.kind == "category-ovr":
+        return {cat.symbol: m for cat, m in bundle.model.items()}
+    if bundle.kind == "linear-bow":
+        return {"detection": bundle.model}
+    if bundle.kind == "kernel-sstk" and bundle.fallback is not None:
+        return {"detection": bundle.fallback}
+    return None
+
+
+def _verdicts(
+    bundle: ModelBundle,
+    sentences: Sequence[Sentence],
+    score_maps: Sequence[dict[str, float]],
+    flags: Sequence[bool] | None = None,
+) -> tuple[list[SentenceAnalysis], list[str]]:
+    """Analyses of the sentences of one document from their scores, and any
+    warnings.
+
+    ``flags`` are the decisions of a model that makes its own: the kernel
+    SVM's signs, the chain's Viterbi labels.  Without them the scores are
+    linear: a sentence is flagged when any of its scores is >= 0, a
+    category-ovr sentence lists the categories that are, and a kernel bundle
+    warns that it fell back to its embedded linear model.
+    """
+    warnings: list[str] = []
+    categories: list[list[str]] = [[] for _ in sentences]
+    if flags is None:
+        flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
+        if bundle.kind == "category-ovr":
+            categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]
+        elif bundle.kind == "kernel-sstk":
+            warnings.append("no parse trees supplied; fell back to the embedded linear model")
+    analyses = [
+        SentenceAnalysis(
+            text=sent.text,
+            start=sent.start,
+            end=sent.end,
+            detection=flag,
+            scores=sm,
+            categories=cats,
+        )
+        for sent, flag, sm, cats in zip(sentences, flags, score_maps, categories)
+    ]
+    return analyses, warnings
+
+
 def decide(
     bundle: ModelBundle,
     sentences: Sequence[Sentence],
@@ -58,59 +112,44 @@ def decide(
     with a warning) flag a sentence at ``w.x + b >= 0``; the chain model
     decodes the whole document with Viterbi.
     """
-    warnings: list[str] = []
-    categories: list[list[str]] = [[] for _ in sentences]
     if kernel_rows is not None:
         scores = svm.predict_kernel(bundle.model, kernel_rows)
-        flags = [s >= 0.0 for s in scores]
-        score_maps = [{"detection": s} for s in scores]
-    elif bundle.kind == "chain":
+        return _verdicts(bundle, sentences, [{"detection": s} for s in scores], [s >= 0.0 for s in scores])
+    if bundle.kind == "chain":
         lattice = seqmodel._lattice(bundle.model, X) if len(X) else []
         flags = [y == 1 for y in seqmodel._decode(bundle.model, lattice)[0]] if lattice else []
         # informational only: the decoded lattice's emission gap, ignoring transitions
-        score_maps = [{"detection": e[1] - e[0]} for e in lattice]
-    else:
-        if bundle.kind == "category-ovr":
-            linear = {cat.symbol: m for cat, m in bundle.model.items()}
-        elif bundle.kind == "linear-bow":
-            linear = {"detection": bundle.model}
-        elif bundle.fallback is None:
-            raise MissingTree("kernel model has no linear fallback and no trees were supplied")
-        else:
-            warnings.append("no parse trees supplied; fell back to the embedded linear model")
-            linear = {"detection": bundle.fallback}
-        scores = {name: svm.predict_linear(m, X) for name, m in linear.items()}
-        score_maps = [{name: s[i] for name, s in scores.items()} for i in range(len(X))]
-        flags = [any(s >= 0.0 for s in sm.values()) for sm in score_maps]
-        if bundle.kind == "category-ovr":
-            categories = [sorted(sym for sym, s in sm.items() if s >= 0.0) for sm in score_maps]
-    analyses = [
-        SentenceAnalysis(
-            text=sent.text,
-            start=sent.start,
-            end=sent.end,
-            detection=flag,
-            scores=sm,
-            categories=cats,
-        )
-        for sent, flag, sm, cats in zip(sentences, flags, score_maps, categories)
-    ]
-    return analyses, warnings
+        return _verdicts(bundle, sentences, [{"detection": e[1] - e[0]} for e in lattice], flags)
+    linear = _linear_models(bundle)
+    if linear is None:
+        raise MissingTree("kernel model has no linear fallback and no trees were supplied")
+    scores = {name: svm.predict_linear(m, X) for name, m in linear.items()}
+    return _verdicts(bundle, sentences, [{name: s[i] for name, s in scores.items()} for i in range(len(X))])
 
 
 class Predictor:
     """A model bundle compiled for prediction: a kernel bundle's support
-    trees and the vocabulary's term index are built here, once, so that
+    trees, the vocabulary's term index and IDF floats, and each linear
+    scorer's weights as an ``array('d')`` are built here, once, so that
     threads may share the Predictor and no request pays for them."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.kind = bundle.kind
-        bundle.vocabulary._index
+        vocab = bundle.vocabulary
+        vocab._index, vocab._idf_floats
         self.support: treekernel.CompiledTrees | None = None
         if bundle.kind == "kernel-sstk":
             model = bundle.model
             self.support = treekernel.CompiledTrees(model.support_trees, model.lam, model.normalized)
+        # (score name, weights, bias) of each linear scorer, or None
+        self.scorers: list[tuple[str, array, float]] | None = None
+        linear = _linear_models(bundle)
+        if linear is not None:
+            for m in linear.values():
+                if m.dim != vocab.size:
+                    raise DimensionMismatch(f"input dim {vocab.size} != weights dim {m.dim}")
+            self.scorers = [(name, array("d", m.w.tolist()), float(m.b)) for name, m in linear.items()]
 
     def predict(
         self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None
@@ -127,8 +166,19 @@ class Predictor:
             )
         if self.support is not None and trees is not None:
             return decide(self.bundle, sentences, None, self.support.rows(trees))
-        X = vectorize_all(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
-        return decide(self.bundle, sentences, X)
+        vocab, config = self.bundle.vocabulary, self.bundle.feature_config
+        if self.scorers is None:  # the chain, or a kernel bundle with no fallback
+            return decide(self.bundle, sentences, vectorize_all(sentences, trees, vocab, config))
+        score_maps = []
+        for cols, weights in tfidf_rows(sentences, trees, vocab, config):
+            scores = {}
+            for name, w, b in self.scorers:
+                dot = 0.0
+                for c, x in zip(cols, weights):
+                    dot += w[c] * x
+                scores[name] = dot + b
+            score_maps.append(scores)
+        return _verdicts(self.bundle, sentences, score_maps)
 
     def analyze(self, text: str, trees: Sequence[ParseTree] | None = None) -> AnalysisResult:
         """Segment a plain-text document and predict its sentences."""

@@ -3,14 +3,20 @@
 The "document" unit for document frequency is the sentence, since the
 classification unit is the sentence.  Term namespaces keep word n-grams
 ("w1:", "w2:", ...) and POS tags ("p:") from colliding in one vocabulary.
+
+LOO folds weight rows of one :class:`TermTable` as array operations.  Text
+scored under a saved model goes through :func:`tfidf_rows`, which weights
+each sentence's row in Python floats, with no table and no numpy call, and
+gives the same bits as a table would.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +98,8 @@ class Vocabulary:
     Indices are assigned in lexicographic term order so the mapping does not
     depend on input ordering.  A vocabulary taken from a :class:`TermTable`
     holds the table's kept term ids and their df as arrays; its term tuple,
-    df tuple and term -> index dict are built only when read: to save or
-    compare it, or to vectorize text with :func:`vectorize_all`.
+    df tuple, term -> index dict and IDF floats are built only when read: to
+    save or compare it, or to vectorize text with :func:`tfidf_rows`.
     """
 
     def __init__(self, terms: Sequence[str], df: Sequence[int], n_fit: int):
@@ -130,6 +136,11 @@ class Vocabulary:
     @functools.cached_property
     def _index(self) -> dict[str, int]:
         return dict(zip(self.terms, range(self.size)))
+
+    @functools.cached_property
+    def _idf_floats(self) -> array:
+        """``_idf`` as an ``array('d')``, whose items index as Python floats."""
+        return array("d", self._idf.tolist())
 
     @property
     def size(self) -> int:
@@ -203,7 +214,7 @@ class TermTable:
     its df, IDF, vocabulary, column map and weights from its rows as array
     operations over the term ids; no fold touches a term string.  A table
     vectorizes only under its own vocabularies: text scored under a saved
-    model goes through :func:`vectorize_all`, which builds no table.
+    model goes through :func:`tfidf_rows`, which builds no table.
     """
 
     def __init__(self, sentences: Sequence, trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
@@ -285,27 +296,49 @@ def build_vocabulary(
     return TermTable(sentences, trees, config).vocabulary()
 
 
+def tfidf_rows(
+    sentences: Sequence,
+    trees: Sequence[ParseTree | None] | None,
+    vocab: Vocabulary,
+    config: FeatureConfig,
+) -> list[tuple[list[int], list[float]]]:
+    """Each sentence's L2-normalized TF-IDF row (:func:`_tfidf`) as its
+    columns, increasing, and their weights, in Python floats and bit for bit
+    its row in a :class:`TermTable`: ``tf * idf`` of each term found in
+    ``vocab``, each divided by the ``math.sqrt`` of the squares added to
+    ``0.0`` left to right, as :meth:`Rows.row_sums` adds them.  The loop is
+    explicit: the builtin ``sum`` compensates its additions from Python 3.12."""
+    if config.use_pos and trees is None:
+        raise MissingTree("POS features enabled but no trees supplied")
+    index, idf, log_tf = vocab._index, vocab._idf_floats, config.log_tf
+    rows: list[tuple[list[int], list[float]]] = []
+    for r, s in enumerate(sentences):
+        counts: dict[int, int] = {}
+        for c in map(index.get, extract_terms(s, trees[r] if trees is not None else None, config)):
+            if c is not None:
+                counts[c] = counts.get(c, 0) + 1
+        cols = sorted(counts)
+        if log_tf:
+            weights = [(1.0 + math.log(counts[c])) * idf[c] for c in cols]
+        else:
+            weights = [counts[c] * idf[c] for c in cols]
+        squares = 0.0
+        for x in weights:
+            squares += x * x
+        norm = math.sqrt(squares)
+        rows.append((cols, [x / norm for x in weights]))
+    return rows
+
+
 def vectorize_all(
     sentences: Sequence,
     trees: Sequence[ParseTree | None] | None,
     vocab: Vocabulary,
     config: FeatureConfig,
 ) -> Rows:
-    """L2-normalized TF-IDF rows (:func:`_tfidf`) of ``sentences``, bit for
-    bit their rows in a :class:`TermTable`, built with no table: each term
-    found in ``vocab`` is keyed ``row * V + column``, one ``Counter`` counts
-    the keys, and the sorted distinct keys are the entries in row order."""
-    if config.use_pos and trees is None:
-        raise MissingTree("POS features enabled but no trees supplied")
-    index, V = vocab._index, vocab.size
-    keys: list[int] = []
-    for r, s in enumerate(sentences):
-        base = r * V
-        terms = extract_terms(s, trees[r] if trees is not None else None, config)
-        keys.extend([base + c for c in map(index.get, terms) if c is not None])
-    counts = Counter(keys)
-    distinct = sorted(counts)
-    key = np.array(distinct, dtype=np.int64)
-    indptr = np.searchsorted(key, np.arange(len(sentences) + 1) * V)
-    tf = _tf(np.array(list(map(counts.__getitem__, distinct)), dtype=np.int64), config)
-    return _tfidf(indptr, key % max(V, 1), tf, vocab)  # V == 0 leaves no key
+    """The rows of :func:`tfidf_rows` packed into one batch."""
+    rows = tfidf_rows(sentences, trees, vocab, config)
+    indptr = np.cumsum(np.array([0] + [len(cols) for cols, _ in rows], dtype=np.int64))
+    indices = np.fromiter(chain.from_iterable(cols for cols, _ in rows), np.int64, indptr[-1])
+    data = np.fromiter(chain.from_iterable(weights for _, weights in rows), np.float64, indptr[-1])
+    return Rows(indptr, indices, data, vocab.size)

@@ -12,13 +12,16 @@ refusal has a JSON body: 400 for a malformed request line or header field,
 411 for a Transfer-Encoding, 413 for a body over the cap, 414 and 431 for a
 request or header line over 65,536 bytes or more than 100 header fields, 501
 for a method other than GET or POST, and 505 for an HTTP version other than
-1.0 and 1.1.  A connection with nothing to read for 30 s is closed.
+1.0 and 1.1.  A connection with nothing to read for 30 s is closed.  The
+Date field is formatted once a second, not once an answer.
 """
 
 from __future__ import annotations
 
+import email.utils
 import logging
 import re
+import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -55,9 +58,24 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
     # set by make_server
     predictor: Predictor = None  # type: ignore[assignment]
     max_bytes: int = DEFAULT_MAX_BYTES
+    # the second of the last Date field and its text, swapped in one assignment
+    _date: tuple[int, str] = (-1, "")
 
     def log_message(self, fmt: str, *args) -> None:  # route to logging, not stderr
         log.debug("%s " + fmt, self.address_string(), *args)
+
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        """The Date field for now, formatted once a second: the text
+        ``email.utils.formatdate`` gives for the current second, which the
+        handler threads share."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        now = int(time.time())
+        second, text = AnalyzeHandler._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            AnalyzeHandler._date = (now, text)
+        return text
 
     def parse_request(self) -> bool:
         """Read the request line in ``raw_requestline`` and the header fields

@@ -233,11 +233,18 @@ class TestTrainCommand:
         assert out.read_bytes() == (FIXTURES / "planted_kernel-sstk_model_golden.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "kind,model", [("linear-bow", "linear"), ("chain", "chain"), ("kernel-sstk", "kernel-sstk")]
+        "kind,model",
+        [
+            ("linear-bow", "linear"),
+            ("chain", "chain"),
+            ("kernel-sstk", "kernel-sstk"),
+            ("kernel-sstk-fallback", "kernel-sstk"),
+        ],
     )
     def test_predict_matches_the_pinned_golden(self, kind, model, planted_corpus, tmp_path, capsysbinary):
         # written by scripts/make_synthetic_corpus.py; pins the emitted score
-        # bytes, for the kernel model those of its kernel rows
+        # bytes, for the kernel model those of its kernel rows and, without
+        # trees, those of its linear fallback
         text = tmp_path / "first.txt"
         text.write_text(planted_corpus.documents[0].plain_text, encoding="utf-8")
         model_file = FIXTURES / f"planted_{model}_model_golden.json"

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import email.utils
 import http.client
+import itertools
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
 import urllib.error
@@ -299,6 +302,61 @@ class TestRequestHead:
         assert len(writes) == 3
         for data, (_, _, body) in zip(writes, answers):
             assert data.startswith(b"HTTP/1.1 ") and data.endswith(b"\r\n\r\n" + body)
+
+
+def test_the_date_field_is_formatted_once_a_second(server, monkeypatch):
+    formatted = []
+    real_formatdate = email.utils.formatdate
+
+    def formatdate(timeval=None, localtime=False, usegmt=False):
+        formatted.append(timeval)
+        return real_formatdate(timeval, localtime, usegmt)
+
+    clock = [1_700_000_000.25]
+    monkeypatch.setattr(time, "time", lambda: clock[0])
+    monkeypatch.setattr(email.utils, "formatdate", formatdate)
+    dates = []
+    with _connection(server) as sock:
+        for now in (1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.5):
+            clock[0] = now
+            sock.sendall(_request("POST", "/analyze", BODY))
+            status, fields, _ = _read_answer(sock)
+            assert status == 200
+            dates.append(fields["date"])
+    assert dates[0] == dates[1] == real_formatdate(1_700_000_000, usegmt=True)
+    assert dates[2] == real_formatdate(1_700_000_001, usegmt=True)
+    assert formatted == [1_700_000_000, 1_700_000_001]
+
+
+def test_threads_sharing_the_date_field_each_get_their_own_second(monkeypatch):
+    # every call reads a later second; a torn or stale cache would answer
+    # with a second outside the window its thread saw
+    seconds = itertools.count(1_700_000_000)
+    monkeypatch.setattr(time, "time", lambda: float(next(seconds)))
+    handler = service.AnalyzeHandler.__new__(service.AnalyzeHandler)
+    wrong = []
+
+    def hammer():
+        for _ in range(300):
+            before = next(seconds)
+            text = handler.date_time_string()
+            after = next(seconds)
+            second = int(email.utils.parsedate_to_datetime(text).timestamp())
+            if not before < second < after or text != email.utils.formatdate(second, usegmt=True):
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 class TestConnections:
