@@ -1,15 +1,14 @@
 """The one prediction path behind predict, the service and LOO evaluation.
 
-:func:`decide` scores one document's sentences from their kernel rows or
-else their TF-IDF rows, and :func:`_verdicts` turns the scores into
-analyses.  A LOO fold reads the rows from its corpus table as one batch.  A
-:class:`Predictor` makes them from text, with a kernel bundle's support trees
-compiled once.  A linear scorer (linear-bow, each category-ovr model, a
-kernel bundle's fallback) scores text in Python floats, with no numpy call:
-:func:`features.tfidf_rows` weights each sentence's row, and each score adds
-``w[c] * x`` to ``0.0`` left to right, then ``b``, the bits of
-:func:`svm.predict_linear` on the batch.  The front ends serialize results
-with :func:`result_json`, so their outputs agree byte for byte.
+:func:`decide` turns one document's kernel rows, or its TF-IDF rows as the
+``(columns, weights)`` lists of :func:`features.tfidf_rows`, into analyses.
+A bundle compiles to ``(name, weights, bias)`` scorers (:func:`_scorers`),
+which score TF-IDF rows in Python floats: a linear model's scores become
+verdicts, and a chain's per-label scores are the lattice it decodes.  A LOO
+fold reads its rows from its corpus table; a :class:`Predictor` makes them
+from text, with its scorers and a kernel bundle's support trees compiled
+once.  The front ends serialize results with :func:`result_json`, so their
+outputs agree byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Sequence
 
 from . import seqmodel, svm, treekernel
 from .corpus import Sentence, segment_sentences
-from .features import DimensionMismatch, MissingTree, Rows, tfidf_rows, vectorize_all
+from .features import DimensionMismatch, MissingTree, tfidf_rows
 from .modelio import ModelBundle, canonical_json_bytes
 from .trees import ParseTree
 
@@ -47,17 +46,31 @@ class TreeAlignmentError(ValueError):
     pass
 
 
-def _linear_models(bundle: ModelBundle) -> dict[str, svm.LinearModel] | None:
-    """The linear models that score a bundle's TF-IDF rows, by score name: one
-    per category for category-ovr, or a kernel bundle's embedded fallback.
-    None for the chain and for a kernel bundle with no fallback."""
-    if bundle.kind == "category-ovr":
-        return {cat.symbol: m for cat, m in bundle.model.items()}
-    if bundle.kind == "linear-bow":
-        return {"detection": bundle.model}
-    if bundle.kind == "kernel-sstk" and bundle.fallback is not None:
-        return {"detection": bundle.fallback}
-    return None
+# (score name, weights, bias); the weights index as Python floats
+Scorer = tuple[str, array, float]
+
+
+def _scorers(bundle: ModelBundle) -> list[Scorer] | None:
+    """The scorers of a bundle's TF-IDF rows: one per category for
+    category-ovr, one per label with bias ``0.0`` for the chain, the model
+    itself for linear-bow and a kernel bundle's embedded fallback.  None for
+    a kernel bundle with no fallback."""
+    kind, model = bundle.kind, bundle.model
+    if kind == "category-ovr":
+        named = [(cat.symbol, m.w, m.b) for cat, m in model.items()]
+    elif kind == "chain":
+        named = [(label, w, 0.0) for label, w in zip(model.labels, model.emissions)]
+    else:
+        linear = model if kind == "linear-bow" else bundle.fallback
+        if linear is None:
+            return None
+        named = [("detection", linear.w, linear.b)]
+    size = bundle.vocabulary.size
+    for _, w, _ in named:
+        if len(w) != size:
+            raise DimensionMismatch(f"input dim {size} != weights dim {len(w)}")
+    # from the bytes: a tolist() would box every weight first, on every fold
+    return [(name, array("d", w.astype(float, copy=False).tobytes()), float(b)) for name, w, b in named]
 
 
 def _verdicts(
@@ -100,38 +113,51 @@ def _verdicts(
 def decide(
     bundle: ModelBundle,
     sentences: Sequence[Sentence],
-    X: Rows | None,
+    rows: Sequence[tuple[list[int], list[float]]] | None,
     kernel_rows: Sequence[Sequence[float]] | None = None,
+    scorers: Sequence[Scorer] | None = None,
 ) -> tuple[list[SentenceAnalysis], list[str]]:
     """Analyses of the sentences of one document, and any warnings.
 
     A kernel model scores ``kernel_rows``, each sentence's kernel values
-    against the support set in support order.  Otherwise ``X`` holds the
-    sentences' TF-IDF rows under the bundle's vocabulary: linear models (one
-    per category for ``category-ovr``, or a kernel model's embedded fallback,
-    with a warning) flag a sentence at ``w.x + b >= 0``; the chain model
-    decodes the whole document with Viterbi.
+    against the support set in support order.  Otherwise the bundle's
+    ``scorers`` (compiled here if not given) score ``rows``, the sentences'
+    TF-IDF rows under its vocabulary.  Linear models (one per category for
+    ``category-ovr``, or a kernel model's embedded fallback, with a warning)
+    flag a sentence at ``w.x + b >= 0``; the chain decodes the document
+    with Viterbi over its per-label scores.
     """
     if kernel_rows is not None:
         scores = svm.predict_kernel(bundle.model, kernel_rows)
         return _verdicts(bundle, sentences, [{"detection": s} for s in scores], [s >= 0.0 for s in scores])
+    if scorers is None:
+        scorers = _scorers(bundle)
+        if scorers is None:
+            raise MissingTree("kernel model has no linear fallback and no trees were supplied")
+    # each row's scores in scorer order: w[c] * x added to 0.0 left to right,
+    # then b; not the builtin sum, which compensates from Python 3.12
+    lattice = []
+    for cols, xs in rows:
+        scores = []
+        for _, w, b in scorers:
+            dot = 0.0
+            for c, x in zip(cols, xs):
+                dot += w[c] * x
+            scores.append(dot + b)
+        lattice.append(scores)
     if bundle.kind == "chain":
-        lattice = seqmodel._lattice(bundle.model, X) if len(X) else []
         flags = [y == 1 for y in seqmodel._decode(bundle.model, lattice)[0]] if lattice else []
         # informational only: the decoded lattice's emission gap, ignoring transitions
         return _verdicts(bundle, sentences, [{"detection": e[1] - e[0]} for e in lattice], flags)
-    linear = _linear_models(bundle)
-    if linear is None:
-        raise MissingTree("kernel model has no linear fallback and no trees were supplied")
-    scores = {name: svm.predict_linear(m, X) for name, m in linear.items()}
-    return _verdicts(bundle, sentences, [{name: s[i] for name, s in scores.items()} for i in range(len(X))])
+    names = [name for name, _, _ in scorers]
+    return _verdicts(bundle, sentences, [dict(zip(names, scores)) for scores in lattice])
 
 
 class Predictor:
-    """A model bundle compiled for prediction: a kernel bundle's support
-    trees, the vocabulary's term index and IDF floats, and each linear
-    scorer's weights as an ``array('d')`` are built here, once, so that
-    threads may share the Predictor and no request pays for them."""
+    """A model bundle compiled for prediction: its scorers, the vocabulary's
+    term index and IDF floats, and a kernel bundle's support trees are built
+    here, once, so that threads may share the Predictor and no request pays
+    for them."""
 
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
@@ -142,14 +168,7 @@ class Predictor:
         if bundle.kind == "kernel-sstk":
             model = bundle.model
             self.support = treekernel.CompiledTrees(model.support_trees, model.lam, model.normalized)
-        # (score name, weights, bias) of each linear scorer, or None
-        self.scorers: list[tuple[str, array, float]] | None = None
-        linear = _linear_models(bundle)
-        if linear is not None:
-            for m in linear.values():
-                if m.dim != vocab.size:
-                    raise DimensionMismatch(f"input dim {vocab.size} != weights dim {m.dim}")
-            self.scorers = [(name, array("d", m.w.tolist()), float(m.b)) for name, m in linear.items()]
+        self.scorers = _scorers(bundle)  # None for a kernel bundle with no fallback
 
     def predict(
         self, sentences: Sequence[Sentence], trees: Sequence[ParseTree] | None = None
@@ -166,19 +185,8 @@ class Predictor:
             )
         if self.support is not None and trees is not None:
             return decide(self.bundle, sentences, None, self.support.rows(trees))
-        vocab, config = self.bundle.vocabulary, self.bundle.feature_config
-        if self.scorers is None:  # the chain, or a kernel bundle with no fallback
-            return decide(self.bundle, sentences, vectorize_all(sentences, trees, vocab, config))
-        score_maps = []
-        for cols, weights in tfidf_rows(sentences, trees, vocab, config):
-            scores = {}
-            for name, w, b in self.scorers:
-                dot = 0.0
-                for c, x in zip(cols, weights):
-                    dot += w[c] * x
-                scores[name] = dot + b
-            score_maps.append(scores)
-        return _verdicts(self.bundle, sentences, score_maps)
+        rows = tfidf_rows(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
+        return decide(self.bundle, sentences, rows, scorers=self.scorers)
 
     def analyze(self, text: str, trees: Sequence[ParseTree] | None = None) -> AnalysisResult:
         """Segment a plain-text document and predict its sentences."""

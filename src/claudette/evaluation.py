@@ -257,7 +257,10 @@ def run_detection_eval(
             kernel_rows = table.gram.matrix[np.ix_(held_rows, support_rows)]
             analyses, _ = decide(bundle, sentences, None, kernel_rows)
         else:
-            analyses, _ = decide(bundle, sentences, table.terms.vectorize(bundle.vocabulary, held_rows))
+            X = table.terms.vectorize(bundle.vocabulary, held_rows)
+            bounds, cols, weights = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
+            rows = [(cols[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
+            analyses, _ = decide(bundle, sentences, rows)
         gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
         pred = [
             SentenceVerdict(

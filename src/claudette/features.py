@@ -7,7 +7,8 @@ classification unit is the sentence.  Term namespaces keep word n-grams
 LOO folds weight rows of one :class:`TermTable` as array operations.  Text
 scored under a saved model goes through :func:`tfidf_rows`, which weights
 each sentence's row in Python floats, with no table and no numpy call, and
-gives the same bits as a table would.
+gives the same bits as a table would.  Either way :func:`analyze.decide`
+scores a document's rows as ``(columns, weights)`` lists.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +82,7 @@ class Rows:
         """Each row's ``values`` (one per entry) added to ``0.0`` left to right,
         ``0.0`` for an empty row: one bincount, which adds in input order, over
         ``row_of_entry``, each entry's row, built once per batch.  Every pinned
-        sparse row sum goes through here, so none depends on the BLAS kernel."""
+        row sum of a batch goes through here, so none depends on the BLAS kernel."""
         return np.bincount(self.row_of_entry, values, len(self))
 
     def dot(self, w: np.ndarray) -> list[float]:
@@ -329,16 +329,3 @@ def tfidf_rows(
         rows.append((cols, [x / norm for x in weights]))
     return rows
 
-
-def vectorize_all(
-    sentences: Sequence,
-    trees: Sequence[ParseTree | None] | None,
-    vocab: Vocabulary,
-    config: FeatureConfig,
-) -> Rows:
-    """The rows of :func:`tfidf_rows` packed into one batch."""
-    rows = tfidf_rows(sentences, trees, vocab, config)
-    indptr = np.cumsum(np.array([0] + [len(cols) for cols, _ in rows], dtype=np.int64))
-    indices = np.fromiter(chain.from_iterable(cols for cols, _ in rows), np.int64, indptr[-1])
-    data = np.fromiter(chain.from_iterable(weights for _, weights in rows), np.float64, indptr[-1])
-    return Rows(indptr, indices, data, vocab.size)

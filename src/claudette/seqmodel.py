@@ -5,11 +5,16 @@ A document is scored as
     score(xs, ys) = start[y_1] + sum_t emission[y_t] . x_t
                     + sum_{t>=2} transition[y_{t-1}, y_t]
 
-Decoding is Viterbi; training minimizes the margin-rescaled structured hinge
-(Hamming loss) by stochastic subgradient with averaged weights.  Ties during
-decoding are broken by preferring the lower label index at each backtrack
-step, which selects the optimal sequence whose reversed label tuple is
-lexicographically smallest.
+Decoding is Viterbi (:func:`_decode`); training minimizes the
+margin-rescaled structured hinge (Hamming loss) by stochastic subgradient with
+averaged weights.  Ties during decoding are broken by preferring the lower
+label index at each backtrack step, which selects the optimal sequence whose
+reversed label tuple is lexicographically smallest.
+
+Training builds each document's loss-augmented lattice with numpy from a
+plan made once per call (:func:`_lattice`).  Prediction builds its lattice
+with :mod:`analyze`'s Python-float scorers, one per label, which add the same
+products in the same order, and decodes it with the same :func:`_decode`.
 """
 
 from __future__ import annotations
@@ -68,13 +73,6 @@ class ChainModel:
         return cls.over(labels, np.zeros(len(labels) * (dim + len(labels) + 1)))
 
 
-def _check_sequence(model: ChainModel, xs: Rows) -> None:
-    if not len(xs):
-        raise EmptyData("empty sequence")
-    if xs.dim != model.dim:
-        raise DimensionMismatch(f"vector dim {xs.dim} != model dim {model.dim}")
-
-
 @dataclass(frozen=True)
 class _Plan:
     """A document's lattice index arrays for a label count, and its margin
@@ -105,22 +103,16 @@ def _plan(xs: Rows, n_labels: int, gold: Sequence[int] | None = None) -> _Plan:
     )
 
 
-def _lattice(
-    model: ChainModel, xs: Rows, gold: Sequence[int] | None = None, plan: _Plan | None = None
-) -> list[list[float]]:
-    """Emission scores, one list of L floats per position, from one 1-D
-    ``take`` of the plan's flat index from the flattened weights (a view for
-    C-ordered ones), one multiply by its values and one bincount over its keys
-    ``label * T + row``.  bincount adds in input order, so each emission is
-    ``0.0`` plus its row's products left to right in column order (``0.0``
-    for an empty row), whatever the weights' memory layout or the BLAS.
-    With a gold path one add then puts in the margin loss: ``+ 1.0`` off
-    gold, ``+ 0.0`` on gold.  Without ``plan`` the sequence is checked and its
-    plan built here for ``gold``; a plan carries its own (checked) gold path."""
+def _lattice(model: ChainModel, xs: Rows, plan: _Plan) -> list[list[float]]:
+    """Emission scores of document ``xs``, one list of L floats per position,
+    from one 1-D ``take`` of the plan's flat index from the flattened weights
+    (a view for C-ordered ones), one multiply by its values and one bincount
+    over its keys ``label * T + row``.  bincount adds in input order, so each
+    emission is ``0.0`` plus its row's products left to right in column order
+    (``0.0`` for an empty row), whatever the weights' memory layout or the
+    BLAS.  A plan with a gold path then puts in the margin loss with one add:
+    ``+ 1.0`` off gold, ``+ 0.0`` on gold."""
     T, L = len(xs), model.n_labels
-    if plan is None:
-        _check_sequence(model, xs)
-        plan = _plan(xs, L, gold)
     products = model.emissions.reshape(-1).take(plan.flat)
     products *= plan.values
     scores = np.bincount(plan.keys, products, L * T).reshape(L, T).T
@@ -252,7 +244,7 @@ def train_chain(
             weights *= 1.0 - eta * lam_reg  # = 1 - 1/t
 
             ex, plan = examples[j], plans[j]
-            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan=plan), ex.ys)
+            y_hat, aug_score, gold_score = _decode(model, _lattice(model, ex.xs, plan), ex.ys)
             if aug_score > gold_score:
                 _apply_update(model, ex, y_hat, eta)
 

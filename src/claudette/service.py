@@ -8,12 +8,13 @@ identical responses.  Connections are kept alive, with Nagle's algorithm off.
 
 The handler reads a request's head itself, in one pass (RFC 9112), and sends
 each answer, status line, header fields and body, in one write.  Every
-refusal has a JSON body: 400 for a malformed request line or header field,
-411 for a Transfer-Encoding, 413 for a body over the cap, 414 and 431 for a
-request or header line over 65,536 bytes or more than 100 header fields, 501
-for a method other than GET or POST, and 505 for an HTTP version other than
-1.0 and 1.1.  A connection with nothing to read for 30 s is closed.  The
-Date field is formatted once a second, not once an answer.
+refusal has a JSON body: 400 for a malformed request line or header field or
+a body shorter than its Content-Length, 411 for a Transfer-Encoding, 413 for
+a body over the cap, 414 and 431 for a request or header line over 65,536
+bytes or more than 100 header fields, 501 for a method other than GET or
+POST, and 505 for an HTTP version other than 1.0 and 1.1.  A connection with
+nothing to read for 30 s is closed.  The Date field is formatted once a
+second, not once an answer.
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         ):
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:  # the client stopped sending early
+            self._send(400, _error_body("body shorter than Content-Length"))
+            return
         if not raw.strip():
             self._send(400, _error_body("empty body"))
             return

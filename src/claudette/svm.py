@@ -188,12 +188,6 @@ def train_linear(X: Rows, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
     return LinearModel(w=w, b=float(w_b), warning=warning)
 
 
-def predict_linear(model: LinearModel, X: Rows) -> list[float]:
-    """Decision score w.x + b of every row; the predicted label is +1 iff
-    score >= 0."""
-    return [s + model.b for s in X.dot(model.w)]
-
-
 def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainConfig) -> KernelModel:
     """Kernel SVM dual solved by SMO with maximal-violating-pair selection.
 

@@ -27,8 +27,8 @@ from claudette.corpus import (
     _line_col,
     load_corpus,
 )
-from claudette.features import Rows, extract_terms
-from claudette.svm import KernelModel, box_constraints, predict_linear
+from claudette.features import Rows, extract_terms, tfidf_rows
+from claudette.svm import DimensionMismatch, EmptyData, KernelModel, LinearModel, box_constraints
 from claudette.treekernel import CompiledTrees, enumerate_fragments_oracle
 from claudette.trees import MAX_DEPTH, EmptyNode, ParseTree, TrailingInput, TreeTooDeep, UnbalancedParens
 
@@ -243,10 +243,39 @@ def brute_force_best(model, E: np.ndarray):
     return list(winner), best_score
 
 
+def vectorize_all(sentences, trees, vocab, config) -> Rows:
+    """The rows of ``features.tfidf_rows`` packed into one numpy batch: the
+    reference that the parity tests compare a table's rows and a
+    ``Predictor``'s scores against."""
+    rows = tfidf_rows(sentences, trees, vocab, config)
+    indptr = np.cumsum(np.array([0] + [len(cols) for cols, _ in rows], dtype=np.int64))
+    indices = np.fromiter(chain.from_iterable(cols for cols, _ in rows), np.int64, indptr[-1])
+    data = np.fromiter(chain.from_iterable(weights for _, weights in rows), np.float64, indptr[-1])
+    return Rows(indptr, indices, data, vocab.size)
+
+
+def predict_linear(model: LinearModel, X: Rows) -> list[float]:
+    """Decision score ``w.x + b`` of every row of the batch, through
+    ``Rows.dot``: the numpy reference of the scores ``analyze.decide`` adds
+    in Python floats."""
+    return [s + model.b for s in X.dot(model.w)]
+
+
+def chain_lattice(model, xs: Rows, gold=None) -> list[list[float]]:
+    """``seqmodel._lattice`` of ``xs`` over its plan for ``gold`` (margin
+    loss included), after checking the sequence: an empty one is
+    ``EmptyData``, a dim other than the model's ``DimensionMismatch``."""
+    if not len(xs):
+        raise EmptyData("empty sequence")
+    if xs.dim != model.dim:
+        raise DimensionMismatch(f"vector dim {xs.dim} != model dim {model.dim}")
+    return seqmodel._lattice(model, xs, seqmodel._plan(xs, model.n_labels, gold))
+
+
 def viterbi(model, xs: Rows) -> tuple[list[int], float]:
     """The highest-scoring label sequence of ``xs`` and its score, from the
     decoder that prediction runs."""
-    return seqmodel._decode(model, seqmodel._lattice(model, xs))[:2]
+    return seqmodel._decode(model, chain_lattice(model, xs))[:2]
 
 
 def structured_objective(model, examples, C: float) -> float:
@@ -260,7 +289,7 @@ def structured_objective(model, examples, C: float) -> float:
     )
     hinge = 0.0
     for ex in examples:
-        _, aug, gold = seqmodel._decode(model, seqmodel._lattice(model, ex.xs, ex.ys), ex.ys)
+        _, aug, gold = seqmodel._decode(model, chain_lattice(model, ex.xs, ex.ys), ex.ys)
         hinge += max(0.0, aug - gold)
     return reg + C * hinge
 
@@ -268,7 +297,7 @@ def structured_objective(model, examples, C: float) -> float:
 def loss_augmented_decode(model, xs: Rows, gold):
     """The trainer's loss-augmented Viterbi pass, over the lattice that holds
     the margin loss: best path and its score."""
-    return seqmodel._decode(model, seqmodel._lattice(model, xs, gold), gold)[:2]
+    return seqmodel._decode(model, chain_lattice(model, xs, gold), gold)[:2]
 
 
 def sstk(t1: ParseTree, t2: ParseTree, lam: float) -> float:

@@ -25,6 +25,7 @@ from conftest import (
     loss_augmented_decode,
     loss_lattice,
     per_row_emissions,
+    predict_linear,
     rows_from_pairs,
     sstk,
     viterbi,
@@ -46,7 +47,7 @@ from claudette.features import FeatureConfig
 from claudette.modelio import CorpusTable, canonical_json_bytes, load_model
 from claudette.seqmodel import ChainModel
 from claudette.service import make_server
-from claudette.svm import TrainConfig, predict_linear, train_linear, train_smo
+from claudette.svm import TrainConfig, train_linear, train_smo
 from claudette.treekernel import KernelGram, random_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -1,5 +1,6 @@
-"""Text scored by a linear scorer in Python floats against :func:`decide` on
-the numpy batch: the same analyses, the same bits."""
+"""Text scored by a :class:`Predictor` in Python floats against the numpy
+reference on the batch (``vectorize_all``, then ``predict_linear``, or the
+chain's numpy lattice and ``_decode``): the same analyses, the same bits."""
 
 from __future__ import annotations
 
@@ -10,11 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claudette import features, svm
-from claudette.analyze import Predictor, decide
+from conftest import predict_linear, vectorize_all
+
+from claudette import features, seqmodel, svm
+from claudette.analyze import Predictor, _verdicts
 from claudette.corpus import ClauseCategory, load_corpus, segment_sentences
-from claudette.features import FeatureConfig, MissingTree, Vocabulary, vectorize_all
+from claudette.features import FeatureConfig, MissingTree, Vocabulary
 from claudette.modelio import CorpusTable, ModelBundle, fit
+from claudette.seqmodel import ChainModel
 from claudette.svm import LinearModel, TrainConfig
 from claudette.trees import load_treebank
 
@@ -27,7 +31,7 @@ CONFIGS = {
     "ngrams-1-2-3": FeatureConfig(ngram_orders=(1, 2, 3)),
     "use_pos": FeatureConfig(use_pos=True),
 }
-KINDS = ("linear-bow", "category-ovr", "kernel-sstk")
+KINDS = ("linear-bow", "category-ovr", "kernel-sstk", "chain")
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,12 +42,12 @@ def corpus_with_trees(name: str):
 
 @functools.lru_cache(maxsize=None)
 def bundles(name: str, config: str) -> dict[str, ModelBundle]:
-    """The three linear scorers' bundles fitted on corpus ``name``; the
-    kernel bundle carries the linear-bow model as its fallback, as ``train``
-    attaches it."""
+    """The bundles of every kind fitted on corpus ``name``; the kernel
+    bundle carries the linear-bow model as its fallback, as ``train``
+    attaches it, and the chain trains at the larger C it wants."""
     corpus, treebank = corpus_with_trees(name)
     table = CorpusTable(corpus.documents, treebank, CONFIGS[config])
-    fitted = {kind: fit(kind, table, TrainConfig(seed=7)) for kind in KINDS}
+    fitted = {kind: fit(kind, table, TrainConfig(seed=7, C=10.0 if kind == "chain" else 1.0)) for kind in KINDS}
     fitted["kernel-sstk"].fallback = fitted["linear-bow"].model
     return fitted
 
@@ -55,7 +59,26 @@ def linear_models(bundle: ModelBundle) -> dict[str, LinearModel]:
 
 
 def batch_decision(bundle: ModelBundle, sentences, trees=None):
-    return decide(bundle, sentences, vectorize_all(sentences, trees, bundle.vocabulary, bundle.feature_config))
+    """The analyses from the numpy batch: each linear model's
+    ``predict_linear``, or the chain's lattice from its plan, decoded."""
+    X = vectorize_all(sentences, trees, bundle.vocabulary, bundle.feature_config)
+    if bundle.kind == "chain":
+        model = bundle.model
+        lattice = seqmodel._lattice(model, X, seqmodel._plan(X, model.n_labels)) if len(X) else []
+        # a bincount over no products at all counts in int64: the same zeros
+        lattice = [[float(e) for e in row] for row in lattice]
+        flags = [y == 1 for y in seqmodel._decode(model, lattice)[0]] if lattice else []
+        return _verdicts(bundle, sentences, [{"detection": e[1] - e[0]} for e in lattice], flags)
+    scores = {name: predict_linear(m, X) for name, m in linear_models(bundle).items()}
+    return _verdicts(bundle, sentences, [{name: s[i] for name, s in scores.items()} for i in range(len(X))])
+
+
+def empty_row_scores(bundle: ModelBundle) -> dict[str, float]:
+    """The scores of a row with no vocabulary term: each linear model's
+    ``b``, or the chain's emission gap ``0.0 - 0.0``."""
+    if bundle.kind == "chain":
+        return {"detection": 0.0}
+    return {name: m.b for name, m in linear_models(bundle).items()}
 
 
 def same(got, want) -> bool:
@@ -94,7 +117,7 @@ def test_a_sentence_with_no_vocabulary_term_scores_exactly_b(kind):
     assert len(X) == 2 and X.indptr[1] == X.indptr[2] > 0
     got = Predictor(bundle).predict(sentences)
     assert same(got, batch_decision(bundle, sentences))
-    assert got[0][1].scores == {name: m.b for name, m in linear_models(bundle).items()}
+    assert got[0][1].scores == empty_row_scores(bundle)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -106,15 +129,19 @@ def test_an_empty_vocabulary_scores_every_sentence_b(kind):
         scorer = {"model": empty}
     elif kind == "linear-bow":
         scorer = {"model": empty[ClauseCategory.JURISDICTION]}
+    elif kind == "chain":
+        chain = fitted.model
+        scorer = {"model": ChainModel(chain.labels, np.zeros((chain.n_labels, 0)), chain.transitions, chain.start)}
     else:
         scorer = {"fallback": empty[ClauseCategory.ARBITRATION]}
     bundle = dataclasses.replace(fitted, vocabulary=Vocabulary((), (), 5), **scorer)
     sentences = segment_sentences("The provider may terminate the account. Another sentence here.")
     got = Predictor(bundle).predict(sentences)
     assert same(got, batch_decision(bundle, sentences))
-    want = {name: m.b for name, m in linear_models(bundle).items()}
+    want = empty_row_scores(bundle)
     assert [a.scores for a in got[0]] == [want, want]
-    assert any(a.detection for a in got[0]) == (max(want.values()) >= 0.0)
+    if kind != "chain":  # the chain's flags come from its transitions
+        assert any(a.detection for a in got[0]) == (max(want.values()) >= 0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -133,7 +160,9 @@ def test_linear_text_requests_make_no_numpy_call(kind, monkeypatch):
     predictor = Predictor(bundle)
     text = (FIXTURES / "mini" / "alpha.txt").read_text(encoding="utf-8")
     want = predictor.analyze(text)
-    # vectorize_all, Rows and predict_linear reach numpy through these names
+    # the numpy batch paths (TermTable, Rows, the chain's training lattice)
+    # reach numpy through these names
     monkeypatch.setattr(features, "np", None)
     monkeypatch.setattr(svm, "np", None)
+    monkeypatch.setattr(seqmodel, "np", None)
     assert same(predictor.analyze(text), want)

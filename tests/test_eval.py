@@ -4,7 +4,7 @@ import os
 import sys
 
 import pytest
-from conftest import document
+from conftest import document, vectorize_all
 
 from claudette.corpus import (
     ClauseCategory,
@@ -26,7 +26,7 @@ from claudette.evaluation import (
     REFERENCE_CLAUSE_COUNTS,
     REFERENCE_TOTAL_SENTENCES,
 )
-from claudette.features import FeatureConfig, TermTable, vectorize_all
+from claudette.features import FeatureConfig, TermTable
 from claudette.modelio import MODEL_KINDS, CorpusTable, canonical_json_bytes, fit
 from claudette.svm import LengthMismatch, TrainConfig
 from claudette.treekernel import CompiledTrees

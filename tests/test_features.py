@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import left_to_right, reference_term_table, rows_from_pairs
+from conftest import left_to_right, reference_term_table, rows_from_pairs, vectorize_all
 from hypothesis import strategies as st
 
 from claudette.corpus import LabeledSentence, Sentence, tokenize
@@ -21,7 +21,6 @@ from claudette.features import (
     extract_ngrams,
     extract_terms,
     pos_bag,
-    vectorize_all,
 )
 from claudette.modelio import canonical_json_bytes, vocabulary_from_record, vocabulary_record
 from claudette.trees import ParseTree, parse_bracketed

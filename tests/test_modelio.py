@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import per_row_emissions
+from conftest import per_row_emissions, vectorize_all
 
 from claudette import svm
 from claudette.analyze import Predictor, analyze_text, result_json
 from claudette.corpus import ClauseCategory, load_corpus, segment_sentences
-from claudette.features import FeatureConfig, Vocabulary, vectorize_all
+from claudette.features import FeatureConfig, Vocabulary
 from claudette.modelio import (
     MODEL_KINDS,
     CorpusTable,

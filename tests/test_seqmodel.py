@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_best,
+    chain_lattice,
     lattice_path_score,
     loss_augmented_decode,
     loss_lattice,
@@ -298,7 +299,7 @@ class TestEmissions:
             idx = np.sort(rng.choice(dim, n, replace=False))
             xs.append(list(zip(idx.tolist(), rng.normal(size=n))))
         xs = rows_from_pairs(xs, dim)
-        E = np.array(seqmodel._lattice(model, xs))
+        E = np.array(chain_lattice(model, xs))
         assert (E == per_row_emissions(model, xs)).all()
         assert (E[[1, 4]] == 0.0).all()
         gold = [0, 1, 2, 0, 1, 2]
@@ -315,12 +316,13 @@ class TestEmissions:
         want = per_row_emissions(model, xs)
         if gold is not None:
             want = loss_lattice(want, gold)  # -0.0 on gold becomes 0.0
-        got = [[bits(e) for e in row] for row in seqmodel._lattice(model, xs, gold)]
+        plan = seqmodel._plan(xs, model.n_labels, gold)
+        got = [[bits(e) for e in row] for row in seqmodel._lattice(model, xs, plan)]
         assert got == [[bits(e) for e in row] for row in want.tolist()]
 
     def test_entry_points_check_the_sequence(self):
         model = ChainModel.zeros(["n", "p"], 2)
-        for call in (seqmodel._lattice, viterbi, lambda m, xs: loss_augmented_decode(m, xs, [0] * len(xs))):
+        for call in (viterbi, lambda m, xs: loss_augmented_decode(m, xs, [0] * len(xs))):
             with pytest.raises(DimensionMismatch):
                 call(model, rows_from_pairs([unit(0)], 3))
             with pytest.raises(EmptyData):
@@ -711,7 +713,7 @@ class TestTrainingDecode:
         want_ys, want_plain = numpy_decode(model, E)
         assert (plain_ys, bits(plain), no_gold) == (want_ys, bits(want_plain), None)
         # the public entry points, on the lattice the trainer computes
-        ys, aug, gold_score = seqmodel._decode(model, seqmodel._lattice(model, xs, gold), gold)
+        ys, aug, gold_score = seqmodel._decode(model, chain_lattice(model, xs, gold), gold)
         E_aug = loss_lattice(per_row_emissions(model, xs), gold)
         want_ys, want_aug = numpy_decode(model, E_aug)
         assert (ys, bits(aug)) == (want_ys, bits(want_aug))

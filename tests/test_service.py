@@ -267,6 +267,15 @@ class TestRequestHead:
             assert set(json.loads(body)) == {"error"}
             assert _closed(sock)
 
+    def test_a_body_shorter_than_its_content_length_is_refused(self, server):
+        with _connection(server) as sock:
+            sock.sendall(_request("POST", "/analyze", fields="Content-Length: 500\r\n") + BODY[:27])
+            sock.shutdown(socket.SHUT_WR)  # 27 of the 500 bytes, and no more
+            got, fields, body = _read_answer(sock)
+            assert (got, fields["content-type"], fields["connection"]) == (400, "application/json", "close")
+            assert json.loads(body) == {"error": "body shorter than Content-Length"}
+            assert _closed(sock)
+
     def test_a_hundred_header_fields_are_served(self, server):
         with _connection(server) as sock:
             # http.server itself took 99, counting the blank line as a field

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     left_to_right,
     linear_objective,
+    predict_linear,
     recomputed_kkt_violation,
     reference_train_smo,
     row_dots,
@@ -26,7 +27,6 @@ from claudette.svm import (
     TrainConfig,
     box_constraints,
     predict_kernel,
-    predict_linear,
     train_linear,
     train_smo,
 )
