@@ -162,8 +162,8 @@ class Predictor:
     def __init__(self, bundle: ModelBundle):
         self.bundle = bundle
         self.kind = bundle.kind
-        vocab = bundle.vocabulary
-        vocab._index, vocab._idf_floats
+        if bundle.vocabulary is not None:
+            bundle.vocabulary._index, bundle.vocabulary._idf_floats
         self.support: treekernel.CompiledTrees | None = None
         if bundle.kind == "kernel-sstk":
             model = bundle.model
@@ -185,6 +185,8 @@ class Predictor:
             )
         if self.support is not None and trees is not None:
             return decide(self.bundle, sentences, None, self.support.rows(trees))
+        if self.scorers is None:
+            raise MissingTree("kernel model has no linear fallback and no trees were supplied")
         rows = tfidf_rows(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
         return decide(self.bundle, sentences, rows, scorers=self.scorers)
 

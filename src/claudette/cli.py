@@ -167,7 +167,7 @@ def _fail(message: str, code: int) -> int:
 USAGE_FAULTS = (UsageError, ConfigFileError, EmptyCorpus, OSError)
 DATA_FAULTS = (CorpusError, TreeParseError, TreeBankMismatch, ModelFormatError, MissingTreebank,
                TreeAlignmentError, MissingTree, evaluation.TooFewDocuments, svm.EmptyData,
-               svm.SingleClass, treekernel.DegenerateTree, InputError)
+               svm.SingleClass, treekernel.DegenerateTree, treekernel.TooManyPairs, InputError)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,9 @@ def _train_bundle(args: argparse.Namespace, settings: RunSettings) -> ModelBundl
         corpus.documents, treebank, settings.feature_config, settings.lam, settings.kernel_normalize
     )
     bundle = fit(kind, table, settings.train_config)
-    if kind == "kernel-sstk":
-        bundle.fallback = fit("linear-bow", table, settings.train_config).model
+    if kind == "kernel-sstk":  # the kernel fit builds no terms; its fallback brings them
+        linear = fit("linear-bow", table, settings.train_config)
+        bundle.vocabulary, bundle.fallback = linear.vocabulary, linear.model
     bundle.metadata["task"] = args.task
     bundle.metadata["corpus_fingerprint"] = corpus_fingerprint(args.corpus)
     return bundle

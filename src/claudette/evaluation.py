@@ -119,7 +119,11 @@ class MetricsReport:
         scored = [c for c in self.categories.values() if not c.vacuous]
         if not scored:
             return 0.0
-        return sum(c.f1 for c in scored) / len(scored)
+        # added left to right: the builtin sum compensates from Python 3.12
+        total = 0.0
+        for c in scored:
+            total += c.f1
+        return total / len(scored)
 
     def add(self, other: "MetricsReport") -> None:
         self.detection.tp += other.detection.tp
@@ -230,20 +234,23 @@ def run_detection_eval(
     Each fold is fitted by :func:`fit_detection_fold`, as ``train`` fits,
     and its held-out document scored by :func:`decide`, as ``predict`` and
     ``serve`` score.  ``category-ovr`` models also score the categories.
-    Every sentence's terms and, for kernel models, the corpus Gram are
-    computed once, in one :class:`CorpusTable`.  A fold reads from it the
-    held-out TF-IDF rows under its vocabulary, or their kernel rows against
-    its support set, which equal a :class:`Predictor`'s bit for bit.  The
-    table, and the Gram of a kernel run, are built before the folds are
-    forked into at most ``len(os.sched_getaffinity(0))`` processes.
+    Every sentence's terms or, for kernel models, the corpus Gram are
+    computed once, in one :class:`CorpusTable`; a kernel run builds no terms
+    and no vocabulary.  A fold reads from it the held-out TF-IDF rows under
+    its vocabulary, or their kernel rows against its support set, which
+    equal a :class:`Predictor`'s bit for bit.  The terms, or the Gram of a
+    kernel run, are built before the folds are forked into at most
+    ``len(os.sched_getaffinity(0))`` processes.
     """
     table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
     splits = make_loo_splits(corpus)
+    # built before the fork, so that every worker reads this one
     if model_kind == "kernel-sstk":
-        # built before the fork, so that every worker reads this one; a missing
-        # tree fails here as it would in the first fold's fit
+        # a missing tree fails here as it would in the first fold's fit
         with _naming_fold(splits[0]):
             table.gram
+    else:
+        table.terms
 
     def fold_report(fold: FoldSplit) -> MetricsReport:
         # a function, so the fold's model is freed before the next one is fitted

@@ -85,12 +85,6 @@ class Rows:
         row sum of a batch goes through here, so none depends on the BLAS kernel."""
         return np.bincount(self.row_of_entry, values, len(self))
 
-    def dot(self, w: np.ndarray) -> list[float]:
-        """``w . x`` of every row: one gather, one multiply, :meth:`row_sums`."""
-        if w.shape[0] != self.dim:
-            raise DimensionMismatch(f"input dim {self.dim} != weights dim {w.shape[0]}")
-        return self.row_sums(w[self.indices] * self.data).tolist()
-
 
 class Vocabulary:
     """Immutable term -> dense index map with per-term document frequencies.

@@ -269,7 +269,7 @@ def _codec(kind: str):
 class ModelBundle:
     kind: str
     feature_config: FeatureConfig
-    vocabulary: Vocabulary
+    vocabulary: Vocabulary | None  # None only for a kernel-sstk bundle with no fallback
     model: LinearModel | KernelModel | ChainModel | dict[ClauseCategory, LinearModel]
     metadata: dict = field(default_factory=dict)
     # present only for kernel-sstk: a linear fallback used when no tree is available
@@ -280,10 +280,13 @@ class ModelBundle:
             "format_version": FORMAT_VERSION,
             "kind": self.kind,
             "feature_config": feature_config_record(self.feature_config),
-            "vocabulary": vocabulary_record(self.vocabulary),
             "payload": _codec(self.kind)[0](self.model),
             "metadata": self.metadata,
         }
+        if self.vocabulary is not None:
+            rec["vocabulary"] = vocabulary_record(self.vocabulary)
+        elif self.kind != "kernel-sstk" or self.fallback is not None:
+            raise ModelFormatError("only a kernel model without a linear fallback may lack a vocabulary")
         if self.fallback is not None:
             rec["fallback"] = linear_payload(self.fallback)
         return rec
@@ -338,9 +341,12 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
         raise ModelFormatError(f"unknown model kind {kind!r}")
     if payload["kind"] != {"linear-bow": "linear", "kernel-sstk": "kernel"}.get(kind, kind):
         raise ModelFormatError(f"payload kind {payload['kind']!r} does not match model kind {kind!r}")
-    vocabulary = vocabulary_from_record(rec["vocabulary"])
-    model = _codec(kind)[1](payload, vocabulary.size)
     fallback = rec.get("fallback")
+    # a kernel model scores kernel rows; only its linear fallback reads a vocabulary
+    vocabulary = None
+    if kind != "kernel-sstk" or fallback is not None or "vocabulary" in rec:
+        vocabulary = vocabulary_from_record(rec["vocabulary"])
+    model = _codec(kind)[1](payload, vocabulary.size if vocabulary is not None else 0)
     return ModelBundle(
         kind=kind,
         feature_config=feature_config_from_record(rec["feature_config"]),
@@ -357,10 +363,11 @@ def _bundle_from_record(rec: dict) -> ModelBundle:
 
 class CorpusTable:
     """The work over a corpus that no fold changes, done once per run: the
-    documents by name, every sentence's terms (a :class:`TermTable` with one
-    row per sentence, in corpus order), the trees in the same order, the tree
-    kernel's ``lam`` and ``normalize``, and the corpus Gram, built on first
-    use."""
+    documents by name, the feature config, the tree kernel's ``lam`` and
+    ``normalize``, and, each built on first use, every sentence's terms (a
+    :class:`TermTable` with one row per sentence, in corpus order), the trees
+    in the same order and the corpus Gram.  A kernel fit reads only the trees
+    and the Gram, so a table used for kernel fits alone builds no terms."""
 
     def __init__(
         self,
@@ -371,18 +378,24 @@ class CorpusTable:
         normalize: bool = True,
     ):
         self.documents = {doc.name: doc for doc in documents}
+        self.feature_config = feature_cfg
         self.lam, self.normalize = lam, normalize
         self._treebank = treebank
-        sentences = [ls for doc in documents for ls in doc.sentences]
         starts = accumulate((len(doc.sentences) for doc in documents), initial=0)
         self._first_row = dict(zip((doc.name for doc in documents), starts))
-        self.terms = TermTable(sentences, self.trees if feature_cfg.use_pos else None, feature_cfg)
 
     def rows(self, names: Sequence[str]) -> np.ndarray:
         """Row numbers of the named documents' sentences in the term table, the
         trees and the Gram, in the order given."""
         spans = [(self._first_row[name], len(self.documents[name].sentences)) for name in names]
         return np.concatenate([np.arange(a, a + n) for a, n in spans] or [np.zeros(0, np.int64)])
+
+    @functools.cached_property
+    def terms(self) -> TermTable:
+        """Every sentence's terms, one row per sentence, in corpus order."""
+        sentences = [ls for doc in self.documents.values() for ls in doc.sentences]
+        trees = self.trees if self.feature_config.use_pos else None
+        return TermTable(sentences, trees, self.feature_config)
 
     @functools.cached_property
     def trees(self) -> list[ParseTree]:
@@ -411,9 +424,10 @@ def fit(
     (all by default).  Only their rows enter the vocabulary and the solver,
     so a fold fitted from a table over the whole corpus equals one fitted from
     a table over its training documents.  Solver warnings stay on the fitted
-    models (see :meth:`ModelBundle.solver_warnings`).  A kernel bundle carries
-    no linear fallback; ``train`` attaches one from a second, ``linear-bow``
-    fit, which is what the kernel bundle's vocabulary serves.
+    models (see :meth:`ModelBundle.solver_warnings`).  A kernel fit reads
+    only the table's trees and Gram, so its bundle has no vocabulary and no
+    linear fallback; ``train`` attaches both from a second, ``linear-bow``
+    fit over the same rows.
     """
     if kind not in MODEL_KINDS:
         raise UnknownModelKind(kind)
@@ -422,7 +436,6 @@ def fit(
     documents = [table.documents[name] for name in names]
     sentences = [ls for doc in documents for ls in doc.sentences]
     rows = table.rows(names)
-    vocab = table.terms.vocabulary(rows)
     y = [1 if ls.detection_label else -1 for ls in sentences]
     metadata = {
         "seed": train_cfg.seed,
@@ -431,12 +444,14 @@ def fit(
         "n_sentences": len(sentences),
     }
 
+    vocab = None
     if kind == "kernel-sstk":
         model = svm.train_smo(table.gram, rows, y, train_cfg)
         model.support_trees = [table.trees[rows[i]] for i in model.support_idx]
         metadata["lambda"] = table.lam
         metadata["kernel_normalize"] = table.normalize
     else:
+        vocab = table.terms.vocabulary(rows)
         X = table.terms.vectorize(vocab, rows)
         if kind == "linear-bow":
             model = svm.train_linear(X, y, train_cfg)
@@ -457,4 +472,4 @@ def fit(
                     examples.append(seqmodel.SeqExample(xs=X[pos : pos + k], ys=ys))
                 pos += k
             model = seqmodel.train_chain(examples, train_cfg, labels=("negative", "positive"))
-    return ModelBundle(kind, table.terms.config, vocab, model, metadata)
+    return ModelBundle(kind, table.feature_config, vocab, model, metadata)

@@ -269,12 +269,14 @@ def train_smo(gram: KernelGram, rows: np.ndarray, y: Sequence[int], cfg: TrainCo
 
 def predict_kernel(model: KernelModel, kernel_rows: Sequence[Sequence[float]]) -> list[float]:
     """Scores sum_i coef_i * K(x, support_i) + b, one per row of the 2-D
-    ``kernel_rows``, each sum taken in support order as a row of
-    :class:`Rows`.  Each row must align with the model's support list.
+    ``kernel_rows``: ``0.0`` plus the products in support order, one rounded
+    add at a time, then ``b``.  Each row must align with the model's support
+    list.
     """
     K = np.asarray(kernel_rows, dtype=np.float64)
     if K.ndim != 2 or K.shape[1] != model.n_support:
         raise LengthMismatch(f"kernel rows of shape {K.shape} but model has {model.n_support} supports")
-    n, m = K.shape
-    rows = Rows(np.arange(n + 1) * m, np.tile(np.arange(m), n), K.reshape(-1), m)
-    return [s + model.b for s in rows.dot(model.coef)]
+    # a running sum along each row, from a leading 0.0 column
+    terms = np.zeros((K.shape[0], K.shape[1] + 1))
+    np.multiply(model.coef, K, out=terms[:, 1:])
+    return (np.add.accumulate(terms, axis=1)[:, -1] + model.b).tolist()

@@ -37,19 +37,25 @@ whole forest at once follows Aiolli, Da San Martino, Sperduti and Moschitti
 (2006, "Fast on-line kernel learning for trees", ICDM).
 
 **One summation order.**  A tree pair's kernel is ``0.0`` plus its deltas
-in ascending order: one ``np.lexsort`` by tree pair, then delta, and one
-``np.bincount``.  A pair's deltas are one multiset whichever tree is the
-query, so ``K(a, b) == K(b, a)`` bit for bit, the Gram is the same bits
-however it is cut into blocks, and a kernel row computed for a tree equals
-the corpus Gram's entries for it, so LOO evaluation reads its held-out rows
-from the Gram.  For positive terms ascending order also has the smallest
-error bound of any order of recursive summation (Higham 1993, "The accuracy
-of floating point summation", SIAM J. Sci. Comput.).
+in ascending order (:func:`_ascending_sums`).  No delta is below ``lam`` and
+a height-0 pair's is exactly ``lam``, so a tree pair's height-0 deltas come
+first; they are counted, not sorted, and their running sum is read from a
+table.  The rest are ordered by tree pair, then delta, with two plain
+argsorts, and one ``np.bincount`` adds it all in that order.  A pair's
+deltas are one multiset whichever tree is the query, so ``K(a, b) == K(b,
+a)`` bit for bit, the Gram is the same bits however it is cut into blocks,
+and a kernel row computed for a tree equals the corpus Gram's entries for
+it, so LOO evaluation reads its held-out rows from the Gram.  For positive
+terms ascending order also has the smallest error bound of any order of
+recursive summation (Higham 1993, "The accuracy of floating point
+summation", SIAM J. Sci. Comput.).
 
 :func:`gram_matrix` cuts the upper triangle into blocks of query trees under
 a fixed pair budget, fills them in forked worker processes and reads the
 self-kernels off its diagonal: one that overflows, or whose square is 0 or
-overflows when normalizing, raises ``DegenerateTree``.
+overflows when normalizing, raises ``DegenerateTree``.  A tree with more
+node pairs than ``MAX_TREE_PAIRS`` raises ``TooManyPairs`` before any block
+is computed.
 :func:`fragment_kernel_rows` enumerates fragments, an independent
 exponential-time route that ``kernel-selftest`` checks a Gram against.
 """
@@ -76,9 +82,20 @@ DEFAULT_LAMBDA = 0.4
 #: the work.
 BLOCK_PAIRS = 8192
 
+#: Node pairs one tree may make with the trees it is scored against.  A
+#: block's arrays peak at about 100 bytes a pair, so this caps a block near
+#: 1.7 GB; a tree over it, such as one node with a few thousand equal
+#: children, is refused with ``TooManyPairs`` before anything is allocated
+#: for its pairs.
+MAX_TREE_PAIRS = 1 << 24
+
 
 class InvalidLambda(ValueError):
     pass
+
+
+class TooManyPairs(ValueError):
+    """A tree whose node pairs pass ``MAX_TREE_PAIRS``."""
 
 
 class DegenerateTree(ValueError):
@@ -118,20 +135,25 @@ def _compile(trees: Sequence[ParseTree], table: dict) -> _Nodes:
     parent: list[int] = []
     children: list[int] = []
     child_ptr, tree_ptr = [0], [0]
+    stack: list = []  # (node, its parent, its slot in children)
+    pop, push, intern = stack.pop, stack.append, table.setdefault
     for tree in trees:
-        stack = [(tree, -1, -1)] if tree.children else []  # (node, its parent, its slot in children)
+        if tree.children:
+            push((tree, -1, -1))
         while stack:
-            node, up, slot = stack.pop()
+            node, up, slot = pop()
             i = len(production)
             if up >= 0:
                 children[slot] = i
             parent.append(up)
             kids = node.children
-            production.append(table.setdefault((node.label, tuple([c.label for c in kids])), len(table)))
+            production.append(intern((node.label, tuple([c.label for c in kids])), len(table)))
             base = len(children)
             children.extend([-1] * len(kids))
             child_ptr.append(len(children))
-            stack.extend([(kids[k], i, base + k) for k in range(len(kids) - 1, -1, -1) if kids[k].children])
+            for k in range(len(kids) - 1, -1, -1):
+                if kids[k].children:
+                    push((kids[k], i, base + k))
         tree_ptr.append(len(production))
     height = [0] * len(production)
     for i in range(len(production) - 1, -1, -1):
@@ -169,6 +191,20 @@ def _matches(queries: _Nodes, q0: int, q1: int, forest: _Nodes, lo: np.ndarray, 
     return first, last
 
 
+def _child_pairs(queries: _Nodes, q: np.ndarray, forest: _Nodes, t: np.ndarray):
+    """The child pairs with equal productions of node pairs ``(q[i], t[i])``,
+    by ``i``, then child order: for each, ``i``, the query child and the
+    forest child."""
+    arity = queries.child_ptr[q + 1] - queries.child_ptr[q]
+    offsets = np.cumsum(arity) - arity
+    k = np.arange(int(arity.sum()))
+    cq = queries.children[k + np.repeat(queries.child_ptr[q] - offsets, arity)]
+    ct = forest.children[k + np.repeat(forest.child_ptr[t] - offsets, arity)]
+    both = np.flatnonzero((cq >= 0) & (ct >= 0))
+    same = both[queries.production[cq[both]] == forest.production[ct[both]]]
+    return np.repeat(np.arange(len(q)), arity)[same], cq[same], ct[same]
+
+
 def _kernel_block(
     queries: _Nodes, q0: int, q1: int, forest: _Nodes, lo: np.ndarray, hi: np.ndarray, lam: float
 ) -> np.ndarray:
@@ -192,53 +228,89 @@ def _kernel_block(
     heights = queries.height[a + order]
     level = np.concatenate(([0], ends))[np.searchsorted(heights, np.arange(heights[-1] + 2))]
 
+    # A pair of height 1 and up multiplies lam by 1 + the delta of each child
+    # pair with equal productions, in child order.  Which child pairs those
+    # are does not depend on any delta, so they are found for all levels at
+    # once; each level, lowest first, then gathers its factors and multiplies.
+    h0 = int(level[1])
+    pair, cq, ct = _child_pairs(queries, owner[h0:] + a, forest, target[h0:])
+    cq -= a
+    child = start[cq] + forest.rank[ct] - first[cq]  # each factor's child pair
+    # lam, then each pair's factors in child order, multiplied left to right
+    per_pair = np.bincount(pair, minlength=total - h0)
+    heads = np.arange(total - h0) + np.cumsum(per_pair) - per_pair
+    seq = np.empty(total - h0 + len(pair))
+    seq[heads] = lam
+    spot = pair + np.arange(1, len(pair) + 1)
+    # where each level from height 1 up starts in the pairs, the factors and seq
+    pairs_at = level[1:].tolist()
+    factors_at = np.searchsorted(pair, level[1:] - h0).tolist()
+    seq_at = np.concatenate((heads, [len(seq)]))[level[1:] - h0].tolist()
+
     delta = np.full(total, lam)  # the pairs at height 0 are done
     # A delta past the double range becomes inf here, silently: the kernels it
     # reaches are refused by _check_normalizable or, unnormalized, by the
     # finiteness checks of gram_matrix's diagonal and of CompiledTrees.rows.
     with np.errstate(over="ignore"):
-        for h in range(1, len(level) - 1):
-            s0, s1 = int(level[h]), int(level[h + 1])
-            if s0 == s1:
+        for h in range(len(pairs_at) - 1):
+            f0, f1 = factors_at[h], factors_at[h + 1]
+            if f0 == f1:
                 continue
-            q, t = owner[s0:s1] + a, target[s0:s1]
-            arity = queries.child_ptr[q + 1] - queries.child_ptr[q]
-            offsets = np.cumsum(arity) - arity
-            k = np.arange(int(arity.sum()))
-            cq = queries.children[k + np.repeat(queries.child_ptr[q] - offsets, arity)]
-            ct = forest.children[k + np.repeat(forest.child_ptr[t] - offsets, arity)]
-            both = np.flatnonzero((cq >= 0) & (ct >= 0))
-            same = queries.production[cq[both]] == forest.production[ct[both]]
-            k, cq, ct = both[same], cq[both[same]] - a, ct[both[same]]
-            if not len(k):
-                continue
-            pair = np.repeat(np.arange(s1 - s0), arity)[k]
-            factors = 1.0 + delta[start[cq] + forest.rank[ct] - first[cq]]
-            # lam, then each pair's factors in child order, multiplied left to right
-            per_pair = np.bincount(pair, minlength=s1 - s0)
-            heads = np.arange(s1 - s0) + np.cumsum(per_pair) - per_pair
-            seq = np.empty(s1 - s0 + len(k))
-            seq[heads] = lam
-            seq[pair + np.arange(1, len(k) + 1)] = factors
-            delta[s0:s1] = np.multiply.reduceat(seq, heads)
+            s0, s1, g0 = pairs_at[h], pairs_at[h + 1], seq_at[h]
+            seq[spot[f0:f1]] = 1.0 + delta[child[f0:f1]]
+            delta[s0:s1] = np.multiply.reduceat(seq[g0 : seq_at[h + 1]], heads[s0 - h0 : s1 - h0] - g0)
 
     r = queries.tree[a + owner] - q0
     key = r * width + forest.tree[target] - lo[r]
-    size = (q1 - q0) * width
-    # each pair's deltas added to 0.0 in ascending order; a sum past the
-    # double range becomes inf here, silently, and is refused as above
-    ascending = np.lexsort((delta, key))
-    out = np.bincount(key[ascending], weights=delta[ascending], minlength=size)
-    return out.reshape(q1 - q0, width)
+    return _ascending_sums(key, delta, h0, (q1 - q0) * width, lam).reshape(q1 - q0, width)
 
 
-def _blocks(queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int]]:
+def _ascending_sums(key: np.ndarray, delta: np.ndarray, h0: int, size: int, lam: float) -> np.ndarray:
+    """Each tree pair's deltas added to ``0.0`` in ascending order, ``out[k]``
+    for the pairs with ``key == k < size``; the first ``h0`` pairs are the
+    height-0 ones.  A sum past the double range becomes inf here, silently:
+    the kernels it reaches are refused as in :func:`_kernel_block`.
+
+    No delta is below ``lam``, and a height-0 delta is exactly ``lam``, so a
+    tree pair's ``c`` height-0 deltas come first, and their running sum is
+    ``flat[c - 1]``: one ``bincount`` counts them, and they are not sorted.
+    The other pairs follow by tree pair, then delta: two plain argsorts,
+    since the combined keys are distinct and any sort gives their one order
+    (equal deltas may swap, which adds the same bits).  A block holds at most
+    ``MAX_TREE_PAIRS`` (2**24) pairs and ``key < size``, so ``key * m +
+    rank < size * 2**24`` stays below 2**63 unless ``out``, ``size``
+    doubles, passes 4 TiB."""
+    count = np.bincount(key[:h0], minlength=size)
+    held = np.flatnonzero(count)
+    flat = np.add.accumulate(np.full(int(count.max()) if h0 else 0, lam))
+    key, delta = key[h0:], delta[h0:]
+    m = len(delta)
+    rank = np.empty(m, dtype=np.int64)
+    rank[np.argsort(delta)] = np.arange(m)
+    ascending = np.argsort(key * m + rank)
+    return np.bincount(
+        np.concatenate((held, key[ascending])),
+        weights=np.concatenate((flat[count[held] - 1], delta[ascending])),
+        minlength=size,
+    )
+
+
+def _blocks(
+    queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray, what: str = "tree"
+) -> list[tuple[int, int]]:
     """Consecutive runs ``(q0, q1)`` of query trees, each with at most
-    ``BLOCK_PAIRS`` node pairs plus tree pairs, or of one tree over that."""
+    ``BLOCK_PAIRS`` node pairs plus tree pairs, or of one tree over that.
+    A query tree with more than ``MAX_TREE_PAIRS`` node pairs raises
+    ``TooManyPairs``, naming it as ``what`` and its index."""
     n = len(queries.tree_ptr) - 1
     first, last = _matches(queries, 0, n, forest, lo, hi)
-    cumulative = np.concatenate(([0], np.cumsum(last - first)))[queries.tree_ptr]
-    cost = np.diff(cumulative) + (hi - lo)
+    pairs = np.diff(np.concatenate(([0], np.cumsum(last - first)))[queries.tree_ptr])
+    over = np.flatnonzero(pairs > MAX_TREE_PAIRS)
+    if len(over):
+        k = int(over[0])
+        raise TooManyPairs(f"{what} {k} makes {int(pairs[k]):,} node pairs with the trees it is scored against, "
+                           f"over the limit of {MAX_TREE_PAIRS:,}")
+    cost = pairs + (hi - lo)
     blocks, q0, used = [], 0, 0
     for q, c in enumerate(cost.tolist()):
         if q > q0 and used + c > BLOCK_PAIRS:
@@ -250,18 +322,20 @@ def _blocks(queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray) -> 
     return blocks
 
 
-def _kernels(queries: _Nodes, forest: _Nodes, lo: np.ndarray, width: int, lam: float) -> np.ndarray:
+def _kernels(
+    queries: _Nodes, forest: _Nodes, lo: np.ndarray, width: int, lam: float, what: str = "tree"
+) -> np.ndarray:
     """Raw kernels of every query tree ``r`` against forest trees
     ``lo[r]:lo[r] + width``, block by block in this process."""
     hi = lo + width
-    blocks = _blocks(queries, forest, lo, hi)
+    blocks = _blocks(queries, forest, lo, hi, what)
     if not blocks:
         return np.zeros((0, width))
     return np.concatenate([_kernel_block(queries, q0, q1, forest, lo[q0:q1], hi[q0:q1], lam) for q0, q1 in blocks])
 
 
-def _self_kernels(nodes: _Nodes, lam: float) -> np.ndarray:
-    return _kernels(nodes, nodes, np.arange(len(nodes.tree_ptr) - 1), 1, lam).reshape(-1)
+def _self_kernels(nodes: _Nodes, lam: float, what: str = "tree") -> np.ndarray:
+    return _kernels(nodes, nodes, np.arange(len(nodes.tree_ptr) - 1), 1, lam, what).reshape(-1)
 
 
 def _check_normalizable(self_kernels: np.ndarray, what: str = "tree") -> None:
@@ -303,9 +377,9 @@ class CompiledTrees:
         of it, so they match nothing compiled here and the table is never
         written."""
         queries = _compile(trees, dict(self.productions))
-        K = _kernels(queries, self.nodes, np.zeros(len(trees), dtype=np.int64), self.size, self.lam)
+        K = _kernels(queries, self.nodes, np.zeros(len(trees), dtype=np.int64), self.size, self.lam, "input tree")
         if self.normalize:
-            self_k = _self_kernels(queries, self.lam)
+            self_k = _self_kernels(queries, self.lam, "input tree")
             _check_normalizable(self_k, "input tree")
             K /= np.sqrt(self_k[:, None] * self.self_kernels)
         elif not np.isfinite(K).all():
@@ -324,9 +398,10 @@ def gram_matrix(
     cross a pipe and each entry is the one a single process computes."""
     nodes = CompiledTrees(trees, lam, normalize=False).nodes
     n = len(trees)
+    lo, hi = np.arange(n), np.full(n, n)
+    blocks = _blocks(nodes, nodes, lo, hi)
     shared = mmap.mmap(-1, max(8 * n * n, 1))  # zero-filled; length 0 is refused
     K = np.frombuffer(shared, dtype=np.float64, count=n * n).reshape(n, n)
-    lo, hi = np.arange(n), np.full(n, n)
 
     def fill(block: tuple[int, int]) -> None:
         q0, q1 = block
@@ -334,7 +409,7 @@ def gram_matrix(
         for r, i in enumerate(range(q0, q1)):
             K[i, i:] = K[i:, i] = values[r, : n - i]
 
-    fork_map(fill, _blocks(nodes, nodes, lo, hi))
+    fork_map(fill, blocks)
     diag = K.diagonal().copy()
     if normalize:
         _check_normalizable(diag)

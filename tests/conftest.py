@@ -254,11 +254,28 @@ def vectorize_all(sentences, trees, vocab, config) -> Rows:
     return Rows(indptr, indices, data, vocab.size)
 
 
+def csr_dot(X: Rows, w: np.ndarray) -> list[float]:
+    """``w . x`` of every row of the batch: one gather, one multiply,
+    ``Rows.row_sums``."""
+    if w.shape[0] != X.dim:
+        raise DimensionMismatch(f"input dim {X.dim} != weights dim {w.shape[0]}")
+    return X.row_sums(w[X.indices] * X.data).tolist()
+
+
 def predict_linear(model: LinearModel, X: Rows) -> list[float]:
     """Decision score ``w.x + b`` of every row of the batch, through
-    ``Rows.dot``: the numpy reference of the scores ``analyze.decide`` adds
+    ``csr_dot``: the numpy reference of the scores ``analyze.decide`` adds
     in Python floats."""
-    return [s + model.b for s in X.dot(model.w)]
+    return [s + model.b for s in csr_dot(X, model.w)]
+
+
+def predict_kernel_csr(model: KernelModel, K: np.ndarray) -> list[float]:
+    """Kernel scores as ``svm.predict_kernel`` once took them: the dense rows
+    ``K`` packed into a ``Rows`` batch, ``csr_dot`` with the coefficients,
+    then ``b``."""
+    n, m = K.shape
+    rows = Rows(np.arange(n + 1) * m, np.tile(np.arange(m), n), K.reshape(-1), m)
+    return [s + model.b for s in csr_dot(rows, model.coef)]
 
 
 def chain_lattice(model, xs: Rows, gold=None) -> list[list[float]]:
@@ -622,6 +639,15 @@ def reference_parse_bracketed(text: str) -> ParseTree:
     if pos != len(tokens):
         raise TrailingInput(f"unexpected trailing input starting at {tokens[pos]!r}")
     return tree
+
+
+def lexsort_block_sums(key: np.ndarray, delta: np.ndarray, size: int) -> np.ndarray:
+    """A block's tree-pair sums as ``treekernel`` once took them: every pair
+    sorted by one ``np.lexsort`` by tree pair ``key``, then ``delta``, and
+    added to ``0.0`` in that order by one ``np.bincount``; ``out[k]`` for
+    ``k < size``."""
+    ascending = np.lexsort((delta, key))
+    return np.bincount(key[ascending], weights=delta[ascending], minlength=size)
 
 
 def ascending_sum(values) -> float:

@@ -43,11 +43,12 @@ def corpus_with_trees(name: str):
 @functools.lru_cache(maxsize=None)
 def bundles(name: str, config: str) -> dict[str, ModelBundle]:
     """The bundles of every kind fitted on corpus ``name``; the kernel
-    bundle carries the linear-bow model as its fallback, as ``train``
-    attaches it, and the chain trains at the larger C it wants."""
+    bundle carries the linear-bow model and vocabulary as its fallback, as
+    ``train`` attaches them, and the chain trains at the larger C it wants."""
     corpus, treebank = corpus_with_trees(name)
     table = CorpusTable(corpus.documents, treebank, CONFIGS[config])
     fitted = {kind: fit(kind, table, TrainConfig(seed=7, C=10.0 if kind == "chain" else 1.0)) for kind in KINDS}
+    fitted["kernel-sstk"].vocabulary = fitted["linear-bow"].vocabulary
     fitted["kernel-sstk"].fallback = fitted["linear-bow"].model
     return fitted
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -525,6 +526,39 @@ class TestTrainCommand:
         assert run.returncode == 3
         err = capfd.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: tree 0 has self-kernel inf"), err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_a_tree_of_200000_equal_children_exits_3_under_a_2_gib_address_space(self, command, tmp_path, capfd):
+        # its one tree pair makes 4e10 node pairs, whose arrays would take
+        # 298 GiB; the count is refused before any of them is allocated
+        wide = "(S" + " (X a)" * 200_000 + ")"
+        lines = (FIXTURES / "mini_trees.txt").read_text(encoding="utf-8").split("\n")
+        lines[0] = wide
+        trees = tmp_path / "trees.txt"
+        trees.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["train", "--task", "detect", "--model", "kernel-sstk", "--corpus", str(FIXTURES / "mini")]
+        argv += ["--trees", str(trees), "--seed", "7", "--out", str(tmp_path / "k.json")]
+        what = "tree 0"
+        if command == "predict":
+            argv[argv.index("--trees") + 1] = str(FIXTURES / "mini_trees.txt")
+            assert main(argv) == 0
+            group = lines[: lines.index("")]  # alpha's trees, the wide one first
+            sidecar = tmp_path / "alpha_trees.txt"
+            sidecar.write_text("\n".join(group) + "\n", encoding="utf-8")
+            doc = plain_copy(FIXTURES / "mini" / "alpha.txt", tmp_path)
+            argv = ["predict", "--model", str(tmp_path / "k.json"), "--input", str(doc), "--trees", str(sidecar)]
+            what = "input tree 0"
+        capfd.readouterr()
+        src = Path(treekernel.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        run = subprocess.run([sys.executable, "-m", "claudette.cli", *argv], env=env, preexec_fn=cap_address_space)
+        err = capfd.readouterr().err
+        assert run.returncode == 3, err
+        assert err.count("\n") == 1 and err.startswith(f"error: {what} makes 40,000,000,001 node pairs"), err
 
     def test_chain_skips_empty_documents(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

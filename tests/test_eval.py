@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 from conftest import document, vectorize_all
@@ -12,6 +13,7 @@ from claudette.corpus import (
     load_corpus,
 )
 from claudette.evaluation import (
+    MetricsReport,
     MissingTreebank,
     SentenceVerdict,
     TargetCounts,
@@ -96,6 +98,18 @@ class TestComputeMetrics:
         gold = [verdict(True, [ClauseCategory.ARBITRATION])]
         report = compute_metrics(gold, gold)
         assert report.macro_f1 == 1.0  # seven vacuous categories do not dilute
+
+    def test_macro_f1_adds_the_category_f1s_left_to_right(self):
+        # from Python 3.12 the builtin sum compensates, and gives
+        # 0.6380597143824401 for these counts and 7.036137861391885 / 8 for
+        # the second set, whose left-to-right sums are pinned here
+        counts = [(7, 0, 1), (3, 9, 0), (5, 0, 4), (8, 9, 6), (7, 6, 9), (8, 2, 5), (2, 0, 2), (8, 3, 4)]
+        report = MetricsReport(categories={cat: TargetCounts(*c) for cat, c in zip(ClauseCategory, counts)})
+        assert report.macro_f1 == 0.6380597143824402
+        f1s = [0.6756756756756757, 1.8, 0.68, 1.103448275862069, 0.7843137254901961,
+               0.7540983606557377, 0.5957446808510638, 0.6428571428571429]
+        report.categories = {cat: SimpleNamespace(f1=f1, vacuous=False) for cat, f1 in zip(ClauseCategory, f1s)}
+        assert report.macro_f1 == 7.036137861391887 / 8
 
     def test_micro_equals_pooled_counts(self):
         gold = [
@@ -405,6 +419,22 @@ class TestLooKeepsModelsInMemory:
         report = run_detection_eval(corpus, FC, "kernel-sstk", TC, treebank=treebank)
         assert report.to_record() == expected
         assert len(compiled) == 1  # the corpus Gram's; no fold compiles its support trees
+
+    def test_kernel_loo_builds_no_term_table(self, mini_corpus, fixtures_dir, monkeypatch):
+        # a kernel fit reads only the trees and the Gram: no terms, no vocabulary
+        treebank = load_treebank(fixtures_dir / "mini_trees.txt", mini_corpus)
+        expected = run_detection_eval(mini_corpus, FC, "kernel-sstk", TC, treebank=treebank).to_record()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a kernel LOO pass built a TermTable")
+
+        monkeypatch.setattr(TermTable, "__init__", refuse)
+        report = run_detection_eval(mini_corpus, FC, "kernel-sstk", TC, treebank=treebank)
+        assert report.to_record() == expected
+        table = CorpusTable(mini_corpus.documents, treebank, FC)
+        assert fit("kernel-sstk", table, TC).vocabulary is None
+        with pytest.raises(AssertionError, match="TermTable"):
+            fit("linear-bow", table, TC)
 
     @pytest.mark.parametrize(
         "cfg", [FC, FeatureConfig(use_pos=True, log_tf=True)], ids=["default", "pos-log-tf"]

@@ -12,7 +12,7 @@ from conftest import per_row_emissions, vectorize_all
 from claudette import svm
 from claudette.analyze import Predictor, analyze_text, result_json
 from claudette.corpus import ClauseCategory, load_corpus, segment_sentences
-from claudette.features import FeatureConfig, Vocabulary
+from claudette.features import FeatureConfig, MissingTree, Vocabulary
 from claudette.modelio import (
     MODEL_KINDS,
     CorpusTable,
@@ -294,8 +294,9 @@ def test_saved_model_predicts_like_the_fitted_one(kind, fixtures_dir, tmp_path):
     treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
     table = CorpusTable(corpus.documents, treebank, FeatureConfig())
     fitted = fit(kind, table, TrainConfig(seed=7))
-    if kind == "kernel-sstk":
-        fitted.fallback = fit("linear-bow", table, TrainConfig(seed=7)).model
+    if kind == "kernel-sstk":  # as train attaches them
+        linear = fit("linear-bow", table, TrainConfig(seed=7))
+        fitted.vocabulary, fitted.fallback = linear.vocabulary, linear.model
     save_model(fitted, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
     for doc in corpus.documents:
@@ -325,6 +326,29 @@ def test_kernel_predictor_scores_equal_kernel_rows_exactly(normalize, fixtures_d
             row = CompiledTrees(support_trees, model.lam, model.normalized).rows([tree])[0]
             assert sentence.scores["detection"] == predict_kernel(model, [row])[0]
     assert len(predictor.support.productions) == table_size
+
+
+def test_a_kernel_fit_has_no_vocabulary_and_still_saves_loads_and_predicts(fixtures_dir, tmp_path):
+    # the bundle of a kernel fit, with no vocabulary and no fallback, scores
+    # trees only; its file has no vocabulary and loads back to the same bytes
+    corpus = load_corpus(fixtures_dir / "mini")
+    treebank = load_treebank(fixtures_dir / "mini_trees.txt", corpus)
+    bundle = fit("kernel-sstk", CorpusTable(corpus.documents, treebank, FeatureConfig()), TrainConfig(seed=7))
+    assert bundle.vocabulary is None and bundle.fallback is None
+    save_model(bundle, tmp_path / "k.json")
+    assert "vocabulary" not in json.loads((tmp_path / "k.json").read_text(encoding="utf-8"))
+    loaded = load_model(tmp_path / "k.json")
+    assert canonical_json_bytes(loaded.to_record()) == (tmp_path / "k.json").read_bytes()
+    doc = corpus.documents[0]
+    predictor = Predictor(loaded)
+    want = result_json(analyze_text(bundle, doc.plain_text, treebank[doc.name]))
+    assert result_json(predictor.analyze(doc.plain_text, treebank[doc.name])) == want
+    with pytest.raises(MissingTree):
+        predictor.analyze(doc.plain_text)
+    # a fallback needs the vocabulary its weights index
+    bundle.fallback = fit("linear-bow", CorpusTable(corpus.documents, None, FeatureConfig()), TrainConfig(seed=7)).model
+    with pytest.raises(ModelFormatError):
+        save_model(bundle, tmp_path / "fallback.json")
 
 
 def test_chain_detection_scores_are_the_reference_emission_gap(fixtures_dir):

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     left_to_right,
     linear_objective,
+    predict_kernel_csr,
     predict_linear,
     recomputed_kkt_violation,
     reference_train_smo,
@@ -473,3 +474,16 @@ class TestPredictKernel:
         rows = rng.random((6, 9))
         assert predict_kernel(model, rows) == [predict_kernel(model, [row])[0] for row in rows]
         assert predict_kernel(model, rows[:0]) == []
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 9, 64])
+    def test_scores_equal_the_csr_row_sums_bit_for_bit(self, m):
+        # all-zero rows, negative coefficients (so -0.0 products), zero
+        # supports and a bias of -0.0 included
+        rng = np.random.default_rng(m)
+        K = rng.random((8, m)) * 10.0 ** rng.integers(-8, 8, size=(8, m))
+        K[3] = 0.0
+        for coef in (rng.normal(size=m), -rng.random(m), np.zeros(m)):
+            for b in (0.0, -0.0, -0.3):
+                model = self.make_model(coef, b=b)
+                got, want = predict_kernel(model, K), predict_kernel_csr(model, K)
+                assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -18,6 +18,7 @@ from conftest import (
     _kernel,
     ascending_sum,
     fragment_pair_kernel,
+    lexsort_block_sums,
     production,
     reference_gram,
     reference_rows,
@@ -32,6 +33,7 @@ from claudette.treekernel import (
     DegenerateTree,
     InvalidLambda,
     TooLarge,
+    TooManyPairs,
     enumerate_fragments_oracle,
     gram_matrix,
     random_tree,
@@ -566,3 +568,90 @@ def test_gram_bytes_do_not_depend_on_the_block_cut(monkeypatch):
 def test_gram_equals_its_transpose_exactly():
     gram = gram_matrix(ADJACENCY_TREES[:90], lam=0.4, normalize=True).matrix
     assert np.array_equal(gram, gram.T)
+
+
+class LexsortChecked:
+    """Replaces ``treekernel._ascending_sums`` (while entered) with a spy
+    that checks each block's sums, bit for bit, against the lexsort of every
+    pair, and the premise of summing height-0 pairs from their count: they
+    are exactly lam, and no other delta is below it.  ``seen`` holds each
+    block's height-0 pair count and its other deltas."""
+
+    def __init__(self, monkeypatch):
+        self.seen: list[tuple[int, np.ndarray]] = []
+        real = treekernel._ascending_sums
+
+        def checked(key, delta, h0, size, lam):
+            out = real(key, delta, h0, size, lam)
+            assert out.tobytes() == lexsort_block_sums(key, delta, size).tobytes()
+            assert (delta[:h0] == lam).all() and (delta[h0:] >= lam).all()
+            self.seen.append((h0, delta[h0:].copy()))
+            return out
+
+        monkeypatch.setattr(treekernel, "_ascending_sums", checked)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every block in this process
+
+
+def block(trees: list[ParseTree], lam: float, q0: int = 0, q1: int | None = None, lo: int = 0) -> np.ndarray:
+    """Raw kernels of trees ``q0:q1`` against trees ``lo:``, as one block."""
+    q1 = len(trees) if q1 is None else q1
+    nodes = CompiledTrees(trees, lam, normalize=False).nodes
+    lo, hi = np.full(q1 - q0, lo), np.full(q1 - q0, len(trees))
+    return treekernel._kernel_block(nodes, q0, q1, nodes, lo, hi, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.sampled_from([0.3, 0.4, 0.9, 1.0]))
+def test_block_sums_equal_the_lexsort_of_every_pair_bit_for_bit(seed, n, lam):
+    rng = random.Random(seed)
+    trees = [random_tree(rng, max_nodes=rng.randint(2, 24)) for _ in range(n)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = LexsortChecked(monkeypatch)
+        whole = block(trees, lam)
+        for q in range(n):  # single-tree blocks
+            assert block(trees, lam, q, q + 1).tobytes() == whole[q].tobytes()
+        gram_matrix(trees, lam=lam, normalize=False)
+        CompiledTrees(trees[1:], lam, normalize=True).rows(trees[:2])
+    assert spy.seen
+
+
+def test_block_sums_cover_ties_at_lam_overflow_and_one_sided_blocks(monkeypatch):
+    spy = LexsortChecked(monkeypatch)
+    # the A pair is at height 1 and exactly lam, as its B children differ in
+    # word, and it ties with the two D pairs at height 0
+    tie = [parse_bracketed("(S (A (B x)) (D w) (D w))"), parse_bracketed("(R (A (B y)) (D w))")]
+    assert block(tie, 0.4)[0, 1] == ascending_sum([0.4, 0.4, 0.4])
+    assert any(h0 and (deltas == 0.4).any() for h0, deltas in spy.seen)
+    spy.seen.clear()
+    no_height_0 = [parse_bracketed("(A (B x))"), parse_bracketed("(A (B y))")]
+    assert block(no_height_0, 0.4, 0, 1, lo=1).tolist() == [[0.4]]
+    only_height_0 = [parse_bracketed("(S (B x))"), parse_bracketed("(T (B x) (B x))")]
+    assert block(only_height_0, 0.4, 0, 1, lo=1).tolist() == [[0.8]]
+    assert [(h0, len(deltas)) for h0, deltas in spy.seen] == [(0, 1), (2, 0)]
+    # at lam = 1 a complete binary tree of depth 10 overflows to inf, raw
+    def complete(d: int) -> str:
+        return "(X w)" if d == 0 else f"(X {complete(d - 1)} {complete(d - 1)})"
+
+    deep = parse_bracketed(complete(10))
+    assert np.isinf(block([deep, T], 1.0)[0, 0])
+    assert np.isinf(spy.seen[-1][1]).any()
+
+
+def test_a_tree_over_the_pair_budget_is_refused_before_any_block(monkeypatch):
+    # the wide tree makes 3 x 3 X pairs plus its S pair with itself
+    small, wide = parse_bracketed("(S (X a))"), parse_bracketed("(S (X a) (X a) (X a))")
+    monkeypatch.setattr(treekernel, "MAX_TREE_PAIRS", 9)
+
+    def refuse(*args):
+        raise AssertionError("a block was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(treekernel, "_kernel_block", refuse)
+        with pytest.raises(TooManyPairs, match="^tree 1 makes 10 node pairs .* limit of 9$"):
+            gram_matrix([small, wide])
+        with pytest.raises(TooManyPairs, match="^tree 1 makes 10 node pairs"):
+            CompiledTrees([small, wide])
+    with pytest.raises(TooManyPairs, match="^input tree 1 makes 10 node pairs"):
+        CompiledTrees([small]).rows([small, wide])
+    monkeypatch.setattr(treekernel, "MAX_TREE_PAIRS", 10)
+    assert gram_matrix([small, wide]).matrix.shape == (2, 2)
