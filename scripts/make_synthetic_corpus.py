@@ -8,7 +8,10 @@ stats record) and ``mini_stats_golden.txt`` (the ``stats`` stdout), and the
 LOO goldens ``<corpus>_loo_<kind>_golden.json``: the ``evaluate --seed 7
 --json`` record of each of ``LOO_GOLDEN_KINDS`` on each bundled corpus and
 of ``kernel-sstk`` (with the corpus's ``--trees``) on each of
-``KERNEL_LOO_CORPORA``, and ``planted_<model>_model_golden.json``, the
+``KERNEL_LOO_CORPORA``, and ``planted_loo_category-ovr_unigram_golden.json``,
+the record of ``category-ovr`` on ``planted`` under ``unigram.cfg``
+(``UNIGRAM_CONFIG``), which finds true positives in four categories and so
+pins category F1s above zero, and ``planted_<model>_model_golden.json``, the
 model files of ``train --task detect --model <model> --seed 7`` on
 ``planted`` for ``linear`` (linear-bow), ``chain`` and ``kernel-sstk`` (with
 ``planted_trees.txt``), which pin the trainers' weights and the kernel
@@ -45,6 +48,7 @@ CORPORA = ("mini", "planted", "adjacency")
 LOO_GOLDEN_KINDS = ("linear-bow", "chain", "category-ovr")
 KERNEL_LOO_CORPORA = ("planted", "adjacency")
 LOO_GOLDEN_SEED = 7
+UNIGRAM_CONFIG = "ngram_orders = 1\nmin_df = 2\nC = 1\n"
 # model kind -> its pinned model file on planted
 MODEL_GOLDENS = {"linear-bow": "planted_linear_model_golden.json",
                  "chain": "planted_chain_model_golden.json",
@@ -92,6 +96,14 @@ def main() -> int:
         with contextlib.redirect_stdout(io.StringIO()):
             if cli_main(argv) != 0:
                 raise SystemExit(f"evaluate failed: kernel-sstk on {name}")
+
+    (root / "unigram.cfg").write_text(UNIGRAM_CONFIG, encoding="utf-8")
+    argv = ["evaluate", "--corpus", str(root / "planted"), "--model-kind", "category-ovr"]
+    argv += ["--config", str(root / "unigram.cfg"), "--seed", str(LOO_GOLDEN_SEED)]
+    argv += ["--json", str(root / "planted_loo_category-ovr_unigram_golden.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli_main(argv) != 0:
+            raise SystemExit("evaluate failed: category-ovr on planted under unigram.cfg")
 
     first = load_corpus(root / "planted").documents[0]
     planted_trees = root / "planted_trees.txt"

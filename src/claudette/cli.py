@@ -167,7 +167,8 @@ def _fail(message: str, code: int) -> int:
 USAGE_FAULTS = (UsageError, ConfigFileError, EmptyCorpus, OSError)
 DATA_FAULTS = (CorpusError, TreeParseError, TreeBankMismatch, ModelFormatError, MissingTreebank,
                TreeAlignmentError, MissingTree, evaluation.TooFewDocuments, svm.EmptyData,
-               svm.SingleClass, treekernel.DegenerateTree, treekernel.TooManyPairs, InputError)
+               svm.SingleClass, treekernel.DegenerateTree, treekernel.TooManyPairs, treekernel.GramTooLarge,
+               InputError)
 
 
 # ---------------------------------------------------------------------------

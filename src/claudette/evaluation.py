@@ -4,10 +4,12 @@ Holding out whole documents prevents within-document leakage: per fold the
 vocabulary, IDF statistics, and support set are computed from the training
 documents only.  Term extraction and kernel values do not depend on the fold,
 so they are computed once per evaluation and every fold reads its training and
-held-out inputs from them.  The folds run in forked worker processes
+held-out inputs from them.  On a corpus of ``FORK_SENTENCES`` sentences or
+more the folds run in forked worker processes
 (:func:`~claudette.workers.fork_map`), which share that work copy-on-write;
-their counts come back in fold order and are pooled before computing metrics,
-so the report is the same bytes as from one process.
+on a smaller one, whose folds take less than a fork costs, in this process.
+Their counts come back in fold order and are pooled before computing
+metrics, so the report is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -26,6 +28,17 @@ from .modelio import CorpusTable, MissingTreebank, ModelBundle, fit
 from .svm import LengthMismatch
 from .trees import ParseTree
 from .workers import fork_map
+
+
+#: Sentences below which :func:`run_detection_eval` runs its folds in this
+#: process.  A fork costs about 3 ms: the call, the child's start and its
+#: reaping, and the parent's copy-on-write faults after it.  Measured on a
+#: 2-core x86-64 machine (Python 3.11, numpy 2.4), medians of 9 alternating
+#: passes, one process against forking: at 17 sentences (the ``mini``
+#: fixture) ``linear-bow`` took 3.4-5.5 against 7.2-9.7 ms, and at 60 (a
+#: ``kernel-sstk`` run) 24.5-28.5 against 28.2-31.8 ms; forking was faster at
+#: 140 (``planted``, 1.16-1.71x) and at 320 (``adjacency``, 1.11-1.97x).
+FORK_SENTENCES = 100
 
 
 class TooFewDocuments(ValueError):
@@ -239,12 +252,13 @@ def run_detection_eval(
     and no vocabulary.  A fold reads from it the held-out TF-IDF rows under
     its vocabulary, or their kernel rows against its support set, which
     equal a :class:`Predictor`'s bit for bit.  The terms, or the Gram of a
-    kernel run, are built before the folds are forked into at most
+    kernel run, are built before the folds run: in this process on a corpus
+    of fewer than ``FORK_SENTENCES`` sentences, else forked into at most
     ``len(os.sched_getaffinity(0))`` processes.
     """
     table = CorpusTable(corpus.documents, treebank, feature_cfg, lam, normalize)
     splits = make_loo_splits(corpus)
-    # built before the fork, so that every worker reads this one
+    # built before any fork, so that every worker reads this one
     if model_kind == "kernel-sstk":
         # a missing tree fails here as it would in the first fold's fit
         with _naming_fold(splits[0]):
@@ -283,7 +297,11 @@ def run_detection_eval(
         return counts
 
     report = MetricsReport()
-    for counts in fork_map(fold_report, splits):
+    if corpus.N < FORK_SENTENCES:
+        folds = [fold_report(fold) for fold in splits]
+    else:
+        folds = fork_map(fold_report, splits)
+    for counts in folds:
         report.add(counts)
     return report
 

@@ -51,11 +51,12 @@ recursive summation (Higham 1993, "The accuracy of floating point
 summation", SIAM J. Sci. Comput.).
 
 :func:`gram_matrix` cuts the upper triangle into blocks of query trees under
-a fixed pair budget, fills them in forked worker processes and reads the
-self-kernels off its diagonal: one that overflows, or whose square is 0 or
-overflows when normalizing, raises ``DegenerateTree``.  A tree with more
-node pairs than ``MAX_TREE_PAIRS`` raises ``TooManyPairs`` before any block
-is computed.
+a fixed pair budget, fills them (in forked worker processes when the trees
+make ``GRAM_FORK_PAIRS`` node pairs or more) and reads the self-kernels off
+its diagonal: one that overflows, or whose square is 0 or overflows when
+normalizing, raises ``DegenerateTree``.  A tree with more node pairs than
+``MAX_TREE_PAIRS`` raises ``TooManyPairs`` before any block is computed, and
+a Gram over ``MAX_GRAM_BYTES`` raises ``GramTooLarge`` before it is mapped.
 :func:`fragment_kernel_rows` enumerates fragments, an independent
 exponential-time route that ``kernel-selftest`` checks a Gram against.
 """
@@ -82,12 +83,29 @@ DEFAULT_LAMBDA = 0.4
 #: the work.
 BLOCK_PAIRS = 8192
 
+#: Node pairs below which :func:`gram_matrix` fills every block in this
+#: process (32 full blocks).  A fork costs about 3 ms: the call, the child's
+#: start and its reaping, and the parent's copy-on-write faults after it.
+#: Measured on a 2-core x86-64 machine (Python 3.11, numpy 2.4), medians of 9
+#: alternating fills, one process against forking: the 140 ``planted``
+#: fixture trees (40k pairs) took 14.2 against 17.6 ms and the 320
+#: ``adjacency`` trees (153k) 21.2 against 22.1 ms; forking won from 355k
+#: pairs (49.4 against 52.1 ms), at 607k (88.5 against 119.8 ms) and at 1.36M
+#: (167 against 249 ms).
+GRAM_FORK_PAIRS = 1 << 18
+
 #: Node pairs one tree may make with the trees it is scored against.  A
 #: block's arrays peak at about 100 bytes a pair, so this caps a block near
 #: 1.7 GB; a tree over it, such as one node with a few thousand equal
 #: children, is refused with ``TooManyPairs`` before anything is allocated
 #: for its pairs.
 MAX_TREE_PAIRS = 1 << 24
+
+#: Bytes of the one mapping a :func:`gram_matrix` fills, ``8 n**2`` for ``n``
+#: trees: 2 GiB admits 16,384 trees, the paper-scale 12,000 taking 1.15 GB.
+#: A larger Gram is refused with ``GramTooLarge`` before it is mapped, where
+#: the mapping would fail or the fill be killed for want of memory.
+MAX_GRAM_BYTES = 1 << 31
 
 
 class InvalidLambda(ValueError):
@@ -96,6 +114,10 @@ class InvalidLambda(ValueError):
 
 class TooManyPairs(ValueError):
     """A tree whose node pairs pass ``MAX_TREE_PAIRS``."""
+
+
+class GramTooLarge(ValueError):
+    """A Gram whose ``8 n**2`` bytes pass ``MAX_GRAM_BYTES``."""
 
 
 class DegenerateTree(ValueError):
@@ -178,14 +200,13 @@ def _compile(trees: Sequence[ParseTree], table: dict) -> _Nodes:
     )
 
 
-def _matches(queries: _Nodes, q0: int, q1: int, forest: _Nodes, lo: np.ndarray, hi: np.ndarray):
-    """For each node of query trees ``q0:q1``, the postings slice
-    ``first:last`` of the forest nodes that share its production and lie in
-    forest trees ``lo[r]:hi[r]``, ``r`` being the node's query tree less
-    ``q0``.  A production the forest lacks has an empty slice."""
-    a, b = queries.tree_ptr[q0], queries.tree_ptr[q1]
-    key = queries.production[a:b] * len(forest.production)
-    r = queries.tree[a:b] - q0
+def _matches(queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray):
+    """For each query node, the postings slice ``first:last`` of the forest
+    nodes that share its production and lie in forest trees ``lo[r]:hi[r]``,
+    ``r`` being the node's query tree.  A production the forest lacks has an
+    empty slice."""
+    key = queries.production * len(forest.production)
+    r = queries.tree
     first = np.searchsorted(forest.keys, key + forest.tree_ptr[lo[r]])
     last = np.searchsorted(forest.keys, key + forest.tree_ptr[hi[r]])
     return first, last
@@ -206,15 +227,17 @@ def _child_pairs(queries: _Nodes, q: np.ndarray, forest: _Nodes, t: np.ndarray):
 
 
 def _kernel_block(
-    queries: _Nodes, q0: int, q1: int, forest: _Nodes, lo: np.ndarray, hi: np.ndarray, lam: float
+    queries: _Nodes, q0: int, q1: int, forest: _Nodes, lo: np.ndarray, hi: np.ndarray,
+    first: np.ndarray, last: np.ndarray, lam: float,
 ) -> np.ndarray:
     """Raw kernels of query trees ``q0:q1`` against forest trees
-    ``lo[r]:hi[r]``: ``out[r, c] = K(query q0 + r, forest tree lo[r] + c)``
-    for ``c < hi[r] - lo[r]``, and 0 past that."""
-    a = queries.tree_ptr[q0]
-    first, last = _matches(queries, q0, q1, forest, lo, hi)
+    ``lo[q]:hi[q]``: ``out[r, c] = K(query q0 + r, forest tree lo[q0 + r] +
+    c)`` for ``c < hi[q0 + r] - lo[q0 + r]``, and 0 past that.  ``first`` and
+    ``last`` are :func:`_blocks`' matches of every query node."""
+    a, b = queries.tree_ptr[q0], queries.tree_ptr[q1]
+    lo, hi, first, last = lo[q0:q1], hi[q0:q1], first[a:b], last[a:b]
     # the pairs of each query node, in order of height, then of node
-    order = np.argsort(queries.height[a : queries.tree_ptr[q1]], kind="stable")
+    order = np.argsort(queries.height[a:b], kind="stable")
     counts = (last - first)[order]
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
@@ -297,14 +320,17 @@ def _ascending_sums(key: np.ndarray, delta: np.ndarray, h0: int, size: int, lam:
 
 def _blocks(
     queries: _Nodes, forest: _Nodes, lo: np.ndarray, hi: np.ndarray, what: str = "tree"
-) -> list[tuple[int, int]]:
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, int]:
     """Consecutive runs ``(q0, q1)`` of query trees, each with at most
-    ``BLOCK_PAIRS`` node pairs plus tree pairs, or of one tree over that.
-    A query tree with more than ``MAX_TREE_PAIRS`` node pairs raises
+    ``BLOCK_PAIRS`` node pairs plus tree pairs, or of one tree over that;
+    then the :func:`_matches` ``first`` and ``last`` of every query node, which
+    :func:`_kernel_block` reads, and the node pairs of all query trees.  A
+    query tree with more than ``MAX_TREE_PAIRS`` node pairs raises
     ``TooManyPairs``, naming it as ``what`` and its index."""
     n = len(queries.tree_ptr) - 1
-    first, last = _matches(queries, 0, n, forest, lo, hi)
-    pairs = np.diff(np.concatenate(([0], np.cumsum(last - first)))[queries.tree_ptr])
+    first, last = _matches(queries, forest, lo, hi)
+    running = np.concatenate(([0], np.cumsum(last - first)))
+    pairs = np.diff(running[queries.tree_ptr])
     over = np.flatnonzero(pairs > MAX_TREE_PAIRS)
     if len(over):
         k = int(over[0])
@@ -319,7 +345,7 @@ def _blocks(
         used += c
     if q0 < n:
         blocks.append((q0, n))
-    return blocks
+    return blocks, first, last, int(running[-1])
 
 
 def _kernels(
@@ -328,10 +354,10 @@ def _kernels(
     """Raw kernels of every query tree ``r`` against forest trees
     ``lo[r]:lo[r] + width``, block by block in this process."""
     hi = lo + width
-    blocks = _blocks(queries, forest, lo, hi, what)
+    blocks, first, last, _ = _blocks(queries, forest, lo, hi, what)
     if not blocks:
         return np.zeros((0, width))
-    return np.concatenate([_kernel_block(queries, q0, q1, forest, lo[q0:q1], hi[q0:q1], lam) for q0, q1 in blocks])
+    return np.concatenate([_kernel_block(queries, q0, q1, forest, lo, hi, first, last, lam) for q0, q1 in blocks])
 
 
 def _self_kernels(nodes: _Nodes, lam: float, what: str = "tree") -> np.ndarray:
@@ -392,24 +418,34 @@ def gram_matrix(
     trees: Sequence[ParseTree], lam: float = DEFAULT_LAMBDA, normalize: bool = True
 ) -> KernelGram:
     """Pairwise kernel matrix, each tree compiled once and each unordered pair
-    computed once.  Blocks of rows are filled by
-    :func:`~claudette.workers.fork_map` workers, which share the node table
-    copy-on-write and write into one shared anonymous mapping, so no values
-    cross a pipe and each entry is the one a single process computes."""
-    nodes = CompiledTrees(trees, lam, normalize=False).nodes
+    computed once, into one anonymous mapping of ``8 n**2`` bytes; more than
+    ``MAX_GRAM_BYTES`` raises ``GramTooLarge`` before anything is compiled or
+    mapped.  Trees that make fewer than ``GRAM_FORK_PAIRS`` node pairs fill
+    their blocks of rows in this process: a fork costs about 3 ms, as much as
+    three blocks.  More are filled by :func:`~claudette.workers.fork_map`
+    workers, which share the node table copy-on-write and write into the
+    mapping, so no values cross a pipe.  Either way each entry is the one a
+    single process computes."""
     n = len(trees)
+    if 8 * n * n > MAX_GRAM_BYTES:
+        raise GramTooLarge(f"the Gram of {n:,} trees takes {8 * n * n:,} bytes, over the limit of {MAX_GRAM_BYTES:,}")
+    nodes = CompiledTrees(trees, lam, normalize=False).nodes
     lo, hi = np.arange(n), np.full(n, n)
-    blocks = _blocks(nodes, nodes, lo, hi)
+    blocks, first, last, pairs = _blocks(nodes, nodes, lo, hi)
     shared = mmap.mmap(-1, max(8 * n * n, 1))  # zero-filled; length 0 is refused
     K = np.frombuffer(shared, dtype=np.float64, count=n * n).reshape(n, n)
 
     def fill(block: tuple[int, int]) -> None:
         q0, q1 = block
-        values = _kernel_block(nodes, q0, q1, nodes, lo[q0:q1], hi[q0:q1], lam)
+        values = _kernel_block(nodes, q0, q1, nodes, lo, hi, first, last, lam)
         for r, i in enumerate(range(q0, q1)):
             K[i, i:] = K[i:, i] = values[r, : n - i]
 
-    fork_map(fill, blocks)
+    if pairs < GRAM_FORK_PAIRS:
+        for block in blocks:
+            fill(block)
+    else:
+        fork_map(fill, blocks)
     diag = K.diagonal().copy()
     if normalize:
         _check_normalizable(diag)

@@ -5,6 +5,13 @@ depend on each other, and everything they read (the corpus table, the
 compiled trees) is built before the fork, so the workers share it
 copy-on-write and nothing large crosses a pipe.  Each item is computed by the
 same code as in one process, so the results are the same bytes.
+
+A fork costs about 3 ms (the call, the child's start and its reaping, and the
+parent's copy-on-write faults after it), so callers with little work call
+their function in a loop instead: LOO folds below
+``evaluation.FORK_SENTENCES`` sentences and Gram fills below
+``treekernel.GRAM_FORK_PAIRS`` node pairs, both break-evens measured on a
+2-core machine.
 """
 
 from __future__ import annotations

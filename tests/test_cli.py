@@ -21,11 +21,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # nested far past any parser or recursion limit
 DEEP_TREE = "(A " * 3000 + "x" + ")" * 3000
 # (corpus, model kind) of each pinned evaluate --json golden
+# (corpus, kind, config), pinned by <corpus>_loo_<kind>[_<config>]_golden.json;
+# under the unigram config category-ovr finds true positives on planted, so
+# that golden pins category F1s above zero
 LOO_GOLDENS = [
-    (corpus, kind)
+    pytest.param(corpus, kind, None, id=f"{corpus}-{kind}")
     for corpus in ("mini", "planted", "adjacency")
     for kind in ("linear-bow", "chain", "category-ovr")
-] + [("planted", "kernel-sstk"), ("adjacency", "kernel-sstk")]
+] + [
+    pytest.param(corpus, "kernel-sstk", None, id=f"{corpus}-kernel-sstk") for corpus in ("planted", "adjacency")
+] + [pytest.param("planted", "category-ovr", "unigram", id="planted-category-ovr-unigram")]
 
 
 class TestConfigFile:
@@ -559,6 +564,23 @@ class TestTrainCommand:
         err = capfd.readouterr().err
         assert run.returncode == 3, err
         assert err.count("\n") == 1 and err.startswith(f"error: {what} makes 40,000,000,001 node pairs"), err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_a_gram_over_the_byte_cap_exits_3_before_it_is_mapped(self, command, tmp_path, monkeypatch, capsys):
+        # the paper-scale Gram of 12,000 trees is admitted
+        assert 8 * 12_000**2 <= treekernel.MAX_GRAM_BYTES
+        mapped = []
+        monkeypatch.setattr(treekernel.mmap, "mmap", lambda *args: mapped.append(args))
+        monkeypatch.setattr(treekernel, "MAX_GRAM_BYTES", 8 * 16 * 16)  # mini has 17 trees
+        argv = [command, "--corpus", str(FIXTURES / "mini"), "--trees", str(FIXTURES / "mini_trees.txt"), "--seed", "7"]
+        if command == "train":
+            argv += ["--task", "detect", "--model", "kernel-sstk", "--out", str(tmp_path / "k.json")]
+        else:
+            argv += ["--model-kind", "kernel-sstk"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: the Gram of 17 trees takes 2,312 bytes, over the limit of 2,048\n"
+        assert mapped == [] and captured.out == ""
 
     def test_chain_skips_empty_documents(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -1133,17 +1155,22 @@ class TestEvaluateCommand:
         warnings = json.loads(out.read_text())["metrics"]["warnings"]
         assert warnings and all("no-convergence" in w for w in warnings)
 
-    @pytest.mark.parametrize("corpus, kind", LOO_GOLDENS)
-    def test_json_matches_the_pinned_golden(self, corpus, kind, tmp_path, capsys):
+    @pytest.mark.parametrize("corpus, kind, config", LOO_GOLDENS)
+    def test_json_matches_the_pinned_golden(self, corpus, kind, config, tmp_path, capsys):
         # written by scripts/make_synthetic_corpus.py; any change to features,
         # solvers, the tree kernel or fold wiring that moves a LOO number shows here
         out = tmp_path / "r.json"
         argv = ["evaluate", "--corpus", str(FIXTURES / corpus), "--model-kind", kind]
         if kind == "kernel-sstk":
             argv += ["--trees", str(FIXTURES / f"{corpus}_trees.txt")]
+        if config:
+            argv += ["--config", str(FIXTURES / f"{config}.cfg")]
         assert main(argv + ["--seed", "7", "--json", str(out)]) == 0
-        golden = FIXTURES / f"{corpus}_loo_{kind}_golden.json"
+        golden = FIXTURES / f"{corpus}_loo_{kind}{'_' + config if config else ''}_golden.json"
         assert out.read_bytes() == golden.read_bytes()
+        if config:
+            categories = json.loads(golden.read_bytes())["metrics"]["categories"].values()
+            assert sum(1 for c in categories if c["f1"] > 0) == 4
 
     def test_kernel_kind_requires_trees(self, capsys):
         code = main(

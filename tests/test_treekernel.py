@@ -559,9 +559,9 @@ def test_gram_bytes_do_not_depend_on_the_block_cut(monkeypatch):
     whole = gram_matrix(trees, lam=0.4, normalize=True).matrix.tobytes()
     nodes = CompiledTrees(trees, 0.4, normalize=False).nodes
     lo, hi = np.arange(90), np.full(90, 90)
-    assert len(treekernel._blocks(nodes, nodes, lo, hi)) < 90
+    assert len(treekernel._blocks(nodes, nodes, lo, hi)[0]) < 90
     monkeypatch.setattr(treekernel, "BLOCK_PAIRS", 16)
-    assert len(treekernel._blocks(nodes, nodes, lo, hi)) == 90
+    assert len(treekernel._blocks(nodes, nodes, lo, hi)[0]) == 90
     assert gram_matrix(trees, lam=0.4, normalize=True).matrix.tobytes() == whole
 
 
@@ -596,8 +596,9 @@ def block(trees: list[ParseTree], lam: float, q0: int = 0, q1: int | None = None
     """Raw kernels of trees ``q0:q1`` against trees ``lo:``, as one block."""
     q1 = len(trees) if q1 is None else q1
     nodes = CompiledTrees(trees, lam, normalize=False).nodes
-    lo, hi = np.full(q1 - q0, lo), np.full(q1 - q0, len(trees))
-    return treekernel._kernel_block(nodes, q0, q1, nodes, lo, hi, lam)
+    lo, hi = np.full(len(trees), lo), np.full(len(trees), len(trees))
+    first, last = treekernel._matches(nodes, nodes, lo, hi)
+    return treekernel._kernel_block(nodes, q0, q1, nodes, lo, hi, first, last, lam)
 
 
 @settings(max_examples=150, deadline=None)

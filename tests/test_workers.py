@@ -1,20 +1,22 @@
 """``fork_map``: forked workers give the serial loop's results, bit for bit,
-and its errors; a worker that dies is a typed error and leaves no child."""
+and its errors; a worker that dies is a typed error and leaves no child.
+LOO folds and Gram fills fork only above their size limits."""
 
 from __future__ import annotations
 
 import os
 import signal
 
+import numpy as np
 import pytest
 from conftest import reference_gram
 
-from claudette import evaluation, svm
+from claudette import evaluation, svm, treekernel
 from claudette.cli import main
 from claudette.corpus import load_corpus
 from claudette.features import FeatureConfig
 from claudette.modelio import MODEL_KINDS, canonical_json_bytes
-from claudette.treekernel import DEFAULT_LAMBDA, gram_matrix
+from claudette.treekernel import DEFAULT_LAMBDA, CompiledTrees, gram_matrix
 from claudette.trees import load_treebank, parse_bracketed
 from claudette.workers import WorkerFailed, fork_map, worker_count
 
@@ -42,6 +44,18 @@ def time_bound():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork the folds and the Gram fills of even the smallest inputs."""
+    monkeypatch.setattr(evaluation, "FORK_SENTENCES", 0)
+    monkeypatch.setattr(treekernel, "GRAM_FORK_PAIRS", 0)
+
+
+def fixture_trees(name: str) -> list:
+    with open(os.path.join(FIXTURES, f"{name}_trees.txt"), encoding="utf-8") as f:
+        return [parse_bracketed(line) for line in f if line.strip()]
 
 
 def assert_no_child_left() -> None:
@@ -114,6 +128,7 @@ def loo_record(corpus_name: str, kind: str) -> bytes:
     return canonical_json_bytes(report.to_record())
 
 
+@pytest.mark.usefixtures("forking")
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     @pytest.mark.parametrize("corpus_name", ["mini", "adjacency"])
@@ -128,8 +143,7 @@ class TestParallelEqualsSerial:
     @pytest.mark.parametrize("name", ["mini", "planted", "adjacency"])
     def test_gram_bytes(self, name, normalize, monkeypatch):
         # planted and adjacency cut into many blocks, so every worker fills some
-        with open(os.path.join(FIXTURES, f"{name}_trees.txt"), encoding="utf-8") as f:
-            trees = [parse_bracketed(line) for line in f if line.strip()]
+        trees = fixture_trees(name)
         matrices = []
         for cores in CORES:
             on_cores(monkeypatch, cores)
@@ -152,6 +166,51 @@ class TestParallelEqualsSerial:
         assert len(pids) == planted_corpus.M and len(set(pids)) >= 2
 
 
+def gram_pairs(trees: list) -> int:
+    """The node pairs ``gram_matrix`` counts for ``trees``."""
+    nodes = CompiledTrees(trees, DEFAULT_LAMBDA, normalize=False).nodes
+    n = len(trees)
+    return treekernel._blocks(nodes, nodes, np.arange(n), np.full(n, n))[3]
+
+
+class TestForkOnlyAboveTheLimits:
+    def test_below_the_limits_nothing_forks(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.fork was called")
+
+        adjacency = fixture_trees("adjacency")
+        assert load_corpus(os.path.join(FIXTURES, "mini")).N < evaluation.FORK_SENTENCES
+        assert gram_pairs(adjacency) < treekernel.GRAM_FORK_PAIRS
+        on_cores(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", refuse)
+        loo_record("mini", "kernel-sstk")
+        gram_matrix(adjacency)
+
+    def test_above_the_limits_both_fork(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        twice = fixture_trees("adjacency") * 2
+        assert gram_pairs(twice) >= treekernel.GRAM_FORK_PAIRS
+        on_cores(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", counting)
+        gram_matrix(twice)
+        assert len(forks) == 1
+        # planted's Gram fills in this process and its folds fork
+        assert load_corpus(os.path.join(FIXTURES, "planted")).N >= evaluation.FORK_SENTENCES
+        assert gram_pairs(fixture_trees("planted")) < treekernel.GRAM_FORK_PAIRS
+        loo_record("planted", "kernel-sstk")
+        assert len(forks) == 2
+        assert_no_child_left()
+
+
+@pytest.mark.usefixtures("forking")
 def test_cli_exits_1_when_a_fold_worker_dies(monkeypatch, capsys):
     parent = os.getpid()
     fit = evaluation.fit_detection_fold
