@@ -243,7 +243,7 @@ def sentence_tree(tokens: tuple[str, ...] | list[str]) -> ParseTree:
 def treebank_groups_for(corpus: Corpus) -> list[list[ParseTree]]:
     """Synthetic trees aligned with every sentence of the corpus."""
     return [
-        [sentence_tree(ls.sentence.tokens) for ls in doc.sentences]
+        [sentence_tree(ls.tokens) for ls in doc.sentences]
         for doc in corpus.documents
     ]
 

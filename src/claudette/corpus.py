@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -128,23 +128,20 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class LabeledSentence:
-    sentence: Sentence
+class LabeledSentence(Sentence):
+    """A sentence with its (category, level) labels.  Its detection label,
+    "potentially unfair", is derived from them: some label's level is in
+    ``POSITIVE_LEVELS``."""
+
     labels: frozenset[tuple[ClauseCategory, int]]
-    detection_label: bool
+    detection_label: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = any(level in POSITIVE_LEVELS for _, level in self.labels)
-        if self.detection_label != expected:
-            raise ValueError("detection_label inconsistent with labels")
+        object.__setattr__(self, "detection_label", any(level in POSITIVE_LEVELS for _, level in self.labels))
 
     @classmethod
-    def from_labels(
-        cls, sentence: Sentence, labels: Iterable[tuple[ClauseCategory, int]]
-    ) -> "LabeledSentence":
-        labels = frozenset(labels)
-        positive = any(level in POSITIVE_LEVELS for _, level in labels)
-        return cls(sentence=sentence, labels=labels, detection_label=positive)
+    def from_labels(cls, sentence: Sentence, labels: Iterable[tuple[ClauseCategory, int]]) -> "LabeledSentence":
+        return cls(sentence.start, sentence.end, sentence.text, sentence.tokens, frozenset(labels))
 
     def positive_categories(self) -> frozenset[ClauseCategory]:
         return frozenset(c for c, l in self.labels if l in POSITIVE_LEVELS)

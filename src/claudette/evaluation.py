@@ -271,17 +271,16 @@ def run_detection_eval(
         held = table.documents[fold.held_out]
         with _naming_fold(fold):
             bundle = fit_detection_fold(table, fold, model_kind, train_cfg)
-        sentences = [ls.sentence for ls in held.sentences]
         held_rows = table.rows([fold.held_out])
         if model_kind == "kernel-sstk":
             support_rows = table.rows(fold.train)[bundle.model.support_idx]
             kernel_rows = table.gram.matrix[np.ix_(held_rows, support_rows)]
-            analyses, _ = decide(bundle, sentences, None, kernel_rows)
+            analyses, _ = decide(bundle, held.sentences, None, kernel_rows)
         else:
             X = table.terms.vectorize(bundle.vocabulary, held_rows)
             bounds, cols, weights = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
             rows = [(cols[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
-            analyses, _ = decide(bundle, sentences, rows)
+            analyses, _ = decide(bundle, held.sentences, rows)
         gold = [SentenceVerdict.from_gold(ls) for ls in held.sentences]
         pred = [
             SentenceVerdict(

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import Sentence
 from .trees import ParseTree
 
 
@@ -174,20 +175,11 @@ def pos_bag(tree: ParseTree) -> list[str]:
     return ["p:" + node.label for node in tree.preterminals()]
 
 
-def _tokens_of(sentence) -> Sequence[str]:
-    if hasattr(sentence, "sentence"):  # LabeledSentence
-        return sentence.sentence.tokens
-    if hasattr(sentence, "tokens"):  # Sentence
-        return sentence.tokens
-    return sentence  # raw token sequence
-
-
-def extract_terms(sentence, tree: ParseTree | None, config: FeatureConfig) -> list[str]:
+def extract_terms(sentence: Sentence, tree: ParseTree | None, config: FeatureConfig) -> list[str]:
     """All feature terms of one sentence under ``config`` (duplicates kept)."""
-    tokens = _tokens_of(sentence)
     terms: list[str] = []
     for n in config.ngram_orders:
-        terms.extend(extract_ngrams(tokens, n))
+        terms.extend(extract_ngrams(sentence.tokens, n))
     if config.use_pos:
         if tree is None:
             raise MissingTree("POS features enabled but no parse tree supplied")
@@ -211,7 +203,7 @@ class TermTable:
     model goes through :func:`tfidf_rows`, which builds no table.
     """
 
-    def __init__(self, sentences: Sequence, trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
+    def __init__(self, sentences: Sequence[Sentence], trees: Sequence[ParseTree | None] | None, config: FeatureConfig):
         if config.use_pos and trees is None:
             raise MissingTree("POS features enabled but no trees supplied")
         flat: list[str] = []
@@ -282,7 +274,7 @@ def _tfidf(indptr: np.ndarray, cols: np.ndarray, tf: np.ndarray, vocab: Vocabula
 
 
 def build_vocabulary(
-    sentences: Sequence,
+    sentences: Sequence[Sentence],
     trees: Sequence[ParseTree | None] | None,
     config: FeatureConfig,
 ) -> Vocabulary:
@@ -291,7 +283,7 @@ def build_vocabulary(
 
 
 def tfidf_rows(
-    sentences: Sequence,
+    sentences: Sequence[Sentence],
     trees: Sequence[ParseTree | None] | None,
     vocab: Vocabulary,
     config: FeatureConfig,

@@ -153,7 +153,9 @@ def train_linear(X: Rows, y: Sequence[int], cfg: TrainConfig) -> LinearModel:
         for i in rng.permutation(n).tolist():
             idx, vals, yi, ci, qi = rows[i]
             wi = w[idx]
-            # the one BLAS dot left on a pinned path: a Python-ordered one costs 3x
+            # the one BLAS dot left on a pinned path: on a 34-entry row (2-core Xeon)
+            # it takes 0.38-0.40 us, an ordered np.add.accumulate(wi * vals)[-1]
+            # 0.885 us, about +0.5 us on a ~2.0 us step
             g = yi * (float(wi.dot(vals)) + w_b) - 1.0
             a = alpha[i]
             # the projected gradient, and then the new alpha clipped to

@@ -19,14 +19,10 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import threading
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: ``_busy.share`` is true while this thread computes a share of a ``fork_map``.
-_busy = threading.local()
 
 
 class WorkerFailed(RuntimeError):
@@ -35,26 +31,22 @@ class WorkerFailed(RuntimeError):
 
 def worker_count(n_items: int) -> int:
     """Processes ``fork_map`` would use for ``n_items`` items: one per CPU this
-    process may run on, at most one per item, and one inside a share of an
-    outer ``fork_map`` or where the platform cannot fork."""
-    if getattr(_busy, "share", False) or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    process may run on, at most one per item, and one where the platform
+    cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n_items))
 
 
 def _run_share(fn: Callable[[T], R], share: list[T]) -> tuple[list[R], BaseException | None]:
     """The results of ``share`` up to its first error, as the serial loop
-    stops, and that error or None.  Every CPU is busy meanwhile, so a nested
-    ``fork_map`` runs in-process."""
+    stops, and that error or None."""
     results = []
-    outer, _busy.share = getattr(_busy, "share", False), True
     try:
         for item in share:
             results.append(fn(item))
     except BaseException as err:
         return results, err
-    finally:
-        _busy.share = outer
     return results, None
 
 

@@ -243,6 +243,12 @@ def brute_force_best(model, E: np.ndarray):
     return list(winner), best_score
 
 
+def sentence_of(tokens: Sequence[str]) -> Sentence:
+    """A ``Sentence`` holding ``tokens``, its text the tokens joined by spaces."""
+    text = " ".join(tokens)
+    return Sentence(0, len(text), text, tuple(tokens))
+
+
 def vectorize_all(sentences, trees, vocab, config) -> Rows:
     """The rows of ``features.tfidf_rows`` packed into one numpy batch: the
     reference that the parity tests compare a table's rows and a

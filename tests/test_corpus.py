@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -18,6 +19,8 @@ from conftest import (
 from claudette.corpus import (
     ABBREVIATIONS,
     CATEGORY_BY_SYMBOL,
+    FAIRNESS_LEVELS,
+    POSITIVE_LEVELS,
     ClauseCategory,
     Corpus,
     CrossedNesting,
@@ -440,10 +443,24 @@ class TestLabeledSentence:
         assert LabeledSentence.from_labels(s, [(ClauseCategory.ARBITRATION, 2)]).detection_label is True
         assert LabeledSentence.from_labels(s, [(ClauseCategory.ARBITRATION, 3)]).detection_label is True
 
-    def test_inconsistent_flag_rejected(self):
-        s = _sentence(0, 4, "text")
-        with pytest.raises(ValueError):
-            LabeledSentence(sentence=s, labels=frozenset(), detection_label=True)
+    @given(
+        st.integers(0, 100),
+        st.text(max_size=12),
+        st.lists(st.text(min_size=1, max_size=4), max_size=5),
+        st.lists(st.tuples(st.sampled_from(list(ClauseCategory)), st.sampled_from(FAIRNESS_LEVELS)), max_size=4),
+        st.booleans(),
+    )
+    def test_from_labels_copies_the_sentence_and_derives_the_flag(self, start, text, tokens, labels, flag):
+        s = Sentence(start=start, end=start + len(text), text=text, tokens=tuple(tokens))
+        ls = LabeledSentence.from_labels(s, labels)
+        assert isinstance(ls, Sentence)
+        for f in dataclasses.fields(Sentence):
+            assert getattr(ls, f.name) is getattr(s, f.name), f.name
+        assert ls.labels == frozenset(labels)
+        assert ls.detection_label is any(level in POSITIVE_LEVELS for _, level in labels)
+        # the flag is derived, never passed in beside the labels
+        with pytest.raises(TypeError):
+            LabeledSentence(s.start, s.end, s.text, s.tokens, frozenset(labels), detection_label=flag)
 
 
 class TestLoadCorpus:

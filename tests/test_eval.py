@@ -450,7 +450,7 @@ class TestLooKeepsModelsInMemory:
             vocab = table.terms.vocabulary(table.rows(fold.train))
             held = document(corpus, fold.held_out)
             got = table.terms.vectorize(vocab, table.rows([fold.held_out]))
-            want = vectorize_all([ls.sentence for ls in held.sentences], treebank[held.name], vocab, cfg)
+            want = vectorize_all(held.sentences, treebank[held.name], vocab, cfg)
             assert got.dim == want.dim
             for part in ("indptr", "indices", "data"):
                 a, b = getattr(got, part), getattr(want, part)

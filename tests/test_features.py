@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import csr_dot, left_to_right, reference_term_table, rows_from_pairs, vectorize_all
+from conftest import csr_dot, left_to_right, reference_term_table, rows_from_pairs, sentence_of, vectorize_all
 from hypothesis import strategies as st
 
 from claudette.corpus import LabeledSentence, Sentence, tokenize
@@ -280,19 +280,23 @@ def same_bytes(got, want: list[tuple[np.ndarray, np.ndarray]], dim: int) -> bool
 
 
 TAG_OF = {"a": "DT", "b": "NN", "c": "NN", "d": "VB", "e": "JJ", "heldout": "UH", "only": "RB"}
-mixed_case = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "d", "D", "e"]), max_size=7)
+mixed_case = st.lists(st.sampled_from(["a", "A", "b", "B", "c", "d", "D", "e"]), max_size=7).map(sentence_of)
 
 
-def tagged(tokens: tuple[str, ...]) -> ParseTree:
-    if not tokens:
+def tagged(sentence: Sentence) -> ParseTree:
+    if not sentence.tokens:
         return ParseTree("S")  # a bare leaf has no preterminals
-    return ParseTree("S", [ParseTree(TAG_OF[t.lower()], [ParseTree(t)]) for t in tokens])
+    return ParseTree("S", [ParseTree(TAG_OF[t.lower()], [ParseTree(t)]) for t in sentence.tokens])
+
+
+def sentences_of(*token_tuples: tuple[str, ...]) -> list[Sentence]:
+    return [sentence_of(tokens) for tokens in token_tuples]
 
 
 class TestTermTable:
     @settings(max_examples=120, deadline=None)
     @given(
-        st.lists(st.lists(mixed_case.map(tuple), min_size=1, max_size=5), min_size=2, max_size=5),
+        st.lists(st.lists(mixed_case, min_size=1, max_size=5), min_size=2, max_size=5),
         st.data(),
         st.sets(st.integers(1, 3), min_size=1),
         st.integers(1, 3),
@@ -303,8 +307,8 @@ class TestTermTable:
         cfg = FeatureConfig(ngram_orders=tuple(orders), min_df=min_df, log_tf=log_tf, use_pos=use_pos)
         held = data.draw(st.integers(0, len(docs) - 1))
         docs = [list(d) for d in docs]
-        docs[held].append(("Heldout", "only", "Heldout"))  # terms no training row has
-        docs[(held + 1) % len(docs)].append(())  # a training sentence with no terms
+        docs[held].append(sentence_of(("Heldout", "only", "Heldout")))  # terms no training row has
+        docs[(held + 1) % len(docs)].append(sentence_of(()))  # a training sentence with no terms
         sentences = [s for d in docs for s in d]
         trees = [tagged(s) for s in sentences] if use_pos else None
         table = TermTable(sentences, trees, cfg)
@@ -335,7 +339,7 @@ class TestTermTable:
         assert same_bytes(vectorize_all(held_sents, held_trees, vocab, cfg), want, vocab.size)
 
     def test_rows_are_sorted_term_ids_with_counts(self):
-        table = TermTable([("b", "a", "b"), (), ("c",)], None, FeatureConfig(ngram_orders=(1,)))
+        table = TermTable(sentences_of(("b", "a", "b"), (), ("c",)), None, FeatureConfig(ngram_orders=(1,)))
         assert table.terms == ("w1:a", "w1:b", "w1:c")
         assert table.indptr.tolist() == [0, 2, 2, 3]
         assert table.indices.tolist() == [0, 1, 2]
@@ -346,15 +350,15 @@ class TestTermTable:
     def test_missing_trees_rejected(self):
         cfg = FeatureConfig(ngram_orders=(1,), use_pos=True)
         with pytest.raises(MissingTree):
-            TermTable([("a",)], None, cfg)
+            TermTable(sentences_of(("a",)), None, cfg)
         with pytest.raises(MissingTree):
-            TermTable([("a",)], [None], cfg)
+            TermTable(sentences_of(("a",)), [None], cfg)
 
 
 class TestVectorizeAll:
     """A request's rows, built with no table, against the per-sentence reference."""
 
-    VOCAB_TEXT = [("a", "b", "a"), ("b", "c"), ("d",)]
+    VOCAB_TEXT = sentences_of(("a", "b", "a"), ("b", "c"), ("d",))
 
     def check(self, sentences, trees, vocab, cfg):
         X = vectorize_all(sentences, trees, vocab, cfg)
@@ -371,25 +375,25 @@ class TestVectorizeAll:
     def test_sentences_with_no_known_term_give_zero_rows(self):
         cfg = FeatureConfig()
         vocab = TermTable(self.VOCAB_TEXT, None, cfg).vocabulary()
-        X = self.check([("x", "y"), (), ("a", "x"), ("z",)], None, vocab, cfg)
+        X = self.check(sentences_of(("x", "y"), (), ("a", "x"), ("z",)), None, vocab, cfg)
         assert X.indptr.tolist() == [0, 0, 0, 1, 1]
 
     def test_an_empty_vocabulary(self):
         cfg = FeatureConfig(min_df=9)
         vocab = file_copy(TermTable(self.VOCAB_TEXT, None, cfg).vocabulary())
         assert vocab.size == 0
-        X = self.check([("a", "b"), (), ("c",)], None, vocab, cfg)
+        X = self.check(sentences_of(("a", "b"), (), ("c",)), None, vocab, cfg)
         assert X.dim == 0 and X.indptr.tolist() == [0, 0, 0, 0]
 
     def test_repeated_terms_under_log_tf(self):
         cfg = FeatureConfig(log_tf=True)
         vocab = file_copy(TermTable(self.VOCAB_TEXT, None, cfg).vocabulary())
-        X = self.check([("a", "a", "a", "b", "a", "b"), ("b",) * 7, ("a", "c", "a")], None, vocab, cfg)
+        X = self.check(sentences_of(("a", "a", "a", "b", "a", "b"), ("b",) * 7, ("a", "c", "a")), None, vocab, cfg)
         assert len(set(X.data.tolist())) > 2
 
     def test_pos_terms_from_trees(self):
         cfg = FeatureConfig(use_pos=True)
-        text = [("a", "b", "a"), ("heldout", "only"), ()]
+        text = sentences_of(("a", "b", "a"), ("heldout", "only"), ())
         trees = [tagged(s) for s in text]
         vocab = file_copy(TermTable(self.VOCAB_TEXT, [tagged(s) for s in self.VOCAB_TEXT], cfg).vocabulary())
         X = self.check(text, trees, vocab, cfg)
@@ -400,7 +404,7 @@ class TestVectorizeAll:
         vocab = TermTable(self.VOCAB_TEXT, [tagged(s) for s in self.VOCAB_TEXT], cfg).vocabulary()
         for trees in (None, [None]):
             with pytest.raises(MissingTree):
-                vectorize_all([("a",)], trees, vocab, cfg)
+                vectorize_all(sentences_of(("a",)), trees, vocab, cfg)
 
 
 def same_arrays(got, want) -> bool:
@@ -412,7 +416,7 @@ def file_copy(vocab: Vocabulary) -> Vocabulary:
     return vocabulary_from_record(json.loads(canonical_json_bytes(vocabulary_record(vocab))))
 
 
-sentence_lists = st.lists(mixed_case.map(tuple), max_size=8)  # empty sentences and zero rows too
+sentence_lists = st.lists(mixed_case, max_size=8)  # empty sentences and zero rows too
 orders = st.sets(st.integers(1, 3), min_size=1).map(tuple)
 
 
@@ -459,7 +463,7 @@ class TestArrayFolds:
                 assert same_arrays(getattr(X, name), getattr(Y, name))
 
     def test_min_df_above_every_df_gives_an_empty_vocabulary(self):
-        sentences = [("a", "b"), ("b",), ()]
+        sentences = sentences_of(("a", "b"), ("b",), ())
         table = TermTable(sentences, None, FeatureConfig(ngram_orders=(1, 2), min_df=4))
         vocab = table.vocabulary()
         assert vocab.size == 0 and vocab.terms == () and vocab.df == () and vocab.n_fit == 3
@@ -470,7 +474,7 @@ class TestArrayFolds:
             assert X.indices.size == X.data.size == 0
 
     def test_a_vocabulary_from_elsewhere_is_refused(self):
-        sentences = [("a", "b"), ("b",)]
+        sentences = sentences_of(("a", "b"), ("b",))
         table = TermTable(sentences, None, FeatureConfig(ngram_orders=(1,)))
         vocab = table.vocabulary()
         other = TermTable(sentences, None, FeatureConfig(ngram_orders=(1,))).vocabulary()

@@ -110,12 +110,56 @@ class TestForkMap:
             fork_map(lambda x: (lambda: x), range(2))
         assert_no_child_left()
 
-    def test_nested_fork_map_runs_in_the_worker(self, monkeypatch):
+
+
+def no_nested_fork_map(monkeypatch) -> list[str]:
+    """Make every ``fork_map`` of the LOO folds and the Gram fills fail if it
+    is entered from inside an item of another, in this process or in a
+    worker; returns the names of the modules whose ``fork_map`` ran."""
+    inside: list = []
+    calls: list[str] = []
+    for module in (evaluation, treekernel):
+        def guarded(fn, items, name=module.__name__):
+            assert not inside, f"{name} entered fork_map from inside a worker"
+            calls.append(name)
+
+            def item(x):
+                inside.append(x)
+                try:
+                    return fn(x)
+                finally:
+                    inside.pop()
+
+            return fork_map(item, items)
+
+        monkeypatch.setattr(module, "fork_map", guarded)
+    return calls
+
+
+@pytest.mark.usefixtures("forking")
+class TestNoForkMapInsideAWorker:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_loo_folds(self, kind, monkeypatch):
+        calls = no_nested_fork_map(monkeypatch)
         on_cores(monkeypatch, 2)
-        got = fork_map(lambda _: (os.getpid(), fork_map(lambda _: os.getpid(), range(3))), range(2))
-        assert got[0] == (os.getpid(), [os.getpid()] * 3)
-        child, inner = got[1]
-        assert child != os.getpid() and inner == [child] * 3
+        loo_record("mini", kind)
+        gram = ["claudette.treekernel"] if kind == "kernel-sstk" else []
+        assert calls == gram + ["claudette.evaluation"]
+        assert_no_child_left()
+
+    def test_gram_fill(self, monkeypatch):
+        calls = no_nested_fork_map(monkeypatch)
+        on_cores(monkeypatch, 2)
+        gram_matrix(fixture_trees("adjacency"))
+        assert calls == ["claudette.treekernel"]
+        assert_no_child_left()
+
+    def test_the_guard_sees_a_call_in_a_forked_worker(self, monkeypatch):
+        parent = os.getpid()
+        no_nested_fork_map(monkeypatch)
+        on_cores(monkeypatch, 2)  # item 1 is in the child's share
+        with pytest.raises(AssertionError, match="from inside a worker"):
+            evaluation.fork_map(lambda x: x if os.getpid() == parent else treekernel.fork_map(abs, [x]), range(2))
         assert_no_child_left()
 
 
