@@ -277,6 +277,9 @@ _QUOTES = "\"'“”‘’«»"
 _CUT = re.compile(r"\n|[.!?](?=\s+(\S)?)")
 #: An alphanumeric run or one other non-whitespace character.
 _TOKEN = re.compile(r"[^\W_]+|\S")
+#: ``_TOKEN`` on lowercased ASCII text, where ``[^\W_]`` is ``[a-z0-9]``;
+#: ``\S`` stays Unicode, so ``\x1c``-``\x1f`` are still whitespace.
+_ASCII_TOKEN = re.compile(r"[a-z0-9]+|\S")
 _ALNUM = re.compile(r"[^\W_]")
 
 
@@ -323,7 +326,14 @@ def segment_sentences(plain: str) -> list[Sentence]:
 
 def tokenize(sentence_text: str) -> list[str]:
     """Lowercased tokens: alphanumeric runs, with every punctuation mark a
-    standalone token.  "twitter.com/tos" -> [twitter, ., com, /, tos]."""
+    standalone token.  "twitter.com/tos" -> [twitter, ., com, /, tos].
+
+    ASCII text is lowercased once and split in one pass: there ``lower()``
+    changes only A-Z, so it moves no token boundary.  Other text is split
+    first, since lowercasing may change its length (``İ``).
+    """
+    if sentence_text.isascii():
+        return _ASCII_TOKEN.findall(sentence_text.lower())
     return [token.lower() for token in _TOKEN.findall(sentence_text)]
 
 

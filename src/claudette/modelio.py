@@ -118,19 +118,23 @@ def vocabulary_record(vocab: Vocabulary) -> dict:
 
 
 def vocabulary_from_record(rec: dict) -> Vocabulary:
-    """The vocabulary of a model file: its terms must be strictly increasing
-    strings, its indices exactly 0..n-1 and every df an integer in [1, n_fit]."""
+    """The vocabulary of a model file: its terms must be strings, its indices
+    exactly 0..n-1 and every df an integer in [1, n_fit].  The terms' strict
+    increase is checked once, by :class:`Vocabulary` itself."""
     if rec.get("format_version") != 1:
         raise ModelFormatError(f"unsupported vocabulary format {rec.get('format_version')!r}")
     entries = sorted(rec["entries"], key=lambda e: e[1])
     terms, df, n_fit = [e[0] for e in entries], [e[2] for e in entries], rec["n_fit"]
     if [e[1] for e in entries] != list(range(len(entries))):
         raise ModelFormatError("vocabulary indices are not 0..n-1")
-    if not all(isinstance(t, str) for t in terms) or any(a >= b for a, b in zip(terms, terms[1:])):
-        raise ModelFormatError("vocabulary terms are not strictly increasing strings")
+    if not all(isinstance(t, str) for t in terms):
+        raise ModelFormatError("vocabulary terms are not all strings")
     if type(n_fit) is not int or not all(type(d) is int and 1 <= d <= n_fit for d in df):
         raise ModelFormatError(f"vocabulary df is not an integer in [1, n_fit] (n_fit {n_fit!r})")
-    return Vocabulary(terms, df, n_fit)
+    try:
+        return Vocabulary(terms, df, n_fit)
+    except ValueError as err:  # the terms are not strictly increasing
+        raise ModelFormatError(f"vocabulary {err}") from None
 
 
 def linear_payload(model: LinearModel) -> dict:

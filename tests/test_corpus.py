@@ -412,6 +412,13 @@ _PIECES = [
 _NUMERALS = ["²", "½", "Ⅻ"]  # numeric, not decimal; they change the tag grammar only
 # The pieces that decide sentence cuts, so that cut candidates come often.
 _CUT_PIECES = ["e.g.", "(e.g.", "U.S.", "no.", "x.", "a", "A", "2", "٢", "!", "?", " ", "\n", "\xa0", *_QUOTES]
+# ASCII only, so that tokenize's one-pass ASCII branch runs on every text:
+# upper-case words, digits, '_', the separators \x1c-\x1f and abbreviations.
+_ASCII_PIECES = [
+    " ", "\t", "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x00", "\x7f",
+    "a", "Word", "TERMS", "Z", "0", "42", "x7", "_", "__init__", "e.g.", "(e.g.", "U.S.", "u.s.", "No.",
+    ".", "!", "?", ",", "(", ")", "/", "<", ">", "\"", "'", "~",
+]
 
 
 def _text(pieces):
@@ -420,12 +427,12 @@ def _text(pieces):
 
 class TestAgainstCharacterLoops:
     @settings(max_examples=300, deadline=None)
-    @given(_text(_PIECES + _NUMERALS))
+    @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_ASCII_PIECES)))
     def test_tokenize(self, text):
         assert tokenize(text) == reference_tokenize(text)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_CUT_PIECES)))
+    @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_CUT_PIECES), _text(_ASCII_PIECES)))
     def test_segment_sentences(self, text):
         assert segment_sentences(text) == reference_segment_sentences(text)
 

@@ -65,6 +65,14 @@ class TestComponentRecords:
         assert rec["entries"] == [["w1:a", 0, 1], ["w1:b", 1, 2]]
         assert vocabulary_from_record(rec) == vocab
 
+    @pytest.mark.parametrize("terms", [("w1:a", "w1:a"), ("w1:b", "w1:a"), ("w1:a", 5)])
+    def test_a_vocabulary_record_out_of_order_is_a_format_error(self, terms):
+        rec = vocabulary_record(small_vocab())
+        for entry, term in zip(rec["entries"], terms):
+            entry[0] = term
+        with pytest.raises(ModelFormatError, match="vocabulary terms"):
+            vocabulary_from_record(rec)
+
     def test_linear_round_trip_preserves_sparsity(self):
         model = small_linear()
         payload = linear_payload(model)

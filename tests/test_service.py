@@ -174,6 +174,18 @@ class TestAnalyze:
     def test_oversized_body_413(self, server):
         assert _post(server, b"x" * 5000)[0] == 413  # server cap is 4096
 
+    def test_a_body_over_the_sentence_cap_413(self, server, served_model, monkeypatch, tmp_path, capsysbinary):
+        monkeypatch.setattr(service, "MAX_SENTENCES", 3)
+        at_cap = tmp_path / "three.txt"
+        at_cap.write_bytes(b"The provider may change anything. We may end it. You agree.")
+        status, body = _post(server, at_cap.read_bytes())
+        assert status == 200 and len(json.loads(body)["sentences"]) == 3
+        assert main(["predict", "--model", str(served_model), "--input", str(at_cap)]) == 0
+        assert body == capsysbinary.readouterr().out
+        status, body = _post(server, at_cap.read_bytes() + b" One more.")
+        assert status == 413
+        assert json.loads(body) == {"error": "text has 4 sentences, over the 3-sentence cap"}
+
     def test_invalid_utf8_400(self, server):
         assert _post(server, b"\xff\xfe nonsense")[0] == 400
 
