@@ -46,10 +46,6 @@ class TreeAlignmentError(ValueError):
     pass
 
 
-class TooManySentences(ValueError):
-    pass
-
-
 # (score name, weights, bias); the weights index as Python floats
 Scorer = tuple[str, array, float]
 
@@ -194,16 +190,9 @@ class Predictor:
         rows = tfidf_rows(sentences, trees, self.bundle.vocabulary, self.bundle.feature_config)
         return decide(self.bundle, sentences, rows, scorers=self.scorers)
 
-    def analyze(
-        self, text: str, trees: Sequence[ParseTree] | None = None, max_sentences: int | None = None
-    ) -> AnalysisResult:
-        """Segment a plain-text document and predict its sentences.  A
-        document of more than ``max_sentences`` sentences raises
-        :class:`TooManySentences` before any term is extracted."""
-        segmented = segment_sentences(text)
-        if max_sentences is not None and len(segmented) > max_sentences:
-            raise TooManySentences(f"text has {len(segmented)} sentences, over the {max_sentences}-sentence cap")
-        sentences, warnings = self.predict(segmented, trees)
+    def analyze(self, text: str, trees: Sequence[ParseTree] | None = None) -> AnalysisResult:
+        """Segment a plain-text document and predict its sentences."""
+        sentences, warnings = self.predict(segment_sentences(text), trees)
         return AnalysisResult(text=text, model_kind=self.kind, sentences=sentences, warnings=warnings)
 
 

@@ -278,7 +278,8 @@ _CUT = re.compile(r"\n|[.!?](?=\s+(\S)?)")
 #: An alphanumeric run or one other non-whitespace character.
 _TOKEN = re.compile(r"[^\W_]+|\S")
 #: ``_TOKEN`` on lowercased ASCII text, where ``[^\W_]`` is ``[a-z0-9]``;
-#: ``\S`` stays Unicode, so ``\x1c``-``\x1f`` are still whitespace.
+#: ``\S`` stays Unicode, so ``\x1c``-``\x1f`` are still whitespace.  The
+#: plain class matches faster than ``[^\W_]``'s Unicode category test.
 _ASCII_TOKEN = re.compile(r"[a-z0-9]+|\S")
 _ALNUM = re.compile(r"[^\W_]")
 

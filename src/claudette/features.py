@@ -167,8 +167,6 @@ def extract_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     prefix = f"w{n}:"
     if n == 1:  # the window is the token: no slice and no join
         return [prefix + t for t in tokens]
-    if n == 2:  # the pairs of a zip: no slice and no join per window
-        return [f"{prefix}{a}_{b}" for a, b in zip(tokens, tokens[1:])]
     return [prefix + "_".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 

@@ -182,6 +182,8 @@ class TestAnalyze:
         assert status == 200 and len(json.loads(body)["sentences"]) == 3
         assert main(["predict", "--model", str(served_model), "--input", str(at_cap)]) == 0
         assert body == capsysbinary.readouterr().out
+        # refused before any term is extracted: the predictor is never asked
+        monkeypatch.setattr(server.RequestHandlerClass.predictor, "predict", None)
         status, body = _post(server, at_cap.read_bytes() + b" One more.")
         assert status == 413
         assert json.loads(body) == {"error": "text has 4 sentences, over the 3-sentence cap"}
