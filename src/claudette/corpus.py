@@ -4,10 +4,15 @@ A corpus document is a UTF-8 text file with inline clause annotations of the
 form ``<SYMLVL>...</SYMLVL>``, where SYM is one of eight clause-category
 symbols and LVL is a fairness level in 1..3.  A tag is ``<`` or ``</``,
 letters, decimal digits and ``>``; any other ``<`` is text.  This module
-strips the tags, segments the plain text into sentences, tokenizes them, and
-projects the clause spans onto sentences as (category, level) labels.  Each
-step is one pass of a compiled pattern or a merge of sorted ranges, so the
-time is linear in the document.
+strips the tags, segments the plain text into tokenized sentences and
+projects the clause spans onto them as (category, level) labels.
+
+Segmentation has two phases.  :func:`sentence_spans` finds every sentence's
+range in one scan, whose cut candidates come from a C-level pattern search,
+and can stop after a limit of sentences.  :func:`segment_sentences` then
+builds each sentence's record once, with its tokens and, for a training
+document, its labels.  Each step is one pass of a compiled pattern or a
+merge of sorted ranges, so the time is linear in the document.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ClauseCategory(Enum):
@@ -138,10 +143,6 @@ class LabeledSentence(Sentence):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "detection_label", any(level in POSITIVE_LEVELS for _, level in self.labels))
-
-    @classmethod
-    def from_labels(cls, sentence: Sentence, labels: Iterable[tuple[ClauseCategory, int]]) -> "LabeledSentence":
-        return cls(sentence.start, sentence.end, sentence.text, sentence.tokens, frozenset(labels))
 
     def positive_categories(self) -> frozenset[ClauseCategory]:
         return frozenset(c for c, l in self.labels if l in POSITIVE_LEVELS)
@@ -272,9 +273,14 @@ ABBREVIATIONS = frozenset({
 
 _QUOTES = "\"'“”‘’«»"
 
-#: A sentence cut candidate: a newline, or a '.', '!' or '?' followed by
-#: whitespace; group 1 is the next non-whitespace character, if any.
-_CUT = re.compile(r"\n|[.!?](?=\s+(\S)?)")
+#: A cut candidate: a '.', '!' or '?' followed by whitespace and then,
+#: captured, a character that may open a sentence: an ASCII capital, digit
+#: or quote of ``_QUOTES``, or any non-ASCII non-whitespace character (tested
+#: in Python).  Newlines are found with ``str.find``.
+_CUT = re.compile(
+    r"[.!?](?=\s+([0-9A-Z" + re.escape("".join(q for q in _QUOTES if q.isascii())) + r"]|[^\x00-\x7f\s]))"
+)
+_NONSPACE = re.compile(r"\S")
 #: An alphanumeric run or one other non-whitespace character.
 _TOKEN = re.compile(r"[^\W_]+|\S")
 #: ``_TOKEN`` on lowercased ASCII text, where ``[^\W_]`` is ``[a-z0-9]``;
@@ -284,45 +290,91 @@ _ASCII_TOKEN = re.compile(r"[a-z0-9]+|\S")
 _ALNUM = re.compile(r"[^\W_]")
 
 
-def _abbreviation_before(plain: str, dot: int) -> bool:
-    """Whether the token ending at the period at ``dot`` is an abbreviation."""
-    w = dot
-    while w > 0 and not plain[w - 1].isspace():
-        w -= 1
-    word = plain[w : dot + 1].lower()
+class TooManySentences(CorpusError):
+    """A text segments into more sentences than the caller's limit."""
+
+
+def _abbreviation_at(plain: str, dot: int) -> bool:
+    """Whether the token ending at the period at ``dot``, from its first
+    alphanumeric on, is an abbreviation.  The token starts after the last
+    whitespace of a window ending at ``dot``; the window doubles only while
+    it holds none, so the work is linear in the token's length."""
+    width = 16  # the longest abbreviation has 7 characters
+    while True:
+        lo = max(dot + 1 - width, 0)
+        token = plain[lo : dot + 1].rsplit(None, 1)[-1]
+        if lo == 0 or len(token) < dot + 1 - lo:
+            break
+        width *= 2
+    word = token.lower()
     first = _ALNUM.search(word)
     return first is not None and word[first.start() :] in ABBREVIATIONS
 
 
-def _ends_sentence(plain: str, cut: re.Match) -> bool:
-    mark, nxt = cut.group(0, 1)
-    if mark == "\n":
-        return True
-    if nxt is None or not (nxt.isupper() or nxt.isdigit() or nxt in _QUOTES):
-        return False
-    return mark != "." or not _abbreviation_before(plain, cut.start())
+def sentence_spans(plain: str, limit: int | None = None) -> list[tuple[int, int]]:
+    """Segmentation's first phase: the ``(start, end)`` range of each
+    sentence of ``plain``, stripped of surrounding whitespace, in text order;
+    with a ``limit``, the scan stops at the ``limit``-th.
 
-
-def segment_sentences(plain: str) -> list[Sentence]:
-    """Rule-based sentence segmenter.
-
-    Any newline terminates the current sentence (paragraph break).  A '.', '!'
-    or '?' terminates it when followed by whitespace whose next non-whitespace
-    character is an uppercase letter, a digit, or a quote — unless the token
-    preceding a period is a known abbreviation.  Sentences are stripped of
-    surrounding whitespace; a whitespace-only stretch yields none.
+    Any newline ends a sentence (paragraph break).  A '.', '!' or '?' ends
+    one when followed by whitespace whose next non-whitespace character is an
+    uppercase letter, a digit or a quote, unless the token before a period is
+    a known abbreviation.  A whitespace-only stretch yields no sentence.
+    Cut candidates come from one C-level scan, consumed in step with the
+    sentences, so the time is linear in the text up to the last span found.
     """
-    sentences: list[Sentence] = []
-    start = 0
-    ends = [cut.end() for cut in _CUT.finditer(plain) if _ends_sentence(plain, cut)]
-    for end in ends + [len(plain)]:
-        chunk = plain[start:end]
-        text = chunk.strip()
-        if text:
-            first = start + len(chunk) - len(chunk.lstrip())
-            sentences.append(Sentence(first, first + len(text), text, tuple(tokenize(text))))
-        start = end
-    return sentences
+    spans: list[tuple[int, int]] = []
+    cuts = _CUT.finditer(plain)
+    cut = next(cuts, None)
+    first = _NONSPACE.search(plain)
+    start = first.start() if first else -1  # the next sentence's first character
+    stop = -1  # the first newline at or after start, or the end
+    while start >= 0 and len(spans) != limit:
+        if stop < start:
+            stop = plain.find("\n", start)
+            if stop < 0:
+                stop = len(plain)
+        while cut is not None and cut.start() < stop:
+            mark, after = cut.start(), cut.start(1)
+            cut = next(cuts, None)
+            nxt = plain[after]
+            if (nxt.isupper() or nxt.isdigit() or nxt in _QUOTES) and not (
+                plain[mark] == "." and _abbreviation_at(plain, mark)
+            ):
+                spans.append((start, mark + 1))
+                start = after  # the whitespace after the mark holds no sentence
+                break
+        else:  # the sentence runs to the newline or the end, less trailing whitespace
+            spans.append((start, start + len(plain[start:stop].rstrip())))
+            first = _NONSPACE.search(plain, stop)
+            start = first.start() if first else -1
+    return spans
+
+
+def segment_sentences(
+    plain: str, tags: Sequence[TagSpan] | None = None, limit: int | None = None
+) -> list[Sentence]:
+    """Rule-based sentence segmenter: :func:`sentence_spans`, then each
+    sentence's record built once, with its tokens.
+
+    Given the document's ``tags``, every record is a :class:`LabeledSentence`
+    carrying the labels they project onto it (:func:`_project_labels`);
+    otherwise a :class:`Sentence`.  With a ``limit``, a text of more than
+    ``limit`` sentences raises :class:`TooManySentences` as soon as the scan
+    has found ``limit + 1``, before any sentence is tokenized.
+    """
+    spans = sentence_spans(plain, None if limit is None else limit + 1)
+    if limit is not None and len(spans) > limit:
+        raise TooManySentences(f"text is over the {limit}-sentence cap")
+    texts = [plain[start:end] for start, end in spans]
+    tokens = [tuple(tokenize(text)) for text in texts]
+    if tags is None:
+        return [Sentence(s, e, text, toks) for (s, e), text, toks in zip(spans, texts, tokens)]
+    labels = _project_labels(tags, spans, texts)
+    return [
+        LabeledSentence(s, e, text, toks, lab)
+        for (s, e), text, toks, lab in zip(spans, texts, tokens, labels)
+    ]
 
 
 def tokenize(sentence_text: str) -> list[str]:
@@ -342,45 +394,47 @@ def tokenize(sentence_text: str) -> list[str]:
 # Label projection and corpus loading
 # ---------------------------------------------------------------------------
 
-def project_labels(spans: Sequence[TagSpan], sentences: Sequence[Sentence]) -> list[LabeledSentence]:
-    """Attach (category, level) labels to every sentence whose range overlaps
-    the span by at least one non-whitespace character.  A span covering
-    several sentences labels each of them.  ``sentences`` must be disjoint
-    and in text order, as :func:`segment_sentences` returns them.
+def _project_labels(
+    tags: Sequence[TagSpan], spans: Sequence[tuple[int, int]], texts: Sequence[str]
+) -> list[frozenset[tuple[ClauseCategory, int]]]:
+    """The (category, level) labels of each sentence: those of every tag
+    whose range overlaps the sentence by at least one non-whitespace
+    character.  A tag covering several sentences labels each of them.
+    ``spans`` are the sentences' disjoint ranges in text order, ``texts``
+    their substrings.
 
-    The spans of each (category, level) are merged into disjoint ranges, and
+    The tags of each (category, level) are merged into disjoint ranges, and
     each range visits only the sentences it overlaps, so the time is linear
-    in spans plus sentences.  A sentence overlaps the union of a key's spans
+    in tags plus sentences.  A sentence overlaps the union of a key's tags
     on a non-whitespace character exactly when it so overlaps one of them.
     """
     merged: dict[tuple[ClauseCategory, int], list[list[int]]] = {}
-    for span in sorted(spans, key=lambda s: s.start):
-        ranges = merged.setdefault((span.category, span.level), [])
-        if ranges and span.start <= ranges[-1][1]:
-            ranges[-1][1] = max(ranges[-1][1], span.end)
+    for tag in sorted(tags, key=lambda t: t.start):
+        ranges = merged.setdefault((tag.category, tag.level), [])
+        if ranges and tag.start <= ranges[-1][1]:
+            ranges[-1][1] = max(ranges[-1][1], tag.end)
         else:
-            ranges.append([span.start, span.end])
-    ends = [s.end for s in sentences]
-    labels: list[set[tuple[ClauseCategory, int]]] = [set() for _ in sentences]
+            ranges.append([tag.start, tag.end])
+    ends = [end for _, end in spans]
+    labels: list[set[tuple[ClauseCategory, int]]] = [set() for _ in spans]
     for key, ranges in merged.items():
         for a, b in ranges:
             i = bisect.bisect_right(ends, a)
-            while i < len(sentences) and sentences[i].start < b:
-                sent = sentences[i]
-                if not sent.text[max(a - sent.start, 0) : b - sent.start].isspace():
+            while i < len(spans) and spans[i][0] < b:
+                start = spans[i][0]
+                if not texts[i][max(a - start, 0) : b - start].isspace():
                     labels[i].add(key)
                 i += 1
-    return [LabeledSentence.from_labels(s, l) for s, l in zip(sentences, labels)]
+    return [frozenset(l) for l in labels]
 
 
 def parse_document(name: str, raw: str, lenient: bool = False) -> Document:
     try:
-        plain, spans = parse_tagged_text(raw, lenient=lenient)
+        plain, tags = parse_tagged_text(raw, lenient=lenient)
     except TagError as err:
         raise err.with_filename(name) from None
-    sentences = segment_sentences(plain)
-    labeled = project_labels(spans, sentences)
-    return Document(name=name, sentences=tuple(labeled), spans=tuple(spans), plain_text=plain)
+    sentences = segment_sentences(plain, tags)
+    return Document(name=name, sentences=tuple(sentences), spans=tuple(tags), plain_text=plain)
 
 
 def load_corpus(directory: str | Path, lenient: bool = False) -> Corpus:

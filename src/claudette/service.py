@@ -29,6 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import analyze
 from .analyze import AnalysisResult, Predictor, result_json
+from .corpus import TooManySentences
 from .features import MissingTree
 from .modelio import FORMAT_VERSION, ModelBundle, canonical_json_bytes
 
@@ -217,9 +218,11 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
             return
         try:
             # looked up on analyze, as Predictor.analyze does, so one span on it times both
-            sentences = analyze.segment_sentences(text)
-            if len(sentences) <= MAX_SENTENCES:  # refused below, before any term is extracted
-                result = AnalysisResult(text, self.predictor.kind, *self.predictor.predict(sentences))
+            sentences = analyze.segment_sentences(text, limit=MAX_SENTENCES)
+            result = AnalysisResult(text, self.predictor.kind, *self.predictor.predict(sentences))
+        except TooManySentences as err:  # raised before any sentence is tokenized
+            self._send(413, _error_body(str(err)))
+            return
         except MissingTree:
             self._send(400, _error_body("this model needs parse trees, which the service cannot supply"))
             return
@@ -227,9 +230,6 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
             error_id = uuid.uuid4().hex[:12]
             log.exception("analysis failed (error id %s)", error_id)
             self._send(500, _error_body("internal error", error_id))
-            return
-        if len(sentences) > MAX_SENTENCES:
-            self._send(413, _error_body(f"text has {len(sentences)} sentences, over the {MAX_SENTENCES}-sentence cap"))
             return
         self._send(200, result_json(result))
 

@@ -580,7 +580,7 @@ def reference_project_labels(spans: Sequence[TagSpan], sentences: Sequence[Sente
             for span in spans
             if _overlaps_nonspace(sent, span)
         }
-        out.append(LabeledSentence.from_labels(sent, labels))
+        out.append(LabeledSentence(sent.start, sent.end, sent.text, sent.tokens, frozenset(labels)))
     return out
 
 

@@ -16,6 +16,7 @@ from conftest import (
     reinsert_tags,
 )
 
+from claudette import corpus
 from claudette.corpus import (
     ABBREVIATIONS,
     CATEGORY_BY_SYMBOL,
@@ -28,7 +29,9 @@ from claudette.corpus import (
     EmptyTagSpan,
     LabeledSentence,
     Sentence,
+    TagError,
     TagSpan,
+    TooManySentences,
     UnbalancedTag,
     UnknownTag,
     _QUOTES,
@@ -36,8 +39,8 @@ from claudette.corpus import (
     load_corpus,
     parse_document,
     parse_tagged_text,
-    project_labels,
     segment_sentences,
+    sentence_spans,
     tokenize,
 )
 
@@ -298,9 +301,78 @@ class TestSegmentation:
         assert [len(s.text) for s in whole] == [n + 9]
         assert elapsed < 10.0  # linear: about a second; stripping one character at a time took 20 s a body
 
+    def test_a_limit_refuses_a_longer_text_before_tokenizing(self, monkeypatch):
+        assert [s.text for s in segment_sentences("A b. C d.", limit=2)] == ["A b.", "C d."]
+        with monkeypatch.context() as patched:
+            patched.setattr(corpus, "tokenize", _no_tokenizing)
+            with pytest.raises(TooManySentences, match="over the 2-sentence cap"):
+                segment_sentences("A b. C d.\nE f.", limit=2)
+        assert sentence_spans("A b. C d.\nE f.", 2) == [(0, 4), (5, 9)]
+        assert sentence_spans("A b.", 0) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: "x" * (n - 3) + ". A",  # one token, no whitespace
+            lambda n: "." * n,
+            lambda n: ("Word. " * (n // 6 + 1))[:n],
+        ],
+        ids=["one-token", "periods", "words"],
+    )
+    def test_linear_time_on_hostile_text(self, make):
+        small, large = make(100_000), make(1_000_000)
+        times: dict[str, list[float]] = {"small": [], "large": []}
+        for _ in range(5):  # interleaved, so that a slow stretch of the machine slows both
+            for size, text in (("small", small), ("large", large)):
+                t0 = time.perf_counter()
+                segment_sentences(text)
+                times[size].append(time.perf_counter() - t0)
+        # linear reads 10-16x for 10x the text; the exact bound on the work
+        # is test_the_scan_covers_each_character_a_bounded_number_of_times
+        assert min(times["large"]) < 40 * max(min(times["small"]), 0.005)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x" * 99_997 + ". A", "." * 100_000, "Word. " * 16_667, "Word.\n" * 16_667],
+        ids=["one-token", "periods", "words", "lines"],
+    )
+    def test_the_scan_covers_each_character_a_bounded_number_of_times(self, text):
+        counted = _CountingText(text)
+        assert sentence_spans(counted) == sentence_spans(text)
+        # linear reads 2-4 characters a character (a 16-character
+        # abbreviation window per 6-character "Word. "); a window grown by a
+        # fixed step, or a newline search per sentence over the rest of the
+        # text, reads thousands
+        assert counted.covered <= 5 * len(text)
+
+    def test_the_cut_pattern_admits_every_ascii_sentence_opener(self):
+        for c in map(chr, range(0x21, 0x7F)):
+            opens = c.isupper() or c.isdigit() or c in _QUOTES
+            assert len(sentence_spans(f"A b. {c}x")) == (2 if opens else 1), c
+
     def test_abbreviation_list_is_reasonably_sized(self):
         assert len(ABBREVIATIONS) >= 60
         assert all(a.endswith(".") and a == a.lower() for a in ABBREVIATIONS)
+
+
+def _no_tokenizing(text):
+    raise AssertionError(f"tokenized {text!r}")
+
+
+class _CountingText(str):
+    """A text that counts the characters its slices and newline searches read."""
+
+    covered = 0
+
+    def __getitem__(self, key):
+        item = str.__getitem__(self, key)
+        self.covered += len(item)
+        return item
+
+    def find(self, sub, start=0, end=None):
+        found = str.find(self, sub, start, end)
+        self.covered += (len(self) if found < 0 else found) - start
+        return found
 
 
 class TestTokenize:
@@ -326,16 +398,11 @@ class TestTokenize:
         assert "".join(tokens) == "".join(ch.lower() for ch in text if not ch.isspace())
 
 
-def _sentence(start, end, text):
-    return Sentence(start=start, end=end, text=text, tokens=tuple(tokenize(text)))
-
-
 class TestProjectLabels:
     def test_span_covering_two_sentences_labels_both(self):
         plain = "First sentence here. Second sentence there."
-        sents = segment_sentences(plain)
         span = TagSpan(ClauseCategory.LIMITATION_OF_LIABILITY, 2, 0, len(plain))
-        labeled = project_labels([span], sents)
+        labeled = segment_sentences(plain, [span])
         assert len(labeled) == 2
         assert all(ls.labels == {(ClauseCategory.LIMITATION_OF_LIABILITY, 2)} for ls in labeled)
         assert all(ls.detection_label for ls in labeled)
@@ -343,7 +410,7 @@ class TestProjectLabels:
     def test_nested_spans_give_both_labels(self):
         raw = "<j1> <a3>Disputes are settled by arbitration in Ruritania.</a3> </j1>"
         plain, spans = parse_tagged_text(raw)
-        labeled = project_labels(spans, segment_sentences(plain))
+        labeled = segment_sentences(plain, spans)
         assert len(labeled) == 1
         assert labeled[0].labels == {
             (ClauseCategory.JURISDICTION, 1),
@@ -354,23 +421,21 @@ class TestProjectLabels:
     def test_level_one_only_is_not_positive(self):
         plain = "Fair clause text."
         span = TagSpan(ClauseCategory.CHOICE_OF_LAW, 1, 0, len(plain))
-        (ls,) = project_labels([span], segment_sentences(plain))
+        (ls,) = segment_sentences(plain, [span])
         assert ls.labels == {(ClauseCategory.CHOICE_OF_LAW, 1)}
         assert ls.detection_label is False
 
     def test_whitespace_only_overlap_does_not_label(self):
         plain = "One. Two."
-        sents = segment_sentences(plain)
         # span covering only the inter-sentence blank
         span = TagSpan(ClauseCategory.ARBITRATION, 2, 4, 5)
-        labeled = project_labels([span], sents)
+        labeled = segment_sentences(plain, [span])
         assert all(not ls.labels for ls in labeled)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_adding_a_span_never_removes_labels(self, data):
         plain = "Alpha beta gamma. Delta epsilon zeta. Eta theta."
-        sents = segment_sentences(plain)
         def spans_strategy():
             return st.lists(
                 st.tuples(
@@ -382,8 +447,8 @@ class TestProjectLabels:
             )
         spans = data.draw(spans_strategy())
         extra = data.draw(spans_strategy())
-        base = project_labels(spans, sents)
-        more = project_labels(spans + extra, sents)
+        base = segment_sentences(plain, spans)
+        more = segment_sentences(plain, spans + extra)
         for b, m in zip(base, more):
             assert b.labels <= m.labels
 
@@ -398,8 +463,8 @@ class TestProjectLabels:
             st.integers(0, n - 1).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, n))),
         )
         spans = data.draw(st.lists(span, max_size=10))
-        sents = segment_sentences(plain)
-        assert project_labels(spans, sents) == reference_project_labels(spans, sents)
+        expected = reference_project_labels(spans, reference_segment_sentences(plain))
+        assert segment_sentences(plain, spans) == expected
 
 
 # Differential tests against the character-loop readers kept in conftest.
@@ -412,6 +477,22 @@ _PIECES = [
 _NUMERALS = ["²", "½", "Ⅻ"]  # numeric, not decimal; they change the tag grammar only
 # The pieces that decide sentence cuts, so that cut candidates come often.
 _CUT_PIECES = ["e.g.", "(e.g.", "U.S.", "no.", "x.", "a", "A", "2", "٢", "!", "?", " ", "\n", "\xa0", *_QUOTES]
+# Tokens longer than the abbreviation test's first window (16 characters)
+# that end in '.', so that the window doubles; an abbreviation behind a long
+# run of non-alphanumerics, which the test strips.
+_LONG_PIECES = [
+    "Supercalifragilistic.", "x" * 40 + ".", "twitter.com/terms-of-service.", "((((((((e.g.",
+    "(" * 20 + "e.g.", "((((((((x.", "-" * 33 + "U.S.", "a" * 15 + "e.g.",
+]
+# An abbreviation at offset 0 or right after a newline, a no-break space or a
+# space, then what may open the next sentence.
+_ABBREVIATION_FIRST = st.builds(
+    lambda before, abbreviation, after, rest: before + abbreviation + after + rest,
+    st.sampled_from(["", "\n", "\xa0", " "]),
+    st.sampled_from(sorted(ABBREVIATIONS) + ["E.G.", "(e.g.", "((((((((e.g."]),
+    st.sampled_from([" A", " 2", " \"", "\xa0A", " a", "\n", ""]),
+    st.lists(st.sampled_from(["e.g.", "no.", "x.", "a", "A", "2", "!", "?", " ", "\n", "\xa0"]), max_size=12).map("".join),
+)
 # ASCII only, so that tokenize's one-pass ASCII branch runs on every text:
 # upper-case words, digits, '_', the separators \x1c-\x1f and abbreviations.
 _ASCII_PIECES = [
@@ -425,16 +506,52 @@ def _text(pieces):
     return st.lists(st.sampled_from(pieces), max_size=40).map("".join)
 
 
+_SEGMENTED_TEXT = st.one_of(
+    _text(_PIECES + _NUMERALS), _text(_CUT_PIECES), _text(_ASCII_PIECES), _text(_LONG_PIECES + _CUT_PIECES),
+    _ABBREVIATION_FIRST,
+)
+# Tagged text whose literals are _PIECES texts without the ready-made tags,
+# so that most of it is well formed and its spans label sentences.
+_LITERAL_PIECES = [p for p in _PIECES + _LONG_PIECES if len(p) == 1 or not p.startswith("<")]
+_TAGGED_PIECES = st.recursive(
+    _text(_LITERAL_PIECES),
+    lambda children: st.lists(st.one_of(_text(_LITERAL_PIECES), _tagged(children)), min_size=1, max_size=3).map(
+        "".join
+    ),
+    max_leaves=6,
+)
+
+
 class TestAgainstCharacterLoops:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_ASCII_PIECES)))
     def test_tokenize(self, text):
         assert tokenize(text) == reference_tokenize(text)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_text(_PIECES + _NUMERALS), _text(_CUT_PIECES), _text(_ASCII_PIECES)))
+    @settings(max_examples=500, deadline=None)
+    @given(_SEGMENTED_TEXT)
     def test_segment_sentences(self, text):
         assert segment_sentences(text) == reference_segment_sentences(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SEGMENTED_TEXT, st.integers(0, 12))
+    def test_a_limited_scan_returns_a_prefix(self, text, limit):
+        spans = sentence_spans(text)
+        assert spans == [(s.start, s.end) for s in reference_segment_sentences(text)]
+        assert sentence_spans(text, limit) == spans[:limit]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TAGGED_PIECES, st.booleans())
+    def test_parse_document(self, raw, lenient):
+        try:
+            plain, spans = reference_parse_tagged_text(raw, lenient)
+        except TagError as err:
+            with pytest.raises(type(err)):
+                parse_document("doc", raw, lenient)
+            return
+        doc = parse_document("doc", raw, lenient)
+        assert (doc.plain_text, list(doc.spans)) == (plain, spans)
+        assert list(doc.sentences) == reference_project_labels(spans, reference_segment_sentences(plain))
 
     @settings(max_examples=300, deadline=None)
     @given(_text(_PIECES), st.booleans())
@@ -444,11 +561,14 @@ class TestAgainstCharacterLoops:
 
 class TestLabeledSentence:
     def test_detection_flag_follows_levels(self):
-        s = _sentence(0, 4, "text")
-        assert LabeledSentence.from_labels(s, []).detection_label is False
-        assert LabeledSentence.from_labels(s, [(ClauseCategory.ARBITRATION, 1)]).detection_label is False
-        assert LabeledSentence.from_labels(s, [(ClauseCategory.ARBITRATION, 2)]).detection_label is True
-        assert LabeledSentence.from_labels(s, [(ClauseCategory.ARBITRATION, 3)]).detection_label is True
+        def flag(*labels):
+            return LabeledSentence(0, 4, "text", ("text",), frozenset(labels)).detection_label
+
+        assert flag() is False
+        assert flag((ClauseCategory.ARBITRATION, 1)) is False
+        assert flag((ClauseCategory.ARBITRATION, 2)) is True
+        assert flag((ClauseCategory.ARBITRATION, 3)) is True
+        assert flag((ClauseCategory.ARBITRATION, 1), (ClauseCategory.JURISDICTION, 3)) is True
 
     @given(
         st.integers(0, 100),
@@ -457,17 +577,16 @@ class TestLabeledSentence:
         st.lists(st.tuples(st.sampled_from(list(ClauseCategory)), st.sampled_from(FAIRNESS_LEVELS)), max_size=4),
         st.booleans(),
     )
-    def test_from_labels_copies_the_sentence_and_derives_the_flag(self, start, text, tokens, labels, flag):
-        s = Sentence(start=start, end=start + len(text), text=text, tokens=tuple(tokens))
-        ls = LabeledSentence.from_labels(s, labels)
+    def test_the_record_keeps_its_fields_and_derives_the_flag(self, start, text, tokens, labels, flag):
+        fields = (start, start + len(text), text, tuple(tokens))
+        ls = LabeledSentence(*fields, frozenset(labels))
         assert isinstance(ls, Sentence)
-        for f in dataclasses.fields(Sentence):
-            assert getattr(ls, f.name) is getattr(s, f.name), f.name
+        assert tuple(getattr(ls, f.name) for f in dataclasses.fields(Sentence)) == fields
         assert ls.labels == frozenset(labels)
         assert ls.detection_label is any(level in POSITIVE_LEVELS for _, level in labels)
         # the flag is derived, never passed in beside the labels
         with pytest.raises(TypeError):
-            LabeledSentence(s.start, s.end, s.text, s.tokens, frozenset(labels), detection_label=flag)
+            LabeledSentence(*fields, frozenset(labels), detection_label=flag)
 
 
 class TestLoadCorpus:

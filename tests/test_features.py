@@ -27,8 +27,7 @@ from claudette.trees import ParseTree, parse_bracketed
 
 
 def sent(text: str) -> LabeledSentence:
-    s = Sentence(start=0, end=len(text), text=text, tokens=tuple(tokenize(text)))
-    return LabeledSentence.from_labels(s, [])
+    return LabeledSentence(start=0, end=len(text), text=text, tokens=tuple(tokenize(text)), labels=frozenset())
 
 
 def weights_of(text: str, vocab: Vocabulary, config: FeatureConfig) -> dict[str, float]:

@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from claudette import service
+from claudette import corpus, service
 from claudette.cli import main
+from claudette.corpus import sentence_spans
 from claudette.modelio import load_model
 from claudette.service import make_server
 from claudette.treekernel import CompiledTrees
@@ -48,8 +49,8 @@ def served_model(tmp_path_factory):
 
 
 @contextlib.contextmanager
-def serving(model_path: Path):
-    srv = make_server(load_model(model_path), port=0, max_bytes=4096)
+def serving(model_path: Path, max_bytes: int = 4096):
+    srv = make_server(load_model(model_path), port=0, max_bytes=max_bytes)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:
@@ -186,7 +187,31 @@ class TestAnalyze:
         monkeypatch.setattr(server.RequestHandlerClass.predictor, "predict", None)
         status, body = _post(server, at_cap.read_bytes() + b" One more.")
         assert status == 413
-        assert json.loads(body) == {"error": "text has 4 sentences, over the 3-sentence cap"}
+        assert json.loads(body) == {"error": "text is over the 3-sentence cap"}
+
+    def test_a_mebibyte_over_the_sentence_cap_is_refused_before_tokenizing(self, served_model, monkeypatch):
+        body = b"Word. " * ((1 << 20) // 6)  # 174,762 sentences
+        scans = []
+
+        def spans(plain, limit=None):
+            found = sentence_spans(plain, limit)
+            scans.append((limit, len(found)))
+            return found
+
+        def tokenize(text):
+            raise AssertionError("a sentence was tokenized")
+
+        monkeypatch.setattr(corpus, "sentence_spans", spans)
+        monkeypatch.setattr(corpus, "tokenize", tokenize)
+        with serving(served_model, max_bytes=1 << 20) as srv:
+            t0 = time.perf_counter()
+            status, answer = _post(srv, body)
+            elapsed = time.perf_counter() - t0
+        assert status == 413
+        assert json.loads(answer) == {"error": f"text is over the {service.MAX_SENTENCES}-sentence cap"}
+        # one scan, stopped at the first sentence over the cap
+        assert scans == [(service.MAX_SENTENCES + 1, service.MAX_SENTENCES + 1)]
+        assert elapsed < 1.0  # about 30 ms; segmenting it whole took 0.7-1.5 s
 
     def test_invalid_utf8_400(self, server):
         assert _post(server, b"\xff\xfe nonsense")[0] == 400
