@@ -3,13 +3,13 @@
 A treebank file holds one bracketed tree per line, with a blank line between
 documents; groups align 1:1 with corpus documents in order, and within a
 group lines align with that document's sentences.  A line's tokens are
-brackets and runs of characters that are neither brackets nor whitespace,
-read by one compiled pattern.
+brackets and runs of characters that are neither brackets nor whitespace:
+``str.split`` of the line with a space put on each side of every bracket.
+One loop over them with an explicit stack of open nodes builds the tree.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -34,9 +34,9 @@ class TreeTooDeep(TreeParseError):
     pass
 
 
-#: Deeper than any natural-language parse; keeps the recursive parser inside
-#: Python's default recursion limit.  ``save_model`` refuses support trees
-#: deeper than this, since ``load_model`` could not read them back.
+#: Deeper than any natural-language parse; ``parse_bracketed`` refuses
+#: deeper input.  ``save_model`` refuses support trees deeper than this,
+#: since ``load_model`` could not read them back.
 MAX_DEPTH = 256
 
 
@@ -133,50 +133,51 @@ class ParseTree:
         return f"ParseTree({self.to_bracketed()!r})"
 
 
-#: A bracket, or a run of characters that are neither brackets nor whitespace.
-_BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
+def parse_bracketed(text: str, leaves: dict[str, ParseTree] | None = None) -> ParseTree:
+    """Parse one bracketed expression such as "(S (A a) (B b))".
 
-
-def parse_bracketed(text: str) -> ParseTree:
-    """Parse one bracketed expression such as "(S (A a) (B b))"."""
-    tokens = _BRACKET_TOKEN.findall(text)
+    ``leaves`` maps a word to its leaf; a word not in it gets a new leaf,
+    added to it.  Parse trees are never mutated, so one leaf may stand for
+    every occurrence of its word across the trees parsed with one table."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise UnbalancedParens("empty input")
-    pos = 0
-
-    def parse_node(depth: int) -> ParseTree:
-        nonlocal pos
-        if depth > MAX_DEPTH:
-            raise TreeTooDeep(f"tree is nested deeper than {MAX_DEPTH} levels")
-        if tokens[pos] != "(":
-            raise UnbalancedParens(f"expected '(' but found {tokens[pos]!r}")
-        pos += 1
-        if pos >= len(tokens):
-            raise UnbalancedParens("unexpected end of input after '('")
-        label = tokens[pos]
-        if label in "()":
-            raise EmptyNode("node is missing a label")
-        pos += 1
-        children: list[ParseTree] = []
-        while True:
-            if pos >= len(tokens):
-                raise UnbalancedParens("unexpected end of input; missing ')'")
-            tok = tokens[pos]
-            if tok == ")":
-                pos += 1
+    if tokens[0] != "(":
+        raise UnbalancedParens(f"expected '(' but found {tokens[0]!r}")
+    if leaves is None:
+        leaves = {}
+    stack: list[tuple[str, list[ParseTree]]] = []  # the open nodes, outermost first
+    it = iter(tokens)
+    for tok in it:
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise TreeTooDeep(f"tree is nested deeper than {MAX_DEPTH} levels")
+            label = next(it, None)
+            if label is None:
+                raise UnbalancedParens("unexpected end of input after '('")
+            if label == "(" or label == ")":
+                raise EmptyNode("node is missing a label")
+            children: list[ParseTree] = []
+            stack.append((label, children))
+        elif tok == ")":
+            label, kids = stack.pop()
+            if not kids:
+                raise EmptyNode(f"node {label!r} has no children and no token")
+            tree = ParseTree(label, kids)
+            if not stack:
                 break
-            if tok == "(":
-                children.append(parse_node(depth + 1))
-            else:
-                children.append(ParseTree(tok))
-                pos += 1
-        if not children:
-            raise EmptyNode(f"node {label!r} has no children and no token")
-        return ParseTree(label, children)
-
-    tree = parse_node(1)
-    if pos != len(tokens):
-        raise TrailingInput(f"unexpected trailing input starting at {tokens[pos]!r}")
+            children = stack[-1][1]
+            children.append(tree)
+        else:
+            leaf = leaves.get(tok)
+            if leaf is None:
+                leaf = leaves[tok] = ParseTree(tok)
+            children.append(leaf)
+    else:
+        raise UnbalancedParens("unexpected end of input; missing ')'")
+    trailing = next(it, None)
+    if trailing is not None:
+        raise TrailingInput(f"unexpected trailing input starting at {trailing!r}")
     return tree
 
 
@@ -192,6 +193,7 @@ def read_treebank_groups(path: str | Path) -> list[list[ParseTree]]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise TreeParseError(f"{path}: not valid UTF-8: {err}") from None
+    leaves: dict[str, ParseTree] = {}  # one leaf per distinct word of the file
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped:
@@ -199,7 +201,7 @@ def read_treebank_groups(path: str | Path) -> list[list[ParseTree]]:
                 groups.append(current)
                 current = []
             continue
-        current.append(parse_bracketed(stripped))
+        current.append(parse_bracketed(stripped, leaves))
     if current:
         groups.append(current)
     return groups

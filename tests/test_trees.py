@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import outcome, production, reference_parse_bracketed
-from claudette.treekernel import random_tree
+from claudette.treekernel import _compile, gram_matrix, random_tree
 from claudette.trees import (
     MAX_DEPTH,
     EmptyNode,
@@ -177,3 +179,113 @@ _BRACKET_PIECES = ["(", ")", "(S", "(NP", " ", "\t", "\n", "\x1c", "\xa0", "\u20
 @given(st.lists(st.sampled_from(_BRACKET_PIECES), max_size=40).map("".join))
 def test_parse_bracketed_equals_character_loop(text):
     assert outcome(parse_bracketed, text) == outcome(reference_parse_bracketed, text)
+
+
+_TREE_LINES = ["(S (NP x) (. .))", "(NP İ)", "(S (S x) _)"]
+_LINES = st.one_of(
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(_TREE_LINES),
+    st.lists(st.sampled_from(_BRACKET_PIECES), max_size=12).map("".join),
+)
+
+
+def _reference_groups(text):
+    """``read_treebank_groups``'s grouping of ``text``, every line parsed by
+    the character-loop reference."""
+    groups, current = [], []
+    for line in text.splitlines():
+        if not line.strip():
+            if current:
+                groups.append(current)
+                current = []
+            continue
+        current.append(reference_parse_bracketed(line))
+    if current:
+        groups.append(current)
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=10).map("\n".join))
+def test_read_treebank_groups_equals_reference_line_by_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("treebank") / "trees.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_treebank_groups, path) == outcome(_reference_groups, text)
+
+
+class TestSharedLeaves:
+    """The reader gives every occurrence of a word in one file one leaf
+    object.  Trees that share leaves must behave like trees that do not."""
+
+    @pytest.fixture(scope="class")
+    def both(self, fixtures_dir):
+        path = fixtures_dir / "planted_trees.txt"
+        shared = [t for group in read_treebank_groups(path) for t in group]
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        return shared, [reference_parse_bracketed(line) for line in lines]
+
+    def test_leaves_are_shared_only_by_the_reader(self, both):
+        shared, separate = both
+
+        def leaves(trees):
+            return [n for t in trees for n in t.nodes() if n.is_leaf]
+
+        words = {n.label for n in leaves(shared)}
+        assert len({id(n) for n in leaves(shared)}) == len(words) < len(leaves(shared))
+        assert len({id(n) for n in leaves(separate)}) == len(leaves(separate))
+
+    def test_equality_hash_and_text(self, both):
+        shared, separate = both
+        assert shared == separate
+        assert [hash(t) for t in shared] == [hash(t) for t in separate]
+        assert [t.to_bracketed() for t in shared] == [t.to_bracketed() for t in separate]
+
+    def test_node_table(self, both):
+        shared, separate = both
+        a, b = _compile(shared, {}), _compile(separate, {})
+        for field in a._fields:
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_gram_bytes(self, both):
+        shared, separate = both
+        assert gram_matrix(shared).matrix.tobytes() == gram_matrix(separate).matrix.tobytes()
+
+
+_MB = 1_000_000
+_HOSTILE_SECONDS = 5.0  # fixed, about ten times the slowest read (200,000 children)
+
+
+@pytest.mark.parametrize(
+    "text, groups",
+    [
+        pytest.param("(" * _MB, EmptyNode, id="1MB-of-open"),
+        pytest.param("(A " * (_MB // 3), TreeTooDeep, id="1MB-nested"),
+        pytest.param(")" * _MB, UnbalancedParens, id="1MB-of-close"),
+        pytest.param("(A " + "w" * _MB + ")", [1], id="1MB-token"),
+        pytest.param("(S" + " (X a)" * 200_000 + ")", [1], id="200k-children"),
+        pytest.param("(A a)\n" * 20_000, [20_000], id="20k-one-line-trees"),
+        pytest.param("(A\x00 \x00)\n(B b\x00c)\n", [2], id="NUL-in-words"),
+        pytest.param("\x00" * 1000, UnbalancedParens, id="NUL-line"),
+        pytest.param("(S (A a) (B b))\r\n(A x)\r\n\r\n(C c)\r\n", [2, 1], id="CRLF"),
+    ],
+)
+def test_hostile_input_in_bounded_time(tmp_path, text, groups):
+    """Each hostile input parses, or raises a ``TreeParseError``, within a
+    fixed bound, read both as a file and as one string, and the same as the
+    references.  ``groups`` is the file's group sizes or its error type."""
+    path = tmp_path / "hostile.txt"
+    path.write_bytes(text.encode("utf-8"))
+    results = {}
+    for read, arg in ((read_treebank_groups, path), (parse_bracketed, text)):
+        start = time.perf_counter()
+        results[read] = outcome(read, arg)
+        assert time.perf_counter() - start < _HOSTILE_SECONDS, read.__name__
+    read = results[read_treebank_groups]
+    if isinstance(groups, list):
+        assert [len(g) for g in read] == groups
+    else:
+        assert read[0] is groups
+    assert read == outcome(_reference_groups, text)
+    parsed = results[parse_bracketed]
+    assert isinstance(parsed, ParseTree) or issubclass(parsed[0], TreeParseError)
+    assert parsed == outcome(reference_parse_bracketed, text)
