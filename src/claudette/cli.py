@@ -158,7 +158,13 @@ def _needs_trees(args: argparse.Namespace, flag: str, kind: str, settings: RunSe
         raise UsageError("use_pos features require --trees")
 
 
+# characters of an error message printed: a reader's message may echo its input
+MAX_MESSAGE = 500
+
+
 def _fail(message: str, code: int) -> int:
+    if len(message) > MAX_MESSAGE:
+        message = message[:MAX_MESSAGE] + "…"
     print(f"error: {message}", file=sys.stderr)
     return code
 

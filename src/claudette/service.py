@@ -4,18 +4,20 @@ POST /analyze with a plain-text body returns the analysis as JSON; GET
 /health reports model metadata.  The model is compiled into a Predictor once,
 before the server binds its port (a kernel model's support trees with it),
 and shared read-only across request threads; identical bodies produce
-identical responses.  Connections are kept alive, with Nagle's algorithm off.
+identical responses.
 
-The handler reads a request's head itself, in one pass (RFC 9112), and sends
-each answer, status line, header fields and body, in one write.  Every
-refusal has a JSON body: 400 for a malformed request line or header field or
-a body shorter than its Content-Length, 411 for a Transfer-Encoding, 413 for
-a body over the byte cap or of more than ``MAX_SENTENCES`` sentences, 414
-and 431 for a request or header line over 65,536 bytes or more than 100
-header fields, 501 for a method other than GET or POST, and 505 for an HTTP
-version other than 1.0 and 1.1.  A connection with
-nothing to read for 30 s is closed.  The Date field is formatted once a
-second, not once an answer.
+One loop on ``socketserver``, ``AnalyzeHandler.handle``, keeps each HTTP/1.1
+rule of the service (RFC 9112).  It reads a request's head in one pass and
+sends each answer, status line, header fields and body, in one write, with
+Nagle's algorithm off.  A connection stays open until the client closes it or
+asks to (HTTP/1.0 must ask for keep-alive), a request is refused, or nothing
+arrives for 30 s.  Every refusal has a JSON body: 400 for a malformed request
+line or header field or a body shorter than its Content-Length, 411 for a
+Transfer-Encoding, 413 for a body over the byte cap or of more than
+``MAX_SENTENCES`` sentences, 414 and 431 for a request or header line over
+65,536 bytes or more than 100 header fields, 501 for a method other than GET
+or POST, and 505 for an HTTP version other than 1.0 and 1.1.  Neither
+``http.server`` nor ``http.client`` is imported, so ``ssl`` is not either.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from __future__ import annotations
 import email.utils
 import logging
 import re
+import socketserver
+import sys
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 
 from . import analyze
 from .analyze import AnalysisResult, Predictor, result_json
@@ -42,6 +46,7 @@ DEFAULT_MAX_BYTES = 1 << 20  # 1 MiB
 MAX_SENTENCES = 10_000
 # http.server's limits: bytes in one request or header line, header fields
 _MAX_LINE, _MAX_FIELDS = 65536, 100
+_SERVER = f"claudette Python/{sys.version.split()[0]}"
 _VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")
 # RFC 9112 5.1: a token, a colon, the value between optional spaces and tabs
 _FIELD_LINE = re.compile(rb"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):[ \t]*([^\r\n\0]*?)[ \t]*\r?\n")
@@ -54,9 +59,7 @@ def _error_body(message: str, error_id: str | None = None) -> bytes:
     return canonical_json_bytes(body)
 
 
-class AnalyzeHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "claudette"
+class AnalyzeHandler(socketserver.StreamRequestHandler):
     # an answer leaves in one write; a 100 Continue goes before it, and with
     # Nagle's algorithm on, the answer could wait for the client's delayed ACK
     disable_nagle_algorithm = True
@@ -69,15 +72,26 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
     # the second of the last Date field and its text, swapped in one assignment
     _date: tuple[int, str] = (-1, "")
 
-    def log_message(self, fmt: str, *args) -> None:  # route to logging, not stderr
-        log.debug("%s " + fmt, self.address_string(), *args)
+    def handle(self) -> None:
+        """Answer the requests on one connection in turn, until it is to
+        close, the client leaves, or nothing arrives for ``timeout`` s."""
+        try:
+            while self.parse_request():
+                if self.command == "GET":
+                    self.do_GET()
+                elif self.command == "POST":
+                    self.do_POST()
+                else:
+                    self._send(501, _error_body(f"Unsupported method ({self.command!r})"))
+                if self.close_connection:
+                    return
+        except (TimeoutError, ConnectionError):
+            pass
 
-    def date_time_string(self, timestamp: float | None = None) -> str:
+    def date_time_string(self) -> str:
         """The Date field for now, formatted once a second: the text
         ``email.utils.formatdate`` gives for the current second, which the
         handler threads share."""
-        if timestamp is not None:
-            return super().date_time_string(timestamp)
         now = int(time.time())
         second, text = AnalyzeHandler._date
         if second != now:
@@ -86,26 +100,27 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         return text
 
     def parse_request(self) -> bool:
-        """Read the request line in ``raw_requestline`` and the header fields
-        after it, in one pass.  On success ``fields`` maps each lower-cased
-        field name to its values in arrival order; on failure the error answer
-        is sent.  The syntax is RFC 9112's, with http.server's limits."""
-        self.command = None
-        self.request_version = ""
+        """Read the next request line and its header fields, in one pass.  On
+        success ``fields`` maps each lower-cased field name to its values in
+        arrival order; on failure, the end of input included, the connection
+        is to close and any error answer is sent.  The syntax is RFC 9112's."""
         self.close_connection = True
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = self.raw_requestline.split()
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            self._send(414, _error_body(HTTPStatus(414).phrase))
+            return False
+        words = line.split()
         if not words:
             return False
         if len(words) != 3:
-            self.send_error(400, "bad request line")
+            self._send(400, _error_body("bad request line"))
             return False
         version = words[2]
         if version not in (b"HTTP/1.1", b"HTTP/1.0"):
             if _VERSION.fullmatch(version):
-                self.send_error(505, "only HTTP/1.0 and HTTP/1.1 are supported")
+                self._send(505, _error_body("only HTTP/1.0 and HTTP/1.1 are supported"))
             else:
-                self.send_error(400, "bad HTTP version")
+                self._send(400, _error_body("bad HTTP version"))
             return False
         self.command, self.path = words[0].decode("iso-8859-1"), words[1].decode("iso-8859-1")
         self.request_version = version.decode()
@@ -114,7 +129,7 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         for _ in range(_MAX_FIELDS + 1):
             line = self.rfile.readline(_MAX_LINE + 1)
             if len(line) > _MAX_LINE:
-                self.send_error(431, f"a header line exceeds {_MAX_LINE} bytes")
+                self._send(431, _error_body(f"a header line exceeds {_MAX_LINE} bytes"))
                 return False
             if line in (b"\r\n", b"\n"):
                 break
@@ -124,15 +139,15 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
             if match is None:
                 # no colon, whitespace before it, an obs-fold continuation,
                 # or CR or NUL in the value (RFC 9112 5.1-5.2)
-                self.send_error(400, "malformed header field line")
+                self._send(400, _error_body("malformed header field line"))
                 return False
             name, value = match.groups()
             fields.setdefault(name.decode("ascii").lower(), []).append(value.decode("iso-8859-1"))
         else:
-            self.send_error(431, f"more than {_MAX_FIELDS} header fields")
+            self._send(431, _error_body(f"more than {_MAX_FIELDS} header fields"))
             return False
         if "transfer-encoding" in fields:
-            self.send_error(411, "Transfer-Encoding is not supported; send a Content-Length")
+            self._send(411, _error_body("Transfer-Encoding is not supported; send a Content-Length"))
             return False
         options = {o.strip().lower() for v in fields.get("connection", ()) for o in v.split(",")}
         self.close_connection = "close" in options or (
@@ -140,18 +155,13 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         )
         return True
 
-    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
-        """Every refusal, http.server's own included, as a JSON error body."""
-        self._send(code, _error_body(message or self.responses[code][0]))
-
     def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
         """The status line, the header fields and the body, in one write."""
         if status >= 400:
             self.close_connection = True
-        self.log_request(status)
         head = (
-            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
-            f"Server: {self.version_string()}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {_SERVER}\r\n"
             f"Date: {self.date_time_string()}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
@@ -160,10 +170,7 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
             head += "Connection: close\r\n"
         elif self.request_version == "HTTP/1.0":
             head += "Connection: keep-alive\r\n"
-        try:
-            self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
     def do_GET(self) -> None:
         if self.path != "/health":
@@ -234,21 +241,14 @@ class AnalyzeHandler(BaseHTTPRequestHandler):
         self._send(200, result_json(result))
 
 
-class _QuietServer(ThreadingHTTPServer):
+class _QuietServer(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
     daemon_threads = True
-
-    def handle_error(self, request, client_address) -> None:
-        import sys
-
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
-            return  # client dropped the connection; not our problem
-        super().handle_error(request, client_address)
 
 
 def make_server(
     bundle: ModelBundle, port: int = 0, max_bytes: int = DEFAULT_MAX_BYTES
-) -> ThreadingHTTPServer:
+) -> _QuietServer:
     """Build (but do not start) the service; port 0 picks a free port."""
     handler = type(
         "BoundAnalyzeHandler",

@@ -186,7 +186,9 @@ def parse_bracketed(text: str, leaves: dict[str, ParseTree] | None = None) -> Pa
 # ---------------------------------------------------------------------------
 
 def read_treebank_groups(path: str | Path) -> list[list[ParseTree]]:
-    """Blank-line-separated groups of one-tree-per-line."""
+    """Blank-line-separated groups of one-tree-per-line.  A line that does
+    not parse raises its ``TreeParseError`` again, as the same type, naming
+    the file and the line (counted as ``str.splitlines`` counts them)."""
     groups: list[list[ParseTree]] = []
     current: list[ParseTree] = []
     try:
@@ -194,14 +196,17 @@ def read_treebank_groups(path: str | Path) -> list[list[ParseTree]]:
     except UnicodeDecodeError as err:
         raise TreeParseError(f"{path}: not valid UTF-8: {err}") from None
     leaves: dict[str, ParseTree] = {}  # one leaf per distinct word of the file
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped:
             if current:
                 groups.append(current)
                 current = []
             continue
-        current.append(parse_bracketed(stripped, leaves))
+        try:
+            current.append(parse_bracketed(stripped, leaves))
+        except TreeParseError as err:
+            raise type(err)(f"{path}: {err} (line {number})") from None
     if current:
         groups.append(current)
     return groups

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from claudette import treekernel
-from claudette.cli import ConfigFileError, RunSettings, main, parse_config_file
+from claudette.cli import MAX_MESSAGE, ConfigFileError, RunSettings, main, parse_config_file
 from claudette.modelio import canonical_json_bytes, load_model
 from claudette.trees import read_treebank_groups, write_treebank_groups
 
@@ -844,6 +844,16 @@ class TestPredictCommand:
         code = main(["predict", "--model", str(model), "--input", str(doc), "--trees", str(sidecar)])
         assert code == 3
         assert "deeper than" in capsys.readouterr().err
+
+    def test_a_megabyte_word_in_a_sidecar_gives_one_bounded_error_line(self, planted_model, tmp_path, capsys):
+        sidecar = tmp_path / "word_trees.txt"
+        sidecar.write_text("w" * 1_000_000 + "\n", encoding="utf-8")
+        doc = FIXTURES / "planted" / "doc00.txt"
+        code = main(["predict", "--model", str(planted_model), "--input", str(doc), "--trees", str(sidecar)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}: expected '(' but found 'www") and err.endswith("www…\n")
+        assert len(err) == len("error: ") + MAX_MESSAGE + len("…\n")
 
     def test_empty_input_document(self, planted_model, tmp_path, capsysbinary):
         empty = tmp_path / "empty.txt"

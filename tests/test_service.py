@@ -5,18 +5,23 @@ import email.utils
 import http.client
 import itertools
 import json
+import os
+import re
 import socket
 import socketserver
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
 
 from claudette import corpus, service
+from claudette.analyze import analyze_text, result_json
 from claudette.cli import main
 from claudette.corpus import sentence_spans
 from claudette.modelio import load_model
@@ -459,6 +464,92 @@ class TestConnections:
             assert _closed(silent)
             assert time.perf_counter() - start < 5.0
 
+
+
+# Every byte answered to each request, with the Date value masked.  <server>
+# is this interpreter's Server field and <analysis> what ``predict`` prints
+# for BODY (its score depends on the BLAS kernel).  <413> and <414> are the
+# interpreter's reason phrases, which newer Pythons take from RFC 9110.
+_FIELDS = "Server: <server>\r\nDate: <masked>\r\nContent-Type: application/json\r\n"
+ANSWER_GOLDEN = [
+    pytest.param(_request("GET", "/health"),
+                 "HTTP/1.1 200 OK\r\n" + _FIELDS + "Content-Length: 61\r\n\r\n"
+                 '{"format_version":1,"model_kind":"linear-bow","status":"ok"}\n', id="get-health"),
+    pytest.param(_request("POST", "/analyze", BODY),
+                 "HTTP/1.1 200 OK\r\n" + _FIELDS + "Content-Length: <length>\r\n\r\n<analysis>", id="post-analyze"),
+    pytest.param(_request("GET", "/nope"),
+                 "HTTP/1.1 404 Not Found\r\n" + _FIELDS + "Content-Length: 22\r\nConnection: close\r\n\r\n"
+                 '{"error":"not found"}\n', id="404"),
+    pytest.param(b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+                 "HTTP/1.1 414 <414>\r\n" + _FIELDS + "Content-Length: <414-length>\r\nConnection: close\r\n\r\n"
+                 '{"error":"<414>"}\n', id="414"),
+    pytest.param(_request("GET", "/health", fields="X-Long: " + "y" * 65536 + "\r\n"),
+                 "HTTP/1.1 431 Request Header Fields Too Large\r\n" + _FIELDS
+                 + "Content-Length: 46\r\nConnection: close\r\n\r\n"
+                 '{"error":"a header line exceeds 65536 bytes"}\n', id="431"),
+    pytest.param(_request("PUT", "/analyze"),
+                 "HTTP/1.1 501 Not Implemented\r\n" + _FIELDS + "Content-Length: 39\r\nConnection: close\r\n\r\n"
+                 '{"error":"Unsupported method (\'PUT\')"}\n', id="501"),
+    pytest.param(_request("GET", "/health", version="HTTP/2.0"),
+                 "HTTP/1.1 505 HTTP Version Not Supported\r\n" + _FIELDS
+                 + "Content-Length: 53\r\nConnection: close\r\n\r\n"
+                 '{"error":"only HTTP/1.0 and HTTP/1.1 are supported"}\n', id="505"),
+    pytest.param(_request("GET", "/health", version="HTTP/1.1x"),
+                 "HTTP/1.1 400 Bad Request\r\n" + _FIELDS + "Content-Length: 29\r\nConnection: close\r\n\r\n"
+                 '{"error":"bad HTTP version"}\n', id="bad-version"),
+    pytest.param(b"GET /health\r\n\r\n",
+                 "HTTP/1.1 400 Bad Request\r\n" + _FIELDS + "Content-Length: 29\r\nConnection: close\r\n\r\n"
+                 '{"error":"bad request line"}\n', id="no-version"),
+    pytest.param(_request("POST", "/analyze", fields="Transfer-Encoding: chunked\r\n")
+                 + b"%x\r\n%s\r\n0\r\n\r\n" % (len(BODY), BODY),
+                 "HTTP/1.1 411 Length Required\r\n" + _FIELDS + "Content-Length: 70\r\nConnection: close\r\n\r\n"
+                 '{"error":"Transfer-Encoding is not supported; send a Content-Length"}\n', id="411-chunked"),
+    pytest.param(_request("POST", "/analyze", fields="Content-Type: text/plain\r\nContent-Length: 5000\r\n"),
+                 "HTTP/1.1 413 <413>\r\n" + _FIELDS + "Content-Length: 43\r\nConnection: close\r\n\r\n"
+                 '{"error":"body exceeds the 4096-byte cap"}\n', id="413-oversized"),
+    pytest.param(_request("POST", "/analyze", b"   \n  "),
+                 "HTTP/1.1 400 Bad Request\r\n" + _FIELDS + "Content-Length: 23\r\nConnection: close\r\n\r\n"
+                 '{"error":"empty body"}\n', id="whitespace-body"),
+    pytest.param(_request("POST", "/analyze", BODY, version="HTTP/1.0"),
+                 "HTTP/1.1 200 OK\r\n" + _FIELDS + "Content-Length: <length>\r\nConnection: close\r\n\r\n<analysis>",
+                 id="http-1.0"),
+    pytest.param(_request("GET", "/health", fields="Connection: close\r\n"),
+                 "HTTP/1.1 200 OK\r\n" + _FIELDS + "Content-Length: 61\r\nConnection: close\r\n\r\n"
+                 '{"format_version":1,"model_kind":"linear-bow","status":"ok"}\n', id="connection-close"),
+]
+
+
+@pytest.mark.parametrize("request_bytes, golden", ANSWER_GOLDEN)
+def test_each_answer_matches_its_golden_byte_for_byte(server, served_model, request_bytes, golden):
+    analysis = result_json(analyze_text(load_model(served_model), BODY.decode())).decode()
+    uri_phrase = HTTPStatus(414).phrase
+    places = {
+        "<server>": f"claudette Python/{sys.version.split()[0]}",
+        "<analysis>": analysis,
+        "<length>": str(len(analysis)),
+        "<414-length>": str(len(uri_phrase) + 13),
+        "<414>": uri_phrase,
+        "<413>": HTTPStatus(413).phrase,
+    }
+    for place, value in places.items():
+        golden = golden.replace(place, value)
+    with _connection(server) as sock:
+        sock.sendall(request_bytes)
+        sock.shutdown(socket.SHUT_WR)  # a kept-alive connection ends after its answer too
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    assert re.sub(rb"\r\nDate: [^\r]*\r\n", b"\r\nDate: <masked>\r\n", answer) == golden.encode("latin-1")
+
+
+def test_the_server_imports_no_http_client_ssl_or_email_parser():
+    # in a fresh interpreter: this one has loaded http.client for the tests
+    src = Path(service.__file__).resolve().parents[1]
+    code = ("import sys, claudette.service, claudette.cli; "
+            "print(sorted({'http.server', 'http.client', 'ssl', 'email.parser'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 def test_kernel_model_without_fallback_answers_400(mini_kernel_model_without_fallback):
     with serving(mini_kernel_model_without_fallback) as srv:

@@ -143,6 +143,13 @@ class TestTreebank:
         write_treebank_groups(groups, path)
         assert read_treebank_groups(path) == groups
 
+    def test_a_line_error_names_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "trees.txt"
+        path.write_text("(A a)\n\n(B b) extra\n", encoding="utf-8")
+        with pytest.raises(TrailingInput) as err:
+            read_treebank_groups(path)
+        assert str(err.value) == f"{path}: unexpected trailing input starting at 'extra' (line 3)"
+
     def test_align_validates_document_count(self, mini_corpus):
         with pytest.raises(TreeBankMismatch):
             align_treebank([[parse_bracketed("(A a)")]], mini_corpus)
@@ -189,17 +196,21 @@ _LINES = st.one_of(
 )
 
 
-def _reference_groups(text):
-    """``read_treebank_groups``'s grouping of ``text``, every line parsed by
-    the character-loop reference."""
+def _reference_groups(text, path):
+    """``read_treebank_groups``'s grouping of ``text``, read from ``path``:
+    every line parsed by the character-loop reference, and a line's error
+    raised again naming the file and the line."""
     groups, current = [], []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             if current:
                 groups.append(current)
                 current = []
             continue
-        current.append(reference_parse_bracketed(line))
+        try:
+            current.append(reference_parse_bracketed(line))
+        except TreeParseError as err:
+            raise type(err)(f"{path}: {err} (line {number})") from None
     if current:
         groups.append(current)
     return groups
@@ -210,7 +221,7 @@ def _reference_groups(text):
 def test_read_treebank_groups_equals_reference_line_by_line(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("treebank") / "trees.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(read_treebank_groups, path) == outcome(_reference_groups, text)
+    assert outcome(read_treebank_groups, path) == outcome(_reference_groups, text, path)
 
 
 class TestSharedLeaves:
@@ -285,7 +296,7 @@ def test_hostile_input_in_bounded_time(tmp_path, text, groups):
         assert [len(g) for g in read] == groups
     else:
         assert read[0] is groups
-    assert read == outcome(_reference_groups, text)
+    assert read == outcome(_reference_groups, text, path)
     parsed = results[parse_bracketed]
     assert isinstance(parsed, ParseTree) or issubclass(parsed[0], TreeParseError)
     assert parsed == outcome(reference_parse_bracketed, text)
